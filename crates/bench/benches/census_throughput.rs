@@ -23,8 +23,8 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use detectable::{DetectableCas, ObjectKind, OpSpec};
 use harness::{
-    build_world, census_bfs_engine, census_bfs_external_engine, census_bfs_snapshot_engine,
-    census_table_json, BfsConfig, CensusReport, Scenario, Workload,
+    build_world, census_bfs_engine, census_bfs_snapshot_engine, census_table_json, BfsConfig,
+    CensusReport, Scenario, Workload,
 };
 use nvm::SimMemory;
 
@@ -200,8 +200,8 @@ fn record_baseline(_c: &mut Criterion) {
         })
     });
 
-    // Disk-tier rows (experiment E15): the external-memory engine vs the
-    // in-RAM engine on the worlds the disk tier exists for — N = 5 exact
+    // Disk-tier rows (experiment E15): the census's disk tier vs its
+    // in-RAM tier on the worlds the disk tier exists for — N = 5 exact
     // and N = 6 dominance — under a deliberately small RAM budget. These
     // are single-shot (no warm run): each costs minutes on one core, and
     // the point of the row is the peak-resident / counts contract, with
@@ -224,7 +224,7 @@ fn record_baseline(_c: &mut Criterion) {
             census_bfs_engine(&obj, &world_mem, &alphabet(), &ext_cfg(dominance, false))
         });
         let ext = sample(&format!("ext-n{n}-{tag}"), false, &|| {
-            census_bfs_external_engine(&obj, &world_mem, &alphabet(), &ext_cfg(dominance, true))
+            census_bfs_engine(&obj, &world_mem, &alphabet(), &ext_cfg(dominance, true))
         });
         // The acceptance contract for the disk tier: identical verdict and
         // counts under the budget, with the measured peak actually under it.

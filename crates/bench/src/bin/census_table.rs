@@ -22,7 +22,7 @@
 //! * `--max-n K` extends (or shrinks) the BFS sweep: the default 6 is
 //!   today's CI table; `--max-n 7` adds the N = 7 *bfs-dom* row
 //!   (experiment E15), which needs a 6-op budget (`Σ C(7,k), k ≤ 6` =
-//!   `127 = 2^7 − 1`) and is sized for the external-memory engine —
+//!   `127 = 2^7 − 1`) and is sized for the census's disk tier —
 //!   pass `--disk-dir DIR` (and optionally `--ram-budget BYTES`) to spill
 //!   the frontier, arena segments and visited set to disk instead of
 //!   holding the multi-hundred-million-node space resident;

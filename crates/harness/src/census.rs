@@ -22,57 +22,43 @@
 //!
 //! # Engine
 //!
-//! The exhaustive census is a **work-stealing parallel BFS** over system
-//! configurations (memory contents + driver volatile state + remaining
-//! operation budget), built from three pieces:
+//! The exhaustive census is a BFS over system configurations (memory
+//! contents + driver volatile state + consumed operation budget), run by
+//! one worker loop (`Census::work`): take a node, expand it, flush its
+//! admitted successors to the frontier, mark it complete. Expansion is
+//! checkpoint-based: a worker installs a node's image once onto its own
+//! scratch [`fork`](SimMemory::fork), then enters every successor under a
+//! [`checkpoint`](SimMemory::checkpoint) and leaves via
+//! [`rollback`](SimMemory::rollback) — O(writes of one step) per
+//! successor. The census is crash-free, so a configuration's memory half
+//! is fully determined by its *logical* word image; nodes carry an 8-byte
+//! handle into an image store that keeps each distinct image once, not a
+//! per-node [`MemSnapshot`](nvm::MemSnapshot). Only the storage varies,
+//! in three roles the loop is generic over:
 //!
-//! * **Arena-backed states.** The census is crash-free, so a
-//!   configuration's memory half is fully determined by its *logical* word
-//!   image ([`SimMemory::logical_hash`] already keys on exactly that).
-//!   Frontier nodes therefore carry an 8-byte [`nvm::CompactState`] handle
-//!   into a shared append-only [`nvm::StateArena`] — each distinct image is
-//!   stored once, however many nodes (different in-flight machines, same
-//!   memory) share it — instead of a per-node
-//!   [`MemSnapshot`](nvm::MemSnapshot). Peak memory drops from
-//!   O(nodes × memory) toward O(nodes + distinct images), and handing a
-//!   node to another worker moves one word, not a heap. **Expansion** is
-//!   checkpoint-based as before: a worker installs a node's image once onto
-//!   its own scratch [`fork`](SimMemory::fork) via
-//!   [`load_words`](SimMemory::load_words), then enters every successor
-//!   under a [`checkpoint`](SimMemory::checkpoint) and leaves via
-//!   [`rollback`](SimMemory::rollback) — O(writes of one step) per
-//!   successor.
-//! * **Work-stealing scheduling** on the shared [`crate::sched`]
-//!   substrate: each worker owns a deque (Chase-Lev discipline — the owner
-//!   pushes and pops its own back, idle workers steal chunks from victims'
-//!   fronts, randomized victim order, exponential backoff, parking), and
-//!   termination is detected by sharded per-worker created/finished
-//!   counters with a quiescence sweep — no shared frontier lock, no
-//!   global pending count on a contended cache line, no wave barrier. The
-//!   visited set (sharded 128-bit configuration fingerprints) and the
-//!   shared-configuration set (sharded **exact** logical shared-memory
-//!   keys — the quantity Theorem 1 bounds is never approximated) are
-//!   unchanged.
-//! * **Batched interning**: a worker stages the admitted successors of
-//!   each expansion in a local [`InternStage`] and flushes them to the
-//!   sharded arena in one [`StateArena::intern_batch`] call — one lock
-//!   acquisition per distinct shard per flush instead of one per
-//!   successor, same exact-dedup contract, same handles.
-//! * **Dominance pruning** ([`BfsConfig::dominance`]) — see below.
+//! | role | in RAM | on disk ([`crate::external`]) |
+//! |---|---|---|
+//! | frontier | a FIFO for one worker; work-stealing deques ([`crate::sched`]) for more | generation files |
+//! | admission | sharded fingerprint set, per successor | seen-file sort-merge replay at generation end |
+//! | image store | [`StateArena`] | [`nvm::SpillableArena`] |
 //!
-//! `visited` admission is capped at [`BfsConfig::max_states`]: a node
-//! enters the frontier (and is later expanded) only if it wins one of
-//! exactly `max_states` admission slots, so peak memory is O(`max_states`)
-//! nodes no matter how large the reachable space is, and hitting the cap
-//! sets [`CensusReport::truncated`].
+//! [`census_bfs_engine`] takes the disk tier when [`BfsConfig::disk_dir`]
+//! is set and the object is [`decodable`](RecoverableObject::decodable);
+//! the disk tier runs one worker. Both tiers share the admission cap
+//! ([`BfsConfig::max_states`]: exactly that many nodes are admitted and
+//! expanded, and hitting it sets [`CensusReport::truncated`]), the exact
+//! shared-configuration set (logical shared-memory keys — the quantity
+//! Theorem 1 bounds is never approximated) and the report. A worker
+//! interns one expansion's admitted images in one batch: one lock
+//! acquisition per shard per flush instead of one per successor.
 //!
 //! On runs that complete within `max_states`, the visited set, the
 //! shared-configuration set and the expansion count are each determined by
-//! the reachable state space alone — set unions are order-independent — so
-//! **every parallelism level reports identical counts**. When the cap
-//! truncates a parallel run, *which* configurations won admission slots is
-//! scheduling-dependent (sequential truncated runs remain deterministic:
-//! admission order is canonical BFS order).
+//! the reachable state space alone, so **every parallelism level and both
+//! tiers report identical counts**. When the cap truncates a parallel run,
+//! *which* configurations won admission slots is scheduling-dependent
+//! (one-worker runs stay deterministic: admission order is canonical BFS
+//! order).
 //!
 //! # Dominance pruning
 //!
@@ -107,15 +93,15 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use detectable::{OpSpec, RecoverableObject};
-use nvm::{InternStage, Memory, Pid, SimMemory, StateArena, Word};
+use nvm::{CompactState, Memory, Pid, SimMemory, StateArena, Word};
 
 use crate::driver::{Driver, RetryPolicy};
 use crate::external::SpillStats;
-use crate::sched::{SchedStats, Scheduler};
+use crate::sched::{resolve_parallelism, SchedStats, Scheduler, Worker};
 
 /// Result of a census run.
 #[derive(Clone, Debug)]
@@ -142,13 +128,11 @@ pub struct CensusReport {
     pub truncated: bool,
     /// Estimated peak resident bytes of the engine's own data structures
     /// (visited/shared sets, arena, frontier — not process RSS). In-RAM
-    /// engines derive it from final set sizes (their sets only grow);
-    /// the external engine tracks its bounded buffers generation by
-    /// generation. `0` means the engine predates the accounting (none do
-    /// today) — the solo drive reports its seen-set footprint.
+    /// runs derive it from final set sizes (their sets only grow); the
+    /// disk tier tracks its bounded buffers generation by generation; the
+    /// solo drive reports its seen-set footprint.
     pub peak_resident_bytes: u64,
-    /// Disk-tier counters when the external engine ran; `None` for the
-    /// in-RAM engines.
+    /// Disk-tier counters when the BFS ran on disk; `None` otherwise.
     pub spill: Option<SpillStats>,
     /// Scheduler-action counters (steals, parks, per-worker expansions,
     /// intern-flush batches). All-zero for engines that neither schedule
@@ -271,12 +255,12 @@ pub struct BfsConfig {
     /// the cap binds, and the report is flagged
     /// [`truncated`](CensusReport::truncated).
     pub max_states: usize,
-    /// Worker threads for frontier expansion. At this layer `0` and `1`
-    /// both mean sequential search; the [`Scenario`](crate::Scenario)
-    /// runner resolves `0` (the default) to the host's available
-    /// parallelism before the engine sees it. Runs that complete within
-    /// `max_states` report identical counts at every setting (see the
-    /// [module docs](self) for the truncation caveat).
+    /// Worker threads for in-RAM frontier expansion: `1` is a sequential
+    /// FIFO search, `0` (the default) means the host's available
+    /// parallelism ([`resolve_parallelism`]). The disk tier always runs one
+    /// worker. Runs that complete within `max_states` report identical
+    /// counts at every setting (see the [module docs](self) for the
+    /// truncation caveat).
     pub parallelism: usize,
     /// ops_used-dominance pruning: expand only the lowest-remaining-budget
     /// copy of each configuration. **Non-count-preserving** — `work`
@@ -286,21 +270,17 @@ pub struct BfsConfig {
     /// [module docs](self). Off by default; the exact engine remains the
     /// reference.
     pub dominance: bool,
-    /// Directory for the external-memory engine's spill files (arena
-    /// segments, frontier generations, sort runs, the visited-fingerprint
-    /// file). `Some` routes [`Scenario::census`](crate::Scenario::census)
-    /// BFS runs through [`census_bfs_external_engine`] when the object
-    /// supports machine decoding
-    /// ([`RecoverableObject::decodable`]); `None` (the default) keeps
-    /// everything in RAM.
-    ///
-    /// [`census_bfs_external_engine`]: crate::external::census_bfs_external_engine
+    /// Directory for the disk tier's spill files (arena segments, frontier
+    /// generations, sort runs, the visited-fingerprint file). `Some` puts
+    /// the census on disk when the object supports machine decoding
+    /// ([`RecoverableObject::decodable`]) and keeps it in RAM otherwise;
+    /// `None` (the default) keeps everything in RAM.
     pub disk_dir: Option<std::path::PathBuf>,
-    /// Soft RAM target in bytes for the external engine's bounded buffers
-    /// (arena segment + hot cache, sort chunks, admission bitmaps). `None`
-    /// picks a default sized for the host; small values force multi-segment
-    /// arena spill and multi-run external sorts (the differential tests use
-    /// this). Advisory for the in-RAM engines (they ignore it).
+    /// Soft RAM target in bytes for the disk tier's bounded buffers (arena
+    /// segment + hot cache, sort chunks, admission bitmaps). `None` picks a
+    /// default sized for the host; small values force multi-segment arena
+    /// spill and multi-run external sorts (the differential tests use
+    /// this). The in-RAM tier ignores it.
     pub ram_budget: Option<usize>,
 }
 
@@ -317,15 +297,18 @@ impl Default for BfsConfig {
     }
 }
 
-/// One frontier entry: an arena handle to the node's logical memory image,
-/// the driver's volatile state, and the operation budget consumed so far.
-/// Everything a worker needs to resume the configuration, at 8 bytes plus
-/// the driver.
-struct BfsNode {
-    state: nvm::CompactState,
-    driver: Driver,
-    ops_used: usize,
+/// One frontier entry: a handle to the node's logical memory image in the
+/// tier's image store, the driver's volatile state, and the operation
+/// budget consumed so far. Everything a worker needs to resume the
+/// configuration, at 8 bytes plus the driver.
+pub(crate) struct BfsNode<H> {
+    pub(crate) state: H,
+    pub(crate) driver: Driver,
+    pub(crate) ops_used: usize,
 }
+
+/// An admitted root node and its configuration fingerprint.
+pub(crate) type Seeded<H> = (BfsNode<H>, (u64, u64));
 
 /// Node key for the reference engine: operation budget, the driver's
 /// volatile state (machine encodings included), and full NVM contents
@@ -342,11 +325,11 @@ fn encode_node(mem: &SimMemory, driver: &Driver, ops_used: usize) -> Vec<Word> {
 /// Two independently salted 64-bit hashes of the logical image alone —
 /// the memory component of the configuration fingerprint, computed in one
 /// place so a generated successor pays exactly two full-image passes: the
-/// halves feed [`fingerprint_image`], and the first half doubles as the
-/// arena's routing/index hash on admission (a pure function of the image,
-/// as [`StateArena::intern`] requires — no third pass to re-hash the same
-/// words).
-pub(crate) fn image_hashes(image: &[Word]) -> (u64, u64) {
+/// halves feed [`fingerprint_image`], the first half doubles as the
+/// in-RAM arena's routing/index hash and both form the disk arena's
+/// 128-bit key (pure functions of the image, as the arenas require — no
+/// third pass to re-hash the same words).
+fn image_hashes(image: &[Word]) -> (u64, u64) {
     let mut halves = [0u64; 2];
     for (salt, half) in halves.iter_mut().enumerate() {
         let mut h = DefaultHasher::new();
@@ -371,7 +354,7 @@ pub(crate) fn image_hashes(image: &[Word]) -> (u64, u64) {
 /// (from [`image_hashes`]) with the driver key, so the two halves collide
 /// independently on the memory component (true 128-bit resistance, not
 /// one 64-bit hash copied twice).
-pub(crate) fn fingerprint_image(
+fn fingerprint_image(
     image_hashes: (u64, u64),
     driver: &Driver,
     ops_used: usize,
@@ -404,42 +387,19 @@ enum VisitedShard {
     Dominance(HashMap<(u64, u64), u32>),
 }
 
-/// The visited set: sharded configuration fingerprints behind an exact
-/// admission counter. [`try_admit`](Self::try_admit) hands out at most
-/// `cap` slots across all threads (a reservation CAS loop, so the cap is
-/// exact even under parallel insertion); a rejected-for-capacity admission
-/// marks the census truncated. In dominance mode each fingerprint carries
-/// the lowest `ops_used` admitted so far and re-admits when seen with a
-/// strictly lower budget (consuming a fresh slot — every expansion is
-/// bounded by the cap).
-struct VisitedSet {
-    shards: Vec<Mutex<VisitedShard>>,
+/// The admission cap, shared by both storage tiers: at most `cap`
+/// configurations are ever admitted for expansion, and a
+/// rejected-for-capacity admission marks the census truncated.
+pub(crate) struct Slots {
     admitted: AtomicUsize,
     cap: usize,
     truncated: AtomicBool,
 }
 
-impl VisitedSet {
-    fn new(cap: usize, dominance: bool) -> Self {
-        VisitedSet {
-            shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(if dominance {
-                        VisitedShard::Dominance(HashMap::new())
-                    } else {
-                        VisitedShard::Exact(HashSet::new())
-                    })
-                })
-                .collect(),
-            admitted: AtomicUsize::new(0),
-            cap,
-            truncated: AtomicBool::new(false),
-        }
-    }
-
-    /// Reserves an admission slot before inserting, keeping the cap exact
-    /// under concurrent admission from every shard.
-    fn reserve_slot(&self) -> bool {
+impl Slots {
+    /// Reserves one admission slot: a reservation CAS loop, so the cap is
+    /// exact even under concurrent admission from every shard.
+    pub(crate) fn reserve(&self) -> bool {
         loop {
             let c = self.admitted.load(Ordering::Relaxed);
             if c >= self.cap {
@@ -455,21 +415,57 @@ impl VisitedSet {
             }
         }
     }
+}
 
-    /// Admits `key` at budget `ops_used` if it warrants an expansion (novel
-    /// fingerprint, or — dominance mode — strictly lower budget than every
-    /// prior admission) and a slot remains; returns whether the caller now
-    /// owns the expansion.
-    fn try_admit(&self, key: (u64, u64), ops_used: usize) -> bool {
+/// The in-RAM visited set: sharded configuration fingerprints. In
+/// dominance mode each fingerprint carries the lowest `ops_used` admitted
+/// so far and re-admits when seen with a strictly lower budget (consuming
+/// a fresh slot — every expansion is bounded by the cap).
+struct VisitedSet {
+    shards: Vec<Mutex<VisitedShard>>,
+}
+
+impl VisitedSet {
+    fn new(dominance: bool) -> Self {
+        VisitedSet {
+            shards: (0..SHARDS)
+                .map(|_| {
+                    Mutex::new(if dominance {
+                        VisitedShard::Dominance(HashMap::new())
+                    } else {
+                        VisitedShard::Exact(HashSet::new())
+                    })
+                })
+                .collect(),
+        }
+    }
+}
+
+/// Admission role: decides which generated successors reach the frontier.
+pub(crate) trait Admission {
+    /// Whether the successor with fingerprint `fp` at budget `ops_used`
+    /// goes to the frontier now (a tier that admits later returns `true`
+    /// and decides in its frontier).
+    fn admit(&self, slots: &Slots, fp: (u64, u64), ops_used: usize) -> bool;
+
+    /// Admits the root configuration, a generation by itself.
+    fn admit_root(&self, slots: &Slots, fp: (u64, u64)) -> bool {
+        self.admit(slots, fp, 0)
+    }
+}
+
+impl Admission for VisitedSet {
+    /// Admits `key` at budget `ops_used` if it warrants an expansion
+    /// (novel fingerprint, or — dominance mode — strictly lower budget
+    /// than every prior admission) and a slot remains. A capacity
+    /// rejection never updates the set.
+    fn admit(&self, slots: &Slots, key: (u64, u64), ops_used: usize) -> bool {
         let mut shard = self.shards[(key.0 as usize) % SHARDS]
             .lock()
             .expect("visited shard poisoned");
         match &mut *shard {
             VisitedShard::Exact(set) => {
-                if set.contains(&key) {
-                    return false;
-                }
-                if !self.reserve_slot() {
+                if set.contains(&key) || !slots.reserve() {
                     return false;
                 }
                 set.insert(key);
@@ -477,18 +473,14 @@ impl VisitedSet {
             }
             VisitedShard::Dominance(map) => match map.entry(key) {
                 Entry::Occupied(mut e) => {
-                    if (ops_used as u32) < *e.get() {
-                        if !self.reserve_slot() {
-                            return false;
-                        }
-                        *e.get_mut() = ops_used as u32;
-                        true
-                    } else {
-                        false
+                    if (ops_used as u32) >= *e.get() || !slots.reserve() {
+                        return false;
                     }
+                    *e.get_mut() = ops_used as u32;
+                    true
                 }
                 Entry::Vacant(v) => {
-                    if !self.reserve_slot() {
+                    if !slots.reserve() {
                         return false;
                     }
                     v.insert(ops_used as u32);
@@ -496,6 +488,62 @@ impl VisitedSet {
                 }
             },
         }
+    }
+}
+
+/// Image-store role: where admitted successors' logical images live.
+pub(crate) trait Images {
+    /// What a frontier node carries instead of its image.
+    type Handle: Copy;
+    /// Interns `images` (stride-sized, back to back, with their two salted
+    /// hashes from [`image_hashes`]), one handle per image into `out`.
+    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<Self::Handle>);
+    fn read_into(&self, handle: Self::Handle, out: &mut Vec<Word>);
+}
+
+impl Images for StateArena {
+    type Handle = CompactState;
+    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<CompactState>) {
+        self.intern_batch(images, hashes.iter().map(|h| h.0), out);
+    }
+    fn read_into(&self, handle: CompactState, out: &mut Vec<Word>) {
+        StateArena::read_into(self, handle, out);
+    }
+}
+
+/// Frontier role: the admitted nodes not yet expanded.
+pub(crate) trait Frontier<H> {
+    /// The next node to expand; `None` once the search has drained.
+    fn next(&mut self) -> Option<BfsNode<H>>;
+    /// Takes one expansion's successors (drained from `nodes`) and their
+    /// fingerprints, in generation order.
+    fn push(&mut self, nodes: &mut Vec<BfsNode<H>>, fps: &[(u64, u64)]);
+    /// Marks the node last returned by [`next`](Self::next) expanded.
+    fn complete(&mut self) {}
+}
+
+/// One in-RAM worker: a plain FIFO keeps admission in canonical BFS order,
+/// so truncated sequential runs stay deterministic (and, without
+/// dominance, match the snapshot reference engine's admissions exactly).
+impl<H> Frontier<H> for VecDeque<BfsNode<H>> {
+    fn next(&mut self) -> Option<BfsNode<H>> {
+        self.pop_front()
+    }
+    fn push(&mut self, nodes: &mut Vec<BfsNode<H>>, _: &[(u64, u64)]) {
+        self.extend(nodes.drain(..));
+    }
+}
+
+/// Two or more in-RAM workers: the work-stealing deques.
+impl<H> Frontier<H> for Worker<'_, BfsNode<H>> {
+    fn next(&mut self) -> Option<BfsNode<H>> {
+        Worker::next(self)
+    }
+    fn push(&mut self, nodes: &mut Vec<BfsNode<H>>, _: &[(u64, u64)]) {
+        Worker::push(self, nodes);
+    }
+    fn complete(&mut self) {
+        Worker::complete(self);
     }
 }
 
@@ -535,7 +583,7 @@ impl SharedSeen {
 }
 
 /// The crash-free retry policy every census engine drives under.
-pub(crate) const CENSUS_RETRY: RetryPolicy = RetryPolicy {
+const CENSUS_RETRY: RetryPolicy = RetryPolicy {
     retry_on_fail: false,
     max_retries: 0,
     reset_per_op: false,
@@ -552,74 +600,145 @@ struct Scratch {
     key: Vec<Word>,
 }
 
-/// A worker-local batch of admitted-but-not-yet-interned successors: one
-/// expansion's worth of images staged for [`StateArena::intern_batch`],
-/// with the non-image node halves kept alongside in staging order.
-/// Flushing interns the whole batch (one lock per distinct shard) and
-/// emits the finished [`BfsNode`]s — in generation order, so the
-/// sequential engine's canonical FIFO admission order is untouched.
-struct PendingBatch {
-    stage: InternStage,
+/// A worker-local batch of one expansion's admitted successors: images
+/// staged for one [`Images::intern`] call, with their hashes, the
+/// non-image node halves and the fingerprints alongside in staging order.
+struct Batch<I: Images> {
+    images: Vec<Word>,
+    hashes: Vec<(u64, u64)>,
     /// `(driver, ops_used)` per staged image, same order.
     meta: Vec<(Driver, u32)>,
-    handles: Vec<nvm::CompactState>,
+    fps: Vec<(u64, u64)>,
+    handles: Vec<I::Handle>,
+    nodes: Vec<BfsNode<I::Handle>>,
 }
 
-impl PendingBatch {
-    fn new(stride: usize) -> Self {
-        PendingBatch {
-            stage: InternStage::new(stride),
+impl<I: Images> Batch<I> {
+    fn new() -> Self {
+        Batch {
+            images: Vec::new(),
+            hashes: Vec::new(),
             meta: Vec::new(),
+            fps: Vec::new(),
             handles: Vec::new(),
+            nodes: Vec::new(),
         }
     }
 
-    /// Interns every staged image and appends the finished nodes to `out`
-    /// in staging order. Returns whether anything was flushed (the
-    /// scheduler's `flush_batches` stat counts non-empty flushes only).
-    fn flush(&mut self, arena: &StateArena, out: &mut Vec<BfsNode>) -> bool {
-        if self.stage.is_empty() {
+    /// Interns the staged images and hands the finished nodes to
+    /// `frontier` in staging order, so the one-worker FIFO order is exactly
+    /// the per-successor admission order. Returns whether anything was
+    /// flushed (`flush_batches` counts non-empty flushes only).
+    fn flush(&mut self, images: &I, frontier: &mut impl Frontier<I::Handle>) -> bool {
+        if self.meta.is_empty() {
             return false;
         }
-        arena.intern_batch(&mut self.stage, &mut self.handles);
-        for (&state, (driver, ops_used)) in self.handles.iter().zip(self.meta.drain(..)) {
-            out.push(BfsNode {
+        images.intern(&self.images, &self.hashes, &mut self.handles);
+        self.images.clear();
+        self.hashes.clear();
+        let staged = self.handles.iter().zip(self.meta.drain(..));
+        self.nodes
+            .extend(staged.map(|(&state, (driver, ops_used))| BfsNode {
                 state,
                 driver,
                 ops_used: ops_used as usize,
-            });
-        }
+            }));
+        frontier.push(&mut self.nodes, &self.fps);
+        self.fps.clear();
         true
     }
 }
 
-/// Per-worker scheduler-action tallies, summed into the report.
+/// Per-worker tallies, summed into the report.
 #[derive(Default)]
-struct Tally {
+pub(crate) struct Tally {
     steps: u64,
     resolved: u64,
+    persists: u64,
+    expanded: u64,
+    flushes: u64,
 }
 
-/// Everything expansion needs, shared (immutably) across workers.
-struct Census<'a> {
+impl Tally {
+    fn add(self, o: Tally) -> Tally {
+        Tally {
+            steps: self.steps + o.steps,
+            resolved: self.resolved + o.resolved,
+            persists: self.persists + o.persists,
+            expanded: self.expanded + o.expanded,
+            flushes: self.flushes + o.flushes,
+        }
+    }
+}
+
+/// Everything expansion needs, shared (immutably) across workers: the
+/// world, the storage tier's image store and admission rule, the admission
+/// cap, and the exact shared-configuration set.
+pub(crate) struct Census<'a, I, A> {
     obj: &'a dyn RecoverableObject,
     alphabet: &'a [OpSpec],
     cfg: &'a BfsConfig,
-    arena: &'a StateArena,
-    visited: &'a VisitedSet,
-    shared_seen: &'a SharedSeen,
+    images: &'a I,
+    admission: &'a A,
+    pub(crate) slots: Slots,
+    shared_seen: SharedSeen,
 }
 
-impl Census<'_> {
-    /// Observes one generated successor: its shared key always, and — if it
-    /// wins admission — stages its image and node halves in `batch` for
-    /// the end-of-expansion flush. Admission order (the thing sequential
-    /// determinism rests on) is decided here, per successor; only the
-    /// interning is deferred.
+impl<'a, I: Images, A: Admission> Census<'a, I, A> {
+    pub(crate) fn new(
+        obj: &'a dyn RecoverableObject,
+        alphabet: &'a [OpSpec],
+        cfg: &'a BfsConfig,
+        images: &'a I,
+        admission: &'a A,
+    ) -> Self {
+        Census {
+            obj,
+            alphabet,
+            cfg,
+            images,
+            admission,
+            slots: Slots {
+                admitted: AtomicUsize::new(0),
+                cap: cfg.max_states,
+                truncated: AtomicBool::new(false),
+            },
+            shared_seen: SharedSeen::new(),
+        }
+    }
+
+    /// Root admission: the initial configuration observes its shared key
+    /// unconditionally but competes for an expansion slot like any other.
+    /// Returns the admitted root node and its fingerprint.
+    pub(crate) fn root(&self, mem: &SimMemory) -> Option<Seeded<I::Handle>> {
+        let driver = Driver::without_history(self.obj.processes());
+        self.shared_seen.insert(mem.shared_key());
+        let mut image = Vec::new();
+        mem.logical_words_into(&mut image);
+        let hashes = image_hashes(&image);
+        let fp = fingerprint_image(hashes, &driver, 0, self.cfg.dominance, &mut Vec::new());
+        if !self.admission.admit_root(&self.slots, fp) {
+            return None;
+        }
+        let mut handles = Vec::new();
+        self.images.intern(&image, &[hashes], &mut handles);
+        let node = BfsNode {
+            state: handles[0],
+            driver,
+            ops_used: 0,
+        };
+        Some((node, fp))
+    }
+
+    /// Observes one generated successor: its shared key always, and — if
+    /// the admission role lets it through — stages its image, node halves
+    /// and fingerprint in `batch` for the end-of-expansion flush. Admission
+    /// order (the thing sequential determinism rests on) is decided here,
+    /// per successor; only the interning is deferred.
     fn successor(
         &self,
         mem: &SimMemory,
-        batch: &mut PendingBatch,
+        batch: &mut Batch<I>,
         scratch: &mut Scratch,
         driver: Driver,
         ops_used: usize,
@@ -635,26 +754,28 @@ impl Census<'_> {
             self.cfg.dominance,
             &mut scratch.key,
         );
-        if self.visited.try_admit(fp, ops_used) {
-            batch.stage.push(&scratch.image, hashes.0);
+        if self.admission.admit(&self.slots, fp, ops_used) {
+            batch.images.extend_from_slice(&scratch.image);
+            batch.hashes.push(hashes);
             batch.meta.push((driver, ops_used as u32));
+            batch.fps.push(fp);
         }
     }
 
     /// Expands one node on a scratch memory: install its image once, then
     /// enter every successor under a checkpoint and roll it back — O(writes
     /// of one step) per successor. Admitted successors are staged in
-    /// `batch`; the caller flushes it ([`PendingBatch::flush`]) after the
+    /// `batch`; the caller flushes it ([`Batch::flush`]) after the
     /// expansion.
     fn expand(
         &self,
         mem: &SimMemory,
-        node: &BfsNode,
-        batch: &mut PendingBatch,
+        node: &BfsNode<I::Handle>,
+        batch: &mut Batch<I>,
         scratch: &mut Scratch,
         tally: &mut Tally,
     ) {
-        self.arena.read_into(node.state, &mut scratch.node_image);
+        self.images.read_into(node.state, &mut scratch.node_image);
         mem.load_words(&scratch.node_image);
         for i in 0..self.obj.processes() as usize {
             if node.driver.state(i).in_flight() {
@@ -678,153 +799,119 @@ impl Census<'_> {
             }
         }
     }
+
+    /// The one census worker loop, on the worker's own memory `fork`: take
+    /// a node, expand it, flush its admitted successors to the frontier,
+    /// mark it complete. Successors are pushed before the node is released,
+    /// so the work-stealing quiescence sweep never misses created work.
+    pub(crate) fn work(&self, fork: SimMemory, frontier: &mut impl Frontier<I::Handle>) -> Tally {
+        let mut scratch = Scratch::default();
+        let mut batch = Batch::new();
+        let mut tally = Tally::default();
+        while let Some(node) = frontier.next() {
+            self.expand(&fork, &node, &mut batch, &mut scratch, &mut tally);
+            tally.expanded += 1;
+            tally.flushes += u64::from(batch.flush(self.images, frontier));
+            frontier.complete();
+        }
+        tally.persists = fork.stats().persists;
+        tally
+    }
+
+    /// Assembles the report. `sched` is `None` when one worker ran without
+    /// a scheduler; `resident` is the tier's own peak estimate, to which
+    /// the shared-configuration set is added here.
+    pub(crate) fn report(
+        self,
+        mem: &SimMemory,
+        tally: Tally,
+        sched: Option<SchedStats>,
+        resident: u64,
+        spill: Option<SpillStats>,
+    ) -> CensusReport {
+        let mut sched = sched.unwrap_or_else(|| SchedStats {
+            workers: 1,
+            per_worker_expansions: vec![tally.expanded],
+            ..SchedStats::default()
+        });
+        sched.flush_batches = tally.flushes;
+        let shared = self.shared_seen.len();
+        CensusReport {
+            distinct_shared: shared,
+            theorem_bound: (1u64 << self.obj.processes()) - 1,
+            // Every admitted node is expanded exactly once before the
+            // search drains, so admissions are the expansion count.
+            work: self.slots.admitted.into_inner(),
+            steps: tally.steps,
+            resolved_ops: tally.resolved,
+            persists: tally.persists,
+            truncated: self.slots.truncated.into_inner(),
+            peak_resident_bytes: resident + set_bytes(shared, mem.shared_key().len() * 8),
+            spill,
+            sched,
+        }
+    }
 }
 
 /// Exhaustive crash-free reachability engine: explores every interleaving of up to
 /// `cfg.max_ops` operations drawn from `alphabet` (any process, any time)
 /// and counts the distinct shared-memory configurations of all reachable
-/// states. See the [module docs](self) for the arena / work-stealing /
-/// dominance design; `mem` itself is only read and forked, never mutated.
+/// states. See the [module docs](self) for the storage tiers, the
+/// work-stealing scheduler and dominance; `mem` itself is only read and
+/// forked, never mutated.
+///
+/// # Panics
+///
+/// On the disk tier: if the object fails to decode one of its own machine
+/// encodings (a codec bug — pinned by the decode round-trip tests), or on
+/// spill-file I/O errors.
 pub fn census_bfs_engine(
     obj: &dyn RecoverableObject,
     mem: &SimMemory,
     alphabet: &[OpSpec],
     cfg: &BfsConfig,
 ) -> CensusReport {
-    let workers = cfg.parallelism.max(1);
+    if let (Some(dir), true) = (&cfg.disk_dir, obj.decodable()) {
+        return crate::external::census_on_disk(obj, mem, alphabet, cfg, dir);
+    }
     let arena = StateArena::new(mem.layout().total_words());
-    let visited = VisitedSet::new(cfg.max_states, cfg.dominance);
-    let shared_seen = SharedSeen::new();
-    let census = Census {
-        obj,
-        alphabet,
-        cfg,
-        arena: &arena,
-        visited: &visited,
-        shared_seen: &shared_seen,
-    };
-
-    // Root admission: the initial configuration observes its shared key
-    // unconditionally but competes for an expansion slot like any other.
-    let root_driver = Driver::without_history(obj.processes());
-    shared_seen.insert(mem.shared_key());
-    let mut scratch = Scratch::default();
-    mem.logical_words_into(&mut scratch.image);
-    let root_hashes = image_hashes(&scratch.image);
-    let root_fp = fingerprint_image(
-        root_hashes,
-        &root_driver,
-        0,
-        cfg.dominance,
-        &mut scratch.key,
-    );
-    let root = visited.try_admit(root_fp, 0).then(|| BfsNode {
-        state: arena.intern(&scratch.image, root_hashes.0),
-        driver: root_driver,
-        ops_used: 0,
-    });
-
-    let steps = AtomicU64::new(0);
-    let resolved = AtomicU64::new(0);
-    let persists = AtomicU64::new(0);
-    let stride = mem.layout().total_words();
-
-    let sched_stats = if workers <= 1 {
-        // Sequential path: a plain FIFO keeps admission in canonical BFS
-        // order, so truncated sequential runs stay deterministic (and,
-        // without dominance, match the snapshot reference engine's
-        // admissions exactly — the reference never prunes). Interning is
-        // still batched per expansion; the flush preserves staging order,
-        // so the queue order is exactly the old per-successor order.
-        let fork = mem.fork();
-        let mut tally = Tally::default();
-        let mut batch = PendingBatch::new(stride);
-        let mut queue: VecDeque<BfsNode> = VecDeque::new();
-        let mut out = Vec::new();
-        let mut expanded = 0u64;
-        let mut flushes = 0u64;
-        queue.extend(root);
-        while let Some(node) = queue.pop_front() {
-            census.expand(&fork, &node, &mut batch, &mut scratch, &mut tally);
-            expanded += 1;
-            flushes += u64::from(batch.flush(&arena, &mut out));
-            queue.extend(out.drain(..));
-        }
-        steps.store(tally.steps, Ordering::Relaxed);
-        resolved.store(tally.resolved, Ordering::Relaxed);
-        persists.store(fork.stats().persists, Ordering::Relaxed);
-        SchedStats {
-            workers: 1,
-            flush_batches: flushes,
-            per_worker_expansions: vec![expanded],
-            ..SchedStats::default()
-        }
+    let visited = VisitedSet::new(cfg.dominance);
+    let census = Census::new(obj, alphabet, cfg, &arena, &visited);
+    let root = census.root(mem).map(|(node, _)| node);
+    let workers = resolve_parallelism(cfg.parallelism);
+    let (tally, sched) = if workers == 1 {
+        (
+            census.work(mem.fork(), &mut VecDeque::from_iter(root)),
+            None,
+        )
     } else {
-        let sched: Scheduler<BfsNode> = Scheduler::new(workers);
+        let sched = Scheduler::new(workers);
         sched.seed(root);
-        std::thread::scope(|s| {
-            for id in 0..workers {
-                let census = &census;
-                let sched = &sched;
-                let steps = &steps;
-                let resolved = &resolved;
-                let persists = &persists;
-                let fork = mem.fork();
-                s.spawn(move || {
+        let tally = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|id| {
+                    let (census, sched, fork) = (&census, &sched, mem.fork());
                     // The worker handle doubles as the panic guard: its
                     // drop (normal or unwinding) aborts the scheduler, so
                     // a panicking sibling can never leave the others
                     // parked while the scope waits to join.
-                    let mut worker = sched.worker(id);
-                    let mut scratch = Scratch::default();
-                    let mut tally = Tally::default();
-                    let mut batch = PendingBatch::new(stride);
-                    let mut out = Vec::new();
-                    while let Some(node) = worker.next() {
-                        census.expand(&fork, &node, &mut batch, &mut scratch, &mut tally);
-                        if batch.flush(census.arena, &mut out) {
-                            worker.note_flush();
-                        }
-                        // Push the successors before releasing the node:
-                        // the quiescence sweep must never see created
-                        // work it has not counted.
-                        worker.push(&mut out);
-                        worker.complete();
-                    }
-                    steps.fetch_add(tally.steps, Ordering::Relaxed);
-                    resolved.fetch_add(tally.resolved, Ordering::Relaxed);
-                    persists.fetch_add(fork.stats().persists, Ordering::Relaxed);
-                });
-            }
+                    s.spawn(move || census.work(fork, &mut sched.worker(id)))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .fold(Tally::default(), Tally::add)
         });
-        sched.stats()
+        (tally, Some(sched.stats()))
     };
-
-    let admitted = visited.admitted.load(Ordering::Relaxed);
-    // Peak estimate from final sizes: the arena, the visited set and the
-    // shared-configuration set only grow, and the frontier never holds
-    // more than the admitted node count.
-    let shared_entry = mem.shared_key().len() * 8;
-    let node_bytes = std::mem::size_of::<BfsNode>() + obj.processes() as usize * 48;
-    let peak = arena.stored_words() as u64 * 8
-        + set_bytes(admitted, 24)
-        + set_bytes(shared_seen.len(), shared_entry)
-        + (admitted * node_bytes) as u64;
-
-    CensusReport {
-        distinct_shared: shared_seen.len(),
-        theorem_bound: (1u64 << obj.processes()) - 1,
-        // Every admitted node is expanded exactly once before the search
-        // drains, so admissions are the expansion count.
-        work: admitted,
-        steps: steps.into_inner(),
-        resolved_ops: resolved.into_inner(),
-        persists: persists.into_inner(),
-        truncated: visited.truncated.load(Ordering::Relaxed),
-        peak_resident_bytes: peak,
-        spill: None,
-        sched: sched_stats,
-    }
+    // Peak estimate from final sizes: the arena and the visited set only
+    // grow, and the frontier never holds more than the admitted nodes.
+    let admitted = census.slots.admitted.load(Ordering::Relaxed);
+    let node_bytes = std::mem::size_of::<BfsNode<CompactState>>() + obj.processes() as usize * 48;
+    let resident =
+        arena.stored_words() as u64 * 8 + set_bytes(admitted, 24) + (admitted * node_bytes) as u64;
+    census.report(mem, tally, sched, resident, None)
 }
 
 /// The original single-threaded full-snapshot census engine, kept as the
@@ -1075,14 +1162,15 @@ mod tests {
 
     #[test]
     fn fork_engine_matches_snapshot_reference() {
-        // Differential test: the parallel arena/checkpoint engine and the
-        // original full-snapshot engine agree on every count, complete or
-        // truncated (sequentially both admit in canonical BFS order).
+        // Differential test: the arena/checkpoint engine and the original
+        // full-snapshot engine agree on every count, complete or truncated
+        // (sequentially both admit in canonical BFS order).
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
         for (max_ops, max_states) in [(2, 200_000), (4, 200_000), (4, 37), (3, 1)] {
             let cfg = BfsConfig {
                 max_ops,
                 max_states,
+                parallelism: 1,
                 ..Default::default()
             };
             let fork = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
@@ -1102,6 +1190,7 @@ mod tests {
         let base = BfsConfig {
             max_ops: 4,
             max_states: 2_000_000,
+            parallelism: 1,
             ..Default::default()
         };
         let seq = census_bfs_engine(&cas, &mem, &cas_alphabet(), &base);
@@ -1131,6 +1220,8 @@ mod tests {
         let exact_cfg = BfsConfig {
             max_ops: 4,
             max_states: 2_000_000,
+            // Pinned: dominance-mode `work` varies with the worker count.
+            parallelism: 1,
             ..Default::default()
         };
         let exact = census_bfs_engine(&cas, &mem, &cas_alphabet(), &exact_cfg);
@@ -1161,6 +1252,7 @@ mod tests {
             max_ops: 4,
             max_states: 2_000_000,
             dominance: true,
+            parallelism: 1,
             ..Default::default()
         };
         let seq = census_bfs_engine(&cas, &mem, &cas_alphabet(), &base);

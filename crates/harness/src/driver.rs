@@ -579,7 +579,7 @@ impl Driver {
     /// state this codec deliberately does not capture).
     ///
     /// Per process: `0` for `Idle`, or `1, op_key, len, machine words…` for
-    /// `Running`. The external census engine stores these words in its
+    /// `Running`. The census's disk tier stores these words in its
     /// on-disk frontier instead of live machines.
     pub fn try_encode_frontier(&self, out: &mut Vec<Word>) -> bool {
         let start = out.len();

@@ -52,7 +52,7 @@
 //!    blow-ups degrade to extra work instead of OOM and totals never
 //!    depend on the budget.
 //!
-//! Setting [`ExploreConfig::parallelism`] ≥ 2 splits the tree at a frontier
+//! More than one worker ([`ExploreConfig::parallelism`]) splits the tree at a frontier
 //! of subtree roots (each on a [`fork`](SimMemory::fork) of the memory) and
 //! explores subtrees on worker threads. Results are merged in canonical
 //! (depth-first) order, so on runs that complete within the leaf budget
@@ -81,7 +81,7 @@ use nvm::{CacheMode, Checkpoint, CrashPolicy, Pid, SimMemory, Word};
 use crate::driver::{op_key, Driver, ProcState, RetryPolicy};
 use crate::history::{OpRecord, Outcome};
 use crate::linearize::{check_execution, Violation};
-use crate::sched::{SchedStats, Scheduler};
+use crate::sched::{resolve_parallelism, SchedStats, Scheduler};
 
 /// Where operations come from (the engine's borrowed view; the owned
 /// [`Workload`](crate::Workload) type resolves onto it).
@@ -155,22 +155,11 @@ pub struct ExploreConfig {
     /// count outgrows RAM degrades to re-exploring evicted states instead
     /// of aborting — totals stay exact, only `unique_nodes`/work grows.
     pub memo_budget: Option<usize>,
-    /// Disk tier for the pruning memo: with a directory set, generations
-    /// evicted under [`memo_budget`](Self::memo_budget) are written as
-    /// sorted run files instead of being forgotten, and a memo miss probes
-    /// the runs (newest first, binary search) before declaring the
-    /// configuration unseen — so a budget-bound run keeps its pruning
-    /// knowledge at disk latency instead of re-exploring. Totals are
-    /// unchanged either way; the run files live in a unique subdirectory
-    /// removed when the exploration finishes.
-    pub disk_dir: Option<std::path::PathBuf>,
-    /// Worker threads for subtree exploration. At this layer `0` and `1`
-    /// both mean in-place sequential search; the
-    /// [`Scenario`](crate::Scenario) runner resolves `0` (the default) to
-    /// the host's available parallelism before the engine sees it. Results
-    /// on runs that finish within the leaf budget are deterministic
-    /// regardless of the setting (see the [module docs](self) for the
-    /// truncation caveat).
+    /// Worker threads for subtree exploration: `1` is in-place sequential
+    /// search, `0` (the default) means the host's available parallelism
+    /// ([`resolve_parallelism`]). Leaf totals on runs that finish within
+    /// the leaf budget are identical at every setting, `unique_nodes` is
+    /// not (see the [module docs](self) for the truncation caveat).
     pub parallelism: usize,
 }
 
@@ -188,7 +177,6 @@ impl Default for ExploreConfig {
             // exhaustive run fits, small enough that a state-space blow-up
             // degrades to re-exploration instead of OOM.
             memo_budget: Some(4_000_000),
-            disk_dir: None,
             parallelism: 0,
         }
     }
@@ -215,13 +203,8 @@ pub struct ExploreOutcome {
     pub symmetry: bool,
     /// Memo entries dropped from RAM by generation eviction under
     /// [`ExploreConfig::memo_budget`] (informational; eviction never
-    /// changes totals, it only forces re-exploration — or, with
-    /// [`ExploreConfig::disk_dir`], a disk probe).
+    /// changes totals, it only forces re-exploration).
     pub memo_evictions: usize,
-    /// Memo hits served from spilled run files
-    /// ([`ExploreConfig::disk_dir`]): pruning that a RAM-only budgeted run
-    /// would have lost to eviction.
-    pub memo_disk_hits: usize,
     /// Scheduler-action counters of the parallel subtree workers (steals,
     /// parks, per-worker subtree counts). All-zero for sequential runs —
     /// they never start a scheduler.
@@ -328,67 +311,6 @@ struct MemoShard {
     cur: HashMap<(u64, u64), u64>,
     prev: HashMap<(u64, u64), u64>,
     evicted: usize,
-    /// Spilled generations of this shard, oldest first (disk tier only).
-    runs: Vec<std::path::PathBuf>,
-}
-
-/// The memo's disk tier: a unique run directory plus counters. Created by
-/// [`Memo::new`] when [`ExploreConfig::disk_dir`] is set; the directory is
-/// removed when the memo is dropped.
-struct MemoDisk {
-    dir: std::path::PathBuf,
-    seq: AtomicUsize,
-    disk_hits: AtomicUsize,
-}
-
-impl MemoDisk {
-    /// Writes one evicted generation as a `(k0, k1, count)`-sorted run
-    /// file and returns its path. I/O failure panics: a half-written run
-    /// would silently serve wrong counts.
-    fn spill(&self, entries: &HashMap<(u64, u64), u64>) -> std::path::PathBuf {
-        use std::io::Write;
-        let mut sorted: Vec<_> = entries.iter().map(|(&k, &v)| (k, v)).collect();
-        sorted.sort_unstable_by_key(|&(k, _)| k);
-        let path = self.dir.join(format!(
-            "memo-{}.run",
-            self.seq.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut w =
-            std::io::BufWriter::new(std::fs::File::create(&path).expect("create memo run file"));
-        for ((k0, k1), count) in sorted {
-            for word in [k0, k1, count] {
-                w.write_all(&word.to_le_bytes()).expect("write memo run");
-            }
-        }
-        w.flush().expect("flush memo run");
-        path
-    }
-
-    /// Binary-searches one sorted run file for `key` (24-byte records).
-    fn probe(path: &std::path::Path, key: (u64, u64)) -> Option<u64> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = std::fs::File::open(path).ok()?;
-        let records = f.metadata().ok()?.len() / 24;
-        let (mut lo, mut hi) = (0u64, records);
-        let mut buf = [0u8; 24];
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            f.seek(SeekFrom::Start(mid * 24)).ok()?;
-            f.read_exact(&mut buf).ok()?;
-            let k = (
-                u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes")),
-                u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes")),
-            );
-            match k.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return Some(u64::from_le_bytes(buf[16..24].try_into().expect("8 bytes")));
-                }
-            }
-        }
-        None
-    }
 }
 
 /// The visited-node memo: configuration fingerprint → exact subtree leaf
@@ -403,45 +325,17 @@ struct Memo {
     /// Per-generation entry cap per shard (`usize::MAX` when unbounded).
     /// Resident entries are bounded by `2 × cap × SHARDS ≈ budget`.
     shard_cap: usize,
-    /// Disk tier for evicted generations ([`ExploreConfig::disk_dir`]).
-    disk: Option<MemoDisk>,
-}
-
-/// Monotone memo-directory counter so concurrent explorations under one
-/// `disk_dir` never collide.
-static MEMO_DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-impl Drop for Memo {
-    fn drop(&mut self) {
-        if let Some(disk) = &self.disk {
-            let _ = std::fs::remove_dir_all(&disk.dir);
-        }
-    }
 }
 
 impl Memo {
     const SHARDS: usize = 64;
 
-    fn new(budget: Option<usize>, disk_dir: Option<&std::path::Path>) -> Self {
-        let disk = disk_dir.map(|base| {
-            let dir = base.join(format!(
-                "explore-memo-{}-{}",
-                std::process::id(),
-                MEMO_DIR_SEQ.fetch_add(1, Ordering::Relaxed)
-            ));
-            std::fs::create_dir_all(&dir).expect("create memo spill dir");
-            MemoDisk {
-                dir,
-                seq: AtomicUsize::new(0),
-                disk_hits: AtomicUsize::new(0),
-            }
-        });
+    fn new(budget: Option<usize>) -> Self {
         Memo {
             shards: (0..Self::SHARDS)
                 .map(|_| Mutex::new(MemoShard::default()))
                 .collect(),
             shard_cap: budget.map_or(usize::MAX, |b| b.div_ceil(Self::SHARDS * 2).max(1)),
-            disk,
         }
     }
 
@@ -464,17 +358,6 @@ impl Memo {
             self.insert_locked(&mut shard, key, count);
             return Some(count);
         }
-        // Double miss: consult the spilled generations, newest first (a
-        // re-spilled hot entry supersedes its older copies — the values are
-        // identical anyway, counts are deterministic per configuration).
-        let disk = self.disk.as_ref()?;
-        for run in shard.runs.iter().rev() {
-            if let Some(count) = MemoDisk::probe(run, key) {
-                disk.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.insert_locked(&mut shard, key, count);
-                return Some(count);
-            }
-        }
         None
     }
 
@@ -487,11 +370,6 @@ impl Memo {
         if shard.cur.len() >= self.shard_cap && !shard.cur.contains_key(&key) {
             let full = std::mem::take(&mut shard.cur);
             let dropped = std::mem::replace(&mut shard.prev, full);
-            if let Some(disk) = &self.disk {
-                if !dropped.is_empty() {
-                    shard.runs.push(disk.spill(&dropped));
-                }
-            }
             shard.evicted += dropped.len();
         }
         shard.cur.insert(key, count);
@@ -502,12 +380,6 @@ impl Memo {
             .iter()
             .map(|s| s.lock().expect("memo shard poisoned").evicted)
             .sum()
-    }
-
-    fn disk_hits(&self) -> usize {
-        self.disk
-            .as_ref()
-            .map_or(0, |d| d.disk_hits.load(Ordering::Relaxed))
     }
 }
 
@@ -528,7 +400,7 @@ impl Progress {
             abort: AtomicBool::new(false),
             min_violation: AtomicUsize::new(usize::MAX),
             max_leaves: cfg.max_leaves,
-            memo: Memo::new(cfg.memo_budget, cfg.disk_dir.as_deref()),
+            memo: Memo::new(cfg.memo_budget),
         }
     }
 
@@ -1083,7 +955,11 @@ pub fn explore_engine(
     let root = Node::root(obj.processes());
     let progress = Progress::new(cfg);
     let sym = symmetry_supported(obj, mem, source, cfg);
-    if cfg.parallelism <= 1 {
+    let cfg = &ExploreConfig {
+        parallelism: resolve_parallelism(cfg.parallelism),
+        ..cfg.clone()
+    };
+    if cfg.parallelism == 1 {
         let mut engine = Engine::new(obj, cfg, source, &progress, 0, sym);
         engine.run(mem, root);
         return ExploreOutcome {
@@ -1094,7 +970,6 @@ pub fn explore_engine(
             memo_hits: engine.memo_hits,
             symmetry: sym,
             memo_evictions: progress.memo.evictions(),
-            memo_disk_hits: progress.memo.disk_hits(),
             sched: SchedStats::default(),
         };
     }
@@ -1295,7 +1170,6 @@ fn explore_parallel(
         memo_hits,
         symmetry: sym,
         memo_evictions: progress.memo.evictions(),
-        memo_disk_hits: progress.memo.disk_hits(),
         sched: sched_stats,
     }
 }
@@ -1404,6 +1278,7 @@ mod tests {
         let cfg = ExploreConfig {
             max_leaves: 5,
             max_crashes: 0,
+            parallelism: 1,
             ..Default::default()
         };
         let out = explore_engine(&reg, &mem, OpSource::PerProcess(&w), &cfg);
@@ -1437,6 +1312,7 @@ mod tests {
             OpSource::PerProcess(&w),
             &ExploreConfig {
                 prune: true,
+                parallelism: 1,
                 ..Default::default()
             },
         );
@@ -1446,6 +1322,7 @@ mod tests {
             OpSource::PerProcess(&w),
             &ExploreConfig {
                 prune: false,
+                parallelism: 1,
                 ..Default::default()
             },
         );
@@ -1465,7 +1342,10 @@ mod tests {
     fn parallel_exploration_matches_sequential() {
         let (reg, mem) = build_world(|b| DetectableRegister::new(b, 2, 0));
         let w = vec![vec![OpSpec::Write(1), OpSpec::Read], vec![OpSpec::Write(2)]];
-        let base = ExploreConfig::default();
+        let base = ExploreConfig {
+            parallelism: 1,
+            ..Default::default()
+        };
         let seq = explore_engine(&reg, &mem, OpSource::PerProcess(&w), &base);
         for parallelism in [2, 4, 7] {
             let par = explore_engine(
@@ -1520,6 +1400,7 @@ mod tests {
             max_crashes: 1,
             max_retries: 1,
             max_leaves: usize::MAX,
+            parallelism: 1,
             ..Default::default()
         };
         let plain = explore_engine(&cas, &mem, OpSource::PerProcess(&w), &base);
@@ -1554,6 +1435,7 @@ mod tests {
             max_crashes: 1,
             max_retries: 1,
             max_leaves: usize::MAX,
+            parallelism: 1,
             ..Default::default()
         };
         let plain = explore_engine(&ctr, &mem, OpSource::PerProcess(&w), &base);
@@ -1614,6 +1496,7 @@ mod tests {
             OpSource::PerProcess(&w),
             &ExploreConfig {
                 memo_budget: None,
+                parallelism: 1,
                 ..Default::default()
             },
         );
@@ -1626,6 +1509,7 @@ mod tests {
             OpSource::PerProcess(&w),
             &ExploreConfig {
                 memo_budget: Some(128),
+                parallelism: 1,
                 ..Default::default()
             },
         );
@@ -1644,63 +1528,6 @@ mod tests {
     }
 
     #[test]
-    fn memo_disk_tier_preserves_totals_and_serves_hits() {
-        let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-        let w = vec![
-            vec![
-                OpSpec::Cas { old: 0, new: 1 },
-                OpSpec::Cas { old: 1, new: 2 },
-            ],
-            vec![OpSpec::Cas { old: 0, new: 2 }, OpSpec::Read],
-        ];
-        let unbounded = explore_engine(
-            &cas,
-            &mem,
-            OpSource::PerProcess(&w),
-            &ExploreConfig {
-                memo_budget: None,
-                ..Default::default()
-            },
-        );
-        assert_eq!(unbounded.memo_disk_hits, 0, "no disk tier configured");
-        let disk_dir =
-            std::env::temp_dir().join(format!("explore-disk-test-{}", std::process::id()));
-        std::fs::create_dir_all(&disk_dir).expect("test dir");
-        let spilled = explore_engine(
-            &cas,
-            &mem,
-            OpSource::PerProcess(&w),
-            &ExploreConfig {
-                memo_budget: Some(128),
-                disk_dir: Some(disk_dir.clone()),
-                ..Default::default()
-            },
-        );
-        unbounded.assert_clean();
-        spilled.assert_clean();
-        assert_eq!(
-            spilled.leaves, unbounded.leaves,
-            "totals are disk-invariant"
-        );
-        assert!(
-            spilled.memo_disk_hits > 0,
-            "a budget of 128 over {} unique nodes must spill and re-hit",
-            unbounded.unique_nodes
-        );
-        // Spilled pruning knowledge survives eviction: strictly less
-        // re-exploration than the RAM-only budgeted run would need, never
-        // more than the budgeted run's node count.
-        assert!(spilled.unique_nodes >= unbounded.unique_nodes);
-        // The unique memo subdirectory is removed when the run finishes.
-        assert_eq!(
-            std::fs::read_dir(&disk_dir).unwrap().count(),
-            0,
-            "memo run files must be cleaned up"
-        );
-        let _ = std::fs::remove_dir_all(&disk_dir);
-    }
-
-    #[test]
     fn parallel_symmetric_exploration_matches_sequential() {
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 3, 0));
         let w = vec![
@@ -1713,6 +1540,7 @@ mod tests {
             max_crashes: 1,
             max_retries: 1,
             max_leaves: usize::MAX,
+            parallelism: 1,
             ..Default::default()
         };
         let seq = explore_engine(&cas, &mem, OpSource::PerProcess(&w), &base);

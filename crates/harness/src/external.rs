@@ -1,11 +1,12 @@
-//! The external-memory census engine: BFS with a disk-resident frontier.
+//! The census's disk storage tier: BFS with a disk-resident frontier.
 //!
-//! [`census_bfs_engine`](crate::census::census_bfs_engine) holds three
-//! structures in RAM whose size tracks the reachable state space: the
+//! The in-RAM tier of [`census_bfs_engine`](crate::census::census_bfs_engine)
+//! holds three structures whose size tracks the reachable state space: the
 //! arena of logical images, the visited-fingerprint set, and the frontier
 //! of admitted-but-unexpanded nodes. At N = 7 on the standard CAS alphabet
 //! those outgrow any sensible `max_states` budget long before the search
-//! finishes. This engine moves all three to disk:
+//! finishes. This tier moves all three to disk, behind the same worker
+//! loop and the same expansion:
 //!
 //! * **images** live in a [`SpillableArena`] — sealed segments spill to
 //!   files, only the active segment, a small hot-segment cache and the
@@ -13,17 +14,16 @@
 //! * **the frontier** is a sequence of *generation files*: flat records of
 //!   `(ops_used, arena handle, encoded driver)`. Machines are rebuilt from
 //!   their encodings via [`RecoverableObject::decode_op`] — which is why
-//!   the engine requires [`RecoverableObject::decodable`];
+//!   the engine picks this tier only for objects that are
+//!   [`decodable`](RecoverableObject::decodable);
 //! * **the visited set** is a sorted *seen file* of admitted configuration
 //!   fingerprints, consulted by streamed sort-merge instead of hash lookup.
 //!
 //! # One generation
 //!
-//! 1. **Expand**: stream generation `g`'s node records; for each, decode
-//!    the driver, read the image out of the arena onto a scratch fork, and
-//!    generate every successor under checkpoint/rollback exactly like the
-//!    in-RAM engine. Every successor's shared key feeds the (resident)
-//!    census set; its fingerprint is appended — tagged with a generation
+//! 1. **Expand**: the worker loop streams generation `g`'s node records
+//!    and expands each exactly like the in-RAM tier. Every successor is a
+//!    candidate: its fingerprint is appended — tagged with a generation
 //!    sequence number — to a candidate file, its payload (budget, interned
 //!    image handle, encoded driver) to a parallel payload file.
 //! 2. **Sort-merge**: sort the candidate fingerprints in RAM-budget-sized
@@ -33,15 +33,14 @@
 //!    first unseen occurrence; dominance: each strictly-lower budget than
 //!    the running minimum). Would-be admissions set bits in an in-RAM
 //!    bitmap indexed by sequence number.
-//! 3. **Cap**: scan the bitmap in sequence order, clearing every would-be
-//!    admission past the remaining [`BfsConfig::max_states`] slots (and
-//!    flagging truncation). Because sequence order *is* the canonical
+//! 3. **Cap**: scan the bitmap in sequence order, reserving one admission
+//!    slot per would-be admission and clearing those past
+//!    [`BfsConfig::max_states`]. Because sequence order *is* the canonical
 //!    sequential BFS admission order, and a capacity rejection never
-//!    updates the seen set (matching `VisitedSet::try_admit`), the engine
-//!    admits exactly the nodes the sequential in-RAM engine admits — in
-//!    both exact and dominance modes, truncated or not — so every count in
-//!    the report matches the in-RAM engines. The differential tests pin
-//!    this.
+//!    updates the seen set (as in the in-RAM visited set), the tier admits
+//!    exactly the nodes the one-worker in-RAM tier admits — in both exact
+//!    and dominance modes, truncated or not — so every count in the report
+//!    matches. The differential tests pin this.
 //! 4. **Emit**: merge the admitted fingerprints into a new seen file and
 //!    copy the admitted payload records into generation `g + 1`'s node
 //!    file; delete generation `g`'s files.
@@ -51,28 +50,29 @@
 //! bounded over-storage on truncated runs, spilled to disk anyway.
 //!
 //! Node identity is probabilistic (the same 128-bit fingerprints the
-//! in-RAM engine uses; the arena dedups by a 128-bit image hash of the
-//! same class). The Theorem 1 census count itself stays exact: shared keys
-//! are compared verbatim, never hashed.
+//! in-RAM tier uses; the arena dedups by a 128-bit image hash of the same
+//! class). The Theorem 1 census count itself stays exact: shared keys are
+//! compared verbatim, never hashed.
 //!
-//! The engine is sequential; [`BfsConfig::parallelism`] is ignored (the
+//! The tier runs one worker whatever [`BfsConfig::parallelism`] says (the
 //! canonical admission order that makes it bit-for-bit comparable against
 //! the reference engines is a sequential notion, and the workloads it
 //! unlocks are disk- not CPU-bound).
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use detectable::{OpSpec, RecoverableObject};
 use nvm::{Memory, SimMemory, SpillConfig, SpillableArena, Word};
 
-use crate::census::{fingerprint_image, image_hashes, BfsConfig, CensusReport, CENSUS_RETRY};
+use crate::census::{
+    Admission, BfsConfig, BfsNode, Census, CensusReport, Frontier, Images, Seeded, Slots,
+};
 use crate::driver::Driver;
-use crate::sched::SchedStats;
 
-/// Disk-tier counters for one external census run.
+/// Disk-tier counters for one census run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Arena segments written to files.
@@ -121,19 +121,19 @@ struct WordWriter {
 }
 
 impl WordWriter {
-    fn create(path: &Path) -> std::io::Result<Self> {
+    fn create(path: &Path) -> io::Result<Self> {
         Ok(WordWriter {
             w: BufWriter::new(File::create(path)?),
             words: 0,
         })
     }
 
-    fn put(&mut self, word: Word) -> std::io::Result<()> {
+    fn put(&mut self, word: Word) -> io::Result<()> {
         self.words += 1;
         self.w.write_all(&word.to_le_bytes())
     }
 
-    fn put_all(&mut self, words: &[Word]) -> std::io::Result<()> {
+    fn put_all(&mut self, words: &[Word]) -> io::Result<()> {
         for &w in words {
             self.put(w)?;
         }
@@ -141,7 +141,7 @@ impl WordWriter {
     }
 
     /// Flushes and returns the bytes written.
-    fn finish(mut self) -> std::io::Result<u64> {
+    fn finish(mut self) -> io::Result<u64> {
         self.w.flush()?;
         Ok(self.words * 8)
     }
@@ -153,13 +153,13 @@ struct WordReader {
 }
 
 impl WordReader {
-    fn open(path: &Path) -> std::io::Result<Self> {
+    fn open(path: &Path) -> io::Result<Self> {
         Ok(WordReader {
             r: BufReader::new(File::open(path)?),
         })
     }
 
-    fn get(&mut self) -> std::io::Result<Option<Word>> {
+    fn get(&mut self) -> io::Result<Option<Word>> {
         let mut buf = [0u8; 8];
         let mut at = 0;
         while at < 8 {
@@ -168,8 +168,8 @@ impl WordReader {
                 if at == 0 {
                     return Ok(None);
                 }
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
                     "torn word in spill file",
                 ));
             }
@@ -179,10 +179,10 @@ impl WordReader {
     }
 
     /// Reads exactly one word, failing on EOF (for record interiors).
-    fn need(&mut self) -> std::io::Result<Word> {
+    fn need(&mut self) -> io::Result<Word> {
         self.get()?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
+            io::Error::new(
+                io::ErrorKind::UnexpectedEof,
                 "truncated record in spill file",
             )
         })
@@ -206,7 +206,7 @@ struct NodeRec {
     drv: Vec<Word>,
 }
 
-fn read_node(r: &mut WordReader) -> std::io::Result<Option<NodeRec>> {
+fn read_node(r: &mut WordReader) -> io::Result<Option<NodeRec>> {
     let Some(ops_used) = r.get()? else {
         return Ok(None);
     };
@@ -223,12 +223,7 @@ fn read_node(r: &mut WordReader) -> std::io::Result<Option<NodeRec>> {
     }))
 }
 
-fn write_node(
-    w: &mut WordWriter,
-    ops_used: usize,
-    handle: u64,
-    drv: &[Word],
-) -> std::io::Result<()> {
+fn write_node(w: &mut WordWriter, ops_used: usize, handle: u64, drv: &[Word]) -> io::Result<()> {
     w.put(ops_used as Word)?;
     w.put(handle)?;
     w.put(drv.len() as Word)?;
@@ -243,13 +238,13 @@ fn fp_key(e: &FpEntry) -> (u64, u64, u64) {
     (e[0], e[1], e[2])
 }
 
-fn read_fp(r: &mut WordReader) -> std::io::Result<Option<FpEntry>> {
+fn read_fp(r: &mut WordReader) -> io::Result<Option<FpEntry>> {
     let Some(a) = r.get()? else { return Ok(None) };
     Ok(Some([a, r.need()?, r.need()?, r.need()?]))
 }
 
 /// A seen-file entry `[fp0, fp1, budget]`, sorted by `(fp0, fp1)`.
-fn read_seen(r: &mut WordReader) -> std::io::Result<Option<[u64; 3]>> {
+fn read_seen(r: &mut WordReader) -> io::Result<Option<[u64; 3]>> {
     let Some(a) = r.get()? else { return Ok(None) };
     Ok(Some([a, r.need()?, r.need()?]))
 }
@@ -287,26 +282,43 @@ impl Bitmap {
 /// `disk_dir` never collide.
 static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// The external-memory census engine. See the [module docs](self) for the
-/// generation pipeline; semantics (all report counts, both modes, cap and
-/// truncation behavior) match the sequential in-RAM engine exactly.
-///
-/// # Panics
-///
-/// Panics if `cfg.disk_dir` is `None`, if the object reports
-/// [`decodable`](RecoverableObject::decodable) but fails to decode one of
-/// its own machine encodings (a codec bug — pinned by the decode
-/// round-trip tests), or on spill-file I/O errors.
-pub fn census_bfs_external_engine(
+/// Admission on disk: every successor is a candidate, and the generation
+/// frontier decides at generation end by seen-file replay.
+struct SeenFile;
+
+impl Admission for SeenFile {
+    fn admit(&self, _: &Slots, _: (u64, u64), _: usize) -> bool {
+        true
+    }
+
+    /// The root is generation 0 by itself: replay against the empty seen
+    /// file admits it, so only the cap remains.
+    fn admit_root(&self, slots: &Slots, _: (u64, u64)) -> bool {
+        slots.reserve()
+    }
+}
+
+impl Images for SpillableArena {
+    type Handle = u64;
+    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<u64>) {
+        self.intern128_batch(images, hashes, out);
+    }
+    fn read_into(&self, handle: u64, out: &mut Vec<Word>) {
+        SpillableArena::read_into(self, handle, out);
+    }
+}
+
+/// The disk tier of [`census_bfs_engine`](crate::census::census_bfs_engine):
+/// the shared worker loop over a [`SpillableArena`], [`SeenFile`]
+/// admission and the [`Generations`] frontier, in a per-run subdirectory
+/// of `dir` that is removed on return.
+pub(crate) fn census_on_disk(
     obj: &dyn RecoverableObject,
     mem: &SimMemory,
     alphabet: &[OpSpec],
     cfg: &BfsConfig,
+    dir: &Path,
 ) -> CensusReport {
-    let dir = cfg
-        .disk_dir
-        .as_ref()
-        .expect("external census engine needs BfsConfig::disk_dir");
     let run_dir = dir.join(format!(
         "census-{}-{}",
         std::process::id(),
@@ -314,17 +326,6 @@ pub fn census_bfs_external_engine(
     ));
     fs::create_dir_all(&run_dir).expect("create census spill dir");
     let _cleanup = DirGuard(run_dir.clone());
-    run(obj, mem, alphabet, cfg, &run_dir).expect("census spill I/O failed")
-}
-
-fn run(
-    obj: &dyn RecoverableObject,
-    mem: &SimMemory,
-    alphabet: &[OpSpec],
-    cfg: &BfsConfig,
-    dir: &Path,
-) -> std::io::Result<CensusReport> {
-    let n = obj.processes();
     let stride = mem.layout().total_words();
     let k = knobs(stride, cfg.ram_budget);
     let arena = SpillableArena::new(
@@ -332,160 +333,152 @@ fn run(
         SpillConfig {
             seg_slots: k.seg_slots,
             hot_segments: k.hot_segments,
-            disk_dir: Some(dir.to_path_buf()),
+            disk_dir: Some(run_dir.clone()),
         },
     );
-    let fork = mem.fork();
-    let mut shared_seen: std::collections::HashSet<Vec<Word>> = std::collections::HashSet::new();
-    let mut spill = SpillStats::default();
-    let mut admitted = 0usize;
-    let mut truncated = false;
-    let mut steps = 0u64;
-    let mut resolved = 0u64;
-    let mut scratch_key: Vec<Word> = Vec::new();
-    let mut image: Vec<Word> = Vec::new();
-    let mut node_image: Vec<Word> = Vec::new();
-    let mut expanded = 0u64;
-    let mut flush_batches = 0u64;
-    // Per-expansion staging buffers for batched interning (flat images,
-    // their 128-bit hashes/fingerprints, budgets, and driver encodings
-    // packed end to end with offsets).
-    let mut b_images: Vec<Word> = Vec::new();
-    let mut b_hashes: Vec<(u64, u64)> = Vec::new();
-    let mut b_fps: Vec<(u64, u64)> = Vec::new();
-    let mut b_ops: Vec<usize> = Vec::new();
-    let mut b_drv: Vec<Word> = Vec::new();
-    let mut b_drv_off: Vec<usize> = Vec::new();
-    let mut b_handles: Vec<u64> = Vec::new();
-    // Peak of the per-generation transient buffers (sort chunk, bitmap,
-    // merge cursors); resident sets are added at the end.
-    let mut transient_peak = 0u64;
+    let census = Census::new(obj, alphabet, cfg, &arena, &SeenFile);
+    let root = census.root(mem);
+    let mut gens = Generations {
+        obj,
+        slots: &census.slots,
+        dir: &run_dir,
+        dominance: cfg.dominance,
+        chunk_entries: k.chunk_entries,
+        gen: 0,
+        cur: None,
+        drv: Vec::new(),
+        spill: SpillStats::default(),
+        transient_peak: 0,
+    };
+    gens.seed(root).expect(SPILL_IO);
+    let tally = census.work(mem.fork(), &mut gens);
+    let arena_stats = arena.spill_stats();
+    let spill = SpillStats {
+        arena_segments_spilled: arena_stats.segments_spilled as u64,
+        arena_segment_reads: arena_stats.segment_reads as u64,
+        ..gens.spill
+    };
+    let resident = arena.peak_resident_bytes() as u64 + gens.transient_peak;
+    census.report(mem, tally, None, resident, Some(spill))
+}
 
-    let seen_path = dir.join("seen.fps");
-    let gen_path = |g: u64| dir.join(format!("gen-{g}.nodes"));
+const SPILL_IO: &str = "census spill I/O failed";
 
-    // Root admission: observe the shared key unconditionally, compete for
-    // a slot like any other configuration.
-    let root_driver = Driver::without_history(n);
-    shared_seen.insert(mem.shared_key());
-    mem.logical_words_into(&mut image);
-    let root_hashes = image_hashes(&image);
-    let root_fp = fingerprint_image(
-        root_hashes,
-        &root_driver,
-        0,
-        cfg.dominance,
-        &mut scratch_key,
-    );
-    {
-        let mut seen_w = WordWriter::create(&seen_path)?;
-        let mut gen_w = WordWriter::create(&gen_path(0))?;
-        if cfg.max_states > 0 {
-            admitted = 1;
-            let handle = arena.intern128(&image, root_hashes);
-            let mut drv = Vec::new();
-            assert!(root_driver.try_encode_frontier(&mut drv));
-            write_node(&mut gen_w, 0, handle, &drv)?;
-            seen_w.put_all(&[root_fp.0, root_fp.1, 0])?;
-        } else {
-            truncated = true;
-        }
-        spill.bytes_spilled += seen_w.finish()? + gen_w.finish()?;
+/// The generation being expanded: its node stream plus the next
+/// generation's candidate files.
+struct Gen {
+    nodes: WordReader,
+    fps: WordWriter,
+    pay: WordWriter,
+    /// Candidates written so far (the next sequence number).
+    seq: u64,
+    expanded: bool,
+}
+
+/// The disk frontier: generation files, whose end-of-generation step runs
+/// the sort-merge admission replay and the cap pass (see the
+/// [module docs](self)).
+struct Generations<'a> {
+    obj: &'a dyn RecoverableObject,
+    slots: &'a Slots,
+    dir: &'a Path,
+    dominance: bool,
+    chunk_entries: usize,
+    gen: u64,
+    /// `None` once the search has drained.
+    cur: Option<Gen>,
+    /// Driver-encoding scratch.
+    drv: Vec<Word>,
+    spill: SpillStats,
+    /// Peak of the per-generation transient buffers (sort chunk, bitmap,
+    /// merge cursors).
+    transient_peak: u64,
+}
+
+impl Generations<'_> {
+    fn gen_path(&self, g: u64) -> PathBuf {
+        self.dir.join(format!("gen-{g}.nodes"))
     }
 
-    let mut gen = 0u64;
-    loop {
-        // ---- Pass 1: expand generation `gen` into candidate files. ----
+    /// Writes generation 0 (the admitted root, if any) and the seen file
+    /// holding its fingerprint, and opens generation 0 for expansion.
+    fn seed(&mut self, root: Option<Seeded<u64>>) -> io::Result<()> {
+        let mut seen_w = WordWriter::create(&self.dir.join("seen.fps"))?;
+        let mut gen_w = WordWriter::create(&self.gen_path(0))?;
+        if let Some((node, fp)) = root {
+            write_node(
+                &mut gen_w,
+                node.ops_used,
+                node.state,
+                encode(&node.driver, &mut self.drv),
+            )?;
+            seen_w.put_all(&[fp.0, fp.1, 0])?;
+        }
+        self.spill.bytes_spilled += seen_w.finish()? + gen_w.finish()?;
+        self.cur = Some(self.open(0)?);
+        Ok(())
+    }
+
+    fn open(&self, g: u64) -> io::Result<Gen> {
+        Ok(Gen {
+            nodes: WordReader::open(&self.gen_path(g))?,
+            fps: WordWriter::create(&self.dir.join("cand.fps"))?,
+            pay: WordWriter::create(&self.dir.join("cand.payload"))?,
+            seq: 0,
+            expanded: false,
+        })
+    }
+
+    fn try_next(&mut self) -> io::Result<Option<BfsNode<u64>>> {
+        loop {
+            let Some(cur) = self.cur.as_mut() else {
+                return Ok(None);
+            };
+            if let Some(rec) = read_node(&mut cur.nodes)? {
+                if !cur.expanded {
+                    cur.expanded = true;
+                    self.spill.generations += 1;
+                }
+                let driver = Driver::decode_frontier(self.obj, self.obj.processes(), &rec.drv)
+                    .expect("decodable object failed to decode its own frontier encoding");
+                return Ok(Some(BfsNode {
+                    state: rec.handle,
+                    driver,
+                    ops_used: rec.ops_used,
+                }));
+            }
+            let done = self.cur.take().expect("checked above");
+            self.cur = self.end_generation(done)?;
+        }
+    }
+
+    fn try_push(&mut self, nodes: &mut Vec<BfsNode<u64>>, fps: &[(u64, u64)]) -> io::Result<()> {
+        let cur = self.cur.as_mut().expect("push during an expansion");
+        for (node, fp) in nodes.drain(..).zip(fps) {
+            cur.fps
+                .put_all(&[fp.0, fp.1, cur.seq, node.ops_used as Word])?;
+            let drv = encode(&node.driver, &mut self.drv);
+            write_node(&mut cur.pay, node.ops_used, node.state, drv)?;
+            cur.seq += 1;
+        }
+        Ok(())
+    }
+
+    /// Sort-merges generation `done`'s candidates against the seen file,
+    /// applies the cap, and emits the next generation — `None` when there
+    /// were no candidates.
+    fn end_generation(&mut self, done: Gen) -> io::Result<Option<Gen>> {
+        let dir = self.dir;
         let fps_path = dir.join("cand.fps");
         let pay_path = dir.join("cand.payload");
-        let mut fps_w = WordWriter::create(&fps_path)?;
-        let mut pay_w = WordWriter::create(&pay_path)?;
-        let mut nodes_r = WordReader::open(&gen_path(gen))?;
-        let mut expanded_any = false;
-        let mut seq = 0u64;
-        let mut drv_words: Vec<Word> = Vec::new();
-        while let Some(node) = read_node(&mut nodes_r)? {
-            expanded_any = true;
-            expanded += 1;
-            let driver = Driver::decode_frontier(obj, n, &node.drv)
-                .expect("decodable object failed to decode its own frontier encoding");
-            arena.read_into(node.handle, &mut node_image);
-            fork.load_words(&node_image);
-            // Stage this node's successors (image, 128-bit hash,
-            // fingerprint, budget, driver encoding) and intern the whole
-            // batch in one arena lock acquisition after the expansion;
-            // the write-out below replays staging order, so the candidate
-            // files are byte-identical to the per-successor path.
-            let mut successor = |fork: &SimMemory, driver: &Driver, ops_used: usize| {
-                fork.logical_words_into(&mut image);
-                shared_seen.insert(fork.layout().shared_words(&image));
-                let hashes = image_hashes(&image);
-                let fp =
-                    fingerprint_image(hashes, driver, ops_used, cfg.dominance, &mut scratch_key);
-                b_images.extend_from_slice(&image);
-                b_hashes.push(hashes);
-                b_fps.push(fp);
-                b_ops.push(ops_used);
-                drv_words.clear();
-                assert!(
-                    driver.try_encode_frontier(&mut drv_words),
-                    "crash-free census produced a non-frontier driver state"
-                );
-                b_drv_off.push(b_drv.len());
-                b_drv.extend_from_slice(&drv_words);
-            };
-            for i in 0..n as usize {
-                if driver.state(i).in_flight() {
-                    let cp = fork.checkpoint();
-                    let mut d = driver.clone();
-                    let outcome = d.step(obj, &fork, i, &CENSUS_RETRY);
-                    steps += 1;
-                    resolved += u64::from(outcome.resolved());
-                    successor(&fork, &d, node.ops_used);
-                    fork.rollback(cp);
-                } else if node.ops_used < cfg.max_ops {
-                    for op in alphabet {
-                        let cp = fork.checkpoint();
-                        let mut d = driver.clone();
-                        d.invoke(obj, &fork, i, *op, &CENSUS_RETRY);
-                        steps += 1;
-                        successor(&fork, &d, node.ops_used + 1);
-                        fork.rollback(cp);
-                    }
-                }
-            }
-            if !b_hashes.is_empty() {
-                arena.intern128_batch(&b_images, &b_hashes, &mut b_handles);
-                b_drv_off.push(b_drv.len());
-                for i in 0..b_hashes.len() {
-                    fps_w.put_all(&[b_fps[i].0, b_fps[i].1, seq, b_ops[i] as Word])?;
-                    write_node(
-                        &mut pay_w,
-                        b_ops[i],
-                        b_handles[i],
-                        &b_drv[b_drv_off[i]..b_drv_off[i + 1]],
-                    )?;
-                    seq += 1;
-                }
-                flush_batches += 1;
-                b_images.clear();
-                b_hashes.clear();
-                b_fps.clear();
-                b_ops.clear();
-                b_drv.clear();
-                b_drv_off.clear();
-            }
-        }
-        spill.bytes_spilled += fps_w.finish()? + pay_w.finish()?;
-        if expanded_any {
-            spill.generations += 1;
-        }
-        let candidates = seq as usize;
+        let seen_path = dir.join("seen.fps");
+        self.spill.bytes_spilled += done.fps.finish()? + done.pay.finish()?;
+        let candidates = done.seq as usize;
         if candidates == 0 {
             fs::remove_file(&fps_path)?;
             fs::remove_file(&pay_path)?;
-            fs::remove_file(gen_path(gen))?;
-            break;
+            fs::remove_file(self.gen_path(self.gen))?;
+            return Ok(None);
         }
 
         // ---- Pass 2a: sort candidate fingerprints into run files. ----
@@ -495,7 +488,7 @@ fn run(
             let mut chunk: Vec<FpEntry> = Vec::new();
             loop {
                 chunk.clear();
-                while chunk.len() < k.chunk_entries {
+                while chunk.len() < self.chunk_entries {
                     match read_fp(&mut fps_r)? {
                         Some(e) => chunk.push(e),
                         None => break,
@@ -510,15 +503,15 @@ fn run(
                 for e in &chunk {
                     w.put_all(e)?;
                 }
-                spill.bytes_spilled += w.finish()?;
+                self.spill.bytes_spilled += w.finish()?;
                 runs.push(path);
             }
         }
-        spill.sort_runs += runs.len() as u64;
+        self.spill.sort_runs += runs.len() as u64;
         fs::remove_file(&fps_path)?;
 
         // ---- Pass 2b: merge runs against the seen file. ----
-        spill.merge_passes += 1;
+        self.spill.merge_passes += 1;
         let mut bitmap = Bitmap::new(candidates);
         let wouldbe_path = dir.join("wouldbe.fps");
         {
@@ -563,22 +556,16 @@ fn run(
                     group = Some((fp, prior));
                 }
                 let (_, running) = group.as_mut().expect("group just set");
-                let would_admit = match (cfg.dominance, &running) {
-                    // Exact: only a never-seen fingerprint admits, once.
-                    (false, None) => true,
-                    (false, Some(_)) => false,
-                    // Dominance: strictly lower budget than every prior
-                    // admission (including earlier in this generation).
-                    (true, Some(min)) => entry[3] < *min,
-                    (true, None) => true,
-                };
-                if would_admit {
+                // Exact: only a never-seen fingerprint admits, once.
+                // Dominance: a strictly lower budget than every prior
+                // admission (including earlier in this generation).
+                if running.is_none_or(|min| self.dominance && entry[3] < min) {
                     *running = Some(entry[3]);
                     bitmap.set(entry[2] as usize);
                     wouldbe_w.put_all(&entry)?;
                 }
             }
-            spill.bytes_spilled += wouldbe_w.finish()?;
+            self.spill.bytes_spilled += wouldbe_w.finish()?;
         }
         for p in &runs {
             fs::remove_file(p)?;
@@ -589,13 +576,8 @@ fn run(
         // a capacity rejection must not reach the seen file (the in-RAM
         // set is only updated after a slot is reserved).
         for i in 0..candidates {
-            if bitmap.get(i) {
-                if admitted < cfg.max_states {
-                    admitted += 1;
-                } else {
-                    bitmap.clear(i);
-                    truncated = true;
-                }
+            if bitmap.get(i) && !self.slots.reserve() {
+                bitmap.clear(i);
             }
         }
 
@@ -610,7 +592,7 @@ fn run(
             // fingerprint (the minimum admitted budget; entries within a
             // group arrive in seqno order with decreasing budgets).
             let next_admitted =
-                |wb_r: &mut WordReader, bitmap: &Bitmap| -> std::io::Result<Option<[u64; 3]>> {
+                |wb_r: &mut WordReader, bitmap: &Bitmap| -> io::Result<Option<[u64; 3]>> {
                     while let Some(e) = read_fp(wb_r)? {
                         if bitmap.get(e[2] as usize) {
                             return Ok(Some([e[0], e[1], e[3]]));
@@ -620,57 +602,37 @@ fn run(
                 };
             let mut wb_cur = next_admitted(&mut wb_r, &bitmap)?;
             loop {
-                match (old_cur, wb_cur) {
+                let old_first = match (old_cur, wb_cur) {
                     (None, None) => break,
-                    (Some(o), None) => {
-                        out.put_all(&o)?;
-                        old_cur = read_seen(&mut old_r)?;
-                    }
-                    (None, Some(w)) => {
-                        let mut min = w;
-                        loop {
-                            match next_admitted(&mut wb_r, &bitmap)? {
-                                Some(nx) if (nx[0], nx[1]) == (min[0], min[1]) => {
-                                    min[2] = min[2].min(nx[2]);
-                                }
-                                nx => {
-                                    wb_cur = nx;
-                                    break;
-                                }
-                            }
+                    (Some(o), Some(w)) => (o[0], o[1]) < (w[0], w[1]),
+                    (old, _) => old.is_some(),
+                };
+                if old_first {
+                    out.put_all(&old_cur.expect("old entry first"))?;
+                    old_cur = read_seen(&mut old_r)?;
+                    continue;
+                }
+                let mut min = wb_cur.expect("would-be entry first");
+                loop {
+                    match next_admitted(&mut wb_r, &bitmap)? {
+                        Some(nx) if (nx[0], nx[1]) == (min[0], min[1]) => {
+                            min[2] = min[2].min(nx[2])
                         }
-                        out.put_all(&min)?;
-                    }
-                    (Some(o), Some(w)) => {
-                        if (o[0], o[1]) < (w[0], w[1]) {
-                            out.put_all(&o)?;
-                            old_cur = read_seen(&mut old_r)?;
-                        } else {
-                            let key = (w[0], w[1]);
-                            let mut min = w;
-                            loop {
-                                match next_admitted(&mut wb_r, &bitmap)? {
-                                    Some(nx) if (nx[0], nx[1]) == key => {
-                                        min[2] = min[2].min(nx[2]);
-                                    }
-                                    nx => {
-                                        wb_cur = nx;
-                                        break;
-                                    }
-                                }
-                            }
-                            if (o[0], o[1]) == key {
-                                // Dominance re-admission: the new (lower)
-                                // budget replaces the old entry.
-                                min[2] = min[2].min(o[2]);
-                                old_cur = read_seen(&mut old_r)?;
-                            }
-                            out.put_all(&min)?;
+                        nx => {
+                            wb_cur = nx;
+                            break;
                         }
                     }
                 }
+                if let Some(o) = old_cur.filter(|o| (o[0], o[1]) == (min[0], min[1])) {
+                    // Dominance re-admission: the new (lower) budget
+                    // replaces the old entry.
+                    min[2] = min[2].min(o[2]);
+                    old_cur = read_seen(&mut old_r)?;
+                }
+                out.put_all(&min)?;
             }
-            spill.bytes_spilled += out.finish()?;
+            self.spill.bytes_spilled += out.finish()?;
         }
         fs::remove_file(&wouldbe_path)?;
         fs::rename(&new_seen_path, &seen_path)?;
@@ -678,7 +640,7 @@ fn run(
         // ---- Pass 3: copy admitted payloads into generation g + 1. ----
         {
             let mut pay_r = WordReader::open(&pay_path)?;
-            let mut next_w = WordWriter::create(&gen_path(gen + 1))?;
+            let mut next_w = WordWriter::create(&self.gen_path(self.gen + 1))?;
             let mut i = 0usize;
             while let Some(rec) = read_node(&mut pay_r)? {
                 if bitmap.get(i) {
@@ -686,45 +648,38 @@ fn run(
                 }
                 i += 1;
             }
-            spill.bytes_spilled += next_w.finish()?;
+            self.spill.bytes_spilled += next_w.finish()?;
         }
         fs::remove_file(&pay_path)?;
-        fs::remove_file(gen_path(gen))?;
+        fs::remove_file(self.gen_path(self.gen))?;
 
-        transient_peak = transient_peak.max(
+        self.transient_peak = self.transient_peak.max(
             (bitmap.bytes()
-                + k.chunk_entries * FP_ENTRY_WORDS * 8
+                + self.chunk_entries * FP_ENTRY_WORDS * 8
                 + runs.len() * FP_ENTRY_WORDS * 8) as u64,
         );
-        gen += 1;
+        self.gen += 1;
+        Ok(Some(self.open(self.gen)?))
     }
+}
 
-    let arena_stats = arena.spill_stats();
-    spill.arena_segments_spilled = arena_stats.segments_spilled as u64;
-    spill.arena_segment_reads = arena_stats.segment_reads as u64;
+impl Frontier<u64> for Generations<'_> {
+    fn next(&mut self) -> Option<BfsNode<u64>> {
+        self.try_next().expect(SPILL_IO)
+    }
+    fn push(&mut self, nodes: &mut Vec<BfsNode<u64>>, fps: &[(u64, u64)]) {
+        self.try_push(nodes, fps).expect(SPILL_IO);
+    }
+}
 
-    let shared_entry = mem.shared_key().len() * 8;
-    let peak = arena.peak_resident_bytes() as u64
-        + transient_peak
-        + (shared_seen.len() as u64) * (shared_entry as u64 + 32);
-
-    Ok(CensusReport {
-        distinct_shared: shared_seen.len(),
-        theorem_bound: (1u64 << n) - 1,
-        work: admitted,
-        steps,
-        resolved_ops: resolved,
-        persists: fork.stats().persists,
-        truncated,
-        peak_resident_bytes: peak,
-        spill: Some(spill),
-        sched: SchedStats {
-            workers: 1,
-            flush_batches,
-            per_worker_expansions: vec![expanded],
-            ..SchedStats::default()
-        },
-    })
+/// Encodes a crash-free frontier driver into `drv` (cleared first).
+fn encode<'d>(driver: &Driver, drv: &'d mut Vec<Word>) -> &'d [Word] {
+    drv.clear();
+    assert!(
+        driver.try_encode_frontier(drv),
+        "crash-free census produced a non-frontier driver state"
+    );
+    drv
 }
 
 #[cfg(test)]
@@ -769,9 +724,9 @@ mod tests {
                 disk_dir: Some(dir.clone()),
                 // Tiny: forces multi-segment arena spill and multi-run sorts.
                 ram_budget: Some(4096),
-                ..Default::default()
+                parallelism: 1,
             };
-            let ext = census_bfs_external_engine(&cas, &mem, &cas_alphabet(), &cfg);
+            let ext = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
             let ram = census_bfs_engine(
                 &cas,
                 &mem,
@@ -802,7 +757,7 @@ mod tests {
             ..Default::default()
         };
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-        let report = census_bfs_external_engine(&cas, &mem, &cas_alphabet(), &cfg);
+        let report = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
         let spill = report.spill.expect("external run reports spill stats");
         assert!(
             spill.arena_segments_spilled >= 2,
@@ -835,7 +790,7 @@ mod tests {
             ram_budget: Some(4096),
             ..Default::default()
         };
-        let report = census_bfs_external_engine(&cas, &mem, &cas_alphabet(), &cfg);
+        let report = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
         assert!(report.truncated);
         assert_eq!(report.work, 0);
         let _ = fs::remove_dir_all(&dir);

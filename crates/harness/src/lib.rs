@@ -35,10 +35,12 @@
 //! The engines beneath the `Scenario` runners (`sim_engine`,
 //! `explore_engine`, `census_drive_engine`, `census_bfs_engine`,
 //! `witness_search`) are exported for engine-level equivalence tests and
-//! bespoke measurement loops; the pre-`Scenario` deprecated free functions
-//! (`run_sim`, `explore`, `census_drive`, `census_bfs`,
-//! `find_doubly_perturbing_witness`) were removed after their one-release
-//! grace period.
+//! bespoke measurement loops. Each engine resolves a `parallelism` of 0 to
+//! the host's core count itself ([`resolve_parallelism`]), so an engine
+//! call and its `Scenario` runner mean the same thing by it.
+//! `census_bfs_engine` is the one BFS census: one worker loop over an
+//! in-RAM or an on-disk ([`external`]) storage tier, picked from
+//! `BfsConfig::disk_dir` and the object's decodability.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -66,7 +68,7 @@ pub use census::{
 };
 pub use driver::{op_from_key, op_key, Driver, ProcState, RetryPolicy, StepOutcome};
 pub use explore::{explore_engine, ExploreConfig, ExploreOutcome, OpSource, SymmetryMode};
-pub use external::{census_bfs_external_engine, SpillStats};
+pub use external::SpillStats;
 pub use history::{Event, History, OpRecord, Outcome};
 pub use linearize::{
     check_execution, check_history, check_records, check_records_windowed, Violation,
@@ -81,10 +83,10 @@ pub use process_crash::{
 };
 pub use report::{census_table_json, markdown_table, verdicts_to_json};
 pub use scenario::{
-    build_kind, resolve_parallelism, AggregateRow, CrashModel, RunMode, RunStats, Runner, Scenario,
-    Sweep, SweepCell, SweepReport, Verdict,
+    build_kind, AggregateRow, CrashModel, RunMode, RunStats, Runner, Scenario, Sweep, SweepCell,
+    SweepReport, Verdict,
 };
-pub use sched::SchedStats;
+pub use sched::{resolve_parallelism, SchedStats};
 pub use sim::{build_world, build_world_mode, sim_engine, SimConfig, SimReport};
 pub use spec::{spec_apply, spec_init, spec_run, SpecState};
 pub use workload::{mixed_op, ResolvedWorkload, Workload};

@@ -54,7 +54,6 @@ use nvm::{CacheMode, CrashPolicy, LayoutBuilder, SimMemory};
 
 use crate::census::{census_bfs_engine, census_drive_engine, BfsConfig};
 use crate::explore::{explore_engine, ExploreConfig, OpSource, SymmetryMode};
-use crate::external::census_bfs_external_engine;
 use crate::linearize::check_execution;
 use crate::perturb::{validate_witness_on_impl, witness_search, PerturbWitness};
 use crate::sched::SchedStats;
@@ -336,8 +335,6 @@ impl Scenario {
     }
 
     /// The runner-effective exploration config (same precedence rule).
-    /// A `parallelism` of 0 (the [`ExploreConfig::default`]) resolves to
-    /// the host's available parallelism here.
     fn effective_explore(&self, cfg: &ExploreConfig) -> ExploreConfig {
         let mut eff = cfg.clone();
         if let Some(f) = self.faults {
@@ -346,7 +343,6 @@ impl Scenario {
             eff.retry_on_fail = f.retry_on_fail;
             eff.max_retries = f.max_retries;
         }
-        eff.parallelism = resolve_parallelism(eff.parallelism);
         eff
     }
 
@@ -538,18 +534,7 @@ impl Scenario {
                         private_bits,
                     );
                 }
-                // A `parallelism` of 0 (the config default) resolves to
-                // the host's available parallelism at this layer; the
-                // engines themselves treat 0 as sequential.
-                let mut eff = cfg.clone();
-                eff.parallelism = resolve_parallelism(cfg.parallelism);
-                if cfg.disk_dir.is_some() && obj.decodable() {
-                    // Disk tier requested and the object can rebuild its
-                    // machines from their encodings: spill the frontier.
-                    census_bfs_external_engine(&*obj, &mem, &alphabet, &eff)
-                } else {
-                    census_bfs_engine(&*obj, &mem, &alphabet, &eff)
-                }
+                census_bfs_engine(&*obj, &mem, &alphabet, cfg)
             }
         };
         let bound_met =
@@ -678,18 +663,6 @@ impl Scenario {
                 ..RunStats::default()
             },
         }
-    }
-}
-
-/// Resolves a requested worker-thread count: `0` — the [`BfsConfig`] and
-/// [`ExploreConfig`] default — means "use the host", i.e.
-/// `std::thread::available_parallelism()` (falling back to 1 when the host
-/// cannot report it). Any explicit nonzero request is honored as given.
-pub fn resolve_parallelism(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
     }
 }
 
@@ -1203,18 +1176,18 @@ mod tests {
             (Pid::new(1), OpSpec::Read),
             (Pid::new(1), OpSpec::Write(2)),
         ];
+        // Pinned: `unique_nodes` varies with the worker count.
+        let cfg = ExploreConfig {
+            parallelism: 1,
+            ..Default::default()
+        };
         let v = Scenario::object(ObjectKind::Register)
             .workload(Workload::script(script.clone()))
-            .explore(&ExploreConfig::default());
+            .explore(&cfg);
         v.assert_complete();
 
         let (reg, mem) = crate::sim::build_world(|b| DetectableRegister::new(b, 2, 0));
-        let out = explore_engine(
-            &reg,
-            &mem,
-            OpSource::Script(&script),
-            &ExploreConfig::default(),
-        );
+        let out = explore_engine(&reg, &mem, OpSource::Script(&script), &cfg);
         assert_eq!(v.stats.executions, out.leaves as u64);
         assert_eq!(v.stats.distinct_configs, out.unique_nodes as u64);
     }
@@ -1403,10 +1376,16 @@ mod tests {
                 1,
             ))
             .faults(CrashModel::exhaustive(1).retries(1));
-        let auto = sym.explore(&ExploreConfig::default());
+        // Pinned: `distinct_configs` (expanded nodes) varies with the
+        // worker count.
+        let seq = ExploreConfig {
+            parallelism: 1,
+            ..Default::default()
+        };
+        let auto = sym.explore(&seq);
         let off = sym.explore(&ExploreConfig {
             symmetry: SymmetryMode::Off,
-            ..Default::default()
+            ..seq.clone()
         });
         auto.assert_passed();
         off.assert_passed();
@@ -1433,7 +1412,7 @@ mod tests {
                 3
             ]))
             .faults(CrashModel::exhaustive(1).retries(1));
-        let hand_auto = hand.explore(&ExploreConfig::default());
+        let hand_auto = hand.explore(&seq);
         assert_eq!(
             hand_auto.stats.distinct_configs, off.stats.distinct_configs,
             "per-process workloads resolve Auto to Off"

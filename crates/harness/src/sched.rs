@@ -108,6 +108,18 @@ impl SchedStats {
     }
 }
 
+/// Resolves a requested worker-thread count: `0` — the [`BfsConfig`](crate::BfsConfig) and
+/// [`ExploreConfig`](crate::ExploreConfig) default — means "use the host", i.e.
+/// `std::thread::available_parallelism()` (falling back to 1 when the host
+/// cannot report it). Any explicit nonzero request is honored as given.
+pub fn resolve_parallelism(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        requested
+    }
+}
+
 /// A worker-indexed `AtomicU64` padded to its own cache line so the
 /// created/finished counters (bumped on every task) never false-share.
 #[repr(align(64))]
@@ -135,7 +147,6 @@ pub(crate) struct Scheduler<T> {
     steals: AtomicU64,
     steal_failures: AtomicU64,
     parks: AtomicU64,
-    flush_batches: AtomicU64,
     /// Epoch bumped on every push; parkers recheck it before sleeping.
     signal: AtomicU64,
     park_lock: Mutex<()>,
@@ -154,7 +165,6 @@ impl<T> Scheduler<T> {
             steals: AtomicU64::new(0),
             steal_failures: AtomicU64::new(0),
             parks: AtomicU64::new(0),
-            flush_batches: AtomicU64::new(0),
             signal: AtomicU64::new(0),
             park_lock: Mutex::new(()),
             park_cv: Condvar::new(),
@@ -187,13 +197,6 @@ impl<T> Scheduler<T> {
         }
     }
 
-    /// Counts one staged-intern flush (census engines call this through
-    /// their worker's [`Worker::note_flush`]; kept on the scheduler so the
-    /// stat lands next to its siblings).
-    fn note_flush(&self) {
-        self.flush_batches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Whether every created task has finished. Reads all `finished`
     /// counters strictly before all `created` counters — see the
     /// [module docs](self) for why that order makes the sweep sound.
@@ -220,16 +223,15 @@ impl<T> Scheduler<T> {
     }
 
     /// Snapshot of the run's scheduler counters (call after the worker
-    /// scope has joined). `flush_batches` includes every
-    /// [`Worker::note_flush`]; sequential engines report their own stats
-    /// without a scheduler.
+    /// scope has joined). `flush_batches` is left to the census, which
+    /// counts its flushes per worker.
     pub(crate) fn stats(&self) -> SchedStats {
         SchedStats {
             workers: self.deques.len() as u64,
             steals: self.steals.load(Ordering::Relaxed),
             steal_failures: self.steal_failures.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
-            flush_batches: self.flush_batches.load(Ordering::Relaxed),
+            flush_batches: 0,
             per_worker_expansions: self
                 .expansions
                 .iter()
@@ -287,11 +289,6 @@ impl<T> Worker<'_, T> {
         self.sched.finished[self.id]
             .0
             .fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Counts one staged-intern flush against the run's scheduler stats.
-    pub(crate) fn note_flush(&self) {
-        self.sched.note_flush();
     }
 
     /// The worker loop's source of work: own deque first (back — LIFO),

@@ -20,9 +20,7 @@
 //! Entries are never moved or freed, so a handle stays valid for the
 //! arena's lifetime and reads only lock the one shard they touch.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -90,82 +88,63 @@ impl StateArena {
         self.distinct() * self.stride
     }
 
-    /// A suitable [`intern`](Self::intern) hash for callers that have not
-    /// already hashed the image for their own bookkeeping.
-    pub fn hash_image(image: &[Word]) -> u64 {
-        let mut h = DefaultHasher::new();
-        image.hash(&mut h);
-        h.finish()
-    }
-
-    /// Interns `image`, returning its handle: the existing slot if an equal
-    /// image was interned before (by any thread), a freshly appended slot
-    /// otherwise.
+    /// Interns `images` — stride-sized images back to back, one hash each
+    /// from `hashes` — writing one handle per image, in order, into `out`:
+    /// the existing slot if an equal image was interned before (by any
+    /// thread), a freshly appended slot otherwise.
     ///
-    /// `hash` routes the image to a shard and keys the dedup index, so it
+    /// A hash routes its image to a shard and keys the dedup index, so it
     /// **must be a pure function of the image contents** (the same image
     /// must always arrive with the same hash, or dedup silently degrades
     /// to duplicate storage — identity stays exact either way, membership
-    /// is decided by comparison). Callers that already hash the image for
-    /// their own bookkeeping (the census fingerprints successors anyway)
-    /// pass that hash instead of paying a second full-image pass;
-    /// [`hash_image`](Self::hash_image) serves everyone else.
+    /// is decided by comparison). The census passes the image hash it
+    /// computes for its fingerprints anyway.
+    ///
+    /// The images are grouped by destination shard first, so each distinct
+    /// shard is locked **once per batch** instead of once per image; the
+    /// handles are those one-image batches in order would return.
+    /// Worker threads of a parallel search stage a whole expansion's
+    /// admitted successors locally and intern them in one call, cutting
+    /// the shard-lock round-trips and the cache-line traffic they cause.
+    /// Duplicates *within* one batch dedup like any others: the first copy
+    /// appends, later copies hit the shard index it just extended.
     ///
     /// # Panics
     ///
-    /// Panics if `image.len()` differs from the arena stride.
-    pub fn intern(&self, image: &[Word], hash: u64) -> CompactState {
-        assert_eq!(image.len(), self.stride, "image width != arena stride");
-        let shard_idx = (hash as usize) % SHARDS;
-        let mut shard = self.shards[shard_idx].lock().expect("arena shard poisoned");
-        self.intern_locked(shard_idx, &mut shard, image, hash)
-    }
-
-    /// Interns every image staged in `stage`, writing one handle per
-    /// staged image (in staging order) into `out`, and drains the stage
-    /// for reuse.
-    ///
-    /// Semantically identical to calling [`intern`](Self::intern) once per
-    /// staged image in order — same exact-dedup contract, same handles —
-    /// but the staged images are grouped by destination shard first, so
-    /// each distinct shard is locked **once per flush** instead of once
-    /// per successor. Worker threads of a parallel search stage a whole
-    /// expansion's admitted successors locally and flush in one call,
-    /// cutting the shard-lock round-trips and the cache-line traffic they
-    /// cause. Duplicates *within* one batch dedup like any others: the
-    /// first staged copy appends, later copies hit the shard index it
-    /// just extended.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the stage's stride differs from the arena's.
-    pub fn intern_batch(&self, stage: &mut InternStage, out: &mut Vec<CompactState>) {
-        assert_eq!(stage.stride, self.stride, "stage width != arena stride");
-        let n = stage.hashes.len();
-        out.clear();
-        out.resize(n, CompactState { shard: 0, slot: 0 });
-        // Sort (shard, staging-index) pairs: groups by shard while keeping
-        // staging order within each shard, so slot assignment matches the
+    /// Panics if `images` is not one stride per hash.
+    pub fn intern_batch(
+        &self,
+        images: &[Word],
+        hashes: impl IntoIterator<Item = u64>,
+        out: &mut Vec<CompactState>,
+    ) {
+        // Sort (shard, index, hash): groups by shard while keeping batch
+        // order within each shard, so slot assignment matches the
         // one-call-per-image order exactly.
-        let mut order: Vec<(usize, usize)> = stage
-            .hashes
-            .iter()
+        let mut order: Vec<(usize, usize, u64)> = hashes
+            .into_iter()
             .enumerate()
-            .map(|(i, &h)| ((h as usize) % SHARDS, i))
+            .map(|(i, h)| ((h as usize) % SHARDS, i, h))
             .collect();
+        assert_eq!(
+            images.len(),
+            order.len() * self.stride,
+            "batch width != images × arena stride"
+        );
+        out.clear();
+        out.resize(order.len(), CompactState { shard: 0, slot: 0 });
         order.sort_unstable();
         let mut at = 0;
         while at < order.len() {
             let shard_idx = order[at].0;
             let mut shard = self.shards[shard_idx].lock().expect("arena shard poisoned");
             while at < order.len() && order[at].0 == shard_idx {
-                let i = order[at].1;
-                let image = &stage.words[i * self.stride..(i + 1) * self.stride];
-                out[i] = self.intern_locked(shard_idx, &mut shard, image, stage.hashes[i]);
+                let (_, i, hash) = order[at];
+                let image = &images[i * self.stride..(i + 1) * self.stride];
+                out[i] = self.intern_locked(shard_idx, &mut shard, image, hash);
                 at += 1;
             }
         }
-        stage.clear();
     }
 
     /// The single-image intern body, run under `shard`'s lock.
@@ -218,69 +197,23 @@ impl StateArena {
     }
 }
 
-/// A worker-local staging buffer for [`StateArena::intern_batch`]: images
-/// (stored flat) plus their routing hashes, accumulated lock-free and
-/// flushed to the sharded arena in one call. Reusable across flushes — the
-/// flush drains it — so a long-running worker allocates once.
-pub struct InternStage {
-    stride: usize,
-    words: Vec<Word>,
-    hashes: Vec<u64>,
-}
-
-impl InternStage {
-    /// An empty stage for images of exactly `stride` words (must match the
-    /// arena it will flush into).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stride` is zero.
-    pub fn new(stride: usize) -> Self {
-        assert!(stride > 0, "stage stride must be positive");
-        InternStage {
-            stride,
-            words: Vec::new(),
-            hashes: Vec::new(),
-        }
-    }
-
-    /// Stages one image under its routing `hash` (same purity contract as
-    /// [`StateArena::intern`]), returning its staging index — the position
-    /// of its handle in the flush's output.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image.len()` differs from the stage stride.
-    pub fn push(&mut self, image: &[Word], hash: u64) -> usize {
-        assert_eq!(image.len(), self.stride, "image width != stage stride");
-        self.words.extend_from_slice(image);
-        self.hashes.push(hash);
-        self.hashes.len() - 1
-    }
-
-    /// Number of images currently staged.
-    pub fn len(&self) -> usize {
-        self.hashes.len()
-    }
-
-    /// Whether the stage is empty (a flush of an empty stage is a no-op).
-    pub fn is_empty(&self) -> bool {
-        self.hashes.is_empty()
-    }
-
-    /// Drops every staged image (flushing does this automatically).
-    pub fn clear(&mut self) {
-        self.words.clear();
-        self.hashes.clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::hash_map::DefaultHasher;
+    use std::hash::{Hash, Hasher};
 
+    fn hash_image(image: &[Word]) -> u64 {
+        let mut h = DefaultHasher::new();
+        image.hash(&mut h);
+        h.finish()
+    }
+
+    /// Interns one image as a batch of one.
     fn intern(arena: &StateArena, image: &[Word]) -> CompactState {
-        arena.intern(image, StateArena::hash_image(image))
+        let mut out = Vec::new();
+        arena.intern_batch(image, [hash_image(image)], &mut out);
+        out[0]
     }
 
     #[test]
@@ -333,15 +266,11 @@ mod tests {
         let one_by_one: Vec<CompactState> =
             images.iter().map(|im| intern(&reference, im)).collect();
 
-        let mut stage = InternStage::new(2);
         let mut out = Vec::new();
         let mut via_batch = Vec::new();
         for chunk in images.chunks(9) {
-            for im in chunk {
-                stage.push(im, StateArena::hash_image(im));
-            }
-            batched.intern_batch(&mut stage, &mut out);
-            assert!(stage.is_empty(), "flush drains the stage");
+            let flat: Vec<Word> = chunk.concat();
+            batched.intern_batch(&flat, chunk.iter().map(|im| hash_image(im)), &mut out);
             via_batch.extend(out.iter().copied());
         }
         assert_eq!(via_batch, one_by_one);
@@ -351,12 +280,13 @@ mod tests {
     #[test]
     fn duplicates_within_one_batch_share_a_handle() {
         let arena = StateArena::new(2);
-        let mut stage = InternStage::new(2);
-        stage.push(&[1, 2], StateArena::hash_image(&[1, 2]));
-        stage.push(&[3, 4], StateArena::hash_image(&[3, 4]));
-        stage.push(&[1, 2], StateArena::hash_image(&[1, 2]));
+        let images: [[Word; 2]; 3] = [[1, 2], [3, 4], [1, 2]];
         let mut out = Vec::new();
-        arena.intern_batch(&mut stage, &mut out);
+        arena.intern_batch(
+            &images.concat(),
+            images.iter().map(|im| hash_image(im)),
+            &mut out,
+        );
         assert_eq!(out[0], out[2], "in-batch duplicate dedups");
         assert_ne!(out[0], out[1]);
         assert_eq!(arena.distinct(), 2);

@@ -20,7 +20,7 @@
 //! index keys on a caller-supplied **128-bit** hash and trusts it: two
 //! distinct images with equal 128-bit hashes would alias. This is the
 //! same trade the census already makes for its visited-set fingerprints
-//! (see `fingerprint_image` in the harness), so the external engine adds
+//! (see `fingerprint_image` in the harness), so the disk tier adds
 //! no *new* class of error by using it — and the differential tests pin
 //! it against the exact in-RAM engine on every count.
 
@@ -171,28 +171,12 @@ impl SpillableArena {
         }
     }
 
-    /// Interns `image` under its 128-bit `hash`, returning a dense `u64`
-    /// handle (equal hashes intern to equal handles). The hash **must be
-    /// a pure function of the image contents**; distinct images with
-    /// colliding hashes alias (see the module docs for why that trade is
-    /// acceptable here).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image.len()` differs from the arena stride, or if
-    /// sealing a segment to disk fails.
-    pub fn intern128(&self, image: &[Word], hash: (u64, u64)) -> u64 {
-        assert_eq!(image.len(), self.stride, "image width != arena stride");
-        let mut inner = self.lock();
-        self.intern128_locked(&mut inner, image, hash)
-    }
-
-    /// Interns a batch of staged images in one lock acquisition: `images`
-    /// holds `hashes.len()` stride-sized images back to back, and `out`
-    /// receives one handle per image in order. Semantically identical to
-    /// calling [`intern128`](Self::intern128) per image — same dedup, same
-    /// handles — but the arena mutex is taken once per flush instead of
-    /// once per successor, which is the census expansion hot path.
+    /// Interns a batch of images in one lock acquisition: `images` holds
+    /// `hashes.len()` stride-sized images back to back, and `out` receives
+    /// one dense `u64` handle per image in order (equal hashes intern to
+    /// equal handles). A hash **must be a pure function of the image
+    /// contents**; distinct images with colliding hashes alias (see the
+    /// module docs for why that trade is acceptable here).
     ///
     /// # Panics
     ///
@@ -339,6 +323,13 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Interns one image as a batch of one.
+    fn intern128(arena: &SpillableArena, image: &[Word], hash: (u64, u64)) -> u64 {
+        let mut out = Vec::new();
+        arena.intern128_batch(image, &[hash], &mut out);
+        out[0]
+    }
+
     fn hash(image: &[Word]) -> (u64, u64) {
         use std::collections::hash_map::DefaultHasher;
         use std::hash::{Hash, Hasher};
@@ -375,10 +366,10 @@ mod tests {
         let images: Vec<Vec<Word>> = (0..7u64).map(|i| vec![i, i + 1, i + 2]).collect();
         let handles: Vec<u64> = images
             .iter()
-            .map(|im| arena.intern128(im, hash(im)))
+            .map(|im| intern128(&arena, im, hash(im)))
             .collect();
         for (im, &h) in images.iter().zip(&handles) {
-            assert_eq!(arena.intern128(im, hash(im)), h, "re-intern is stable");
+            assert_eq!(intern128(&arena, im, hash(im)), h, "re-intern is stable");
         }
         assert_eq!(arena.distinct(), 7);
         assert_eq!(arena.spill_stats().segments_sealed, 3);
@@ -406,7 +397,7 @@ mod tests {
             );
             handles = images
                 .iter()
-                .map(|im| arena.intern128(im, hash(im)))
+                .map(|im| intern128(&arena, im, hash(im)))
                 .collect();
             let stats = arena.spill_stats();
             assert!(stats.segments_spilled >= 2, "multi-segment spill forced");
@@ -444,7 +435,7 @@ mod tests {
             },
         );
         for i in 0..6u64 {
-            arena.intern128(&[i], hash(&[i]));
+            intern128(&arena, &[i], hash(&[i]));
         }
         let mut out = Vec::new();
         arena.read_into(0, &mut out);
@@ -459,6 +450,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "stride")]
     fn wrong_width_is_rejected() {
-        SpillableArena::new(2, SpillConfig::default()).intern128(&[1], (0, 0));
+        intern128(
+            &SpillableArena::new(2, SpillConfig::default()),
+            &[1],
+            (0, 0),
+        );
     }
 }

@@ -69,7 +69,7 @@ pub mod stats;
 pub mod word;
 
 pub use ann::AnnBank;
-pub use arena::{CompactState, InternStage, StateArena};
+pub use arena::{CompactState, StateArena};
 pub use external::{SpillArenaStats, SpillConfig, SpillableArena};
 pub use layout::{Layout, LayoutBuilder, Loc, Region, Space};
 pub use machine::{run_to_completion, Machine, Poll, StepLimitError};

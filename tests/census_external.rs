@@ -1,10 +1,10 @@
-//! Differential pin of the external-memory census engine against the
-//! in-RAM engine, across every object kind.
+//! Differential pin of the census's disk tier against its in-RAM tier,
+//! across every object kind.
 //!
-//! The external engine ([`census_bfs_external_engine`]) replaces the
-//! resident visited set, frontier and image arena with sorted spill files
-//! and a segment-spilling arena; its admission semantics are argued
-//! equivalent to the sequential in-RAM engine in the module docs. These
+//! With `disk_dir` set and a decodable object, [`census_bfs_engine`]
+//! replaces the resident visited set, frontier and image arena with sorted
+//! spill files and a segment-spilling arena; its admission semantics are
+//! argued equivalent to the one-worker in-RAM tier in the module docs. These
 //! tests *pin* that equivalence empirically on all eight object kinds, in
 //! exact and dominance mode, complete and truncated, with the RAM budget
 //! forced tiny enough that every run actually spills (multi-segment
@@ -15,10 +15,7 @@ use detectable::{
     DetectableCas, DetectableCounter, DetectableFaa, DetectableQueue, DetectableRegister,
     DetectableSwap, DetectableTas, MaxRegister, ObjectKind, RecoverableObject,
 };
-use harness::{
-    build_world, census_bfs_engine, census_bfs_external_engine, default_alphabet, BfsConfig,
-    Scenario, Workload,
-};
+use harness::{build_world, census_bfs_engine, default_alphabet, BfsConfig, Scenario, Workload};
 use nvm::SimMemory;
 
 /// Debug builds explore 3-process worlds, release 4 — same contract the
@@ -57,8 +54,8 @@ fn worlds(n: u32) -> Vec<(ObjectKind, Box<dyn RecoverableObject>, SimMemory)> {
     out
 }
 
-/// The pin: for each kind and each (mode, cap) cell, the external engine
-/// reports byte-identical counts to the sequential in-RAM engine.
+/// The pin: for each kind and each (mode, cap) cell, the disk tier
+/// reports byte-identical counts to the one-worker in-RAM tier.
 #[test]
 fn external_engine_matches_in_ram_on_every_kind() {
     let n = world_n();
@@ -76,9 +73,9 @@ fn external_engine_matches_in_ram_on_every_kind() {
                 // Tiny on purpose: forces multi-segment arena spill and
                 // multi-run sorts on every kind (asserted below).
                 ram_budget: Some(8 * 1024),
-                ..Default::default()
+                parallelism: 1,
             };
-            let ext = census_bfs_external_engine(&*obj, &mem, &alphabet, &cfg);
+            let ext = census_bfs_engine(&*obj, &mem, &alphabet, &cfg);
             let ram = census_bfs_engine(
                 &*obj,
                 &mem,
@@ -116,7 +113,7 @@ fn external_engine_matches_in_ram_on_every_kind() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `Scenario::census` routes through the external engine when `disk_dir`
+/// `Scenario::census` runs on the disk tier when `disk_dir`
 /// is set and the object is decodable, and the verdict surfaces the new
 /// observability fields (peak resident bytes, spilled bytes) end to end,
 /// JSON included.
@@ -128,6 +125,7 @@ fn scenario_routes_disk_dir_to_the_external_engine() {
         max_states: 300_000,
         disk_dir: Some(dir.clone()),
         ram_budget: Some(8 * 1024),
+        parallelism: 1,
         ..Default::default()
     };
     let disk = Scenario::object(ObjectKind::Cas)
@@ -164,7 +162,7 @@ fn scenario_routes_disk_dir_to_the_external_engine() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The external engine honors the admission cap bit-for-bit: a deliberately
+/// The disk tier honors the admission cap bit-for-bit: a deliberately
 /// small `--ram-budget` N = world_n() run under a tight cap truncates at
 /// exactly the cap with the same canonical admissions as the in-RAM engine
 /// (`work` equality above), and its peak resident estimate stays far below
@@ -179,9 +177,10 @@ fn external_peak_resident_tracks_the_budget_not_the_space() {
         max_states: 2_000_000,
         disk_dir: Some(dir.clone()),
         ram_budget: Some(64 * 1024),
+        parallelism: 1,
         ..Default::default()
     };
-    let ext = census_bfs_external_engine(&cas, &mem, &alphabet, &cfg);
+    let ext = census_bfs_engine(&cas, &mem, &alphabet, &cfg);
     let ram = census_bfs_engine(
         &cas,
         &mem,
@@ -193,7 +192,7 @@ fn external_peak_resident_tracks_the_budget_not_the_space() {
     );
     assert_eq!(ext.distinct_shared, ram.distinct_shared);
     assert_eq!(ext.work, ram.work);
-    // The external engine's resident structures exclude the arena images
+    // The disk tier's resident structures exclude the arena images
     // and the frontier (both on disk): its peak must undercut the in-RAM
     // engine, which holds every image and node resident.
     assert!(
@@ -201,6 +200,44 @@ fn external_peak_resident_tracks_the_budget_not_the_space() {
         "external {} vs in-RAM {}",
         ext.peak_resident_bytes,
         ram.peak_resident_bytes
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The disk tier needs machines it can rebuild from their encodings: an
+/// object without decoding support ([`RecoverableObject::decodable`] is
+/// `false` by default) runs in RAM even with `disk_dir` set, counts
+/// unchanged and the spill directory untouched.
+#[test]
+fn non_decodable_objects_stay_in_ram_with_a_disk_dir() {
+    let dir = spill_dir("fallback");
+    let n = world_n();
+    let scenario =
+        || Scenario::custom(move |b| Box::new(baselines::NonDetectableCas::new(b, n))).processes(n);
+    let cfg = BfsConfig {
+        max_ops: 3,
+        max_states: 300_000,
+        disk_dir: Some(dir.clone()),
+        parallelism: 1,
+        ..Default::default()
+    };
+    let disk = scenario().census(&cfg);
+    let ram = scenario().census(&BfsConfig {
+        disk_dir: None,
+        ..cfg
+    });
+    assert_eq!(
+        disk.stats.spilled_bytes, 0,
+        "the disk tier must not be used"
+    );
+    assert_eq!(disk.stats.distinct_configs, ram.stats.distinct_configs);
+    assert_eq!(disk.stats.executions, ram.stats.executions);
+    assert_eq!(disk.stats.steps, ram.stats.steps);
+    assert_eq!(disk.stats.truncated, ram.stats.truncated);
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "spill directory must be left empty"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

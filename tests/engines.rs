@@ -121,7 +121,11 @@ fn explore_engine_matches_scenario_explore() {
         (Pid::new(1), OpSpec::Read),
         (Pid::new(1), OpSpec::Write(2)),
     ];
-    let cfg = ExploreConfig::default();
+    // Pinned: `unique_nodes` varies with the worker count.
+    let cfg = ExploreConfig {
+        parallelism: 1,
+        ..Default::default()
+    };
     let (reg, mem) = build_world(|b| DetectableRegister::new(b, 2, 0));
     let old = explore_engine(&reg, &mem, OpSource::Script(&script), &cfg);
 

@@ -89,6 +89,9 @@ fn bounded(
         max_leaves: 200_000,
         symmetry,
         memo_budget,
+        // Pinned: `unique_nodes` and truncated totals vary with the
+        // worker count.
+        parallelism: 1,
         ..Default::default()
     }
 }
