@@ -1,20 +1,17 @@
-//! **Experiment E16/E18** — real-process SIGKILL/recover soak.
+//! **Experiment E18** — real-process SIGKILL/recover soak over the crash
+//! fabric.
 //!
 //! Unlike `soak_table` (which *simulates* crash storms inside one
-//! process), every cycle here spawns real OS processes driving traffic
-//! against file-mapped NVM, SIGKILLs at a randomized point, remaps the
-//! files, recovers every in-flight operation, and checks the stitched
-//! pre-crash + recovery history for durable linearizability and
-//! detectability. Two topologies:
-//!
-//! * default: one child per cycle runs all paper processes as threads and
-//!   the whole child dies (E16);
-//! * `--procs-as-processes`: one child *per paper process* over the same
-//!   files; the parent SIGKILLs a randomized `--kill-subset` of them while
-//!   the survivors keep running, then runs each dead process's recovery in
-//!   its own child — SIGKILLing that recoverer mid-recovery up to
-//!   `--recovery-kills` nested times before the final re-entry converges
-//!   (E18, the recovery-idempotence soak).
+//! process), every cycle here spawns one OS process *per paper process*
+//! driving traffic against file-mapped NVM. The parent SIGKILLs a
+//! randomized `--kill-subset` of them at a randomized point while the
+//! survivors keep running, then runs each dead process's recovery in its
+//! own child — SIGKILLing that recoverer mid-recovery up to
+//! `--recovery-kills` nested times before the final re-entry converges —
+//! and checks the stitched pre-crash + recovery history for durable
+//! linearizability and detectability. In the shared-cache model
+//! (`--cache shared`) a crash loses the one cache all processes share, so
+//! every worker dies: `--kill-subset` must equal `--procs`.
 //!
 //! The eight paper objects must come through with **zero unresolved
 //! operations and zero check failures**; the two non-detectable baselines
@@ -24,14 +21,14 @@
 //!
 //! Run: `cargo run --release -p bench --bin soak -- \
 //!     [--cycles N] [--ops N] [--procs N] [--kill-window US] [--seed S] \
-//!     [--cache private|shared] [--procs-as-processes] [--kill-subset N] \
-//!     [--recovery-kills K] [--json]`
+//!     [--cache private|shared] [--kill-subset N] [--recovery-kills K] [--json]`
 //!
-//! Exits nonzero if any *detectable* row leaves an operation unresolved,
-//! fails a check, or errors.
+//! Exits 2 on an invalid configuration (before any cycle runs), and 1 if
+//! any *detectable* row leaves an operation unresolved, fails a check, or
+//! errors.
 
 use baselines::{NonDetectableCas, NonDetectableRegister};
-use bench::{flag_present, flag_value, json_mode, markdown_table};
+use bench::{flag_value, json_mode, markdown_table};
 use detectable::{ObjectKind, RecoverableObject};
 use harness::process_crash::{
     default_factory, kind_name, maybe_run_worker, run_cycle, CrashCycleConfig,
@@ -145,24 +142,17 @@ fn main() {
         Some("private") | None => CacheMode::PrivateCache,
         Some(other) => panic!("--cache expects private|shared, got {other:?}"),
     };
-    let fabric = flag_present("procs-as-processes");
     let kill_subset: u32 = positive_flag("kill-subset", 1) as u32;
     let recovery_kills: u32 = flag_value("recovery-kills").map_or(0, |v| {
         v.parse()
             .unwrap_or_else(|_| panic!("--recovery-kills expects an integer, got {v:?}"))
     });
-    if fabric {
-        assert_eq!(
-            cache,
-            CacheMode::PrivateCache,
-            "--procs-as-processes requires --cache private: the shared-cache overlay \
-             is volatile per-address-space state and cannot stay coherent across \
-             real worker processes"
+    if cache == CacheMode::SharedCache && kill_subset != procs {
+        eprintln!(
+            "soak: --cache shared requires --kill-subset equal to --procs ({procs}), got \
+             {kill_subset}: a shared-cache crash loses the cache all processes share"
         );
-        assert!(
-            kill_subset <= procs,
-            "--kill-subset must be at most --procs ({procs}), got {kill_subset}"
-        );
+        std::process::exit(2);
     }
     let ops_per_proc = (total_ops / procs as usize).max(1);
 
@@ -185,29 +175,37 @@ fn main() {
     .collect();
 
     let root = std::env::temp_dir().join(format!("soak-{}", std::process::id()));
+    // Every object shares one configuration but for its name, kind and
+    // directory: check it once, before the first cycle.
+    let mut template = CrashCycleConfig::new(ObjectKind::Register);
+    template.procs = procs;
+    template.ops_per_proc = ops_per_proc;
+    // The queue arena never recycles nodes: capacity must cover every
+    // enqueue a full cycle can attempt.
+    template.queue_capacity = (procs as usize * ops_per_proc + 1) as u32;
+    template.cache_mode = cache;
+    template.seed = seed;
+    template.kill_window_us = kill_window_us;
+    template.kill_subset = kill_subset;
+    template.recovery_kills = recovery_kills;
+    if let Err(e) = template.validate() {
+        eprintln!("soak: {e}");
+        std::process::exit(2);
+    }
     let mut rows = Vec::new();
     for (object, kind) in objects {
-        // The queue arena never recycles nodes: capacity must cover every
-        // enqueue a full cycle can attempt.
-        let qcap = (procs as usize * ops_per_proc + 1) as u32;
         let detectable = {
             let mut b = LayoutBuilder::new();
-            factory(&object, &mut b, procs, qcap)
+            factory(&object, &mut b, procs, template.queue_capacity)
                 .expect("factory")
                 .detectable()
         };
-        let mut cfg = CrashCycleConfig::new(kind);
-        cfg.object = object.clone();
-        cfg.procs = procs;
-        cfg.ops_per_proc = ops_per_proc;
-        cfg.queue_capacity = qcap;
-        cfg.cache_mode = cache;
-        cfg.seed = seed;
-        cfg.kill_window_us = kill_window_us;
-        cfg.procs_as_processes = fabric;
-        cfg.kill_subset = kill_subset;
-        cfg.recovery_kills = recovery_kills;
-        cfg.dir = root.join(&object);
+        let cfg = CrashCycleConfig {
+            object: object.clone(),
+            kind,
+            dir: root.join(&object),
+            ..template.clone()
+        };
 
         let mut row = Row {
             object,
@@ -268,7 +266,7 @@ fn main() {
         let body: Vec<String> = rows.iter().map(Row::json).collect();
         println!(
             "{{\"kill_window_us\":{kill_window_us},\"procs\":{procs},\
-             \"procs_as_processes\":{fabric},\"kill_subset\":{kill_subset},\
+             \"kill_subset\":{kill_subset},\
              \"recovery_kills\":{recovery_kills},\
              \"ops_per_cycle\":{},\"cycles_per_object\":{cycles},\
              \"total_cycles\":{total_cycles},\"cache\":\"{}\",\"rows\":[{}]}}",
@@ -307,14 +305,9 @@ fn main() {
             })
             .collect();
         println!(
-            "# {} — real-process SIGKILL soak ({total_cycles} cycles, {procs} {}, \
-             {}-op cycles, {kill_window_us}us kill window, {recovery_kills} recovery kills)\n",
-            if fabric { "E18" } else { "E16" },
-            if fabric {
-                "worker processes"
-            } else {
-                "threads/child"
-            },
+            "# E18 — real-process SIGKILL soak ({total_cycles} cycles, {procs} worker \
+             processes, {kill_subset} killed per cycle, {}-op cycles, {kill_window_us}us kill \
+             window, {recovery_kills} recovery kills)\n",
             ops_per_proc * procs as usize
         );
         println!(

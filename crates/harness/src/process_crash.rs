@@ -1,33 +1,30 @@
 //! Real-process crash injection: SIGKILL live processes mid-traffic (and
-//! mid-*recovery*), remap their NVM, recover, and check the stitched
-//! history.
+//! mid-*recovery*), recover, and check the stitched history.
 //!
 //! The in-process engines ([`crate::sim`], [`crate::explore`]) *simulate*
 //! crashes: volatile state is dropped by code that runs at the crash point.
 //! This module removes that last layer of simulation. A **parent** process
 //! re-executes the current binary in worker mode (see [`maybe_run_worker`])
-//! and drives one of two topologies:
+//! as the crash fabric: one child *per paper process*, all mapping the same
+//! NVM files through [`MappedMemory`], so what survives a death is decided
+//! by the kernel, not by the harness — the paper's per-process crash model
+//! made literal. The parent SIGKILLs a randomized *subset* of the workers
+//! mid-traffic ([`CrashCycleConfig::kill_subset`]) while the survivors keep
+//! running and re-barrier, then runs each dead process's recovery **in its
+//! own child**, SIGKILLing that recoverer mid-recovery up to
+//! [`CrashCycleConfig::recovery_kills`] nested times before letting the
+//! final re-entry converge.
 //!
-//! * **Threads mode** (the default): one child runs N OS threads of mixed
-//!   workload traffic against a [`MappedMemory`] — the NVM half of the
-//!   model lives in a `MAP_SHARED` file, so what survives the child's death
-//!   is decided by the kernel, not by the harness. The parent SIGKILLs the
-//!   whole child at a randomized point.
-//! * **Fabric mode** ([`CrashCycleConfig::procs_as_processes`]): one child
-//!   *per paper process*, all mapping the same NVM files — the paper's
-//!   per-process crash model made literal. The parent SIGKILLs a randomized
-//!   *subset* of the workers mid-traffic ([`CrashCycleConfig::kill_subset`])
-//!   while the survivors keep running and re-barrier, then runs each dead
-//!   process's recovery **in its own child**, SIGKILLing that recoverer
-//!   mid-recovery up to [`CrashCycleConfig::recovery_kills`] nested times
-//!   before letting the final re-entry converge. Every kill — worker or
-//!   recoverer — bumps the data file's crash ordinal
-//!   ([`MappedFile::bump_crash_count`]).
+//! Every kill — worker or recoverer — is a crash the parent declares: it
+//! wipes the shared-cache overlay file (in the shared-cache model the
+//! cache is one volatile store all processes share, so its crash is
+//! system-wide and every worker dies with it) and then bumps the data
+//! file's crash ordinal ([`MappedFile::bump_crash_count`]).
 //!
-//! Either way the parent finally remaps the files, resolves every
-//! operation the durable log proves was in flight, and checks the stitched
-//! pre-crash + partial-recovery + re-recovery history with the windowed
-//! linearizability checker ([`check_records_windowed`]).
+//! Finally the parent resolves every operation the durable log proves was
+//! in flight and checks the stitched pre-crash + partial-recovery +
+//! re-recovery history with the windowed linearizability checker
+//! ([`check_records_windowed`]).
 //!
 //! # The durable operation log
 //!
@@ -55,26 +52,26 @@
 //! [`CrashCycleConfig::barrier_every`] operations. Each rendezvous is a
 //! quiescent cut in the sequence order: every pre-barrier operation's
 //! return record precedes every post-barrier invocation record, which is
-//! exactly the split [`check_records_windowed`] needs. Threads-mode workers
-//! use a [`std::sync::Barrier`]; fabric workers share no address space, so
-//! the barrier runs over the log file's header: worker `p` stores its round
-//! in user slot `3 + p` and spins until the parent-owned release word (user
-//! slot 1) reaches that round. The parent releases a round only when every
-//! *live* worker has arrived — and deliberately **withholds** releases
-//! while recoveries run, so the survivors park at their next cut and a dead
-//! process's operation overlaps at most one window of survivor traffic
-//! before its recovery verdict lands.
+//! exactly the split [`check_records_windowed`] needs. Workers share no
+//! address space, so the barrier runs over the log file's header: worker
+//! `p` stores its round in user slot `4 + p` and spins until the
+//! parent-owned release word (user slot 1) reaches that round. The parent
+//! releases a round only when every *live* worker has arrived — and
+//! deliberately **withholds** releases while recoveries run, so the
+//! survivors park at their next cut and a dead process's operation
+//! overlaps at most one window of survivor traffic before its recovery
+//! verdict lands.
 
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
 use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use detectable::{ObjectKind, OpSpec, RecoverableObject};
 use nvm::{
-    run_to_completion, CacheMode, CrashPolicy, LayoutBuilder, MappedFile, MappedMemory, Pid,
-    SimMemory, Word, RESP_FAIL,
+    run_to_completion, CacheMode, CrashPolicy, Layout, LayoutBuilder, MappedFile, MappedMemory,
+    Pid, Word, RESP_FAIL,
 };
 
 use crate::driver::{op_from_key, op_key, Driver, RetryPolicy, StepOutcome};
@@ -94,27 +91,33 @@ pub const TAG_RETURN: Word = 2;
 pub const TAG_RECOVERY: Word = 3;
 
 /// Machine-step budget per operation in the worker (the algorithms are
-/// bounded, but real-thread contention stretches lock-free retry loops).
+/// bounded, but real-process contention stretches lock-free retry loops).
 const WORKER_STEP_LIMIT: usize = 10_000_000;
 /// Machine-step budget per recovery (recovery runs solo).
 const RECOVERY_STEP_LIMIT: usize = 1_000_000;
 
+/// The cycle's files, under [`CrashCycleConfig::dir`]: the NVM data, the
+/// durable operation log, and (shared-cache cycles only) the volatile
+/// cache overlay.
+const DATA_FILE: &str = "data.nvm";
+const LOG_FILE: &str = "log.nvm";
+const CACHE_FILE: &str = "cache.nvm";
+
 /// Log-header user slots (see [`MappedFile::user`]): the global record
 /// sequence counter, the parent-owned barrier release round, the
 /// recoverer's armed flag, the parent-owned stall mask (bit `p` asks
-/// fabric worker `p` to pause mid-operation so a SIGKILL — which loses a
-/// race against microsecond-scale operations — lands inside one, the way
-/// a real scheduler preemption would), then one arrival word per fabric
-/// worker.
+/// worker `p` to pause mid-operation so a SIGKILL — which loses a race
+/// against microsecond-scale operations — lands inside one, the way a real
+/// scheduler preemption would), then one arrival word per worker.
 const SLOT_SEQ: usize = 0;
 const SLOT_RELEASE: usize = 1;
 const SLOT_ARMED: usize = 2;
 const SLOT_STALL: usize = 3;
 const SLOT_ARRIVAL0: usize = 4;
 
-/// How long a stalled fabric worker waits for its SIGKILL before giving
-/// up and continuing (the parent kills within microseconds; the bound
-/// only matters if the kill never comes).
+/// How long a stalled worker waits for its SIGKILL before giving up and
+/// continuing (the parent kills within microseconds; the bound only
+/// matters if the kill never comes).
 const STALL_LIMIT: Duration = Duration::from_millis(5);
 
 /// Recovery is solo and typically resolves in a handful of machine steps —
@@ -130,8 +133,7 @@ const PACED_STEPS: usize = 500;
 const RECOVERY_KILL_WINDOW_US: u64 = 600;
 
 const ENV_WORKER: &str = "PC_WORKER";
-const ENV_DATA: &str = "PC_DATA";
-const ENV_LOG: &str = "PC_LOG";
+const ENV_DIR: &str = "PC_DIR";
 const ENV_OBJECT: &str = "PC_OBJECT";
 const ENV_KIND: &str = "PC_KIND";
 const ENV_PROCS: &str = "PC_PROCS";
@@ -141,7 +143,7 @@ const ENV_BARRIER: &str = "PC_BARRIER";
 const ENV_CACHE: &str = "PC_CACHE";
 const ENV_POLICY: &str = "PC_POLICY";
 const ENV_BASE: &str = "PC_BASE";
-/// Fabric worker index — present only in fabric mode, one child per pid.
+/// Worker index: the paper process this traffic child runs.
 const ENV_PID: &str = "PC_PID";
 /// Recoverer mode: the pid whose open invocation this child must resolve.
 const ENV_RECOVER: &str = "PC_RECOVER";
@@ -156,9 +158,9 @@ const EXIT_UNRESOLVED: i32 = 102;
 
 /// Builds the object named `name` for `n` processes into `b`, or `None` if
 /// the name is unknown. Binaries that host crash cycles install one factory
-/// covering every object they run — the parent builds the recovery world and
-/// the re-executed worker builds the traffic world through the *same*
-/// factory, so both sides construct identical layouts.
+/// covering every object they run — the parent builds its probe world and
+/// the re-executed children build the traffic and recovery worlds through
+/// the *same* factory, so every side constructs identical layouts.
 pub type WorldFactory =
     fn(&str, &mut LayoutBuilder, u32, u32) -> Option<Box<dyn RecoverableObject>>;
 
@@ -213,6 +215,37 @@ pub fn default_factory(
     kind_from_name(name).map(|kind| build_kind(kind, b, n, queue_capacity))
 }
 
+/// The object `name` and its layout, built through `factory`.
+fn world(
+    factory: WorldFactory,
+    name: &str,
+    procs: u32,
+    qcap: u32,
+) -> Option<(Box<dyn RecoverableObject>, Layout)> {
+    let mut b = LayoutBuilder::new();
+    let obj = factory(name, &mut b, procs, qcap)?;
+    Some((obj, b.finish()))
+}
+
+/// Maps the cycle's NVM under `dir` as `mode` memory: the data file alone
+/// in the private-cache model, plus the shared overlay file in the
+/// shared-cache model.
+fn open_memory(
+    dir: &Path,
+    layout: Layout,
+    mode: CacheMode,
+    policy: CrashPolicy,
+) -> io::Result<MappedMemory> {
+    let data = MappedFile::open(&dir.join(DATA_FILE))?;
+    Ok(match mode {
+        CacheMode::PrivateCache => MappedMemory::private(layout, data),
+        CacheMode::SharedCache => {
+            let overlay = MappedFile::open(&dir.join(CACHE_FILE))?;
+            MappedMemory::shared(layout, data, overlay, policy)
+        }
+    })
+}
+
 fn cache_to_str(mode: CacheMode) -> &'static str {
     match mode {
         CacheMode::PrivateCache => "private",
@@ -255,8 +288,8 @@ pub struct CrashCycleConfig {
     /// Abstract kind — drives the workload and the specification the
     /// stitched history is checked against.
     pub kind: ObjectKind,
-    /// Paper processes: worker threads in the child (threads mode) or
-    /// worker child processes (fabric mode).
+    /// Paper processes, one worker child each (at most 8: one barrier
+    /// arrival word each in the log header).
     pub procs: u32,
     /// Operations each process attempts per cycle.
     pub ops_per_proc: usize,
@@ -265,10 +298,9 @@ pub struct CrashCycleConfig {
     /// Processes rendezvous every this many operations (the quiescent cut;
     /// `procs * barrier_every` must stay within [`MAX_CHECKED_OPS`]).
     pub barrier_every: usize,
-    /// Persistence model the mapped memory follows in the workers. Fabric
-    /// mode requires [`CacheMode::PrivateCache`]: the shared-cache overlay
-    /// is volatile per-address-space state and cannot stay coherent across
-    /// real worker processes.
+    /// Persistence model the mapped memory follows. A shared-cache crash
+    /// loses the one cache every process shares, so shared-cache cycles
+    /// must kill every worker (`kill_subset == procs`).
     pub cache_mode: CacheMode,
     /// Write-through policy for shared-cache words (pre-decided per cell —
     /// SIGKILL runs no crash code, so the dirty-subset coin is flipped at
@@ -279,28 +311,27 @@ pub struct CrashCycleConfig {
     /// The kill lands uniformly within this many microseconds of the first
     /// logged operation.
     pub kill_window_us: u64,
-    /// Fabric mode: run each paper process as its own OS process over the
-    /// shared files instead of as a thread in one child.
+    /// Pinned to `true`: every paper process runs as its own OS process,
+    /// the only topology [`run_cycle`] has. [`validate`](Self::validate)
+    /// rejects `false`. The field remains only because existing callers
+    /// assign it, and will be deleted once they no longer do.
     pub procs_as_processes: bool,
-    /// Fabric mode: how many workers the parent SIGKILLs per cycle
-    /// (`1..=procs`; membership is randomized per cycle). Ignored in
-    /// threads mode, where the single child — all processes — dies.
+    /// How many workers the parent SIGKILLs per cycle (`1..=procs`;
+    /// membership is randomized per cycle).
     pub kill_subset: u32,
     /// Maximum nested SIGKILLs the parent lands on each dead process's
-    /// recoverer before the final re-entry runs to convergence. With 0 (in
-    /// threads mode) recovery runs unharmed inside the parent; any other
-    /// configuration runs recovery in per-process children.
+    /// recoverer before the final re-entry runs to convergence.
     pub recovery_kills: u32,
-    /// Directory holding the two mapped files (recreated each cycle).
+    /// Directory holding the cycle's mapped files (recreated each cycle).
     pub dir: PathBuf,
 }
 
 impl CrashCycleConfig {
-    /// Defaults for `kind`'s paper implementation: 3 processes (as threads
-    /// in one child), 400 ops each, a barrier every 16 ops (48-op windows),
-    /// private-cache memory, a 3 ms kill window, no recovery kills, files
-    /// under the system temp directory. The queue capacity covers a full
-    /// cycle of enqueues — the arena never recycles nodes, so callers
+    /// Defaults for `kind`'s paper implementation: 3 worker processes, 400
+    /// ops each, a barrier every 16 ops (48-op windows), private-cache
+    /// memory, a 3 ms kill window, one victim per cycle, no recovery kills,
+    /// files under the system temp directory. The queue capacity covers a
+    /// full cycle of enqueues — the arena never recycles nodes, so callers
     /// shrinking it below `procs * ops_per_proc + 1` will exhaust a slab
     /// mid-cycle.
     pub fn new(kind: ObjectKind) -> CrashCycleConfig {
@@ -315,11 +346,67 @@ impl CrashCycleConfig {
             policy: CrashPolicy::DropAll,
             seed: 1,
             kill_window_us: 3_000,
-            procs_as_processes: false,
+            procs_as_processes: true,
             kill_subset: 1,
             recovery_kills: 0,
             dir: std::env::temp_dir().join(format!("process-crash-{}", std::process::id())),
         }
+    }
+
+    /// Checks that [`run_cycle`] can model this configuration.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput`, naming the offending fields, when
+    /// `procs_as_processes` is `false`; `procs`, `ops_per_proc` or
+    /// `barrier_every` is zero; there are more workers than the log header
+    /// has barrier words for; `procs * barrier_every` overflows the
+    /// checker's [`MAX_CHECKED_OPS`] window; `kill_subset` is outside
+    /// `1..=procs`; or a shared-cache cycle kills fewer than all workers.
+    pub fn validate(&self) -> io::Result<()> {
+        let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if !self.procs_as_processes {
+            return invalid(
+                "procs_as_processes must be true: one process per paper process is the only \
+                 crash topology"
+                    .into(),
+            );
+        }
+        if self.procs == 0 || self.ops_per_proc == 0 || self.barrier_every == 0 {
+            return invalid(format!(
+                "procs, ops_per_proc and barrier_every must be positive, got {}, {} and {}",
+                self.procs, self.ops_per_proc, self.barrier_every
+            ));
+        }
+        let max_workers = MappedFile::USER_SLOTS - SLOT_ARRIVAL0;
+        if self.procs as usize > max_workers {
+            return invalid(format!(
+                "at most {max_workers} worker processes (log-header barrier words), got {}",
+                self.procs
+            ));
+        }
+        let window = self.procs as usize * self.barrier_every;
+        if window > MAX_CHECKED_OPS {
+            return invalid(format!(
+                "procs * barrier_every = {} * {} = {window} overflows the \
+                 {MAX_CHECKED_OPS}-op checker window",
+                self.procs, self.barrier_every
+            ));
+        }
+        if self.kill_subset == 0 || self.kill_subset > self.procs {
+            return invalid(format!(
+                "kill_subset must be in 1..={}, got {}",
+                self.procs, self.kill_subset
+            ));
+        }
+        if self.cache_mode == CacheMode::SharedCache && self.kill_subset != self.procs {
+            return invalid(format!(
+                "shared-cache cycles must kill every worker (kill_subset = procs = {}), got \
+                 kill_subset {}: a shared-cache crash loses the one cache all processes share",
+                self.procs, self.kill_subset
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -329,11 +416,11 @@ pub struct CycleReport {
     /// Whether any worker was actually SIGKILLed (workers may win the race
     /// and finish the workload first — a clean cycle, still checked).
     pub crashed: bool,
-    /// SIGKILLs landed on workers (threads mode: 1 when crashed; fabric
-    /// mode: the subset members that had not already exited).
+    /// SIGKILLs landed on workers: the subset members that had not already
+    /// exited.
     pub worker_kills: usize,
-    /// Operations surviving workers completed *after* the first kill
-    /// (fabric mode; zero in threads mode, where nothing survives).
+    /// Operations surviving workers completed *after* the kill (zero when
+    /// every worker died).
     pub survivor_ops: usize,
     /// Operations with a committed return record.
     pub ops_completed: usize,
@@ -360,7 +447,7 @@ pub struct CycleReport {
     /// Microseconds from worker spawn to the kill (or clean exit).
     pub kill_latency_us: u64,
     /// Microseconds spent recovering (including nested recovery kills and
-    /// re-entries), remapping, stitching and checking.
+    /// re-entries), stitching and checking.
     pub recovery_latency_us: u64,
 }
 
@@ -386,8 +473,8 @@ impl CycleReport {
 /// Worker-mode entry point. **Must be called at the top of `main` in every
 /// binary that hosts crash cycles** — [`run_cycle`] re-executes
 /// `current_exe()` and relies on this call to divert the child into the
-/// traffic loop, the fabric worker loop, or the recoverer (it never returns
-/// in any worker mode). A no-op otherwise.
+/// traffic loop or the recoverer (it never returns in either mode). A no-op
+/// otherwise.
 pub fn maybe_run_worker(factory: WorldFactory) {
     if std::env::var_os(ENV_WORKER).is_none() {
         return;
@@ -395,10 +482,7 @@ pub fn maybe_run_worker(factory: WorldFactory) {
     if std::env::var_os(ENV_RECOVER).is_some() {
         run_recoverer(factory);
     }
-    if std::env::var_os(ENV_PID).is_some() {
-        run_fabric_worker(factory);
-    }
-    run_worker(factory);
+    run_fabric_worker(factory);
 }
 
 fn env(k: &str) -> String {
@@ -407,8 +491,7 @@ fn env(k: &str) -> String {
 
 /// The cycle parameters every worker mode decodes from the environment.
 struct WorkerEnv {
-    data_path: PathBuf,
-    log_path: PathBuf,
+    dir: PathBuf,
     object: String,
     kind: ObjectKind,
     procs: u32,
@@ -420,25 +503,44 @@ struct WorkerEnv {
     base: usize,
 }
 
-fn worker_env() -> WorkerEnv {
-    WorkerEnv {
-        data_path: PathBuf::from(env(ENV_DATA)),
-        log_path: PathBuf::from(env(ENV_LOG)),
-        object: env(ENV_OBJECT),
-        kind: kind_from_name(&env(ENV_KIND)).expect("crash worker: bad kind"),
-        procs: env(ENV_PROCS).parse().expect("crash worker: bad procs"),
-        ops: env(ENV_OPS).parse().expect("crash worker: bad ops"),
-        qcap: env(ENV_QCAP).parse().expect("crash worker: bad qcap"),
-        barrier_every: env(ENV_BARRIER).parse().expect("crash worker: bad barrier"),
-        mode: cache_from_str(&env(ENV_CACHE)).expect("crash worker: bad cache mode"),
-        policy: policy_from_str(&env(ENV_POLICY)).expect("crash worker: bad policy"),
-        base: env(ENV_BASE).parse().expect("crash worker: bad base"),
+impl WorkerEnv {
+    fn load() -> WorkerEnv {
+        WorkerEnv {
+            dir: PathBuf::from(env(ENV_DIR)),
+            object: env(ENV_OBJECT),
+            kind: kind_from_name(&env(ENV_KIND)).expect("crash worker: bad kind"),
+            procs: env(ENV_PROCS).parse().expect("crash worker: bad procs"),
+            ops: env(ENV_OPS).parse().expect("crash worker: bad ops"),
+            qcap: env(ENV_QCAP).parse().expect("crash worker: bad qcap"),
+            barrier_every: env(ENV_BARRIER).parse().expect("crash worker: bad barrier"),
+            mode: cache_from_str(&env(ENV_CACHE)).expect("crash worker: bad cache mode"),
+            policy: policy_from_str(&env(ENV_POLICY)).expect("crash worker: bad policy"),
+            base: env(ENV_BASE).parse().expect("crash worker: bad base"),
+        }
+    }
+
+    /// The object, its memory over the cycle's files, and the log.
+    fn open(
+        &self,
+        factory: WorldFactory,
+    ) -> (Box<dyn RecoverableObject>, MappedMemory, MappedFile) {
+        let (obj, layout) = world(factory, &self.object, self.procs, self.qcap)
+            .unwrap_or_else(|| panic!("crash worker: unknown object {}", self.object));
+        let mem = open_memory(&self.dir, layout, self.mode, self.policy)
+            .expect("crash worker: map the NVM files");
+        let log = MappedFile::open(&self.dir.join(LOG_FILE)).expect("crash worker: open log file");
+        assert_eq!(
+            log.words(),
+            self.procs as usize * self.ops * 2 * RECORD_WORDS,
+            "crash worker: log file does not match the workload"
+        );
+        (obj, mem, log)
     }
 }
 
-/// A panicking worker thread or child must fail loudly: siblings would
-/// otherwise hang at the barrier until the parent's kill, turning a
-/// harness bug into a silently-accepted "crash".
+/// A panicking worker or recoverer must fail loudly: siblings would
+/// otherwise hang at the barrier until the parent's kill, turning a harness
+/// bug into a silently-accepted "crash".
 fn install_exit_on_panic() {
     let default_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(move |info| {
@@ -447,107 +549,25 @@ fn install_exit_on_panic() {
     }));
 }
 
-fn run_worker(factory: WorldFactory) -> ! {
-    let e = worker_env();
-    let mut b = LayoutBuilder::new();
-    let obj = factory(&e.object, &mut b, e.procs, e.qcap)
-        .unwrap_or_else(|| panic!("crash worker: unknown object {}", e.object));
-    let layout = b.finish();
-    let data = MappedFile::open(&e.data_path).expect("crash worker: open data file");
-    let log = MappedFile::open(&e.log_path).expect("crash worker: open log file");
-    assert_eq!(
-        log.words(),
-        e.procs as usize * e.ops * 2 * RECORD_WORDS,
-        "crash worker: log file does not match the workload"
-    );
-    install_exit_on_panic();
-    let mem = MappedMemory::new(layout, data, e.mode, e.policy);
-    let barrier = std::sync::Barrier::new(e.procs as usize);
-
-    std::thread::scope(|s| {
-        for t in 0..e.procs {
-            let (obj, mem, log, barrier, e) = (&*obj, &mem, &log, &barrier, &e);
-            s.spawn(move || {
-                let pid = Pid::new(t);
-                let slot0 = t as usize * e.ops * 2 * RECORD_WORDS;
-                for i in 0..e.ops {
-                    if i > 0 && i % e.barrier_every == 0 {
-                        barrier.wait();
-                    }
-                    run_one_op(obj, mem, log, e, pid, slot0, i);
-                }
-            });
-        }
-    });
-    std::process::exit(0);
-}
-
-/// One worker operation: announce, log the invocation, run the machine,
-/// log the return. The announcement runs FIRST — recovery must only ever
-/// read a current announcement, so an operation enters the log only once
-/// fully prepared (a kill mid-prepare leaves no record — and no linearized
-/// effect).
-fn run_one_op(
-    obj: &dyn RecoverableObject,
-    mem: &MappedMemory,
-    log: &MappedFile,
-    e: &WorkerEnv,
-    pid: Pid,
-    slot0: usize,
-    i: usize,
-) {
-    let op = mixed_op(e.kind, pid, e.base + i);
-    obj.prepare(mem, pid, &op);
-    append_record(
-        log,
-        slot0 + 2 * i * RECORD_WORDS,
-        TAG_INVOKE,
-        op_key(&op),
-        0,
-    );
-    let mut m = obj.invoke(pid, &op);
-    let resp = run_to_completion(&mut *m, mem, WORKER_STEP_LIMIT)
-        .unwrap_or_else(|err| panic!("crash worker: {pid} op {op} hit {err:?}"));
-    append_record(
-        log,
-        slot0 + (2 * i + 1) * RECORD_WORDS,
-        TAG_RETURN,
-        op_key(&op),
-        resp,
-    );
-}
-
-/// Fabric worker: ONE paper process in its own address space, sharing the
-/// mapped files with its siblings. The rendezvous runs over the log header
-/// (arrive: store the round in this pid's arrival word; wait: spin until
-/// the parent's release word reaches the round), so a dead sibling cannot
+/// Worker: ONE paper process in its own address space, sharing the mapped
+/// files with its siblings. Each operation runs announce → invoke record →
+/// machine → return record; the announcement runs FIRST because recovery
+/// must only ever read a current announcement, so an operation enters the
+/// log only once fully prepared (a kill mid-prepare leaves no record — and
+/// no linearized effect). The rendezvous runs over the log header (arrive:
+/// store the round in this pid's arrival word; wait: spin until the
+/// parent's release word reaches the round), so a dead sibling cannot
 /// wedge the survivors — the parent excludes it from the arrival quorum.
 fn run_fabric_worker(factory: WorldFactory) -> ! {
-    let e = worker_env();
+    let e = WorkerEnv::load();
     let me: u32 = env(ENV_PID).parse().expect("crash worker: bad pid");
     assert!(
         me < e.procs,
         "crash worker: pid {me} outside 0..{}",
         e.procs
     );
-    let mut b = LayoutBuilder::new();
-    let obj = factory(&e.object, &mut b, e.procs, e.qcap)
-        .unwrap_or_else(|| panic!("crash worker: unknown object {}", e.object));
-    let layout = b.finish();
-    let data = MappedFile::open(&e.data_path).expect("crash worker: open data file");
-    let log = MappedFile::open(&e.log_path).expect("crash worker: open log file");
-    assert_eq!(
-        log.words(),
-        e.procs as usize * e.ops * 2 * RECORD_WORDS,
-        "crash worker: log file does not match the workload"
-    );
+    let (obj, mem, log) = e.open(factory);
     install_exit_on_panic();
-    assert_eq!(
-        e.mode,
-        CacheMode::PrivateCache,
-        "crash worker: fabric requires private-cache memory"
-    );
-    let mem = MappedMemory::new(layout, data, e.mode, e.policy);
     let pid = Pid::new(me);
     let slot0 = me as usize * e.ops * 2 * RECORD_WORDS;
     // If the parent dies (or stalls beyond any plausible recovery pause),
@@ -572,13 +592,11 @@ fn run_fabric_worker(factory: WorldFactory) -> ! {
                 std::thread::sleep(Duration::from_micros(50));
             }
         }
-        // Same announce → invoke-record → machine → return-record sequence
-        // as [`run_one_op`], with the stall points spliced in: when the
-        // parent raises this worker's stall bit, pause either before the
-        // machine runs (the kill interrupts an announced-but-unlinearized
-        // operation) or after it (the kill interrupts a fully linearized
-        // operation whose return never committed) — alternating by op so
-        // recovery faces both fates.
+        // When the parent raises this worker's stall bit, pause either
+        // before the machine runs (the kill interrupts an
+        // announced-but-unlinearized operation) or after it (the kill
+        // interrupts a fully linearized operation whose return never
+        // committed) — alternating by op so recovery faces both fates.
         let op = mixed_op(e.kind, pid, e.base + i);
         obj.prepare(&mem, pid, &op);
         append_record(
@@ -619,15 +637,14 @@ fn run_fabric_worker(factory: WorldFactory) -> ! {
 /// land mid-mutation), and commits the verdict as a [`TAG_RECOVERY`]
 /// record sequenced like any other.
 fn run_recoverer(factory: WorldFactory) -> ! {
-    let e = worker_env();
+    let e = WorkerEnv::load();
     let me: u32 = env(ENV_RECOVER).parse().expect("recoverer: bad pid");
     let pace_us: u64 = std::env::var(ENV_PACE)
         .ok()
         .map(|v| v.parse().expect("recoverer: bad pace"))
         .unwrap_or(0);
     install_exit_on_panic();
-    let data = MappedFile::open(&e.data_path).expect("recoverer: open data file");
-    let log = MappedFile::open(&e.log_path).expect("recoverer: open log file");
+    let (obj, mem, log) = e.open(factory);
     let (_, open) = parse_region(&log, me, e.ops)
         .unwrap_or_else(|err| panic!("recoverer: corrupt log region for p{me}: {err}"));
     let Some(flight) = open else {
@@ -635,11 +652,6 @@ fn run_recoverer(factory: WorldFactory) -> ! {
         // verdict): the idempotent re-entry converges by doing nothing.
         std::process::exit(0);
     };
-    let mut b = LayoutBuilder::new();
-    let obj = factory(&e.object, &mut b, e.procs, e.qcap)
-        .unwrap_or_else(|| panic!("recoverer: unknown object {}", e.object));
-    let layout = b.finish();
-    let mem = MappedMemory::new(layout, data, e.mode, e.policy);
     let mut d = Driver::without_history(e.procs);
     d.mark_crashed(me as usize, flight.op);
     let retry = RetryPolicy {
@@ -821,8 +833,8 @@ impl Children {
     }
 }
 
-/// Releases the next barrier round iff every live (not-killed) fabric
-/// worker has arrived at it. Exited workers keep their final arrival word,
+/// Releases the next barrier round iff every live (not-killed) worker has
+/// arrived at it. Exited workers keep their final arrival word,
 /// so they never gate a release; killed workers are excluded outright —
 /// that exclusion is what lets the survivors re-barrier across a dead
 /// peer.
@@ -841,85 +853,78 @@ fn pump_barrier(log: &MappedFile, killed: &[bool]) {
     }
 }
 
-/// Runs one full kill/recover cycle: spawn the worker(s), SIGKILL at a
-/// randomized point inside the kill window (a whole-child kill in threads
-/// mode, a randomized subset of workers in fabric mode), run recovery —
-/// in-parent, or as nested-killable recoverer children — then remap the
-/// files and check the stitched history.
+/// One solo `Read` by `pid` over a fresh mapping of the cycle's NVM (file
+/// plus shared overlay) — the lie probe that forces recovered state into
+/// the checked history. `None` if the read does not finish within budget.
+fn probe_read(cfg: &CrashCycleConfig, factory: WorldFactory, pid: u32) -> io::Result<Option<Word>> {
+    let (obj, layout) =
+        world(factory, &cfg.object, cfg.procs, cfg.queue_capacity).expect("factory resolved");
+    let mem = open_memory(&cfg.dir, layout, cfg.cache_mode, cfg.policy)?;
+    let mut d = Driver::without_history(cfg.procs);
+    Ok(d.try_run_solo(&*obj, &mem, pid as usize, OpSpec::Read, RECOVERY_STEP_LIMIT))
+}
+
+/// Runs one full kill/recover cycle: spawn one worker per paper process,
+/// SIGKILL a randomized subset of them at a randomized point inside the
+/// kill window, run each dead process's recovery as a nested-killable
+/// recoverer child, then check the stitched history.
 ///
 /// `cycle` individualizes the kill point and the workload offset, so a
 /// soak's cycles explore different crash sites.
 ///
 /// # Errors
 ///
-/// I/O failures, a worker that exits nonzero (a panic in the child is a
-/// harness bug, not a verdict), an invalid fabric configuration
-/// (shared-cache memory, `kill_subset` outside `1..=procs`, more workers
-/// than the header has barrier words for), and log corruption all surface
-/// as `Err`; *semantic* failures — unresolved operations, check violations
-/// — are reported in the [`CycleReport`] so callers can count them.
+/// An invalid configuration (see [`CrashCycleConfig::validate`]), an
+/// unknown object, I/O failures, a worker that exits nonzero (a panic in
+/// the child is a harness bug, not a verdict), and log corruption all
+/// surface as `Err`; *semantic* failures — unresolved operations, check
+/// violations — are reported in the [`CycleReport`] so callers can count
+/// them.
 pub fn run_cycle(
     cfg: &CrashCycleConfig,
     factory: WorldFactory,
     cycle: u64,
 ) -> io::Result<CycleReport> {
-    assert!(cfg.procs >= 1 && cfg.ops_per_proc >= 1 && cfg.barrier_every >= 1);
-    assert!(
-        cfg.procs as usize * cfg.barrier_every <= MAX_CHECKED_OPS,
-        "procs * barrier_every = {} overflows the {MAX_CHECKED_OPS}-op checker window",
-        cfg.procs as usize * cfg.barrier_every
-    );
-    let fabric = cfg.procs_as_processes;
-    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-    if fabric {
-        if cfg.cache_mode != CacheMode::PrivateCache {
-            return Err(invalid(
-                "multi-process fabric requires private-cache memory: the shared-cache \
-                 overlay is volatile per-address-space state and cannot stay coherent \
-                 across worker processes"
-                    .into(),
-            ));
-        }
-        let max_workers = MappedFile::USER_SLOTS - SLOT_ARRIVAL0;
-        if cfg.procs as usize > max_workers {
-            return Err(invalid(format!(
-                "fabric supports at most {max_workers} workers (header barrier words), got {}",
-                cfg.procs
-            )));
-        }
-        if cfg.kill_subset == 0 || cfg.kill_subset > cfg.procs {
-            return Err(invalid(format!(
-                "kill_subset must be in 1..={}, got {}",
-                cfg.procs, cfg.kill_subset
-            )));
-        }
-    }
+    cfg.validate()?;
     std::fs::create_dir_all(&cfg.dir)?;
-    let data_path = cfg.dir.join("data.nvm");
-    let log_path = cfg.dir.join("log.nvm");
 
-    // Size the data file from the factory's layout (and fail fast on an
+    // Size the files from the factory's layout (and fail fast on an
     // unknown object name — the child would otherwise die reporting it).
-    let mut b = LayoutBuilder::new();
-    factory(&cfg.object, &mut b, cfg.procs, cfg.queue_capacity).ok_or_else(|| {
-        io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("unknown object {:?}", cfg.object),
-        )
-    })?;
-    let layout = b.finish();
-    let data = MappedFile::create(&data_path, layout.total_words())?;
+    let (_, layout) =
+        world(factory, &cfg.object, cfg.procs, cfg.queue_capacity).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("unknown object {:?}", cfg.object),
+            )
+        })?;
+    let data = MappedFile::create(&cfg.dir.join(DATA_FILE), layout.total_words())?;
     let log = MappedFile::create(
-        &log_path,
+        &cfg.dir.join(LOG_FILE),
         cfg.procs as usize * cfg.ops_per_proc * 2 * RECORD_WORDS,
     )?;
+    let cache = match cfg.cache_mode {
+        CacheMode::PrivateCache => None,
+        CacheMode::SharedCache => Some(MappedFile::create(
+            &cfg.dir.join(CACHE_FILE),
+            MappedMemory::overlay_words(&layout),
+        )?),
+    };
+    // Declares one landed kill: the shared cache is lost (releasing its
+    // lock word too, should the victim have died holding it), then the
+    // crash ordinal moves on so later memories draw fresh write-through
+    // coins.
+    let declare_crash = || {
+        if let Some(cache) = &cache {
+            cache.wipe();
+        }
+        data.bump_crash_count();
+    };
 
     let exe = std::env::current_exe()?;
     let spawn = |extra: &[(&str, String)]| -> io::Result<Child> {
         let mut c = Command::new(&exe);
         c.env(ENV_WORKER, "1")
-            .env(ENV_DATA, &data_path)
-            .env(ENV_LOG, &log_path)
+            .env(ENV_DIR, &cfg.dir)
             .env(ENV_OBJECT, &cfg.object)
             .env(ENV_KIND, kind_name(cfg.kind))
             .env(ENV_PROCS, cfg.procs.to_string())
@@ -945,14 +950,9 @@ pub fn run_cycle(
 
     let started = Instant::now();
     let mut kids = {
-        let procs: io::Result<Vec<Child>> = if fabric {
-            (0..cfg.procs)
-                .map(|p| spawn(&[(ENV_PID, p.to_string())]))
-                .collect()
-        } else {
-            Ok(vec![spawn(&[])?])
-        };
-        let procs = procs?;
+        let procs = (0..cfg.procs)
+            .map(|p| spawn(&[(ENV_PID, p.to_string())]))
+            .collect::<io::Result<Vec<Child>>>()?;
         let n = procs.len();
         Children {
             procs,
@@ -971,16 +971,14 @@ pub fn run_cycle(
     let mut report = CycleReport::default();
 
     // Phase 1: wait for the first logged operation (or a clean finish),
-    // pumping the fabric barrier the whole time.
+    // pumping the barrier the whole time.
     let arm_deadline = Instant::now() + Duration::from_secs(60);
     while log.user(SLOT_SEQ).load(Ordering::SeqCst) == 0 {
         kids.reap()?;
         if kids.all_exited() {
             break;
         }
-        if fabric {
-            pump_barrier(&log, &kids.killed);
-        }
+        pump_barrier(&log, &kids.killed);
         if Instant::now() > arm_deadline {
             kids.kill_all();
             return Err(io::Error::new(
@@ -997,76 +995,72 @@ pub fn run_cycle(
         if kids.all_exited() {
             break; // clean finish: the workers won the race
         }
-        if fabric {
-            pump_barrier(&log, &kids.killed);
-        }
+        pump_barrier(&log, &kids.killed);
         let ran = armed.elapsed();
         if ran >= delay {
-            if fabric {
-                // A randomized subset of kill_subset distinct workers dies
-                // (partial Fisher–Yates over the pid space). A SIGKILL
-                // loses the race against microsecond-scale operations —
-                // fabric workers spend most wall time parked at the
-                // barrier, where a kill lands between operations and gives
-                // recovery nothing to recover. So first raise the victims'
-                // stall bits and keep pumping the barrier until every
-                // victim is either finished or stably mid-operation
-                // (paused at its stall point, the way a preempted process
-                // would be); the un-stalled survivors run ahead and park at
-                // their next barrier. Then freeze — no further releases
-                // until recovery is done, so every victim's open operation
-                // overlaps at most this one window of survivor traffic —
-                // and land the kills.
-                let mut pids: Vec<usize> = (0..cfg.procs as usize).collect();
-                for v in 0..cfg.kill_subset as usize {
-                    let j = v + (xorshift(&mut rng) as usize) % (pids.len() - v);
-                    pids.swap(v, j);
-                }
-                let victims = &pids[..cfg.kill_subset as usize];
-                let mut mask = 0u64;
-                for &v in victims {
-                    mask |= 1 << v;
-                }
-                log.user(SLOT_STALL).store(mask, Ordering::SeqCst);
-                let mut probes = vec![(0usize, Instant::now()); cfg.procs as usize];
-                let deadline = Instant::now() + Duration::from_millis(50);
-                loop {
-                    kids.reap()?;
-                    pump_barrier(&log, &kids.killed);
-                    let mut ready = true;
-                    for &v in victims {
-                        if kids.exited[v].is_some() {
-                            continue;
-                        }
-                        let (cursor, since) = &mut probes[v];
-                        let before = *cursor;
-                        let mid = region_mid_op(&log, v, cfg.ops_per_proc, cursor);
-                        if *cursor != before {
-                            *since = Instant::now();
-                        }
-                        // Stable mid-op: an open invoke whose region has
-                        // not advanced for a few polls — the worker is
-                        // sitting at its stall point, not racing through.
-                        if !mid || since.elapsed() < Duration::from_micros(200) {
-                            ready = false;
-                        }
-                    }
-                    if ready || Instant::now() > deadline {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_micros(50));
-                }
-                for &victim in victims {
-                    if kids.kill(victim)? {
-                        data.bump_crash_count();
-                        report.worker_kills += 1;
-                    }
-                }
-                log.user(SLOT_STALL).store(0, Ordering::SeqCst);
-            } else if kids.kill(0)? {
-                data.bump_crash_count();
-                report.worker_kills += 1;
+            // A randomized subset of kill_subset distinct workers dies
+            // (partial Fisher–Yates over the pid space). A SIGKILL loses
+            // the race against microsecond-scale operations — workers
+            // spend most wall time parked at the barrier, where a kill
+            // lands between operations and gives recovery nothing to
+            // recover. So first raise the victims' stall bits and keep
+            // pumping the barrier until every victim is either finished or
+            // stably mid-operation (paused at its stall point, the way a
+            // preempted process would be); the un-stalled survivors run
+            // ahead and park at their next barrier. Then freeze — no
+            // further releases until recovery is done, so every victim's
+            // open operation overlaps at most this one window of survivor
+            // traffic — and land the kills.
+            let mut pids: Vec<usize> = (0..cfg.procs as usize).collect();
+            for v in 0..cfg.kill_subset as usize {
+                let j = v + (xorshift(&mut rng) as usize) % (pids.len() - v);
+                pids.swap(v, j);
             }
+            let victims = &pids[..cfg.kill_subset as usize];
+            let mut mask = 0u64;
+            for &v in victims {
+                mask |= 1 << v;
+            }
+            log.user(SLOT_STALL).store(mask, Ordering::SeqCst);
+            let mut probes = vec![(0usize, Instant::now()); cfg.procs as usize];
+            let deadline = Instant::now() + Duration::from_millis(50);
+            loop {
+                kids.reap()?;
+                pump_barrier(&log, &kids.killed);
+                let mut ready = true;
+                for &v in victims {
+                    if kids.exited[v].is_some() {
+                        continue;
+                    }
+                    let (cursor, since) = &mut probes[v];
+                    let before = *cursor;
+                    let mid = region_mid_op(&log, v, cfg.ops_per_proc, cursor);
+                    if *cursor != before {
+                        *since = Instant::now();
+                    }
+                    // Stable mid-op: an open invoke whose region has not
+                    // advanced for a few polls — the worker is sitting at
+                    // its stall point, not racing through.
+                    if !mid || since.elapsed() < Duration::from_micros(200) {
+                        ready = false;
+                    }
+                }
+                if ready || Instant::now() > deadline {
+                    break;
+                }
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            for &victim in victims {
+                if kids.kill(victim)? {
+                    report.worker_kills += 1;
+                }
+            }
+            // Declared only once every victim is dead, so no victim can
+            // refill the shared cache after its wipe.
+            for _ in 0..report.worker_kills {
+                declare_crash();
+            }
+            log.user(SLOT_STALL).store(0, Ordering::SeqCst);
             break;
         }
         std::thread::sleep((delay - ran).min(Duration::from_micros(200)));
@@ -1076,147 +1070,120 @@ pub fn run_cycle(
     report.crashed = report.worker_kills > 0;
     let recovering = Instant::now();
 
-    // The pids the crash model considers dead: the killed workers in
-    // fabric mode, every paper process in threads mode (they all shared
-    // the one killed child).
-    let dead_pids: Vec<u32> = if fabric {
-        (0..cfg.procs)
-            .filter(|&p| kids.killed[p as usize])
-            .collect()
-    } else if report.crashed {
-        (0..cfg.procs).collect()
-    } else {
-        Vec::new()
-    };
-
     // Recovery, child-per-process, with nested mid-recovery kills. Runs
-    // while the fabric survivors are parked: barrier releases are withheld
-    // here, so each dead operation's interval overlaps at most one window
-    // of survivor traffic before its verdict record lands. The legacy
-    // in-parent path (threads mode, recovery_kills == 0) runs after the
-    // final remap instead, exactly as before.
-    let legacy_recovery = !fabric && cfg.recovery_kills == 0;
-    if report.crashed && !legacy_recovery {
-        for &pid in &dead_pids {
-            let (_, open) = parse_region(&log, pid, cfg.ops_per_proc)?;
-            if open.is_none() {
-                continue; // died between operations: nothing to recover
+    // while the survivors are parked: barrier releases are withheld here,
+    // so each dead operation's interval overlaps at most one window of
+    // survivor traffic before its verdict record lands.
+    let dead_pids: Vec<u32> = (0..cfg.procs)
+        .filter(|&p| kids.killed[p as usize])
+        .collect();
+    for &pid in &dead_pids {
+        let (_, open) = parse_region(&log, pid, cfg.ops_per_proc)?;
+        if open.is_none() {
+            continue; // died between operations: nothing to recover
+        }
+        let mut landed = 0u32;
+        loop {
+            let plan_kill = landed < cfg.recovery_kills;
+            log.user(SLOT_ARMED).store(0, Ordering::SeqCst);
+            let mut extra = vec![(ENV_RECOVER, pid.to_string())];
+            if plan_kill {
+                extra.push((ENV_PACE, RECOVERY_PACE_US.to_string()));
             }
-            let mut landed = 0u32;
-            loop {
-                let plan_kill = landed < cfg.recovery_kills;
-                log.user(SLOT_ARMED).store(0, Ordering::SeqCst);
-                let mut extra = vec![(ENV_RECOVER, pid.to_string())];
-                if plan_kill {
-                    extra.push((ENV_PACE, RECOVERY_PACE_US.to_string()));
-                }
-                let mut rc = spawn(&extra)?;
-                let status = if plan_kill {
-                    // Wait for the recoverer to arm (recovery underway),
-                    // then kill it a randomized beat later — unless it
-                    // converges first.
-                    let deadline = Instant::now() + Duration::from_secs(30);
-                    let early = loop {
-                        if let Some(st) = rc.try_wait()? {
-                            break Some(st);
-                        }
-                        if log.user(SLOT_ARMED).load(Ordering::SeqCst) != 0 {
-                            break None;
-                        }
-                        if Instant::now() > deadline {
-                            let _ = rc.kill();
-                            let _ = rc.wait();
-                            return Err(io::Error::new(
-                                io::ErrorKind::TimedOut,
-                                format!("recoverer for p{pid} never armed"),
-                            ));
-                        }
-                        std::thread::sleep(Duration::from_micros(30));
-                    };
-                    match early {
-                        Some(st) => st,
-                        None => {
-                            let beat = xorshift(&mut rng) % RECOVERY_KILL_WINDOW_US;
-                            std::thread::sleep(Duration::from_micros(beat));
-                            match rc.try_wait()? {
-                                Some(st) => st,
-                                None => {
-                                    rc.kill()?;
-                                    rc.wait()?;
-                                    data.bump_crash_count();
-                                    landed += 1;
-                                    report.recovery_kills += 1;
-                                    report.recovery_reentries += 1;
-                                    continue; // nested re-entry
-                                }
+            let mut rc = spawn(&extra)?;
+            let status = if plan_kill {
+                // Wait for the recoverer to arm (recovery underway), then
+                // kill it a randomized beat later — unless it converges
+                // first.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                let early = loop {
+                    if let Some(st) = rc.try_wait()? {
+                        break Some(st);
+                    }
+                    if log.user(SLOT_ARMED).load(Ordering::SeqCst) != 0 {
+                        break None;
+                    }
+                    if Instant::now() > deadline {
+                        let _ = rc.kill();
+                        let _ = rc.wait();
+                        return Err(io::Error::new(
+                            io::ErrorKind::TimedOut,
+                            format!("recoverer for p{pid} never armed"),
+                        ));
+                    }
+                    std::thread::sleep(Duration::from_micros(30));
+                };
+                match early {
+                    Some(st) => st,
+                    None => {
+                        let beat = xorshift(&mut rng) % RECOVERY_KILL_WINDOW_US;
+                        std::thread::sleep(Duration::from_micros(beat));
+                        match rc.try_wait()? {
+                            Some(st) => st,
+                            None => {
+                                rc.kill()?;
+                                rc.wait()?;
+                                declare_crash();
+                                landed += 1;
+                                report.recovery_kills += 1;
+                                report.recovery_reentries += 1;
+                                continue; // nested re-entry
                             }
                         }
                     }
-                } else {
-                    rc.wait()?
-                };
-                match status.code() {
-                    Some(0) => break,
-                    Some(EXIT_UNRESOLVED) => {
-                        report.recovered_unresolved += 1;
-                        break;
-                    }
-                    code => {
-                        return Err(io::Error::other(format!(
-                            "recoverer for p{pid} failed: {code:?}"
-                        )));
-                    }
                 }
-            }
-        }
-
-        // Mid-cycle probe: one solo read, committed to a recovered
-        // process's log region *while the survivors are still parked*.
-        // The end-of-run probe can miss a lying recovery — by the time it
-        // reads, resumed survivors have usually overwritten the disclaimed
-        // value — but nothing runs between the verdict records and this
-        // read, so a disclaimed-but-linearized write is still sitting in
-        // NVM for it to observe. Queues have no non-mutating operation and
-        // keep their recovery-verdict checks.
-        if cfg.kind != ObjectKind::Queue {
-            let prober = dead_pids.iter().copied().find_map(|p| {
-                let (recs, open) = parse_region(&log, p, cfg.ops_per_proc).ok()?;
-                (open.is_none() && recs.len() + 2 <= cfg.ops_per_proc * 2)
-                    .then_some((p, recs.len()))
-            });
-            if let Some((pid, committed)) = prober {
-                let mut b = LayoutBuilder::new();
-                let obj = factory(&cfg.object, &mut b, cfg.procs, cfg.queue_capacity)
-                    .expect("factory resolved above");
-                let layout = b.finish();
-                let probe_data = MappedFile::open(&data_path)?;
-                let mem = MappedMemory::new(layout, probe_data, cfg.cache_mode, cfg.policy);
-                let mut d = Driver::without_history(cfg.procs);
-                if let Some(v) =
-                    d.try_run_solo(&*obj, &mem, pid as usize, OpSpec::Read, RECOVERY_STEP_LIMIT)
-                {
-                    let at = pid as usize * cfg.ops_per_proc * 2 * RECORD_WORDS
-                        + committed * RECORD_WORDS;
-                    append_record(&log, at, TAG_INVOKE, op_key(&OpSpec::Read), 0);
-                    append_record(
-                        &log,
-                        at + RECORD_WORDS,
-                        TAG_RETURN,
-                        op_key(&OpSpec::Read),
-                        v,
-                    );
+            } else {
+                rc.wait()?
+            };
+            match status.code() {
+                Some(0) => break,
+                Some(EXIT_UNRESOLVED) => {
+                    report.recovered_unresolved += 1;
+                    break;
+                }
+                code => {
+                    return Err(io::Error::other(format!(
+                        "recoverer for p{pid} failed: {code:?}"
+                    )));
                 }
             }
         }
     }
 
-    // Resume the survivors (fabric) and wait everything out.
+    // Mid-cycle probe: one solo read, committed to a recovered process's
+    // log region *while the survivors are still parked*. The end-of-run
+    // probe can miss a lying recovery — by the time it reads, resumed
+    // survivors have usually overwritten the disclaimed value — but
+    // nothing runs between the verdict records and this read, so a
+    // disclaimed-but-linearized write is still sitting in NVM for it to
+    // observe. Queues have no non-mutating operation and keep their
+    // recovery-verdict checks.
+    if cfg.kind != ObjectKind::Queue {
+        let prober = dead_pids.iter().copied().find_map(|p| {
+            let (recs, open) = parse_region(&log, p, cfg.ops_per_proc).ok()?;
+            (open.is_none() && recs.len() + 2 <= cfg.ops_per_proc * 2).then_some((p, recs.len()))
+        });
+        if let Some((pid, committed)) = prober {
+            if let Some(v) = probe_read(cfg, factory, pid)? {
+                let at =
+                    pid as usize * cfg.ops_per_proc * 2 * RECORD_WORDS + committed * RECORD_WORDS;
+                append_record(&log, at, TAG_INVOKE, op_key(&OpSpec::Read), 0);
+                append_record(
+                    &log,
+                    at + RECORD_WORDS,
+                    TAG_RETURN,
+                    op_key(&OpSpec::Read),
+                    v,
+                );
+            }
+        }
+    }
+
+    // Resume the survivors and wait everything out.
     let drain_deadline = Instant::now() + Duration::from_secs(120);
     while !kids.all_exited() {
         kids.reap()?;
-        if fabric {
-            pump_barrier(&log, &kids.killed);
-        }
+        pump_barrier(&log, &kids.killed);
         if Instant::now() > drain_deadline {
             kids.kill_all();
             return Err(io::Error::new(
@@ -1238,11 +1205,6 @@ pub fn run_cycle(
         }
     }
 
-    // Remap both files fresh — exactly what a restarted system would see.
-    drop(log);
-    drop(data);
-    let data = MappedFile::open(&data_path)?;
-    let log = MappedFile::open(&log_path)?;
     let (recs, in_flight) = parse_log(&log, cfg.procs, cfg.ops_per_proc)?;
     if !report.crashed {
         let stray = in_flight.iter().flatten().count();
@@ -1267,7 +1229,7 @@ pub fn run_cycle(
                 op: op_from_key(r.key).expect("validated by parse_log"),
             }),
             TAG_RETURN => {
-                if r.seq > kill_seq && !kids.killed.get(r.pid as usize).copied().unwrap_or(false) {
+                if r.seq > kill_seq && !kids.killed[r.pid as usize] {
                     report.survivor_ops += 1;
                 }
                 h.push(Event::Return { pid, resp: r.resp });
@@ -1282,13 +1244,6 @@ pub fn run_cycle(
         h.push(Event::Crash);
     }
     report.ops_completed = recs.iter().filter(|r| r.tag == TAG_RETURN).count();
-    // Fabric mode indexes `killed` by pid; in threads mode every pid rode
-    // in child 0, so no return record can be a survivor's (handled above
-    // by the per-pid lookup defaulting to "killed" semantics via
-    // `dead_pids`). Threads mode keeps survivor_ops at zero:
-    if !fabric {
-        report.survivor_ops = 0;
-    }
     let recovery_recs = recs.iter().filter(|r| r.tag == TAG_RECOVERY);
     report.recovered_ok = recovery_recs
         .clone()
@@ -1298,76 +1253,10 @@ pub fn run_cycle(
     let still_open = in_flight.iter().flatten().count();
     report.in_flight = report.recovered_ok + report.recovered_failed + still_open;
 
-    if report.crashed && legacy_recovery {
-        // The recovery world: the same factory over the remapped data file,
-        // driven by the deterministic engine (recovery runs crash-free in
-        // the parent — the recovery_kills == 0 baseline).
-        let mut b = LayoutBuilder::new();
-        let obj = factory(&cfg.object, &mut b, cfg.procs, cfg.queue_capacity)
-            .expect("factory resolved above");
-        let layout = b.finish();
-        let mem = SimMemory::with_backing(layout, cfg.cache_mode, data);
-        let mut d = Driver::without_history(cfg.procs);
-        let retry = RetryPolicy {
-            retry_on_fail: false,
-            max_retries: 0,
-            reset_per_op: false,
-        };
-        report.in_flight = in_flight.iter().flatten().count();
-        for (i, open) in in_flight.iter().enumerate() {
-            let Some(flight) = open else { continue };
-            d.mark_crashed(i, flight.op);
-            let mut verdict = None;
-            for _ in 0..RECOVERY_STEP_LIMIT {
-                if let StepOutcome::Recovered { verdict: v, .. } = d.step(&*obj, &mem, i, &retry) {
-                    verdict = Some(v);
-                    break;
-                }
-            }
-            match verdict {
-                Some(v) => {
-                    if v == RESP_FAIL {
-                        report.recovered_failed += 1;
-                    } else {
-                        report.recovered_ok += 1;
-                    }
-                    h.push(Event::RecoveryReturn {
-                        pid: Pid::new(i as u32),
-                        verdict: v,
-                    });
-                }
-                None => report.recovered_unresolved += 1,
-            }
-        }
-        // Post-recovery probe: one solo read forces the recovered state
-        // into the history, so an object whose recovery *lied* (a
-        // non-detectable baseline reporting `fail` for a linearized
-        // operation) contradicts itself observably. Queues have no
-        // non-mutating operation; their enqueued values stay checked
-        // through the recovery verdicts alone.
-        if cfg.kind != ObjectKind::Queue && d.state(0).is_idle() {
-            if let Some(v) = d.try_run_solo(&*obj, &mem, 0, OpSpec::Read, RECOVERY_STEP_LIMIT) {
-                h.push(Event::Invoke {
-                    pid: Pid::new(0),
-                    op: OpSpec::Read,
-                });
-                h.push(Event::Return {
-                    pid: Pid::new(0),
-                    resp: v,
-                });
-            }
-        }
-    } else if report.crashed && cfg.kind != ObjectKind::Queue && in_flight[0].is_none() {
-        // Same probe for the child-recovery paths, over a fresh world —
-        // the verdicts themselves already sit in the log as TAG_RECOVERY
-        // records.
-        let mut b = LayoutBuilder::new();
-        let obj = factory(&cfg.object, &mut b, cfg.procs, cfg.queue_capacity)
-            .expect("factory resolved above");
-        let layout = b.finish();
-        let mem = SimMemory::with_backing(layout, cfg.cache_mode, data);
-        let mut d = Driver::without_history(cfg.procs);
-        if let Some(v) = d.try_run_solo(&*obj, &mem, 0, OpSpec::Read, RECOVERY_STEP_LIMIT) {
+    // End-of-run probe, after the drain: the verdicts themselves already
+    // sit in the log as TAG_RECOVERY records.
+    if report.crashed && cfg.kind != ObjectKind::Queue && in_flight[0].is_none() {
+        if let Some(v) = probe_read(cfg, factory, 0)? {
             h.push(Event::Invoke {
                 pid: Pid::new(0),
                 op: OpSpec::Read,

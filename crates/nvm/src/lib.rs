@@ -29,10 +29,10 @@
 //! * [`AtomicMemory`] — `AtomicU64`-backed, sequentially consistent; used by
 //!   the multi-threaded throughput benchmarks.
 //!
-//! A third backing, [`MappedMemory`] (and the [`MappedFile`] it maps), puts
-//! the NVM half of the model in a `MAP_SHARED` file so a *real* `SIGKILL`
-//! decides what survives a crash; [`SimMemory::with_backing`] runs the
-//! deterministic engine over the same file for parent-side recovery. See
+//! A third backing, [`MappedMemory`] (and the [`MappedFile`]s it maps), puts
+//! the NVM half of the model in a `MAP_SHARED` file — and, in the
+//! shared-cache model, the volatile cache in a second one every process
+//! maps — so a *real* `SIGKILL` decides what survives a crash. See
 //! [`mapped`].
 //!
 //! # Example

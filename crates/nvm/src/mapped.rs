@@ -13,26 +13,29 @@
 //!   regardless of when the child dies; `msync` only adds power-failure
 //!   durability on top.
 //! * [`MappedMemory`] — a [`Memory`] implementation over a [`MappedFile`]
-//!   that honors the existing [`CacheMode`] / [`CrashPolicy`] semantics
+//!   that honors the existing [`CacheMode`](crate::CacheMode) / [`CrashPolicy`] semantics
 //!   *prospectively*: a SIGKILL cannot run crash code, so the decision the
 //!   simulator makes **at** a crash (which dirty cells write back) is made
-//!   **ahead of time** as a per-cell write-through discipline. Cached words
-//!   live only in this process's heap and genuinely vanish with the
-//!   process; persisted words are committed (store + `msync`) at exactly
-//!   the points [`SimMemory`](crate::SimMemory) would commit them.
+//!   **ahead of time** as a per-cell write-through discipline. In the
+//!   shared-cache model, cached words live in a second mapped file, the
+//!   overlay, which every process of the system maps, so processes see each
+//!   other's unpersisted writes as they would through one shared cache.
+//!   The crash-declaring process [`wipe`](MappedFile::wipe)s the overlay:
+//!   a shared-cache crash is system-wide, and the wipe is its loss of the
+//!   cache. Persisted words are committed (store + `msync`) at exactly the
+//!   points [`SimMemory`](crate::SimMemory) would commit them.
 //!
 //! The `unsafe` needed for the `mmap` FFI is confined to the private [`sys`]
 //! module; the rest of the crate keeps denying unsafe code.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use crate::layout::{Layout, Loc};
-use crate::memory::{CacheMode, CrashPolicy, Memory};
+use crate::memory::{CrashPolicy, Memory};
 use crate::word::{Pid, Word};
 
 /// Magic word identifying a mapped NVM file (first header word).
@@ -274,6 +277,18 @@ impl MappedFile {
         sys::sync(self.base, self.bytes, sys::MS_ASYNC);
     }
 
+    /// Zeroes every data word and every [`user`](Self::user) slot, keeping
+    /// the geometry and crash ordinal — how a crash clears a
+    /// [`MappedMemory`] shared-cache overlay, lock word included.
+    pub fn wipe(&self) {
+        for i in 0..self.words {
+            self.word(i).store(0, Ordering::SeqCst);
+        }
+        for k in 0..Self::USER_SLOTS {
+            self.user(k).store(0, Ordering::SeqCst);
+        }
+    }
+
     /// Copies the data words into a fresh vector (for stitch-time
     /// inspection and tests).
     pub fn to_vec(&self) -> Vec<Word> {
@@ -334,39 +349,93 @@ pub fn write_through(policy: CrashPolicy, epoch: u64, idx: u32) -> bool {
     }
 }
 
-/// Multi-thread-capable [`Memory`] over a [`MappedFile`], honoring the
+/// Words per cell of a shared-cache overlay file: a dirty flag, then the
+/// cached value.
+const OVERLAY_CELL: usize = 2;
+/// The overlay file's [`MappedFile::user`] slot holding its lock word.
+const OVERLAY_LOCK: usize = 0;
+
+/// Multi-process [`Memory`] over a [`MappedFile`], honoring the
 /// simulator's persistence semantics under real crashes.
 ///
-/// * [`CacheMode::PrivateCache`] — every primitive is applied directly to
-///   the file, as the paper's presentation model applies primitives
-///   directly to NVM. Nothing but in-flight machine state dies with the
-///   process.
-/// * [`CacheMode::SharedCache`] — primitives land in a volatile overlay
-///   (this process's heap, genuinely lost on SIGKILL); each cell
-///   additionally writes through to the file iff its [`write_through`]
-///   coin says it would have been written back at the next crash.
-///   [`Memory::persist`] commits the cell unconditionally and drops it
-///   from the overlay, exactly like the simulator.
+/// * Private cache ([`private`](Self::private)) — every primitive is
+///   applied directly to the file, as the paper's presentation model
+///   applies primitives directly to NVM. Nothing but in-flight machine
+///   state dies with the process.
+/// * Shared cache ([`shared`](Self::shared)) — primitives land in a
+///   volatile overlay: a second mapped file holding a dirty flag and a
+///   value per cell, shared by every process that maps it, exactly as the
+///   model's one cache is shared by every process. Each cell additionally
+///   writes through to the data file iff its [`write_through`] coin says it
+///   would have been written back at the next crash. [`Memory::persist`]
+///   commits the cell unconditionally and clears its dirty flag, exactly
+///   like the simulator. The overlay outlives any one process, so whoever
+///   declares a crash must [`wipe`](MappedFile::wipe) it — that wipe is the
+///   crash's loss of the cache.
 ///
 /// All file stores are `SeqCst`, matching [`AtomicMemory`]
-/// (crate::AtomicMemory); overlay access is serialized by a mutex, which
-/// also gives SharedCache `cas` its atomicity.
+/// (crate::AtomicMemory). Overlay access is serialized by a lock word in
+/// the overlay file's header, held across each read, write, cas and
+/// persist, which also gives a cross-process SharedCache `cas` its
+/// atomicity. A process killed while holding the lock leaves it held until
+/// the wipe releases it.
 #[derive(Debug)]
 pub struct MappedMemory {
     layout: Arc<Layout>,
     file: MappedFile,
-    mode: CacheMode,
+    /// The shared-cache overlay; `None` in the private-cache model.
+    overlay: Option<MappedFile>,
     policy: CrashPolicy,
     epoch: u64,
-    cache: Mutex<BTreeMap<u32, Word>>,
+}
+
+/// Holds the overlay lock; releases it on drop. The `Release` store on
+/// drop pairs with the `Acquire` exchange in [`MappedMemory::lock`], so the
+/// next holder sees every overlay and file store of the previous one.
+struct OverlayGuard<'a>(&'a AtomicU64);
+
+impl Drop for OverlayGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(0, Ordering::Release);
+    }
 }
 
 impl MappedMemory {
-    /// Wraps `file` (created with exactly `layout.total_words()` data
-    /// words) in the given persistence model. The write-through epoch is
-    /// the file's next crash ordinal, so coins line up with the crash the
-    /// parent will declare.
-    pub fn new(layout: Layout, file: MappedFile, mode: CacheMode, policy: CrashPolicy) -> Self {
+    /// Private-cache memory over `file` (created with exactly
+    /// `layout.total_words()` data words).
+    pub fn private(layout: Layout, file: MappedFile) -> Self {
+        Self::with_overlay(layout, file, None, CrashPolicy::DropAll)
+    }
+
+    /// Shared-cache memory over `file`, caching in `overlay` (created with
+    /// [`overlay_words`](Self::overlay_words) data words). The write-through
+    /// epoch is the data file's next crash ordinal, so coins line up with
+    /// the crash the owning harness will declare.
+    pub fn shared(
+        layout: Layout,
+        file: MappedFile,
+        overlay: MappedFile,
+        policy: CrashPolicy,
+    ) -> Self {
+        assert_eq!(
+            overlay.words(),
+            Self::overlay_words(&layout),
+            "overlay file does not span the layout"
+        );
+        Self::with_overlay(layout, file, Some(overlay), policy)
+    }
+
+    /// Data words a shared-cache overlay file for `layout` must hold.
+    pub fn overlay_words(layout: &Layout) -> usize {
+        OVERLAY_CELL * layout.total_words()
+    }
+
+    fn with_overlay(
+        layout: Layout,
+        file: MappedFile,
+        overlay: Option<MappedFile>,
+        policy: CrashPolicy,
+    ) -> Self {
         assert_eq!(
             file.words(),
             layout.total_words(),
@@ -376,10 +445,9 @@ impl MappedMemory {
         MappedMemory {
             layout: Arc::new(layout),
             file,
-            mode,
+            overlay,
             policy,
             epoch,
-            cache: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -405,45 +473,70 @@ impl MappedMemory {
         self.file.word(idx).store(val, Ordering::SeqCst);
         self.file.sync_async();
     }
+
+    fn lock(overlay: &MappedFile) -> OverlayGuard<'_> {
+        let word = overlay.user(OVERLAY_LOCK);
+        while word
+            .compare_exchange(0, 1, Ordering::Acquire, Ordering::Relaxed)
+            .is_err()
+        {
+            std::thread::yield_now();
+        }
+        OverlayGuard(word)
+    }
+
+    /// The cell's dirty value, if the overlay holds one (lock held).
+    fn cached(overlay: &MappedFile, idx: usize) -> Option<Word> {
+        (overlay.word(OVERLAY_CELL * idx).load(Ordering::SeqCst) != 0)
+            .then(|| overlay.word(OVERLAY_CELL * idx + 1).load(Ordering::SeqCst))
+    }
+
+    /// Caches `val` for the cell, writing it through if the cell's coin
+    /// says so (lock held).
+    fn cache(&self, overlay: &MappedFile, idx: usize, val: Word) {
+        overlay
+            .word(OVERLAY_CELL * idx + 1)
+            .store(val, Ordering::SeqCst);
+        overlay.word(OVERLAY_CELL * idx).store(1, Ordering::SeqCst);
+        if write_through(self.policy, self.epoch, idx as u32) {
+            self.commit(idx, val);
+        }
+    }
 }
 
 impl Memory for MappedMemory {
     fn read(&self, pid: Pid, loc: Loc) -> Word {
         self.check_access(pid, loc);
-        match self.mode {
-            CacheMode::PrivateCache => self.file.word(loc.index()).load(Ordering::SeqCst),
-            CacheMode::SharedCache => {
-                let cache = self.cache.lock().expect("cache mutex");
-                match cache.get(&(loc.index() as u32)) {
-                    Some(&w) => w,
-                    None => self.file.word(loc.index()).load(Ordering::SeqCst),
-                }
+        let idx = loc.index();
+        match &self.overlay {
+            None => self.file.word(idx).load(Ordering::SeqCst),
+            Some(overlay) => {
+                let _guard = Self::lock(overlay);
+                Self::cached(overlay, idx)
+                    .unwrap_or_else(|| self.file.word(idx).load(Ordering::SeqCst))
             }
         }
     }
 
     fn write(&self, pid: Pid, loc: Loc, val: Word) {
         self.check_access(pid, loc);
-        match self.mode {
-            CacheMode::PrivateCache => self.commit(loc.index(), val),
-            CacheMode::SharedCache => {
-                let idx = loc.index() as u32;
-                let mut cache = self.cache.lock().expect("cache mutex");
-                cache.insert(idx, val);
-                if write_through(self.policy, self.epoch, idx) {
-                    self.commit(loc.index(), val);
-                }
+        match &self.overlay {
+            None => self.commit(loc.index(), val),
+            Some(overlay) => {
+                let _guard = Self::lock(overlay);
+                self.cache(overlay, loc.index(), val);
             }
         }
     }
 
     fn cas(&self, pid: Pid, loc: Loc, old: Word, new: Word) -> bool {
         self.check_access(pid, loc);
-        match self.mode {
-            CacheMode::PrivateCache => {
+        let idx = loc.index();
+        match &self.overlay {
+            None => {
                 let ok = self
                     .file
-                    .word(loc.index())
+                    .word(idx)
                     .compare_exchange(old, new, Ordering::SeqCst, Ordering::SeqCst)
                     .is_ok();
                 if ok {
@@ -451,20 +544,14 @@ impl Memory for MappedMemory {
                 }
                 ok
             }
-            CacheMode::SharedCache => {
-                let idx = loc.index() as u32;
-                let mut cache = self.cache.lock().expect("cache mutex");
-                let cur = match cache.get(&idx) {
-                    Some(&w) => w,
-                    None => self.file.word(loc.index()).load(Ordering::SeqCst),
-                };
+            Some(overlay) => {
+                let _guard = Self::lock(overlay);
+                let cur = Self::cached(overlay, idx)
+                    .unwrap_or_else(|| self.file.word(idx).load(Ordering::SeqCst));
                 if cur != old {
                     return false;
                 }
-                cache.insert(idx, new);
-                if write_through(self.policy, self.epoch, idx) {
-                    self.commit(loc.index(), new);
-                }
+                self.cache(overlay, idx, new);
                 true
             }
         }
@@ -472,11 +559,12 @@ impl Memory for MappedMemory {
 
     fn persist(&self, pid: Pid, loc: Loc) {
         self.check_access(pid, loc);
-        if self.mode == CacheMode::SharedCache {
-            let idx = loc.index() as u32;
-            let mut cache = self.cache.lock().expect("cache mutex");
-            if let Some(w) = cache.remove(&idx) {
-                self.commit(loc.index(), w);
+        if let Some(overlay) = &self.overlay {
+            let idx = loc.index();
+            let _guard = Self::lock(overlay);
+            if let Some(w) = Self::cached(overlay, idx) {
+                self.commit(idx, w);
+                overlay.word(OVERLAY_CELL * idx).store(0, Ordering::SeqCst);
             }
         }
     }
@@ -490,7 +578,8 @@ impl Memory for MappedMemory {
 mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
-    use crate::memory::SimMemory;
+    use crate::memory::{CacheMode, SimMemory};
+    use std::collections::BTreeMap;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
 
@@ -639,10 +728,68 @@ mod tests {
         }
     }
 
+    /// The data and overlay files one memory maps; removed on drop.
+    struct Files {
+        data: PathBuf,
+        overlay: PathBuf,
+    }
+
+    impl Files {
+        fn create(tag: &str, mode: CacheMode) -> Files {
+            let files = Files {
+                data: temp_path(tag),
+                overlay: temp_path(&format!("{tag}-overlay")),
+            };
+            let (lay, _) = layout();
+            MappedFile::create(&files.data, lay.total_words()).unwrap();
+            if mode == CacheMode::SharedCache {
+                MappedFile::create(&files.overlay, MappedMemory::overlay_words(&lay)).unwrap();
+            }
+            files
+        }
+
+        /// A handle over the files, as one process of the system maps them.
+        fn open(&self, mode: CacheMode, policy: CrashPolicy) -> MappedMemory {
+            let (lay, _) = layout();
+            let data = MappedFile::open(&self.data).unwrap();
+            match mode {
+                CacheMode::PrivateCache => MappedMemory::private(lay, data),
+                CacheMode::SharedCache => {
+                    let overlay = MappedFile::open(&self.overlay).unwrap();
+                    MappedMemory::shared(lay, data, overlay, policy)
+                }
+            }
+        }
+
+        /// A SIGKILL as the crash-declaring process models it: the handle
+        /// dies with its process and the shared overlay is wiped.
+        fn kill(&self, mem: MappedMemory) {
+            drop(mem);
+            if let Ok(overlay) = MappedFile::open(&self.overlay) {
+                overlay.wipe();
+            }
+        }
+
+        fn data_word(&self, i: usize) -> Word {
+            MappedFile::open(&self.data)
+                .unwrap()
+                .word(i)
+                .load(Ordering::SeqCst)
+        }
+    }
+
+    impl Drop for Files {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.data);
+            let _ = std::fs::remove_file(&self.overlay);
+        }
+    }
+
     /// Satellite contract: after a (simulated-SIGKILL) drop of the
-    /// `MappedMemory` and a remap, the file holds word-for-word a state
-    /// `SimMemory::crash(policy)` could have produced, for every
-    /// `CacheMode` × `CrashPolicy` combination. For the deterministic
+    /// `MappedMemory` and a wipe of the shared overlay, the data file holds
+    /// word-for-word a state `SimMemory::crash(policy)` could have
+    /// produced, for every `CacheMode` × `CrashPolicy` combination, and a
+    /// fresh handle reads exactly that state. For the deterministic
     /// policies the state is unique, so the comparison is exact equality
     /// against the twin; for `RandomSubset` the simulator's subset depends
     /// on its own draw sequence, so the test checks membership in the
@@ -656,40 +803,36 @@ mod tests {
             CrashPolicy::PersistAll,
             CrashPolicy::RandomSubset(0xDEAD_BEEF),
         ];
+        let p = Pid::new(0);
         for mode in [CacheMode::PrivateCache, CacheMode::SharedCache] {
             for policy in policies {
-                let path = temp_path("crashpair");
+                let files = Files::create("crashpair", mode);
+                let mapped = files.open(mode, policy);
                 let (lay, _) = layout();
                 let words = lay.total_words();
-                let file = MappedFile::create(&path, words).unwrap();
-                let mapped = MappedMemory::new(lay, file, mode, policy);
-                let (lay2, _) = layout();
-                let twin = SimMemory::with_mode(lay2, mode);
+                let twin = SimMemory::with_mode(lay, mode);
                 let mut shadow = Shadow::new(words, mode);
                 run_script(&mapped, &twin, &mut shadow);
 
-                // SIGKILL: the overlay (volatile heap) dies with the
-                // process; only the file survives.
-                drop(mapped);
-                let survivor = MappedFile::open(&path).unwrap();
+                files.kill(mapped);
                 twin.crash(policy);
+                let restarted = files.open(mode, policy);
 
-                match policy {
-                    CrashPolicy::DropAll | CrashPolicy::PersistAll => {
-                        for i in 0..words {
-                            assert_eq!(
-                                survivor.word(i).load(Ordering::SeqCst),
-                                twin.peek(Loc(i as u32)),
-                                "cell {i} diverges from the simulated crash \
-                                 ({mode:?}, {policy:?})"
-                            );
-                        }
-                    }
-                    CrashPolicy::RandomSubset(_) => {
-                        for i in 0..words {
-                            let got = survivor.word(i).load(Ordering::SeqCst);
-                            let dirty = shadow.cache.contains_key(&(i as u32));
-                            if dirty {
+                for i in 0..words {
+                    let got = files.data_word(i);
+                    assert_eq!(
+                        restarted.read(p, Loc(i as u32)),
+                        got,
+                        "cell {i}: the wiped overlay still shadows the file ({mode:?}, {policy:?})"
+                    );
+                    match policy {
+                        CrashPolicy::DropAll | CrashPolicy::PersistAll => assert_eq!(
+                            got,
+                            twin.peek(Loc(i as u32)),
+                            "cell {i} diverges from the simulated crash ({mode:?}, {policy:?})"
+                        ),
+                        CrashPolicy::RandomSubset(_) => {
+                            if shadow.cache.contains_key(&(i as u32)) {
                                 assert!(
                                     got == shadow.nvm[i] || got == shadow.logical(i),
                                     "dirty cell {i} holds {got}, reachable values are \
@@ -706,46 +849,101 @@ mod tests {
                         }
                     }
                 }
-                drop(survivor);
-                let _ = std::fs::remove_file(&path);
             }
         }
     }
 
     #[test]
     fn private_cache_commits_every_store() {
-        let path = temp_path("private");
-        let (lay, x) = layout();
-        let file = MappedFile::create(&path, lay.total_words()).unwrap();
-        let mapped = MappedMemory::new(lay, file, CacheMode::PrivateCache, CrashPolicy::DropAll);
+        let files = Files::create("private", CacheMode::PrivateCache);
+        let mapped = files.open(CacheMode::PrivateCache, CrashPolicy::DropAll);
+        let (_, x) = layout();
         let p = Pid::new(0);
         mapped.write(p, x, 9);
         assert!(mapped.cas(p, x.at(1), 0, 4));
-        drop(mapped); // SIGKILL
-        let survivor = MappedFile::open(&path).unwrap();
-        assert_eq!(survivor.word(0).load(Ordering::SeqCst), 9);
-        assert_eq!(survivor.word(1).load(Ordering::SeqCst), 4);
-        drop(survivor);
-        let _ = std::fs::remove_file(&path);
+        files.kill(mapped);
+        assert_eq!(files.data_word(0), 9);
+        assert_eq!(files.data_word(1), 4);
     }
 
     #[test]
     fn shared_cache_drop_all_loses_unpersisted() {
-        let path = temp_path("droppy");
-        let (lay, x) = layout();
-        let file = MappedFile::create(&path, lay.total_words()).unwrap();
-        let mapped = MappedMemory::new(lay, file, CacheMode::SharedCache, CrashPolicy::DropAll);
+        let files = Files::create("droppy", CacheMode::SharedCache);
+        let mapped = files.open(CacheMode::SharedCache, CrashPolicy::DropAll);
+        let (_, x) = layout();
         let p = Pid::new(0);
-        mapped.write(p, x, 7); // dirty: must die with the process
+        mapped.write(p, x, 7); // dirty: must die with the crash
         mapped.write(p, x.at(1), 8);
         mapped.persist(p, x.at(1)); // explicitly persisted: must survive
         assert_eq!(mapped.read(p, x), 7, "visible before the crash");
-        drop(mapped); // SIGKILL
-        let survivor = MappedFile::open(&path).unwrap();
-        assert_eq!(survivor.word(0).load(Ordering::SeqCst), 0);
-        assert_eq!(survivor.word(1).load(Ordering::SeqCst), 8);
-        drop(survivor);
-        let _ = std::fs::remove_file(&path);
+        files.kill(mapped);
+        assert_eq!(files.data_word(0), 0);
+        assert_eq!(files.data_word(1), 8);
+    }
+
+    /// Two handles over the same data and overlay files — two processes of
+    /// one system — share one cache: each sees the other's unpersisted
+    /// writes, a persist through either commits to the file, and the
+    /// crash's wipe takes the still-dirty cells from both.
+    #[test]
+    fn shared_overlay_is_one_cache_across_handles() {
+        let mode = CacheMode::SharedCache;
+        let files = Files::create("twohandles", mode);
+        let a = files.open(mode, CrashPolicy::DropAll);
+        let b = files.open(mode, CrashPolicy::DropAll);
+        let (_, x) = layout();
+        let (p, q) = (Pid::new(0), Pid::new(1));
+        a.write(p, x, 5);
+        b.write(q, x.at(1), 6);
+        assert_eq!(b.read(q, x), 5, "b sees a's dirty write");
+        assert_eq!(a.read(p, x.at(1)), 6, "a sees b's dirty write");
+        assert_eq!(files.data_word(0), 0, "unpersisted: not in the file");
+        b.persist(q, x);
+        assert_eq!(files.data_word(0), 5, "b persisted a's write");
+        files.kill(a);
+        assert_eq!(b.read(q, x), 5, "persisted: survives the wipe");
+        assert_eq!(b.read(q, x.at(1)), 0, "dirty: lost with the wipe");
+    }
+
+    /// A shared-cache `cas` is atomic across handles: threads racing
+    /// `cas(v, v + 1)` on one cell through two handles produce exactly one
+    /// winner per expected value.
+    #[test]
+    fn shared_overlay_cas_has_one_winner_per_value() {
+        const TARGET: Word = 400;
+        let mode = CacheMode::SharedCache;
+        let files = Files::create("casrace", mode);
+        let handles = [
+            files.open(mode, CrashPolicy::DropAll),
+            files.open(mode, CrashPolicy::DropAll),
+        ];
+        let (_, x) = layout();
+        let start = std::sync::Barrier::new(4);
+        let mut wins: Vec<Word> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..4u32)
+                .map(|t| {
+                    let (mem, start) = (&handles[t as usize % 2], &start);
+                    s.spawn(move || {
+                        let pid = Pid::new(t);
+                        let mut won = Vec::new();
+                        start.wait();
+                        loop {
+                            let cur = mem.read(pid, x);
+                            if cur >= TARGET {
+                                return won;
+                            }
+                            if mem.cas(pid, x, cur, cur + 1) {
+                                won.push(cur);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            racers.into_iter().flat_map(|r| r.join().unwrap()).collect()
+        });
+        wins.sort_unstable();
+        assert_eq!(wins, (0..TARGET).collect::<Vec<_>>());
+        assert_eq!(handles[0].read(Pid::new(0), x), TARGET);
     }
 
     #[test]
@@ -766,22 +964,5 @@ mod tests {
             .map(|i| write_through(CrashPolicy::RandomSubset(42), 2, i))
             .collect();
         assert_ne!(e1, e2);
-    }
-
-    #[test]
-    fn mapped_backed_sim_memory_persists_into_the_file() {
-        let path = temp_path("simback");
-        let (lay, x) = layout();
-        let file = MappedFile::create(&path, lay.total_words()).unwrap();
-        let (lay2, _) = layout();
-        let mem = SimMemory::with_backing(lay2, CacheMode::PrivateCache, file);
-        let p = Pid::new(0);
-        mem.write(p, x, 31);
-        assert_eq!(mem.read(p, x), 31);
-        drop(mem);
-        let survivor = MappedFile::open(&path).unwrap();
-        assert_eq!(survivor.word(0).load(Ordering::SeqCst), 31);
-        drop(survivor);
-        let _ = std::fs::remove_file(&path);
     }
 }

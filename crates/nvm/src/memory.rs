@@ -12,7 +12,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::layout::{Layout, Loc};
-use crate::mapped::MappedFile;
 use crate::stats::Stats;
 use crate::word::{Pid, Word};
 
@@ -104,88 +103,6 @@ enum UndoEntry {
     Full(Box<MemSnapshot>),
 }
 
-/// Where the NVM half of a [`SimMemory`] lives.
-///
-/// `Ram` is the default and behaves exactly as the pre-existing
-/// `Vec<Word>` field did — every in-process engine runs on it unchanged.
-/// `Mapped` routes the same word array into a [`MappedFile`], committing
-/// each NVM store at the moment the simulator commits it, so a crashed
-/// child process's survivors can be recovered by a parent through the
-/// ordinary `SimMemory` API.
-#[derive(Debug)]
-enum NvmStore {
-    /// In-process heap words (the historical backing).
-    Ram(Vec<Word>),
-    /// Words in a `MAP_SHARED` file; stores go through atomics + `msync`.
-    Mapped(MappedFile),
-}
-
-impl NvmStore {
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            NvmStore::Ram(v) => v.len(),
-            NvmStore::Mapped(f) => f.words(),
-        }
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> Word {
-        match self {
-            NvmStore::Ram(v) => v[idx],
-            NvmStore::Mapped(f) => f.word(idx).load(Ordering::SeqCst),
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, idx: usize, val: Word) {
-        match self {
-            NvmStore::Ram(v) => v[idx] = val,
-            NvmStore::Mapped(f) => {
-                f.word(idx).store(val, Ordering::SeqCst);
-                f.sync_async();
-            }
-        }
-    }
-
-    fn to_vec(&self) -> Vec<Word> {
-        match self {
-            NvmStore::Ram(v) => v.clone(),
-            NvmStore::Mapped(f) => f.to_vec(),
-        }
-    }
-
-    fn copy_from(&mut self, words: &[Word]) {
-        match self {
-            NvmStore::Ram(v) => v.copy_from_slice(words),
-            NvmStore::Mapped(f) => {
-                assert_eq!(words.len(), f.words(), "image width != mapped words");
-                for (i, &w) in words.iter().enumerate() {
-                    f.word(i).store(w, Ordering::SeqCst);
-                }
-                f.sync_async();
-            }
-        }
-    }
-
-    fn extend_into(&self, out: &mut Vec<Word>) {
-        match self {
-            NvmStore::Ram(v) => out.extend(v.iter().copied()),
-            NvmStore::Mapped(f) => {
-                out.extend((0..f.words()).map(|i| f.word(i).load(Ordering::SeqCst)))
-            }
-        }
-    }
-
-    fn hash_into(&self, h: &mut DefaultHasher) {
-        match self {
-            // Identical to hashing the old `Vec<Word>` field directly.
-            NvmStore::Ram(v) => v.hash(h),
-            NvmStore::Mapped(f) => f.to_vec().hash(h),
-        }
-    }
-}
-
 /// Deterministic single-threaded simulated NVM.
 ///
 /// Supports both cache modes, system-wide crashes, snapshot/restore (used by
@@ -213,7 +130,7 @@ impl NvmStore {
 #[derive(Debug)]
 pub struct SimMemory {
     layout: Arc<Layout>,
-    nvm: RefCell<NvmStore>,
+    nvm: RefCell<Vec<Word>>,
     cache: RefCell<BTreeMap<u32, Word>>,
     mode: CacheMode,
     stats: RefCell<Stats>,
@@ -235,7 +152,7 @@ impl SimMemory {
         let words = layout.total_words();
         SimMemory {
             layout: Arc::new(layout),
-            nvm: RefCell::new(NvmStore::Ram(vec![0; words])),
+            nvm: RefCell::new(vec![0; words]),
             cache: RefCell::new(BTreeMap::new()),
             mode,
             stats: RefCell::new(Stats::default()),
@@ -247,50 +164,13 @@ impl SimMemory {
         }
     }
 
-    /// Creates a memory whose NVM half lives in `file` (a [`MappedFile`]
-    /// spanning exactly `layout.total_words()` data words), taking the
-    /// file's current contents as the initial state and the file's crash
-    /// ordinal as the crash counter.
-    ///
-    /// Every NVM commit — a private-cache primitive, a `persist`, a crash
-    /// write-back — is stored into the mapping (and `msync`'d) at the
-    /// moment the simulator commits it, so a parent process recovering a
-    /// SIGKILLed child drives the ordinary `SimMemory` API over the
-    /// survivors. The volatile cache overlay stays in-process, as it
-    /// should: it models exactly the state a crash loses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `file` does not span the layout.
-    pub fn with_backing(layout: Layout, mode: CacheMode, file: MappedFile) -> Self {
-        assert_eq!(
-            file.words(),
-            layout.total_words(),
-            "mapped file does not span the layout"
-        );
-        let crashes = file.crash_count();
-        SimMemory {
-            layout: Arc::new(layout),
-            nvm: RefCell::new(NvmStore::Mapped(file)),
-            cache: RefCell::new(BTreeMap::new()),
-            mode,
-            stats: RefCell::new(Stats::default()),
-            crashes: RefCell::new(crashes),
-            check_ownership: true,
-            touched_shared: Cell::new(false),
-            journal: RefCell::new(Vec::new()),
-            journal_depth: Cell::new(0),
-        }
-    }
-
     /// An independent copy of this memory's current logical state (layout
     /// shared, NVM/cache/crash-counter cloned, statistics and journal
     /// fresh). The parallel explorer gives each worker thread its own fork.
-    /// A fork always lives in RAM, even when forked from a mapped backing.
     pub fn fork(&self) -> SimMemory {
         SimMemory {
             layout: Arc::clone(&self.layout),
-            nvm: RefCell::new(NvmStore::Ram(self.nvm.borrow().to_vec())),
+            nvm: RefCell::new(self.nvm.borrow().clone()),
             cache: RefCell::new(self.cache.borrow().clone()),
             mode: self.mode,
             stats: RefCell::new(Stats::default()),
@@ -355,7 +235,7 @@ impl SimMemory {
         if let Some(&w) = self.cache.borrow().get(&(loc.index() as u32)) {
             return w;
         }
-        self.nvm.borrow().get(loc.index())
+        self.nvm.borrow()[loc.index()]
     }
 
     /// Directly sets the logical value of `loc`, bypassing the model (used by
@@ -365,7 +245,7 @@ impl SimMemory {
         self.log_cache(loc.index());
         self.log_nvm(loc.index());
         self.cache.borrow_mut().remove(&(loc.index() as u32));
-        self.nvm.borrow_mut().set(loc.index(), val);
+        self.nvm.borrow_mut()[loc.index()] = val;
     }
 
     /// Simulates a system-wide crash: dirty cache cells are persisted or
@@ -390,10 +270,10 @@ impl SimMemory {
             if journaling {
                 journal.borrow_mut().push(UndoEntry::Nvm {
                     idx: i,
-                    old: nvm.get(i as usize),
+                    old: nvm[i as usize],
                 });
             }
-            nvm.set(i as usize, w);
+            nvm[i as usize] = w;
         };
         match policy {
             CrashPolicy::DropAll => {}
@@ -443,7 +323,7 @@ impl SimMemory {
         if self.journaling() {
             self.journal.borrow_mut().push(UndoEntry::Nvm {
                 idx: idx as u32,
-                old: self.nvm.borrow().get(idx),
+                old: self.nvm.borrow()[idx],
             });
         }
     }
@@ -494,7 +374,7 @@ impl SimMemory {
         let mut cache = self.cache.borrow_mut();
         while journal.len() > cp.mark {
             match journal.pop().expect("journal length checked") {
-                UndoEntry::Nvm { idx, old } => nvm.set(idx as usize, old),
+                UndoEntry::Nvm { idx, old } => nvm[idx as usize] = old,
                 UndoEntry::Cache { idx, old } => match old {
                     Some(w) => {
                         cache.insert(idx, w);
@@ -505,7 +385,7 @@ impl SimMemory {
                 },
                 UndoEntry::Crashes { old } => *self.crashes.borrow_mut() = old,
                 UndoEntry::Full(snap) => {
-                    nvm.copy_from(&snap.nvm);
+                    nvm.copy_from_slice(&snap.nvm);
                     cache.clone_from(&snap.cache);
                     *self.crashes.borrow_mut() = snap.crashes;
                 }
@@ -544,7 +424,7 @@ impl SimMemory {
     /// its visited-set on this.
     pub fn state_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        self.nvm.borrow().hash_into(&mut h);
+        self.nvm.borrow().hash(&mut h);
         for (&i, &w) in self.cache.borrow().iter() {
             (i, w).hash(&mut h);
         }
@@ -555,7 +435,7 @@ impl SimMemory {
     /// Captures the full NVM + cache state.
     pub fn snapshot(&self) -> MemSnapshot {
         MemSnapshot {
-            nvm: self.nvm.borrow().to_vec(),
+            nvm: self.nvm.borrow().clone(),
             cache: self.cache.borrow().clone(),
             crashes: *self.crashes.borrow(),
         }
@@ -570,7 +450,7 @@ impl SimMemory {
                 .borrow_mut()
                 .push(UndoEntry::Full(Box::new(self.snapshot())));
         }
-        self.nvm.borrow_mut().copy_from(&snap.nvm);
+        self.nvm.borrow_mut().copy_from_slice(&snap.nvm);
         *self.cache.borrow_mut() = snap.cache.clone();
         *self.crashes.borrow_mut() = snap.crashes;
     }
@@ -581,7 +461,7 @@ impl SimMemory {
     /// per generated successor).
     pub fn logical_words_into(&self, out: &mut Vec<Word>) {
         out.clear();
-        self.nvm.borrow().extend_into(out);
+        out.extend_from_slice(&self.nvm.borrow());
         for (&i, &w) in self.cache.borrow().iter() {
             out[i as usize] = w;
         }
@@ -617,7 +497,7 @@ impl SimMemory {
                 .borrow_mut()
                 .push(UndoEntry::Full(Box::new(self.snapshot())));
         }
-        self.nvm.borrow_mut().copy_from(words);
+        self.nvm.borrow_mut().copy_from_slice(words);
         self.cache.borrow_mut().clear();
     }
 
@@ -644,7 +524,7 @@ impl SimMemory {
                     overlay.next();
                     cw
                 }
-                _ => nvm.get(i),
+                _ => nvm[i],
             };
             w.hash(&mut h);
         }
@@ -685,7 +565,7 @@ impl SimMemory {
             "perm is not a permutation: {perm:?}"
         );
         out.clear();
-        self.nvm.borrow().extend_into(out);
+        out.extend_from_slice(&self.nvm.borrow());
         if overlay {
             for (&i, &w) in self.cache.borrow().iter() {
                 out[i as usize] = w;
@@ -723,12 +603,12 @@ impl SimMemory {
         if cache.is_empty() {
             (0..nvm.len())
                 .filter(|&i| self.layout.is_shared(Loc(i as u32)))
-                .map(|i| nvm.get(i))
+                .map(|i| nvm[i])
                 .collect()
         } else {
             (0..nvm.len())
                 .filter(|&i| self.layout.is_shared(Loc(i as u32)))
-                .map(|i| cache.get(&(i as u32)).copied().unwrap_or(nvm.get(i)))
+                .map(|i| cache.get(&(i as u32)).copied().unwrap_or(nvm[i]))
                 .collect()
         }
     }
@@ -771,7 +651,7 @@ impl Memory for SimMemory {
         match self.mode {
             CacheMode::PrivateCache => {
                 self.log_nvm(loc.index());
-                self.nvm.borrow_mut().set(loc.index(), val);
+                self.nvm.borrow_mut()[loc.index()] = val;
             }
             CacheMode::SharedCache => {
                 self.log_cache(loc.index());
@@ -790,7 +670,7 @@ impl Memory for SimMemory {
             match self.mode {
                 CacheMode::PrivateCache => {
                     self.log_nvm(loc.index());
-                    self.nvm.borrow_mut().set(loc.index(), new);
+                    self.nvm.borrow_mut()[loc.index()] = new;
                 }
                 CacheMode::SharedCache => {
                     self.log_cache(loc.index());
@@ -809,7 +689,7 @@ impl Memory for SimMemory {
             self.log_cache(loc.index());
             if let Some(w) = self.cache.borrow_mut().remove(&(loc.index() as u32)) {
                 self.log_nvm(loc.index());
-                self.nvm.borrow_mut().set(loc.index(), w);
+                self.nvm.borrow_mut()[loc.index()] = w;
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Integration: real-process SIGKILL/recover cycles for every paper
-//! object — whole-child kills, per-process subset kills over the shared
-//! fabric, and kills landing *inside recovery itself* — plus the
-//! nondetectable negative controls.
+//! object over the crash fabric (one worker process per paper process) —
+//! per-process subset kills, full-system kills in the shared-cache model,
+//! and kills landing *inside recovery itself* — plus the nondetectable
+//! negative controls.
 //!
 //! This test re-execs itself as the crash worker (the parent spawns
 //! `current_exe()` with `PC_WORKER` set), so it cannot run under the
@@ -48,6 +49,11 @@ fn config(object: &str, kind: ObjectKind, cache: CacheMode, seed: u64) -> CrashC
     cfg.ops_per_proc = 400;
     cfg.queue_capacity = (cfg.procs as usize * cfg.ops_per_proc + 1) as u32;
     cfg.cache_mode = cache;
+    if cache == CacheMode::SharedCache {
+        // A shared-cache crash loses the one cache every process shares:
+        // the whole system dies.
+        cfg.kill_subset = cfg.procs;
+    }
     cfg.seed = seed;
     cfg.kill_window_us = 2_000;
     cfg.dir = std::env::temp_dir().join(format!(
@@ -77,8 +83,9 @@ fn assert_clean(r: &harness::process_crash::CycleReport, object: &str, cycle: u6
     );
 }
 
-/// Every detectable kind survives real SIGKILLs: no in-flight operation
-/// is lost, every recovery verdict is definite, and the stitched
+/// Every detectable kind survives real SIGKILLs (one victim per cycle in
+/// the private-cache model, every worker in the shared-cache model): no
+/// in-flight operation is lost, every recovery verdict is definite, and the stitched
 /// pre-crash + recovery history passes the windowed durable-linearizability
 /// check.
 fn detectable_kinds_survive_sigkill(cache: CacheMode) {
@@ -107,8 +114,8 @@ fn detectable_kinds_survive_sigkill(cache: CacheMode) {
 /// nested times; every re-entry must converge idempotently — same clean
 /// verdicts, same passing check — and each landed recovery kill must be
 /// followed by exactly one re-entry. Runs for all 8 kinds in the given
-/// cache mode (recovery is solo, so even shared-cache recovery state is
-/// coherent within the one recoverer child).
+/// cache mode (in the shared-cache model every recovery kill also wipes
+/// the shared overlay, like any other crash).
 fn recovery_survives_nested_kills(cache: CacheMode, k: u32) {
     let mut recovery_kills = 0u64;
     for (i, kind) in ALL_KINDS.into_iter().enumerate() {
@@ -140,8 +147,7 @@ fn recovery_survives_nested_kills(cache: CacheMode, k: u32) {
     );
 }
 
-/// Multi-process fabric: one child per paper process over the shared
-/// files, a randomized 2-of-3 subset dies mid-traffic, survivors keep
+/// Subset death: a randomized 2-of-3 subset dies mid-traffic, survivors keep
 /// running and re-barrier, each dead process recovers in its own child
 /// (one nested recovery kill), and the stitched history still checks.
 fn fabric_subset_kills_survive(k: u32) {
@@ -150,7 +156,6 @@ fn fabric_subset_kills_survive(k: u32) {
     for (i, kind) in ALL_KINDS.into_iter().enumerate() {
         let object = kind_name(kind);
         let mut cfg = config(object, kind, CacheMode::PrivateCache, 500 + i as u64);
-        cfg.procs_as_processes = true;
         cfg.kill_subset = 2;
         cfg.recovery_kills = k;
         for cycle in 0..2 {
@@ -169,34 +174,48 @@ fn fabric_subset_kills_survive(k: u32) {
     );
 }
 
-/// The fabric rejects configurations it cannot model: shared-cache memory
-/// (the volatile overlay is per-address-space) and kill subsets outside
-/// `1..=procs`.
+/// `run_cycle` rejects configurations it cannot model with an error (not
+/// a panic), before spawning anything.
 fn fabric_rejects_invalid_configs() {
-    let mut cfg = config("register", ObjectKind::Register, CacheMode::SharedCache, 1);
-    cfg.procs_as_processes = true;
-    assert!(
-        run_cycle(&cfg, factory, 0).is_err(),
-        "fabric must reject shared-cache memory"
-    );
-    let mut cfg = config("register", ObjectKind::Register, CacheMode::PrivateCache, 1);
-    cfg.procs_as_processes = true;
-    cfg.kill_subset = cfg.procs + 1;
-    assert!(
-        run_cycle(&cfg, factory, 0).is_err(),
-        "fabric must reject kill_subset > procs"
-    );
-    let _ = std::fs::remove_dir_all(&cfg.dir);
+    let base = config("register", ObjectKind::Register, CacheMode::PrivateCache, 1);
+    type Break = fn(&mut CrashCycleConfig);
+    let cases: [(&str, Break); 6] = [
+        ("kill_subset > procs", |c| c.kill_subset = c.procs + 1),
+        ("kill_subset == 0", |c| c.kill_subset = 0),
+        ("zero ops", |c| c.ops_per_proc = 0),
+        // 5 procs × 16-op barrier = 80 > the 64-op checker window.
+        ("window overflow", |c| c.procs = 5),
+        ("shared cache with a subset kill", |c| {
+            c.cache_mode = CacheMode::SharedCache;
+            c.kill_subset = c.procs - 1;
+        }),
+        ("procs_as_processes = false", |c| {
+            c.procs_as_processes = false
+        }),
+    ];
+    for (what, break_it) in cases {
+        let mut cfg = base.clone();
+        break_it(&mut cfg);
+        let err = run_cycle(&cfg, factory, 0).expect_err(what);
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{what}: {err}"
+        );
+        assert!(cfg.validate().is_err(), "{what}: validate must agree");
+    }
+    assert!(base.validate().is_ok());
+    let _ = std::fs::remove_dir_all(&base.dir);
 }
 
 /// The nondetectable baselines are the negative control: their recovery
 /// disclaims every interrupted operation, so with enough kills the
 /// stitched-history check must eventually catch a disclaimed operation
 /// that really linearized. Detection needs a kill to land mid-op, so we
-/// iterate cycles (fresh seeds each round) until the lie surfaces.
-/// `fabric` runs the same control with per-process subset death: even
-/// when only 2 of 3 processes die, the dead ones' lies are caught.
-fn nondetectable_baselines_get_caught(fabric: bool) {
+/// iterate cycles (fresh seeds each round) until the lie surfaces. Runs
+/// with `kill_subset` of the 3 processes dying: all of them (a full-system
+/// crash) or a subset, where even only the dead ones' lies are caught.
+fn nondetectable_baselines_get_caught(kill_subset: u32) {
     let mut caught = 0u64;
     'outer: for round in 0..40u64 {
         for (object, kind) in [
@@ -206,11 +225,8 @@ fn nondetectable_baselines_get_caught(fabric: bool) {
             let mut cfg = config(object, kind, CacheMode::PrivateCache, 100 + round);
             cfg.ops_per_proc = 700;
             cfg.queue_capacity = (cfg.procs as usize * cfg.ops_per_proc + 1) as u32;
-            if fabric {
-                cfg.procs_as_processes = true;
-                cfg.kill_subset = 2;
-                cfg.recovery_kills = 1;
-            }
+            cfg.kill_subset = kill_subset;
+            cfg.recovery_kills = u32::from(kill_subset < cfg.procs);
             let r = run_cycle(&cfg, factory, round)
                 .unwrap_or_else(|e| panic!("{object} round {round}: {e}"));
             let _ = std::fs::remove_dir_all(&cfg.dir);
@@ -224,7 +240,7 @@ fn nondetectable_baselines_get_caught(fabric: bool) {
     }
     assert!(
         caught > 0,
-        "negative control (fabric={fabric}) never failed a check in 40 rounds — \
+        "negative control (kill_subset={kill_subset}) never failed a check in 40 rounds — \
          the checker would not catch a lying recovery"
     );
 }
@@ -247,13 +263,13 @@ fn main() {
             recovery_survives_nested_kills(cache, k);
         }
     }
-    println!("running process_crash: multi-process fabric, 2-of-3 subset kills");
+    println!("running process_crash: 2-of-3 subset kills");
     fabric_subset_kills_survive(1);
-    println!("running process_crash: fabric config validation");
+    println!("running process_crash: config validation");
     fabric_rejects_invalid_configs();
-    println!("running process_crash: nondetectable negative control (threads)");
-    nondetectable_baselines_get_caught(false);
-    println!("running process_crash: nondetectable negative control (fabric subset)");
-    nondetectable_baselines_get_caught(true);
+    println!("running process_crash: nondetectable negative control (full-system kill)");
+    nondetectable_baselines_get_caught(3);
+    println!("running process_crash: nondetectable negative control (2-of-3 subset)");
+    nondetectable_baselines_get_caught(2);
     println!("process_crash: ok");
 }
