@@ -47,10 +47,20 @@
 //! the disk tier runs one worker. Both tiers share the admission cap
 //! ([`BfsConfig::max_states`]: exactly that many nodes are admitted and
 //! expanded, and hitting it sets [`CensusReport::truncated`]), the exact
-//! shared-configuration set (logical shared-memory keys — the quantity
+//! shared-configuration count (logical shared-memory keys — the quantity
 //! Theorem 1 bounds is never approximated) and the report. A worker
 //! interns one expansion's admitted images in one batch: one lock
 //! acquisition per shard per flush instead of one per successor.
+//!
+//! Per generated successor, a worker reads the logical image once into a
+//! scratch buffer and hashes it in one pass that yields both lanes of
+//! [`hash2`]; a second pass over the short driver key, seeded with those
+//! lanes, gives the 128-bit fingerprint. It then probes the visited set
+//! (the only lock on the path) and its **own** shared-configuration set
+//! with a borrowed slice of the shared words, cloning the key only when it
+//! is new to that worker; `Census::report` unions the worker sets. Maps
+//! keyed by these already-mixed fingerprints use [`FoldBuildHasher`], one
+//! multiply per word, rather than the standard library's SipHash.
 //!
 //! On runs that complete within `max_states`, the visited set, the
 //! shared-configuration set and the expansion count are each determined by
@@ -89,14 +99,13 @@
 //! full-snapshot engine (exact node keys, one `restore` per successor, no
 //! dominance) as the differential-testing reference and benchmark baseline.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use detectable::{OpSpec, RecoverableObject};
+use nvm::hash::{hash2, FoldBuildHasher, SEEDS};
 use nvm::{CompactState, Memory, Pid, SimMemory, StateArena, Word};
 
 use crate::driver::{Driver, RetryPolicy};
@@ -322,38 +331,28 @@ fn encode_node(mem: &SimMemory, driver: &Driver, ops_used: usize) -> Vec<Word> {
     key
 }
 
-/// Two independently salted 64-bit hashes of the logical image alone —
-/// the memory component of the configuration fingerprint, computed in one
-/// place so a generated successor pays exactly two full-image passes: the
-/// halves feed [`fingerprint_image`], the first half doubles as the
-/// in-RAM arena's routing/index hash and both form the disk arena's
-/// 128-bit key (pure functions of the image, as the arenas require — no
-/// third pass to re-hash the same words).
+/// The memory component of the configuration fingerprint: both lanes of
+/// [`hash2`] over the logical image, in one pass. Lane 0 doubles as the
+/// in-RAM arena's routing/index hash and both lanes form the disk arena's
+/// 128-bit key (pure functions of the image, as the arenas require), so a
+/// generated successor reads its image for hashing exactly once.
 fn image_hashes(image: &[Word]) -> (u64, u64) {
-    let mut halves = [0u64; 2];
-    for (salt, half) in halves.iter_mut().enumerate() {
-        let mut h = DefaultHasher::new();
-        (salt as u64).hash(&mut h);
-        image.hash(&mut h);
-        *half = h.finish();
-    }
-    (halves[0], halves[1])
+    hash2(SEEDS, image)
 }
 
 /// 128-bit fingerprint of the configuration [`encode_node`] keys exactly:
-/// the *logical* memory image (the same identification
-/// [`logical_hash`](SimMemory::logical_hash) makes — not
-/// [`state_hash`](SimMemory::state_hash), whose dirty-set and crash-ordinal
-/// sensitivity would split states the full-key reference engine merges),
-/// driver volatile state, and — unless dominance pruning quotients it
-/// away — the operation budget. Collisions (vanishingly unlikely) could
-/// merge two distinct configurations — the same trade-off the explorer's
-/// pruning memo makes, bought because a 16-byte fingerprint keeps a
-/// multi-million-state visited set in cache where exact full-memory keys
-/// thrash. Each half folds its own independently salted full-image hash
-/// (from [`image_hashes`]) with the driver key, so the two halves collide
-/// independently on the memory component (true 128-bit resistance, not
-/// one 64-bit hash copied twice).
+/// the *logical* memory image (equal [`full_key`](SimMemory::full_key)s —
+/// not [`state_hash`](SimMemory::state_hash), whose dirty-set and
+/// crash-ordinal sensitivity would split states the full-key reference
+/// engine merges), driver volatile state, and — unless dominance pruning
+/// quotients it away — the operation budget. Collisions (vanishingly
+/// unlikely) could merge two distinct configurations — the same trade-off
+/// the explorer's pruning memo makes, bought because a 16-byte fingerprint
+/// keeps a multi-million-state visited set in cache where exact
+/// full-memory keys thrash. The driver key is hashed by [`hash2`] seeded
+/// with the two image lanes, so each half chains its own independently
+/// seeded image hash (true 128-bit resistance, not one 64-bit hash copied
+/// twice).
 fn fingerprint_image(
     image_hashes: (u64, u64),
     driver: &Driver,
@@ -366,13 +365,7 @@ fn fingerprint_image(
         scratch.push(ops_used as Word);
     }
     driver.encode_key(scratch);
-    let combine = |image_hash: u64| {
-        let mut h = DefaultHasher::new();
-        image_hash.hash(&mut h);
-        scratch.hash(&mut h);
-        h.finish()
-    };
-    (combine(image_hashes.0), combine(image_hashes.1))
+    hash2(image_hashes, scratch)
 }
 
 const SHARDS: usize = 64;
@@ -383,8 +376,8 @@ const SHARDS: usize = 64;
 /// the 20M-entry default cap), a fingerprint → lowest-admitted-budget map
 /// in dominance mode.
 enum VisitedShard {
-    Exact(HashSet<(u64, u64)>),
-    Dominance(HashMap<(u64, u64), u32>),
+    Exact(HashSet<(u64, u64), FoldBuildHasher>),
+    Dominance(HashMap<(u64, u64), u32, FoldBuildHasher>),
 }
 
 /// The admission cap, shared by both storage tiers: at most `cap`
@@ -431,9 +424,9 @@ impl VisitedSet {
             shards: (0..SHARDS)
                 .map(|_| {
                     Mutex::new(if dominance {
-                        VisitedShard::Dominance(HashMap::new())
+                        VisitedShard::Dominance(HashMap::default())
                     } else {
-                        VisitedShard::Exact(HashSet::new())
+                        VisitedShard::Exact(HashSet::default())
                     })
                 })
                 .collect(),
@@ -547,41 +540,6 @@ impl<H> Frontier<H> for Worker<'_, BfsNode<H>> {
     }
 }
 
-/// The shared-configuration census set: exact logical shared-memory keys
-/// (Theorem 1's memory-equivalence classes are never approximated by a
-/// hash), sharded for low-contention parallel insertion.
-struct SharedSeen {
-    shards: Vec<Mutex<HashSet<Vec<Word>>>>,
-}
-
-impl SharedSeen {
-    fn new() -> Self {
-        SharedSeen {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashSet::new())).collect(),
-        }
-    }
-
-    fn insert(&self, key: Vec<Word>) {
-        // Shard selection only needs dispersion, not a full second hash of
-        // the key (the shard's HashSet hashes it again on insert): a cheap
-        // multiply-rotate mix of the few shared words is plenty.
-        let mix = key
-            .iter()
-            .fold(0u64, |a, &w| (a ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        self.shards[(mix as usize) % SHARDS]
-            .lock()
-            .expect("shared-seen shard poisoned")
-            .insert(key);
-    }
-
-    fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("shared-seen shard poisoned").len())
-            .sum()
-    }
-}
-
 /// The crash-free retry policy every census engine drives under.
 const CENSUS_RETRY: RetryPolicy = RetryPolicy {
     retry_on_fail: false,
@@ -598,6 +556,13 @@ struct Scratch {
     image: Vec<Word>,
     /// Driver-key encoding buffer for fingerprints.
     key: Vec<Word>,
+    /// Shared-region words of the successor just generated.
+    shared_key: Vec<Word>,
+    /// This worker's exact shared-configuration keys (Theorem 1's
+    /// memory-equivalence classes, never approximated by a hash). Worker
+    /// sets are unioned in [`Census::report`]; a run ends with a handful of
+    /// keys, so a private set costs nothing and needs no lock.
+    shared: HashSet<Vec<Word>, FoldBuildHasher>,
 }
 
 /// A worker-local batch of one expansion's admitted successors: images
@@ -657,23 +622,28 @@ pub(crate) struct Tally {
     persists: u64,
     expanded: u64,
     flushes: u64,
+    /// The worker's shared-configuration set, from its [`Scratch`].
+    shared: HashSet<Vec<Word>, FoldBuildHasher>,
 }
 
 impl Tally {
     fn add(self, o: Tally) -> Tally {
+        let mut shared = self.shared;
+        shared.extend(o.shared);
         Tally {
             steps: self.steps + o.steps,
             resolved: self.resolved + o.resolved,
             persists: self.persists + o.persists,
             expanded: self.expanded + o.expanded,
             flushes: self.flushes + o.flushes,
+            shared,
         }
     }
 }
 
 /// Everything expansion needs, shared (immutably) across workers: the
-/// world, the storage tier's image store and admission rule, the admission
-/// cap, and the exact shared-configuration set.
+/// world, the storage tier's image store and admission rule, and the
+/// admission cap.
 pub(crate) struct Census<'a, I, A> {
     obj: &'a dyn RecoverableObject,
     alphabet: &'a [OpSpec],
@@ -681,7 +651,6 @@ pub(crate) struct Census<'a, I, A> {
     images: &'a I,
     admission: &'a A,
     pub(crate) slots: Slots,
-    shared_seen: SharedSeen,
 }
 
 impl<'a, I: Images, A: Admission> Census<'a, I, A> {
@@ -703,16 +672,15 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
                 cap: cfg.max_states,
                 truncated: AtomicBool::new(false),
             },
-            shared_seen: SharedSeen::new(),
         }
     }
 
-    /// Root admission: the initial configuration observes its shared key
-    /// unconditionally but competes for an expansion slot like any other.
-    /// Returns the admitted root node and its fingerprint.
+    /// Root admission: the initial configuration competes for an expansion
+    /// slot like any other (its shared key is counted unconditionally, by
+    /// [`report`](Self::report)). Returns the admitted root node and its
+    /// fingerprint.
     pub(crate) fn root(&self, mem: &SimMemory) -> Option<Seeded<I::Handle>> {
         let driver = Driver::without_history(self.obj.processes());
-        self.shared_seen.insert(mem.shared_key());
         let mut image = Vec::new();
         mem.logical_words_into(&mut image);
         let hashes = image_hashes(&image);
@@ -730,9 +698,10 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         Some((node, fp))
     }
 
-    /// Observes one generated successor: its shared key always, and — if
-    /// the admission role lets it through — stages its image, node halves
-    /// and fingerprint in `batch` for the end-of-expansion flush. Admission
+    /// Observes one generated successor: its shared key always (into the
+    /// worker's own set, cloned only when new to it), and — if the
+    /// admission role lets it through — stages its image, node halves and
+    /// fingerprint in `batch` for the end-of-expansion flush. Admission
     /// order (the thing sequential determinism rests on) is decided here,
     /// per successor; only the interning is deferred.
     fn successor(
@@ -744,8 +713,11 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         ops_used: usize,
     ) {
         mem.logical_words_into(&mut scratch.image);
-        self.shared_seen
-            .insert(mem.layout().shared_words(&scratch.image));
+        mem.layout()
+            .shared_words_into(&scratch.image, &mut scratch.shared_key);
+        if !scratch.shared.contains(scratch.shared_key.as_slice()) {
+            scratch.shared.insert(scratch.shared_key.clone());
+        }
         let hashes = image_hashes(&scratch.image);
         let fp = fingerprint_image(
             hashes,
@@ -815,12 +787,15 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
             frontier.complete();
         }
         tally.persists = fork.stats().persists;
+        tally.shared = scratch.shared;
         tally
     }
 
     /// Assembles the report. `sched` is `None` when one worker ran without
     /// a scheduler; `resident` is the tier's own peak estimate, to which
-    /// the shared-configuration set is added here.
+    /// the shared-configuration set is added here. The set is the union of
+    /// the workers' sets plus the root's key, which `mem` (never mutated)
+    /// still holds.
     pub(crate) fn report(
         self,
         mem: &SimMemory,
@@ -835,7 +810,9 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
             ..SchedStats::default()
         });
         sched.flush_batches = tally.flushes;
-        let shared = self.shared_seen.len();
+        let mut shared_keys = tally.shared;
+        shared_keys.insert(mem.shared_key());
+        let shared = shared_keys.len();
         CensusReport {
             distinct_shared: shared,
             theorem_bound: (1u64 << self.obj.processes()) - 1,

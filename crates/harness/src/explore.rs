@@ -761,12 +761,13 @@ impl<'a> Engine<'a> {
         self.key_scratch.clear();
         node.driver.encode_key(&mut self.key_scratch);
         let (records, endpoints) = self.compiled_records(node);
+        let mem_hash = mem.state_hash();
 
         let mut halves = [0u64; 2];
         for (salt, half) in halves.iter_mut().enumerate() {
             let mut h = DefaultHasher::new();
             (salt as u64).hash(&mut h);
-            mem.state_hash().hash(&mut h);
+            mem_hash.hash(&mut h);
             self.key_scratch.hash(&mut h);
             node.next_op.hash(&mut h);
             node.script_pos.hash(&mut h);

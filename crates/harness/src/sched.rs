@@ -40,13 +40,19 @@
 //! A worker that finds its own deque empty and every victim empty spins a
 //! few exponentially growing rounds (cheap, keeps latency low when a
 //! sibling is about to publish successors) and then parks on a condvar.
-//! Wakeups cannot be lost: every push bumps a `signal` epoch *before* the
-//! sleeper's final recheck can run — the parker snapshots the epoch before
-//! its last steal sweep, rechecks it under the park lock, and refuses to
-//! sleep if it moved. The wait also carries a short timeout as a
-//! liveness backstop, so the final "everyone go home" transition needs no
-//! dedicated broadcaster: a parked worker wakes within a millisecond of
-//! quiescence at worst and observes it in its own sweep.
+//! Parks are rare and pushes are not, so a push only touches the park lock
+//! when someone may be asleep. Every push bumps a `signal` epoch, then
+//! reads a `sleepers` count and notifies under the park lock only if it is
+//! nonzero. A parker snapshots the epoch before its last steal sweep; under
+//! the park lock it increments `sleepers`, then rechecks the epoch and
+//! refuses to sleep if it moved. Both sides write, then read the other's
+//! variable, all `SeqCst` (Dekker's pattern), so at least one sees the
+//! other: the parker sees the new epoch and stays up, or the pusher sees
+//! the sleeper and takes the lock, which the parker holds until it is
+//! waiting, so the notify cannot be lost. The wait also carries a short
+//! timeout as a liveness backstop, so the final "everyone go home"
+//! transition needs no dedicated broadcaster: a parked worker wakes within
+//! a millisecond of quiescence at worst and observes it in its own sweep.
 //!
 //! # Panic propagation
 //!
@@ -149,6 +155,8 @@ pub(crate) struct Scheduler<T> {
     parks: AtomicU64,
     /// Epoch bumped on every push; parkers recheck it before sleeping.
     signal: AtomicU64,
+    /// Workers inside [`Worker::park`]: a push notifies only when nonzero.
+    sleepers: AtomicU64,
     park_lock: Mutex<()>,
     park_cv: Condvar,
     aborted: AtomicBool,
@@ -166,6 +174,7 @@ impl<T> Scheduler<T> {
             steal_failures: AtomicU64::new(0),
             parks: AtomicU64::new(0),
             signal: AtomicU64::new(0),
+            sleepers: AtomicU64::new(0),
             park_lock: Mutex::new(()),
             park_cv: Condvar::new(),
             aborted: AtomicBool::new(false),
@@ -274,10 +283,13 @@ impl<T> Worker<'_, T> {
             q.extend(out.drain(..));
         }
         // Publish after the work is visible; a parker that snapshotted the
-        // epoch before this bump rechecks under the park lock and stays up.
+        // epoch before this bump rechecks it after announcing itself in
+        // `sleepers`, so either it stays up or this read sees it.
         self.sched.signal.fetch_add(1, Ordering::SeqCst);
-        let _guard = self.sched.park_lock.lock().expect("park lock poisoned");
-        self.sched.park_cv.notify_all();
+        if self.sched.sleepers.load(Ordering::SeqCst) > 0 {
+            let _guard = self.sched.park_lock.lock().expect("park lock poisoned");
+            self.sched.park_cv.notify_all();
+        }
     }
 
     /// Marks one task fully processed (successors already pushed) and
@@ -381,23 +393,25 @@ impl<T> Worker<'_, T> {
         None
     }
 
-    /// Parks until a push bumps the signal epoch past `epoch` (checked
-    /// under the park lock so the wakeup cannot be lost), the run aborts,
-    /// or the timeout backstop fires.
+    /// Parks until a push bumps the signal epoch past `epoch`, the run
+    /// aborts, or the timeout backstop fires. `sleepers` is raised before
+    /// the epoch recheck, under the park lock, so the wakeup cannot be lost
+    /// (see the [module docs](self)).
     fn park(&self, epoch: u64) {
         self.sched.parks.fetch_add(1, Ordering::Relaxed);
         let guard = self.sched.park_lock.lock().expect("park lock poisoned");
-        if self.sched.aborted.load(Ordering::SeqCst)
+        self.sched.sleepers.fetch_add(1, Ordering::SeqCst);
+        if !(self.sched.aborted.load(Ordering::SeqCst)
             || self.sched.signal.load(Ordering::SeqCst) != epoch
-            || self.sched.quiescent()
+            || self.sched.quiescent())
         {
-            return;
+            let _ = self
+                .sched
+                .park_cv
+                .wait_timeout(guard, PARK_TIMEOUT)
+                .expect("park lock poisoned");
         }
-        let _ = self
-            .sched
-            .park_cv
-            .wait_timeout(guard, PARK_TIMEOUT)
-            .expect("park lock poisoned");
+        self.sched.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// xorshift64*: cheap, per-worker-seeded victim randomization.
@@ -468,6 +482,58 @@ mod tests {
         assert!(
             stats.steals + stats.steal_failures > 0,
             "an empty-deque worker must have swept at least once: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn bursty_load_parks_and_runs_every_task_once() {
+        // Rounds of a narrow chain (one task at a time, each sleeping so the
+        // idle workers exhaust their spin sweeps and park) that fans out
+        // wide (waking the sleepers through the push gate) and narrows back
+        // to the next round's chain.
+        const WORKERS: usize = 4;
+        const ROUNDS: usize = 5;
+        const CHAIN: usize = 8;
+        const WIDE: usize = 64;
+        const PER_ROUND: usize = CHAIN + WIDE;
+        // A task is its index in 0..ROUNDS * PER_ROUND: chain links first
+        // in each round, then the wide tasks.
+        let runs: Vec<AtomicUsize> = (0..ROUNDS * PER_ROUND)
+            .map(|_| AtomicUsize::new(0))
+            .collect();
+        let sched: Scheduler<usize> = Scheduler::new(WORKERS);
+        sched.seed([0]);
+        std::thread::scope(|s| {
+            for id in 0..WORKERS {
+                let (sched, runs) = (&sched, &runs);
+                s.spawn(move || {
+                    let mut worker = sched.worker(id);
+                    let mut out = Vec::new();
+                    while let Some(task) = worker.next() {
+                        runs[task].fetch_add(1, Ordering::Relaxed);
+                        let (round, at) = (task / PER_ROUND, task % PER_ROUND);
+                        if at < CHAIN - 1 {
+                            std::thread::sleep(Duration::from_micros(300));
+                            out.push(task + 1);
+                        } else if at == CHAIN - 1 {
+                            out.extend(task + 1..task + 1 + WIDE);
+                        } else if at == CHAIN && round + 1 < ROUNDS {
+                            out.push((round + 1) * PER_ROUND);
+                        }
+                        worker.push(&mut out);
+                        worker.complete();
+                    }
+                });
+            }
+        });
+        for (task, n) in runs.iter().enumerate() {
+            assert_eq!(n.load(Ordering::Relaxed), 1, "task {task}");
+        }
+        let stats = sched.stats();
+        assert!(stats.parks > 0, "the chains must force parks: {stats:?}");
+        assert_eq!(
+            stats.per_worker_expansions.iter().sum::<u64>(),
+            (ROUNDS * PER_ROUND) as u64
         );
     }
 

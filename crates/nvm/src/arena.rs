@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crate::hash::FoldBuildHasher;
 use crate::word::Word;
 
 const SHARDS: usize = 64;
@@ -41,8 +42,9 @@ pub struct CompactState {
 #[derive(Default)]
 struct Shard {
     /// Image hash → slots whose stored image carries that hash (exact
-    /// comparison resolves collisions).
-    index: HashMap<u64, Vec<u32>>,
+    /// comparison resolves collisions). The key is already a hash, so the
+    /// map mixes it with one fold rather than the default SipHash.
+    index: HashMap<u64, Vec<u32>, FoldBuildHasher>,
     /// Slot `s` occupies `words[s * stride .. (s + 1) * stride]`.
     words: Vec<Word>,
 }
@@ -200,13 +202,10 @@ impl StateArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
+    use crate::hash::{hash2, SEEDS};
 
     fn hash_image(image: &[Word]) -> u64 {
-        let mut h = DefaultHasher::new();
-        image.hash(&mut h);
-        h.finish()
+        hash2(SEEDS, image).0
     }
 
     /// Interns one image as a batch of one.

@@ -30,6 +30,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::Mutex;
 
+use crate::hash::FoldBuildHasher;
 use crate::word::Word;
 
 /// Sizing knobs for a [`SpillableArena`]. Callers derive these from a RAM
@@ -79,7 +80,7 @@ struct Inner {
     /// 128-bit image hash → handle. Stays resident; this is the one
     /// structure whose size still grows with distinct images (24 bytes
     /// per image instead of a full image).
-    index: HashMap<(u64, u64), u64>,
+    index: HashMap<(u64, u64), u64, FoldBuildHasher>,
     active: Vec<Word>,
     sealed: Vec<Sealed>,
     cache: HashMap<usize, Box<[Word]>>,
@@ -109,7 +110,7 @@ impl SpillableArena {
             stride,
             cfg,
             inner: Mutex::new(Inner {
-                index: HashMap::new(),
+                index: HashMap::default(),
                 active: Vec::new(),
                 sealed: Vec::new(),
                 cache: HashMap::new(),

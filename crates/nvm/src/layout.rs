@@ -11,9 +11,7 @@
 //! * the shared/private split needed for Theorem 1's notion of
 //!   *memory-equivalence*, which quantifies only over **shared** variables.
 
-use std::collections::hash_map::DefaultHasher;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 use crate::word::{Pid, Word};
 
@@ -305,19 +303,6 @@ impl Layout {
             .sum()
     }
 
-    /// Hashes the shared-region contents of `words`: two configurations with
-    /// equal fingerprints are *memory-equivalent* in the sense of Theorem 1
-    /// (modulo hash collisions; the census also keeps exact keys).
-    pub fn shared_fingerprint(&self, words: &[Word]) -> u64 {
-        let mut h = DefaultHasher::new();
-        for (i, w) in words.iter().enumerate() {
-            if self.shared_mask[i] {
-                w.hash(&mut h);
-            }
-        }
-        h.finish()
-    }
-
     /// The per-process private-cell correspondence, when the layout supports
     /// process-id permutation: `private_slots()[p]` lists the word indices
     /// owned by process `p` in allocation order, and for every slot `k` the
@@ -335,14 +320,18 @@ impl Layout {
         self.private_slots.as_deref()
     }
 
-    /// Extracts the shared-region contents of `words` as an exact census key.
-    pub fn shared_words(&self, words: &[Word]) -> Vec<Word> {
-        words
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| self.shared_mask[*i])
-            .map(|(_, w)| *w)
-            .collect()
+    /// Fills `out` (cleared first) with the shared-region contents of
+    /// `words`: the exact census key of Theorem 1's memory-equivalence,
+    /// into a reusable buffer.
+    pub fn shared_words_into(&self, words: &[Word], out: &mut Vec<Word>) {
+        out.clear();
+        out.extend(
+            words
+                .iter()
+                .zip(&self.shared_mask)
+                .filter(|(_, &shared)| shared)
+                .map(|(&w, _)| w),
+        );
     }
 }
 
@@ -410,12 +399,17 @@ mod tests {
     #[test]
     fn fingerprint_depends_only_on_shared_words() {
         let (l, _r, _a, rd) = sample();
+        let key = |w: &[Word]| {
+            let mut out = Vec::new();
+            l.shared_words_into(w, &mut out);
+            out
+        };
         let mut w1 = vec![0u64; l.total_words()];
         let mut w2 = w1.clone();
         w1[rd.index()] = 7; // private difference only
-        assert_eq!(l.shared_fingerprint(&w1), l.shared_fingerprint(&w2));
+        assert_eq!(key(&w1), key(&w2));
         w2[0] = 1; // shared difference
-        assert_ne!(l.shared_fingerprint(&w1), l.shared_fingerprint(&w2));
+        assert_ne!(key(&w1), key(&w2));
     }
 
     #[test]
@@ -424,7 +418,8 @@ mod tests {
         let mut w = vec![0u64; l.total_words()];
         w[r.index()] = 5;
         w[a.at(2).index()] = 9;
-        let sw = l.shared_words(&w);
+        let mut sw = vec![99]; // stale contents are cleared
+        l.shared_words_into(&w, &mut sw);
         assert_eq!(sw.len(), 9);
         assert_eq!(sw[0], 5);
         assert_eq!(sw[3], 9);

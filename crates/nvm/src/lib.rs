@@ -61,6 +61,7 @@
 pub mod ann;
 pub mod arena;
 pub mod external;
+pub mod hash;
 pub mod layout;
 pub mod machine;
 pub mod mapped;

@@ -473,10 +473,11 @@ impl SimMemory {
     ///
     /// This is the restore half of the census arena: for **crash-free**
     /// continuations a state is fully determined by its logical words
-    /// ([`logical_hash`](Self::logical_hash) makes the same identification),
-    /// so a search node can be reconstituted from the interned image alone.
-    /// Searches that inject crashes must keep full [`snapshot`]s — dirtiness
-    /// is behavior there, and this method erases it.
+    /// (equal [`full_key`](Self::full_key)s behave identically under every
+    /// future primitive), so a search node can be reconstituted from the
+    /// interned image alone. Searches that inject crashes must keep full
+    /// [`snapshot`]s — dirtiness is behavior there, and this method erases
+    /// it.
     ///
     /// Under an open [`checkpoint`](Self::checkpoint) the load is journaled
     /// (as a full-state entry) so `rollback` stays correct.
@@ -499,36 +500,6 @@ impl SimMemory {
         }
         self.nvm.borrow_mut().copy_from_slice(words);
         self.cache.borrow_mut().clear();
-    }
-
-    /// Salted hash of the *logical* contents of all NVM (cache overlay
-    /// applied; dirtiness and the crash ordinal excluded) — the
-    /// allocation-free equivalent of hashing [`full_key`](Self::full_key).
-    /// Crash-free searches (the census) key on this: two states with equal
-    /// logical words behave identically under every future primitive, and
-    /// distinguishing them by unpersisted-set — as
-    /// [`state_hash`](Self::state_hash) does — would split states a
-    /// full-key engine merges. The salt feeds the hash *before* the words,
-    /// so an engine building a wide fingerprint from several salts gets
-    /// independently-colliding halves rather than one 64-bit hash copied.
-    pub fn logical_hash(&self, salt: u64) -> u64 {
-        let nvm = self.nvm.borrow();
-        let cache = self.cache.borrow();
-        let mut h = DefaultHasher::new();
-        salt.hash(&mut h);
-        nvm.len().hash(&mut h);
-        let mut overlay = cache.iter().peekable();
-        for i in 0..nvm.len() {
-            let w = match overlay.peek() {
-                Some(&(&ci, &cw)) if ci as usize == i => {
-                    overlay.next();
-                    cw
-                }
-                _ => nvm[i],
-            };
-            w.hash(&mut h);
-        }
-        h.finish()
     }
 
     /// Fills `out` with this memory's word contents under the process-id
@@ -585,12 +556,6 @@ impl SimMemory {
             }
         }
         true
-    }
-
-    /// Hash of the logical shared-memory state (Theorem 1's
-    /// memory-equivalence classes, up to hash collision).
-    pub fn shared_fingerprint(&self) -> u64 {
-        self.layout.shared_fingerprint(&self.logical_words())
     }
 
     /// Exact logical shared-memory contents, usable as a census key.
@@ -877,11 +842,11 @@ mod tests {
     #[test]
     fn fingerprint_ignores_private_cells() {
         let (m, _x, rd) = mem(CacheMode::PrivateCache);
-        let f0 = m.shared_fingerprint();
+        let f0 = m.shared_key();
         m.write(Pid::new(0), rd, 55);
-        assert_eq!(m.shared_fingerprint(), f0);
+        assert_eq!(m.shared_key(), f0);
         m.write(Pid::new(0), Loc(0), 1);
-        assert_ne!(m.shared_fingerprint(), f0);
+        assert_ne!(m.shared_key(), f0);
     }
 
     #[test]
@@ -1029,28 +994,25 @@ mod tests {
     }
 
     #[test]
-    fn logical_hash_ignores_dirtiness_and_crash_ordinal() {
+    fn full_key_ignores_dirtiness_and_crash_ordinal() {
         let (m, x, _) = mem(CacheMode::SharedCache);
         let p = Pid::new(0);
         m.write(p, x, 5);
-        let dirty = m.logical_hash(0);
+        let dirty = m.full_key();
         m.persist(p, x);
         // Same logical value, different persistence state: equal.
-        assert_eq!(m.logical_hash(0), dirty);
+        assert_eq!(m.full_key(), dirty);
         m.crash(CrashPolicy::PersistAll);
         // Crash ordinal moved, logical contents did not.
-        assert_eq!(m.logical_hash(0), dirty);
+        assert_eq!(m.full_key(), dirty);
         m.write(p, x, 6);
-        assert_ne!(m.logical_hash(0), dirty);
-        // Distinct salts give independent hashes of the same contents.
-        assert_ne!(m.logical_hash(0), m.logical_hash(1));
-        // And it matches the allocation-free contract: equal full_key ⇒
-        // equal logical_hash, across dirty/clean representations.
+        assert_ne!(m.full_key(), dirty);
+        // Equal logical contents reached through different dirty/clean
+        // representations give equal keys.
         let (m2, x2, _) = mem(CacheMode::SharedCache);
         m2.write(p, x2, 6);
         m2.crash(CrashPolicy::PersistAll);
         assert_eq!(m2.full_key(), m.full_key());
-        assert_eq!(m2.logical_hash(7), m.logical_hash(7));
     }
 
     #[test]
@@ -1065,7 +1027,9 @@ mod tests {
         assert_eq!(key, vec![3, 4]);
         // The direct builder agrees with extracting from the full logical
         // vector.
-        assert_eq!(key, m.layout.shared_words(&m.full_key()));
+        let mut extracted = Vec::new();
+        m.layout.shared_words_into(&m.full_key(), &mut extracted);
+        assert_eq!(key, extracted);
     }
 
     #[test]
@@ -1165,7 +1129,6 @@ mod tests {
         let (m2, x2, _) = mem(CacheMode::SharedCache);
         m2.load_words(&image);
         assert_eq!(m2.full_key(), image);
-        assert_eq!(m2.logical_hash(3), m.logical_hash(3));
         // The image is installed persisted: a crash loses nothing.
         m2.crash(CrashPolicy::DropAll);
         assert_eq!(m2.read(p, x2), 5);
