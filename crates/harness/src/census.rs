@@ -342,9 +342,9 @@ fn image_hashes(image: &[Word]) -> (u64, u64) {
 
 /// 128-bit fingerprint of the configuration [`encode_node`] keys exactly:
 /// the *logical* memory image (equal [`full_key`](SimMemory::full_key)s —
-/// not [`state_hash`](SimMemory::state_hash), whose dirty-set and
-/// crash-ordinal sensitivity would split states the full-key reference
-/// engine merges), driver volatile state, and — unless dominance pruning
+/// not [`state_words_into`](SimMemory::state_words_into), whose dirty-set
+/// and crash-ordinal sensitivity would split states the full-key
+/// reference engine merges), driver volatile state, and — unless dominance pruning
 /// quotients it away — the operation budget. Collisions (vanishingly
 /// unlikely) could merge two distinct configurations — the same trade-off
 /// the explorer's pruning memo makes, bought because a 16-byte fingerprint

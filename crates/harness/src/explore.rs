@@ -30,14 +30,23 @@
 //!    steps of one process that touch only its private cells are folded
 //!    into a single scheduler action ([`Driver::step_merged`]).
 //! 3. **State-hash pruning** — each node is fingerprinted by
-//!    `(memory [`state_hash`], driver volatile state, workload positions,
+//!    `(exact memory state, driver volatile state, workload positions,
 //!    crash budget, history)`. When two prefixes converge to the same
 //!    fingerprint (commuting steps do this constantly), the second is not
 //!    re-explored: the memoized subtree **leaf count** is added instead, so
 //!    reported totals are identical to the unpruned search while the work
-//!    is often exponentially smaller. Keys are 128-bit hashes; a collision
-//!    (vanishingly unlikely) could misattribute a subtree, the same
-//!    trade-off the census fingerprints make.
+//!    is often exponentially smaller. The history enters as its compiled
+//!    checker records with endpoint *ranks* instead of event indices: every
+//!    non-crash event is an interval endpoint, so an endpoint's rank is its
+//!    event index minus the crashes before it
+//!    (`History::records_into` yields them in the compile pass, with no
+//!    map and no sort). The key's words —
+//!    memory words from [`state_words_into`](SimMemory::state_words_into),
+//!    length prefixes on every variable-length part — go into one
+//!    per-worker scratch buffer and through one two-lane [`hash2`] pass.
+//!    Keys are 128-bit hashes; a collision (vanishingly unlikely) could
+//!    misattribute a subtree, the same trade-off the census fingerprints
+//!    make.
 //! 4. **Symmetry reduction** ([`ExploreConfig::symmetry`]) — machine-free
 //!    nodes are fingerprinted by their **process-permutation orbit**
 //!    (per-process signatures, relocated + object-rewritten memory,
@@ -66,20 +75,17 @@
 //! budget boundary may be found in one run and missed in another
 //! (sequential truncation always covers the canonical first `max_leaves`
 //! executions).
-//!
-//! [`state_hash`]: SimMemory::state_hash
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use detectable::{OpSpec, RecoverableObject};
+use nvm::hash::{hash2, FoldBuildHasher, SEEDS};
 use nvm::{CacheMode, Checkpoint, CrashPolicy, Pid, SimMemory, Word};
 
 use crate::driver::{op_key, Driver, ProcState, RetryPolicy};
-use crate::history::{OpRecord, Outcome};
+use crate::history::{Outcome, RankedRecord};
 use crate::linearize::{check_execution, Violation};
 use crate::sched::{resolve_parallelism, SchedStats, Scheduler};
 
@@ -305,11 +311,12 @@ fn actions(cfg: &ExploreConfig, source: OpSource<'_>, node: &Node) -> Vec<Action
 /// budget it becomes `prev` and the old `prev` generation is dropped
 /// wholesale — O(1) amortized eviction with no per-entry bookkeeping, at
 /// the cost of evicting in coarse batches (the classic two-generation
-/// cache). Lookups consult both generations.
+/// cache). Lookups consult both generations. The keys are already-mixed
+/// fingerprints, so the maps hash them with one fold, not SipHash.
 #[derive(Default)]
 struct MemoShard {
-    cur: HashMap<(u64, u64), u64>,
-    prev: HashMap<(u64, u64), u64>,
+    cur: HashMap<(u64, u64), u64, FoldBuildHasher>,
+    prev: HashMap<(u64, u64), u64, FoldBuildHasher>,
     evicted: usize,
 }
 
@@ -445,13 +452,32 @@ fn outcome_key(o: &Outcome) -> (u8, u64) {
     }
 }
 
-/// Dense rank of history index `i` within the sorted endpoint list
-/// (`u64::MAX` for the unresolved sentinel).
-fn rank_of(endpoints: &[usize], i: usize) -> u64 {
-    if i == usize::MAX {
-        u64::MAX
-    } else {
-        endpoints.binary_search(&i).expect("endpoint present") as u64
+/// Leading word of a memo key's pre-image: plain and orbit keys share the
+/// memo and must never coincide structurally.
+const PLAIN_KEY: Word = 0;
+const ORBIT_KEY: Word = 1;
+
+/// Appends `words` to `out` behind a length prefix, so variable-length
+/// parts of a key's pre-image stay separable.
+fn push_framed(out: &mut Vec<Word>, words: &[Word]) {
+    out.push(words.len() as Word);
+    out.extend_from_slice(words);
+}
+
+/// Appends the record count, then per record the (renamed) pid, op,
+/// outcome and endpoint ranks.
+fn push_records(out: &mut Vec<Word>, records: &[RankedRecord], pid_word: impl Fn(Pid) -> Word) {
+    out.push(records.len() as Word);
+    for r in records {
+        let (tag, word) = outcome_key(&r.record.outcome);
+        out.extend([
+            pid_word(r.record.pid),
+            op_key(&r.record.op),
+            Word::from(tag),
+            word,
+            r.ranks[0],
+            r.ranks[1],
+        ]);
     }
 }
 
@@ -461,75 +487,77 @@ fn rank_of(endpoints: &[usize], i: usize) -> u64 {
 /// merely *misses* merges — never fabricates one.
 const MAX_ORBIT_CANDIDATES: usize = 24;
 
-/// All orderings obtained from `order` by permuting within runs of equal
-/// signatures, up to [`MAX_ORBIT_CANDIDATES`]; just `order` when the
-/// product of tie-class factorials exceeds the cap.
-fn tie_candidates(order: &[usize], sigs: &[Vec<Word>]) -> Vec<Vec<usize>> {
-    // Bound the total up front: the product of tie-class factorials must
-    // fit the cap *before* any class is materialized, so a wide tie class
-    // (a many-process empty-history root) costs nothing, not k! discarded
-    // allocations.
-    let classes: Vec<(usize, usize)> = {
-        let mut out = Vec::new();
-        let mut start = 0;
-        while start < order.len() {
-            let mut end = start + 1;
-            while end < order.len() && sigs[order[end]] == sigs[order[start]] {
-                end += 1;
-            }
-            out.push((start, end));
-            start = end;
+/// Fills `out` with every ordering obtained from `order` by permuting
+/// within runs of equal signatures (`same_sig`), concatenated
+/// (`order.len()` entries each); just `order` when the product of
+/// tie-class factorials exceeds [`MAX_ORBIT_CANDIDATES`].
+fn tie_candidates(order: &[usize], same_sig: impl Fn(usize, usize) -> bool, out: &mut Vec<usize>) {
+    let n = order.len();
+    let class_end = |start: usize| {
+        let mut end = start + 1;
+        while end < n && same_sig(order[end], order[start]) {
+            end += 1;
         }
-        out
+        end
     };
+    out.clear();
+    out.extend_from_slice(order);
+    // Bound the total up front: the product of tie-class factorials must
+    // fit the cap *before* any class is expanded, so a wide tie class (a
+    // many-process empty-history root) costs nothing.
     let mut total = 1usize;
-    for &(start, end) in &classes {
+    let mut start = 0;
+    while start < n {
+        let end = class_end(start);
         for k in 2..=(end - start) {
             total = total.saturating_mul(k);
         }
         if total > MAX_ORBIT_CANDIDATES {
-            return vec![order.to_vec()];
-        }
-    }
-    let mut candidates = vec![order.to_vec()];
-    for &(start, end) in &classes {
-        if end - start < 2 {
-            continue;
-        }
-        let mut extended = Vec::new();
-        for candidate in &candidates {
-            for class_perm in permutations(&candidate[start..end]) {
-                let mut c = candidate.clone();
-                c[start..end].copy_from_slice(&class_perm);
-                extended.push(c);
-            }
-        }
-        candidates = extended;
-    }
-    candidates
-}
-
-/// All permutations of a small slice (Heap's algorithm).
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    fn heaps(work: &mut Vec<usize>, k: usize, out: &mut Vec<Vec<usize>>) {
-        if k <= 1 {
-            out.push(work.clone());
             return;
         }
-        for i in 0..k {
-            heaps(work, k - 1, out);
-            if k.is_multiple_of(2) {
-                work.swap(i, k - 1);
-            } else {
-                work.swap(0, k - 1);
-            }
-        }
+        start = end;
     }
-    let mut work = items.to_vec();
-    let mut out = Vec::new();
-    let k = work.len();
-    heaps(&mut work, k, &mut out);
-    out
+    let mut start = 0;
+    while start < n {
+        let end = class_end(start);
+        if end - start >= 2 {
+            // Each candidate's class slice is ascending (as in `order`:
+            // the caller's stable sort keeps tied pids in index order), so
+            // stepping through its lexicographic successors visits every
+            // permutation once.
+            debug_assert!(order[start..end].is_sorted());
+            let before = out.len();
+            for c in 0..before / n {
+                let mut at = out.len();
+                out.extend_from_within(c * n..(c + 1) * n);
+                loop {
+                    out.extend_from_within(at..at + n);
+                    at += n;
+                    if !next_permutation(&mut out[at + start..at + end]) {
+                        out.truncate(at);
+                        break;
+                    }
+                }
+            }
+            out.drain(..before);
+        }
+        start = end;
+    }
+}
+
+/// Advances `items` to its next lexicographic permutation; false (and
+/// `items` unspecified) after the last one.
+fn next_permutation(items: &mut [usize]) -> bool {
+    let Some(i) = (1..items.len()).rev().find(|&i| items[i - 1] < items[i]) else {
+        return false;
+    };
+    let j = (i..items.len())
+        .rev()
+        .find(|&j| items[j] > items[i - 1])
+        .expect("items[i] qualifies");
+    items.swap(i - 1, j);
+    items[i..].reverse();
+    true
 }
 
 /// One DFS frame: a configuration, its remaining actions, and the memory
@@ -556,7 +584,19 @@ struct Engine<'a> {
     /// [`explore_engine`]; requires object + layout permutation support).
     sym: bool,
     stack: Vec<Frame>,
-    key_scratch: Vec<Word>,
+    /// Scratch for the memo keys: the pre-image words, the compiled
+    /// records, and the per-process signatures (concatenated; process
+    /// `i`'s is `sig_words[sig_bounds[i]..sig_bounds[i + 1]]`).
+    key_words: Vec<Word>,
+    records: Vec<RankedRecord>,
+    sig_words: Vec<Word>,
+    sig_bounds: Vec<usize>,
+    /// Scratch for orbit canonicalization: the signature order, candidate
+    /// orderings (concatenated), and the current and minimal permutations.
+    order: Vec<usize>,
+    candidates: Vec<usize>,
+    perm: Vec<u32>,
+    perm_min: Vec<u32>,
     sym_words: Vec<Word>,
     sym_words_min: Vec<Word>,
     sym_nvm: Vec<Word>,
@@ -590,7 +630,14 @@ impl<'a> Engine<'a> {
             subtree,
             sym,
             stack: Vec::new(),
-            key_scratch: Vec::new(),
+            key_words: Vec::new(),
+            records: Vec::new(),
+            sig_words: Vec::new(),
+            sig_bounds: Vec::new(),
+            order: Vec::new(),
+            candidates: Vec::new(),
+            perm: Vec::new(),
+            perm_min: Vec::new(),
             sym_words: Vec::new(),
             sym_words_min: Vec::new(),
             sym_nvm: Vec::new(),
@@ -721,28 +768,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Compiles the node's history into checker records plus the sorted
-    /// endpoint list used for dense interval ranking — exactly the
-    /// structure the leaf check will consume.
-    fn compiled_records(&self, node: &Node) -> (Vec<OpRecord>, Vec<usize>) {
-        let history = node.driver.history();
-        let records = if self.obj.detectable() {
-            history.to_records()
-        } else {
-            history.to_records_relaxed()
-        };
-        let mut endpoints: Vec<usize> = records
-            .iter()
-            .flat_map(|r| [r.invoked_at, r.resolved_at])
-            .filter(|&i| i != usize::MAX)
-            .collect();
-        endpoints.sort_unstable();
-        (records, endpoints)
+    /// Compiles the node's history into `self.records` — exactly the
+    /// records the leaf check will consume, plus their endpoint ranks.
+    fn compile_records(&mut self, node: &Node) {
+        node.driver
+            .history()
+            .records_into(!self.obj.detectable(), &mut self.records);
     }
 
-    /// 128-bit fingerprint of a configuration: memory state hash, driver
+    /// 128-bit fingerprint of a configuration: exact memory state, driver
     /// volatile state, workload positions, crash budget, and the
-    /// *canonicalized* history.
+    /// *canonicalized* history, written as words into one scratch buffer
+    /// and hashed in one [`hash2`] pass.
     ///
     /// The leaf check is path-sensitive, so two nodes are interchangeable
     /// only when their recorded pasts agree **as far as the checker can
@@ -758,31 +795,21 @@ impl<'a> Engine<'a> {
     ///
     /// [`OpRecord`]: crate::history::OpRecord
     fn node_key(&mut self, mem: &SimMemory, node: &Node) -> (u64, u64) {
-        self.key_scratch.clear();
-        node.driver.encode_key(&mut self.key_scratch);
-        let (records, endpoints) = self.compiled_records(node);
-        let mem_hash = mem.state_hash();
-
-        let mut halves = [0u64; 2];
-        for (salt, half) in halves.iter_mut().enumerate() {
-            let mut h = DefaultHasher::new();
-            (salt as u64).hash(&mut h);
-            mem_hash.hash(&mut h);
-            self.key_scratch.hash(&mut h);
-            node.next_op.hash(&mut h);
-            node.script_pos.hash(&mut h);
-            node.crashes_used.hash(&mut h);
-            records.len().hash(&mut h);
-            for r in &records {
-                r.pid.hash(&mut h);
-                op_key(&r.op).hash(&mut h);
-                outcome_key(&r.outcome).hash(&mut h);
-                rank_of(&endpoints, r.invoked_at).hash(&mut h);
-                rank_of(&endpoints, r.resolved_at).hash(&mut h);
-            }
-            *half = h.finish();
-        }
-        (halves[0], halves[1])
+        self.compile_records(node);
+        let w = &mut self.key_words;
+        w.clear();
+        w.push(PLAIN_KEY);
+        mem.state_words_into(w);
+        let len_at = w.len();
+        w.push(0);
+        node.driver.encode_key(w);
+        w[len_at] = (w.len() - len_at - 1) as Word;
+        w.push(node.next_op.len() as Word);
+        w.extend(node.next_op.iter().map(|&k| k as Word));
+        w.push(node.script_pos as Word);
+        w.push(node.crashes_used as Word);
+        push_records(w, &self.records, |pid| pid.idx() as Word);
+        hash2(SEEDS, w)
     }
 
     /// 128-bit fingerprint of a machine-free configuration's **symmetry
@@ -811,11 +838,14 @@ impl<'a> Engine<'a> {
     /// and the dirty set, everything a future crash or persist can see.
     fn canonical_key(&mut self, mem: &SimMemory, node: &Node) -> (u64, u64) {
         let n = node.driver.processes();
-        let (records, endpoints) = self.compiled_records(node);
+        self.compile_records(node);
 
         // Pid-independent per-process signatures.
-        let mut sigs: Vec<Vec<Word>> = vec![Vec::new(); n];
-        for (i, sig) in sigs.iter_mut().enumerate() {
+        let sig = &mut self.sig_words;
+        sig.clear();
+        self.sig_bounds.clear();
+        self.sig_bounds.push(0);
+        for i in 0..n {
             match node.driver.state(i) {
                 ProcState::Idle => sig.push(0),
                 ProcState::Done => sig.push(1),
@@ -833,38 +863,46 @@ impl<'a> Engine<'a> {
                 sig.push(remaining.len() as Word);
                 sig.extend(remaining.iter().map(op_key));
             }
-            for r in records.iter().filter(|r| r.pid.idx() == i) {
-                sig.push(op_key(&r.op));
-                let (tag, word) = outcome_key(&r.outcome);
-                sig.push(Word::from(tag));
-                sig.push(word);
-                sig.push(rank_of(&endpoints, r.invoked_at));
-                sig.push(rank_of(&endpoints, r.resolved_at));
+            for r in self.records.iter().filter(|r| r.record.pid.idx() == i) {
+                let (tag, word) = outcome_key(&r.record.outcome);
+                sig.extend([
+                    op_key(&r.record.op),
+                    Word::from(tag),
+                    word,
+                    r.ranks[0],
+                    r.ranks[1],
+                ]);
             }
+            self.sig_bounds.push(sig.len());
         }
+        let (sig_words, bounds) = (&self.sig_words, &self.sig_bounds);
+        let sig_of = |i: usize| &sig_words[bounds[i]..bounds[i + 1]];
 
         // Stable sort fixes the canonical slot of every distinct
         // signature; tie classes (identical signatures — necessarily
         // history-free, since interval ranks are globally unique) get
         // their orderings enumerated below.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| sigs[a].cmp(&sigs[b]));
-        let candidates = tie_candidates(&order, &sigs);
+        let order = &mut self.order;
+        order.clear();
+        order.extend(0..n);
+        order.sort_by(|&a, &b| sig_of(a).cmp(sig_of(b)));
+        tie_candidates(order, |a, b| sig_of(a) == sig_of(b), &mut self.candidates);
 
         let shared_cache = mem.mode() == CacheMode::SharedCache;
-        let mut perm = vec![0u32; n];
-        let mut perm_min = vec![0u32; n];
+        let (perm, perm_min) = (&mut self.perm, &mut self.perm_min);
+        perm.resize(n, 0);
+        perm_min.resize(n, 0);
         let mut have_min = false;
-        for candidate in &candidates {
+        for candidate in self.candidates.chunks(n) {
             for (slot, &old) in candidate.iter().enumerate() {
                 perm[old] = slot as u32;
             }
-            let ok = mem.logical_words_permuted(&perm, true, &mut self.sym_words)
-                && self.obj.permute_memory(&mut self.sym_words, &perm);
+            let ok = mem.logical_words_permuted(perm, true, &mut self.sym_words)
+                && self.obj.permute_memory(&mut self.sym_words, perm);
             debug_assert!(ok, "support was probed before the search started");
             if shared_cache {
-                let ok = mem.logical_words_permuted(&perm, false, &mut self.sym_nvm)
-                    && self.obj.permute_memory(&mut self.sym_nvm, &perm);
+                let ok = mem.logical_words_permuted(perm, false, &mut self.sym_nvm)
+                    && self.obj.permute_memory(&mut self.sym_nvm, perm);
                 debug_assert!(ok, "support was probed before the search started");
             }
             if !have_min
@@ -874,36 +912,23 @@ impl<'a> Engine<'a> {
                 have_min = true;
                 std::mem::swap(&mut self.sym_words, &mut self.sym_words_min);
                 std::mem::swap(&mut self.sym_nvm, &mut self.sym_nvm_min);
-                perm_min.copy_from_slice(&perm);
+                perm_min.copy_from_slice(perm);
             }
         }
 
-        let mut halves = [0u64; 2];
-        for (salt, half) in halves.iter_mut().enumerate() {
-            let mut h = DefaultHasher::new();
-            (salt as u64).hash(&mut h);
-            // Scheme discriminator: canonical keys share the memo with
-            // plain keys and must never collide with them structurally.
-            0x53_59_4d_4du64.hash(&mut h);
-            node.crashes_used.hash(&mut h);
-            for &i in &order {
-                sigs[i].hash(&mut h);
-            }
-            self.sym_words_min.hash(&mut h);
-            if shared_cache {
-                self.sym_nvm_min.hash(&mut h);
-            }
-            records.len().hash(&mut h);
-            for r in &records {
-                perm_min[r.pid.idx()].hash(&mut h);
-                op_key(&r.op).hash(&mut h);
-                outcome_key(&r.outcome).hash(&mut h);
-                rank_of(&endpoints, r.invoked_at).hash(&mut h);
-                rank_of(&endpoints, r.resolved_at).hash(&mut h);
-            }
-            *half = h.finish();
+        let w = &mut self.key_words;
+        w.clear();
+        w.push(ORBIT_KEY);
+        w.push(node.crashes_used as Word);
+        for &i in order.iter() {
+            push_framed(w, sig_of(i));
         }
-        (halves[0], halves[1])
+        push_framed(w, &self.sym_words_min);
+        if shared_cache {
+            push_framed(w, &self.sym_nvm_min);
+        }
+        push_records(w, &self.records, |pid| Word::from(perm_min[pid.idx()]));
+        hash2(SEEDS, w)
     }
 
     /// Executes one scheduler action, mutating `node` and the memory.
@@ -1558,6 +1583,29 @@ mod tests {
             assert_eq!(par.leaves, seq.leaves, "parallelism {parallelism}");
             assert!(par.violation.is_none());
         }
+    }
+
+    #[test]
+    fn tie_candidates_enumerate_each_class_permutation_once() {
+        let mut out = Vec::new();
+        let sorted_distinct = |out: &[usize], n: usize| {
+            let mut c: Vec<&[usize]> = out.chunks(n).collect();
+            c.sort();
+            c.dedup();
+            c.len()
+        };
+        // One class of three: 3! orderings.
+        tie_candidates(&[0, 1, 2], |_, _| true, &mut out);
+        assert_eq!((out.len() / 3, sorted_distinct(&out, 3)), (6, 6));
+        // Classes {0, 2} and {1, 3} (equal parity) around the singleton
+        // 4: 2! × 2! orderings, the singleton's slot fixed.
+        let order = [0, 2, 4, 1, 3];
+        tie_candidates(&order, |a, b| a % 2 == b % 2 && a != 4 && b != 4, &mut out);
+        assert_eq!((out.len() / 5, sorted_distinct(&out, 5)), (4, 4));
+        assert!(out.chunks(5).all(|c| c[2] == 4));
+        // 5! = 120 exceeds the cap: the base ordering alone.
+        tie_candidates(&[0, 1, 2, 3, 4], |_, _| true, &mut out);
+        assert_eq!(out, [0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -98,6 +98,22 @@ impl OpRecord {
     }
 }
 
+/// An [`OpRecord`] plus the dense ranks of its interval endpoints.
+///
+/// Every event except a crash is an interval endpoint: an `Invoke` opens a
+/// record and a `Return`/`RecoveryReturn` closes one. So an endpoint's rank
+/// among all endpoints is its event index minus the crashes before it.
+/// Ranks order endpoints exactly as the event indices do, but two histories
+/// that differ only in where crashes fell between endpoints get equal ranks
+/// — the form the explorer's memo key uses.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) struct RankedRecord {
+    /// The record, with event indices.
+    pub record: OpRecord,
+    /// Ranks of `invoked_at` and `resolved_at` (`u64::MAX` while pending).
+    pub ranks: [u64; 2],
+}
+
 /// A recorded execution.
 #[derive(Clone, Debug, Default)]
 pub struct History {
@@ -135,43 +151,7 @@ impl History {
     /// Panics on malformed histories (response without invocation, two
     /// in-flight operations for one process) — these indicate harness bugs.
     pub fn to_records(&self) -> Vec<OpRecord> {
-        let mut records: Vec<OpRecord> = Vec::new();
-        // Per-pid index into `records` of the in-flight op.
-        let mut open: std::collections::HashMap<Pid, usize> = std::collections::HashMap::new();
-        for (i, e) in self.events.iter().enumerate() {
-            match *e {
-                Event::Invoke { pid, op } => {
-                    assert!(
-                        !open.contains_key(&pid),
-                        "{pid} invoked {op} while another op is in flight"
-                    );
-                    open.insert(pid, records.len());
-                    records.push(OpRecord {
-                        pid,
-                        op,
-                        outcome: Outcome::Pending,
-                        invoked_at: i,
-                        resolved_at: usize::MAX,
-                    });
-                }
-                Event::Return { pid, resp } => {
-                    let idx = open.remove(&pid).expect("return without invocation");
-                    records[idx].outcome = Outcome::Completed(resp);
-                    records[idx].resolved_at = i;
-                }
-                Event::Crash => {}
-                Event::RecoveryReturn { pid, verdict } => {
-                    let idx = open.remove(&pid).expect("recovery without invocation");
-                    records[idx].outcome = if verdict == RESP_FAIL {
-                        Outcome::RecoveredFail
-                    } else {
-                        Outcome::Completed(verdict)
-                    };
-                    records[idx].resolved_at = i;
-                }
-            }
-        }
-        records
+        self.plain_records(false)
     }
 
     /// Like [`to_records`](Self::to_records) but for **non-detectable**
@@ -180,21 +160,81 @@ impl History {
     /// taken effect within its interval, or not. Only durable
     /// linearizability remains checkable.
     pub fn to_records_relaxed(&self) -> Vec<OpRecord> {
-        let mut records = self.to_records();
-        for r in &mut records {
-            if matches!(r.outcome, Outcome::RecoveredFail | Outcome::Completed(_))
-                && self.resolved_by_recovery(r)
-            {
-                r.outcome = Outcome::Unresolved;
-            }
-        }
-        records
+        self.plain_records(true)
     }
 
-    fn resolved_by_recovery(&self, r: &OpRecord) -> bool {
-        r.resolved_at != usize::MAX
-            && matches!(self.events[r.resolved_at], Event::RecoveryReturn { .. })
+    fn plain_records(&self, relaxed: bool) -> Vec<OpRecord> {
+        let mut ranked = Vec::new();
+        self.records_into(relaxed, &mut ranked);
+        ranked.iter().map(|r| r.record).collect()
     }
+
+    /// The record compiler behind [`to_records`](Self::to_records)
+    /// (`relaxed == false`) and [`to_records_relaxed`](Self::to_records_relaxed)
+    /// (`relaxed == true`): one pass over the events into `out` (cleared
+    /// first), with each record's endpoint [ranks](RankedRecord::ranks).
+    /// Allocation-free once `out` has grown, for callers that compile a
+    /// history per search node.
+    ///
+    /// # Panics
+    ///
+    /// As [`to_records`](Self::to_records).
+    pub(crate) fn records_into(&self, relaxed: bool, out: &mut Vec<RankedRecord>) {
+        out.clear();
+        let mut crashes = 0;
+        for (i, e) in self.events.iter().enumerate() {
+            let rank = (i - crashes) as u64;
+            let (pid, outcome, what) = match *e {
+                Event::Invoke { pid, op } => {
+                    assert!(
+                        open_record(out, pid).is_none(),
+                        "{pid} invoked {op} while another op is in flight"
+                    );
+                    out.push(RankedRecord {
+                        record: OpRecord {
+                            pid,
+                            op,
+                            outcome: Outcome::Pending,
+                            invoked_at: i,
+                            resolved_at: usize::MAX,
+                        },
+                        ranks: [rank, u64::MAX],
+                    });
+                    continue;
+                }
+                Event::Crash => {
+                    crashes += 1;
+                    continue;
+                }
+                Event::Return { pid, resp } => (pid, Outcome::Completed(resp), "return"),
+                Event::RecoveryReturn { pid, verdict } => {
+                    let outcome = if relaxed {
+                        Outcome::Unresolved
+                    } else if verdict == RESP_FAIL {
+                        Outcome::RecoveredFail
+                    } else {
+                        Outcome::Completed(verdict)
+                    };
+                    (pid, outcome, "recovery")
+                }
+            };
+            let r = open_record(out, pid).unwrap_or_else(|| panic!("{what} without invocation"));
+            r.record.outcome = outcome;
+            r.record.resolved_at = i;
+            r.ranks[1] = rank;
+        }
+    }
+}
+
+/// The in-flight record of `pid`, if any. A process has at most one
+/// operation in flight and records are appended in invocation order, so
+/// it can only be the process's latest record.
+fn open_record(records: &mut [RankedRecord], pid: Pid) -> Option<&mut RankedRecord> {
+    records
+        .iter_mut()
+        .rev()
+        .find(|r| r.record.pid == pid)
+        .filter(|r| r.record.resolved_at == usize::MAX)
 }
 
 impl fmt::Display for History {
@@ -210,6 +250,8 @@ impl fmt::Display for History {
 mod tests {
     use super::*;
     use nvm::ACK;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn records_from_plain_history() {
@@ -349,6 +391,177 @@ mod tests {
         });
         let r = h.to_records_relaxed();
         assert_eq!(r[0].outcome, Outcome::Pending);
+    }
+
+    /// The record compiler as it was before ranks came out of the compile
+    /// pass: open records in a `HashMap`, relaxed outcomes in a second
+    /// pass, endpoint ranks by binary search in the sorted endpoint list.
+    fn oracle_records(h: &History, relaxed: bool) -> Vec<RankedRecord> {
+        let mut records: Vec<OpRecord> = Vec::new();
+        let mut open = std::collections::HashMap::new();
+        for (i, e) in h.events().iter().enumerate() {
+            match *e {
+                Event::Invoke { pid, op } => {
+                    assert!(open.insert(pid, records.len()).is_none());
+                    records.push(OpRecord {
+                        pid,
+                        op,
+                        outcome: Outcome::Pending,
+                        invoked_at: i,
+                        resolved_at: usize::MAX,
+                    });
+                }
+                Event::Return { pid, resp } => {
+                    let idx = open.remove(&pid).expect("return without invocation");
+                    records[idx].outcome = Outcome::Completed(resp);
+                    records[idx].resolved_at = i;
+                }
+                Event::Crash => {}
+                Event::RecoveryReturn { pid, verdict } => {
+                    let idx = open.remove(&pid).expect("recovery without invocation");
+                    records[idx].outcome = if verdict == RESP_FAIL {
+                        Outcome::RecoveredFail
+                    } else {
+                        Outcome::Completed(verdict)
+                    };
+                    records[idx].resolved_at = i;
+                }
+            }
+        }
+        if relaxed {
+            for r in &mut records {
+                if r.resolved_at != usize::MAX
+                    && matches!(h.events()[r.resolved_at], Event::RecoveryReturn { .. })
+                {
+                    r.outcome = Outcome::Unresolved;
+                }
+            }
+        }
+        let mut endpoints: Vec<usize> = records
+            .iter()
+            .flat_map(|r| [r.invoked_at, r.resolved_at])
+            .filter(|&i| i != usize::MAX)
+            .collect();
+        endpoints.sort_unstable();
+        let rank = |i: usize| {
+            if i == usize::MAX {
+                u64::MAX
+            } else {
+                endpoints.binary_search(&i).expect("endpoint present") as u64
+            }
+        };
+        records
+            .iter()
+            .map(|&record| RankedRecord {
+                record,
+                ranks: [rank(record.invoked_at), rank(record.resolved_at)],
+            })
+            .collect()
+    }
+
+    /// A well-formed random history over 1–4 processes: invocations,
+    /// returns, crashes (every running op then needs recovery), recovery
+    /// verdicts (fail or a response), re-invocations after a verdict, and
+    /// whatever is still in flight at the end left pending.
+    fn random_history(rng: &mut StdRng) -> History {
+        #[derive(Copy, Clone)]
+        enum Stage {
+            Idle,
+            Running,
+            Crashed,
+        }
+        let procs = rng.gen_range(1..5u32);
+        let mut stage = vec![Stage::Idle; procs as usize];
+        let ops = [
+            OpSpec::Read,
+            OpSpec::Write(1),
+            OpSpec::Cas { old: 0, new: 1 },
+        ];
+        let words = [0, 1, ACK, RESP_FAIL];
+        let mut h = History::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            if rng.gen_range(0..6u32) == 0 {
+                h.push(Event::Crash);
+                for s in &mut stage {
+                    if matches!(s, Stage::Running) {
+                        *s = Stage::Crashed;
+                    }
+                }
+                continue;
+            }
+            let p = rng.gen_range(0..procs);
+            let pid = Pid::new(p);
+            let word = words[rng.gen_range(0..words.len())];
+            let s = &mut stage[p as usize];
+            match s {
+                Stage::Idle => {
+                    let op = ops[rng.gen_range(0..ops.len())];
+                    h.push(Event::Invoke { pid, op });
+                    *s = Stage::Running;
+                }
+                Stage::Running => {
+                    h.push(Event::Return { pid, resp: word });
+                    *s = Stage::Idle;
+                }
+                Stage::Crashed => {
+                    h.push(Event::RecoveryReturn { pid, verdict: word });
+                    *s = Stage::Idle;
+                }
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn record_compiler_matches_the_sort_and_search_oracle() {
+        let mut rng = StdRng::seed_from_u64(15);
+        let mut out = Vec::new();
+        let (mut crashes, mut pending, mut recovered) = (0, 0, 0);
+        for _ in 0..5_000 {
+            let h = random_history(&mut rng);
+            for relaxed in [false, true] {
+                h.records_into(relaxed, &mut out);
+                assert_eq!(out, oracle_records(&h, relaxed), "relaxed {relaxed}:\n{h}");
+            }
+            let plain: Vec<OpRecord> = out.iter().map(|r| r.record).collect();
+            assert_eq!(h.to_records_relaxed(), plain);
+            crashes += h.crash_count();
+            pending += plain
+                .iter()
+                .filter(|r| r.outcome == Outcome::Pending)
+                .count();
+            recovered += plain
+                .iter()
+                .filter(|r| r.outcome == Outcome::Unresolved)
+                .count();
+        }
+        // The generator reaches every shape the compiler distinguishes.
+        assert!(crashes > 0 && pending > 0 && recovered > 0);
+    }
+
+    #[test]
+    fn ranks_skip_crashes() {
+        let mut h = History::new();
+        let p = Pid::new(0);
+        h.push(Event::Crash);
+        h.push(Event::Invoke {
+            pid: p,
+            op: OpSpec::Read,
+        });
+        h.push(Event::Crash);
+        h.push(Event::RecoveryReturn { pid: p, verdict: 0 });
+        h.push(Event::Invoke {
+            pid: p,
+            op: OpSpec::Read,
+        });
+        let mut out = Vec::new();
+        h.records_into(false, &mut out);
+        assert_eq!(out[0].ranks, [0, 1]);
+        assert_eq!(out[1].ranks, [2, u64::MAX]);
+        assert_eq!(
+            (out[0].record.invoked_at, out[0].record.resolved_at),
+            (1, 3)
+        );
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! the unit of atomicity, and the granularity at which crashes are injected.
 
 use std::cell::{Cell, RefCell};
-use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -414,22 +412,23 @@ impl SimMemory {
         }
     }
 
-    /// Canonical fingerprint of the complete simulated state: NVM contents,
-    /// the dirty-cache overlay (dirtiness included — two states with equal
+    /// Appends the complete simulated state to `out` as exact words: the
+    /// NVM contents, the dirty-cache overlay as a count followed by
+    /// `(index, value)` pairs (dirtiness included — two states with equal
     /// logical values but different unpersisted sets behave differently at
     /// the next crash), and the crash ordinal (which seeds
-    /// [`CrashPolicy::RandomSubset`]). Two `SimMemory` states with equal
-    /// `state_hash` are indistinguishable to every future primitive, crash,
-    /// and persist (modulo hash collisions). The exhaustive explorer keys
-    /// its visited-set on this.
-    pub fn state_hash(&self) -> u64 {
-        let mut h = DefaultHasher::new();
-        self.nvm.borrow().hash(&mut h);
-        for (&i, &w) in self.cache.borrow().iter() {
-            (i, w).hash(&mut h);
+    /// [`CrashPolicy::RandomSubset`]). For a fixed layout the encoding is
+    /// injective: two `SimMemory` states append equal words exactly when
+    /// they are indistinguishable to every future primitive, crash, and
+    /// persist. The exhaustive explorer builds its memo key on it.
+    pub fn state_words_into(&self, out: &mut Vec<Word>) {
+        out.extend_from_slice(&self.nvm.borrow());
+        let cache = self.cache.borrow();
+        out.push(cache.len() as Word);
+        for (&i, &w) in cache.iter() {
+            out.extend([Word::from(i), w]);
         }
-        self.crashes.borrow().hash(&mut h);
-        h.finish()
+        out.push(*self.crashes.borrow());
     }
 
     /// Captures the full NVM + cache state.
@@ -535,24 +534,25 @@ impl SimMemory {
             },
             "perm is not a permutation: {perm:?}"
         );
+        let nvm = self.nvm.borrow();
+        let cache = self.cache.borrow();
         out.clear();
-        out.extend_from_slice(&self.nvm.borrow());
+        out.extend_from_slice(&nvm);
         if overlay {
-            for (&i, &w) in self.cache.borrow().iter() {
+            for (&i, &w) in cache.iter() {
                 out[i as usize] = w;
             }
         }
         if perm.iter().enumerate().all(|(p, &q)| p as u32 == q) {
             return true; // identity: nothing moves
         }
-        let gathered: Vec<Word> = slots
-            .iter()
-            .flat_map(|cells| cells.iter().map(|&c| out[c as usize]))
-            .collect();
-        let per = slots[0].len();
+        let source = |i: u32| {
+            let cached = if overlay { cache.get(&i) } else { None };
+            cached.copied().unwrap_or(nvm[i as usize])
+        };
         for (p, &q) in perm.iter().enumerate() {
-            for (k, &dst) in slots[q as usize].iter().enumerate() {
-                out[dst as usize] = gathered[p * per + k];
+            for (&src, &dst) in slots[p].iter().zip(&slots[q as usize]) {
+                out[dst as usize] = source(src);
             }
         }
         true
@@ -978,19 +978,25 @@ mod tests {
         assert_eq!(m.snapshot(), before);
     }
 
+    fn state_words(m: &SimMemory) -> Vec<Word> {
+        let mut out = Vec::new();
+        m.state_words_into(&mut out);
+        out
+    }
+
     #[test]
-    fn state_hash_distinguishes_dirtiness_and_crash_ordinal() {
+    fn state_words_distinguish_dirtiness_and_crash_ordinal() {
         let (m, x, _) = mem(CacheMode::SharedCache);
         let p = Pid::new(0);
         m.write(p, x, 5);
-        let dirty = m.state_hash();
+        let dirty = state_words(&m);
         m.persist(p, x);
-        let clean = m.state_hash();
+        let clean = state_words(&m);
         // Same logical value, different persistence state.
         assert_ne!(dirty, clean);
         m.crash(CrashPolicy::DropAll);
         // Same logical value and empty cache, but the crash ordinal moved.
-        assert_ne!(m.state_hash(), clean);
+        assert_ne!(state_words(&m), clean);
     }
 
     #[test]
@@ -1033,14 +1039,14 @@ mod tests {
     }
 
     #[test]
-    fn state_hash_equal_for_equal_states() {
+    fn state_words_equal_for_equal_states() {
         let run = || {
             let (m, x, _) = mem(CacheMode::SharedCache);
             let p = Pid::new(0);
             m.write(p, x, 3);
             m.persist(p, x);
             m.write(p, x.at(1), 4);
-            m.state_hash()
+            state_words(&m)
         };
         assert_eq!(run(), run());
     }
@@ -1053,10 +1059,10 @@ mod tests {
         m.persist(p, x);
         m.write(p, x.at(1), 2); // dirty
         let f = m.fork();
-        assert_eq!(f.state_hash(), m.state_hash());
+        assert_eq!(state_words(&f), state_words(&m));
         f.write(p, x, 9);
         assert_eq!(m.read(p, x), 1);
-        assert_ne!(f.state_hash(), m.state_hash());
+        assert_ne!(state_words(&f), state_words(&m));
         // Stats start fresh in the fork.
         assert_eq!(f.stats().writes, 1);
     }

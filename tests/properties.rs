@@ -23,6 +23,13 @@ fn lists(n: u32, ops: usize, f: impl Fn(Pid, usize) -> OpSpec) -> Workload {
     )
 }
 
+/// The exact simulated state (NVM, dirty overlay, crash ordinal).
+fn state_words(mem: &nvm::SimMemory) -> Vec<nvm::Word> {
+    let mut out = Vec::new();
+    mem.state_words_into(&mut out);
+    out
+}
+
 fn register_workload(choices: Vec<u8>) -> impl Fn(Pid, usize) -> OpSpec {
     move |pid: Pid, i: usize| {
         let c = choices[(pid.idx() * 7 + i) % choices.len()];
@@ -273,7 +280,7 @@ proptest! {
             nvm::Memory::write(&mem, p, base.at(*i), *w);
         }
         let snap = mem.snapshot();
-        let hash = mem.state_hash();
+        let words = state_words(&mem);
         let cp = mem.checkpoint();
         for (kind, i, w) in &ops {
             let loc = base.at(*i);
@@ -288,7 +295,7 @@ proptest! {
         }
         mem.rollback(cp);
         prop_assert_eq!(mem.snapshot(), snap);
-        prop_assert_eq!(mem.state_hash(), hash);
+        prop_assert_eq!(state_words(&mem), words);
     }
 
     #[test]
@@ -319,7 +326,7 @@ proptest! {
         direct.crash(CrashPolicy::RandomSubset(policy_seed));
 
         prop_assert_eq!(rewound.shared_key(), direct.shared_key());
-        prop_assert_eq!(rewound.state_hash(), direct.state_hash());
+        prop_assert_eq!(state_words(&rewound), state_words(&direct));
     }
 
     #[test]

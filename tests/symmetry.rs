@@ -173,3 +173,148 @@ fn scenario_auto_symmetry_is_total_preserving_across_seeds() {
         );
     }
 }
+
+/// Sequential explorer counts, pinned. `leaves` is fixed by the tree, but
+/// `unique_nodes` and `memo_hits` depend on exactly which configurations
+/// the memo key merges, so any change to the fingerprint's pre-image (the
+/// memory words, driver key, positions, crash count, ranked records, or
+/// the orbit canonicalization) moves them. The unbounded memo keeps the
+/// counts independent of how keys spread over memo shards.
+#[test]
+fn sequential_explorer_counts_are_pinned() {
+    use baselines::{NonDetectableCas, NonDetectableRegister};
+    use nvm::{CacheMode, CrashPolicy, Pid};
+
+    let cas = |old, new| OpSpec::Cas { old, new };
+    let cfg = |symmetry, max_crashes| ExploreConfig {
+        max_crashes,
+        max_retries: 1,
+        max_leaves: usize::MAX,
+        symmetry,
+        memo_budget: None,
+        parallelism: 1,
+        ..Default::default()
+    };
+    let per_process = |scenario: Scenario, lists: Vec<Vec<OpSpec>>, cfg: ExploreConfig| {
+        let (obj, mem) = scenario.build();
+        explore_engine(&*obj, &mem, OpSource::PerProcess(&lists), &cfg)
+    };
+    let script = |scenario: Scenario, script: Vec<(Pid, OpSpec)>, cfg: ExploreConfig| {
+        let (obj, mem) = scenario.build();
+        explore_engine(&*obj, &mem, OpSource::Script(&script), &cfg)
+    };
+    let p = Pid::new;
+    let cas3 = || Scenario::object(ObjectKind::Cas).processes(3);
+    let shared_cas2 = || {
+        Scenario::object(ObjectKind::Cas)
+            .processes(2)
+            .memory(CacheMode::SharedCache)
+    };
+    let cas2_lists = || vec![vec![cas(0, 1), cas(1, 0)]; 2];
+
+    let runs: Vec<(&str, harness::ExploreOutcome, [usize; 3])> = vec![
+        (
+            "cas 3x1, symmetry off",
+            per_process(cas3(), vec![vec![cas(0, 1)]; 3], cfg(SymmetryMode::Off, 1)),
+            [62_854_434, 35_083, 14_439],
+        ),
+        (
+            "cas 3x1, symmetry on",
+            per_process(cas3(), vec![vec![cas(0, 1)]; 3], cfg(SymmetryMode::On, 1)),
+            [62_854_434, 6_537, 3_245],
+        ),
+        (
+            "counter 3x1, symmetry on",
+            per_process(
+                Scenario::object(ObjectKind::Counter).processes(3),
+                vec![vec![OpSpec::Inc]; 3],
+                cfg(SymmetryMode::On, 1),
+            ),
+            [807_627_771_306, 30_258, 31_307],
+        ),
+        (
+            "shared-cache cas 2x2, symmetry off",
+            per_process(shared_cas2(), cas2_lists(), cfg(SymmetryMode::Off, 1)),
+            [220_048, 10_113, 3_762],
+        ),
+        (
+            "shared-cache cas 2x2, symmetry on",
+            per_process(shared_cas2(), cas2_lists(), cfg(SymmetryMode::On, 1)),
+            [220_048, 5_109, 1_972],
+        ),
+        (
+            "shared-cache cas 2x2, random-subset crashes",
+            per_process(
+                shared_cas2(),
+                cas2_lists(),
+                ExploreConfig {
+                    crash_policy: CrashPolicy::RandomSubset(7),
+                    ..cfg(SymmetryMode::Off, 1)
+                },
+            ),
+            [220_048, 10_113, 3_762],
+        ),
+        (
+            "max register 2x2 (opaque to symmetry)",
+            per_process(
+                Scenario::object(ObjectKind::MaxRegister),
+                vec![
+                    vec![OpSpec::WriteMax(2), OpSpec::Read],
+                    vec![OpSpec::WriteMax(1)],
+                ],
+                cfg(SymmetryMode::On, 1),
+            ),
+            [21_759, 579, 397],
+        ),
+        (
+            "register script, two crashes",
+            script(
+                Scenario::object(ObjectKind::Register),
+                vec![
+                    (p(0), OpSpec::Write(1)),
+                    (p(1), OpSpec::Read),
+                    (p(1), OpSpec::Write(2)),
+                    (p(0), OpSpec::Write(1)),
+                    (p(1), OpSpec::Read),
+                ],
+                cfg(SymmetryMode::Off, 2),
+            ),
+            [1_077, 1_103, 266],
+        ),
+        (
+            "non-detectable register script (relaxed records)",
+            script(
+                Scenario::custom(|b| Box::new(NonDetectableRegister::new(b, 2))),
+                vec![
+                    (p(0), OpSpec::Write(1)),
+                    (p(1), OpSpec::Read),
+                    (p(0), OpSpec::Write(2)),
+                    (p(1), OpSpec::Read),
+                ],
+                cfg(SymmetryMode::Off, 2),
+            ),
+            [19, 119, 0],
+        ),
+        (
+            "non-detectable cas 2x2 (relaxed records)",
+            per_process(
+                Scenario::custom(|b| Box::new(NonDetectableCas::new(b, 2))),
+                vec![vec![cas(0, 1), OpSpec::Read], vec![cas(0, 2), OpSpec::Read]],
+                cfg(SymmetryMode::Off, 1),
+            ),
+            [2_150, 3_291, 264],
+        ),
+    ];
+    let got: Vec<(&str, [usize; 3])> = runs
+        .iter()
+        .map(|(name, out, _)| {
+            assert!(out.violation.is_none() && !out.truncated, "{name}");
+            (*name, [out.leaves, out.unique_nodes, out.memo_hits])
+        })
+        .collect();
+    let pinned: Vec<(&str, [usize; 3])> = runs.iter().map(|(name, _, pin)| (*name, *pin)).collect();
+    assert_eq!(
+        got, pinned,
+        "[leaves, unique_nodes, memo_hits] per exploration"
+    );
+}
