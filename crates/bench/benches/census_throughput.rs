@@ -20,7 +20,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use detectable::{DetectableCas, ObjectKind, OpSpec};
 use harness::{
     build_world, census_bfs_engine, census_bfs_snapshot_engine, census_table_json, BfsConfig,
@@ -58,35 +57,6 @@ fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn census_throughput(c: &mut Criterion) {
-    let (cas, mem) = world();
-    let mut g = c.benchmark_group("census_throughput");
-    let probe = census_bfs_snapshot_engine(&cas, &mem, &alphabet(), &config(1));
-    g.throughput(criterion::Throughput::Elements(probe.work as u64));
-    g.bench_with_input(BenchmarkId::new("snapshot-seq", probe.work), &(), |b, _| {
-        b.iter(|| census_bfs_snapshot_engine(&cas, &mem, &alphabet(), &config(1)));
-    });
-    for threads in [1usize, 2, 4, 8] {
-        let label = if threads == 1 {
-            "fork-seq".to_string()
-        } else {
-            format!("fork-par{threads}")
-        };
-        g.bench_with_input(BenchmarkId::new(label, probe.work), &threads, |b, &t| {
-            b.iter(|| {
-                Scenario::object(ObjectKind::Cas)
-                    .processes(N)
-                    .workload(Workload::round_robin(alphabet().to_vec(), MAX_OPS))
-                    .census(&config(t))
-            });
-        });
-    }
-    g.finish();
-}
-
-criterion_group!(benches, census_throughput, record_baseline);
-criterion_main!(benches);
-
 /// Records `BENCH_census.json` next to the workspace root: one sample per
 /// engine variant with the expanded-state count, wall time, derived
 /// states/sec, peak resident bytes, spilled bytes, scheduler counters and
@@ -98,7 +68,7 @@ criterion_main!(benches);
 /// budget. The `fork-par{2,4,8}` rows (experiment E17) are measured on
 /// every host — `host_cpus` tells a reader whether to read them as a
 /// scaling curve or as a determinism pin.
-fn record_baseline(_c: &mut Criterion) {
+fn main() {
     let (cas, mem) = world();
     let cpus = host_cpus();
     let mut entries = Vec::new();

@@ -1,10 +1,11 @@
 //! **Experiments E11 + E13** — exhaustive-explorer throughput: covered
 //! executions (leaves) per second on fixed small configurations.
 //!
-//! Three comparisons are tracked via the committed `BENCH_explore.json`
+//! Four comparisons are tracked via the committed `BENCH_explore.json`
 //! baseline (regenerate with `cargo bench -p bench --bench
-//! explore_throughput`; set `BENCH_EXPLORE_OUT` to write elsewhere, as CI
-//! does for its schema diff):
+//! explore_throughput`, which rewrites it in place). Every row but `par*`
+//! runs the sequential explorer, so its `unique_nodes` and `memo_hits`
+//! do not depend on the host's CPU count:
 //!
 //! * **pruned vs unpruned** (E11) — state-hash pruning on the 2-process
 //!   CAS triangle; the memoized-subtree accounting dwarfs the naive
@@ -27,7 +28,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use detectable::{DetectableCas, OpSpec};
 use harness::{
     build_world, build_world_mode, explore_engine, ExploreConfig, OpSource, SymmetryMode,
@@ -52,6 +52,7 @@ fn triangle_config(prune: bool) -> ExploreConfig {
         max_retries: 1,
         max_leaves: 100_000,
         prune,
+        parallelism: 1,
         ..Default::default()
     }
 }
@@ -69,6 +70,7 @@ fn symmetric_config(symmetry: SymmetryMode) -> ExploreConfig {
         max_retries: 1,
         max_leaves: usize::MAX,
         symmetry,
+        parallelism: 1,
         ..Default::default()
     }
 }
@@ -140,30 +142,13 @@ fn rows() -> Vec<Row> {
     out
 }
 
-fn explore_throughput(c: &mut Criterion) {
-    let mut g = c.benchmark_group("explore_throughput");
-    for row in rows() {
-        let probe = explore_engine(&row.obj, &row.mem, OpSource::PerProcess(&row.ops), &row.cfg);
-        probe.assert_no_violation();
-        g.throughput(criterion::Throughput::Elements(probe.leaves as u64));
-        g.bench_with_input(
-            BenchmarkId::new(row.engine, probe.leaves),
-            &row.cfg,
-            |b, cfg| {
-                b.iter(|| explore_engine(&row.obj, &row.mem, OpSource::PerProcess(&row.ops), cfg));
-            },
-        );
-    }
-    g.finish();
-}
-
-/// Records `BENCH_explore.json` next to the workspace root (or to
-/// `$BENCH_EXPLORE_OUT`): one sample per grid row with leaves, unique node
-/// expansions, memo hits, wall time, the derived leaves/sec and the
-/// scheduler counters (nonzero on the `par*` rows). The `par*` rows'
+/// Records `BENCH_explore.json` next to the workspace root: one sample
+/// per grid row with leaves, unique node expansions, memo hits, wall
+/// time, the derived leaves/sec and the scheduler counters (nonzero on
+/// the `par*` rows). The `par*` rows'
 /// leaf totals are asserted equal to the sequential pruned row at record
 /// time — the E17 determinism contract.
-fn record_baseline(_c: &mut Criterion) {
+fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut entries = Vec::new();
     let mut pruned_leaves = None;
@@ -183,6 +168,7 @@ fn record_baseline(_c: &mut Criterion) {
         }
         let elapsed = start.elapsed() / runs;
         let out = out.expect("at least one run");
+        out.assert_no_violation();
         let leaves_per_sec = out.leaves as f64 / elapsed.as_secs_f64();
         if row.engine == "pruned" {
             pruned_leaves = Some(out.leaves);
@@ -238,11 +224,7 @@ fn record_baseline(_c: &mut Criterion) {
         cpus,
         entries.join(",\n")
     );
-    let default_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
-    let path = std::env::var("BENCH_EXPLORE_OUT").unwrap_or_else(|_| default_path.to_string());
-    std::fs::write(&path, &json).expect("write explore baseline JSON");
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_explore.json");
+    std::fs::write(path, &json).expect("write BENCH_explore.json");
     println!("baseline written to {path}");
 }
-
-criterion_group!(benches, explore_throughput, record_baseline);
-criterion_main!(benches);

@@ -1,9 +1,13 @@
-//! Benchmark utilities shared by the Criterion benches and the experiment
+//! Benchmark utilities shared by the bench programs and the experiment
 //! table binaries.
 //!
 //! The binaries in `src/bin/` regenerate every evaluation artifact indexed
-//! in `DESIGN.md` §4 (experiments E1–E7); the Criterion benches under
-//! `benches/` cover the throughput/latency experiments (E8–E10).
+//! in `DESIGN.md` §4 (experiments E1–E7, E18). The three bench programs
+//! under `benches/` are plain-timer `main`s, each rewriting one committed
+//! baseline at the workspace root: `objects_throughput` (E8–E10,
+//! `BENCH_objects.json`), `explore_throughput` (E11, E13, E17,
+//! `BENCH_explore.json`) and `census_throughput` (E12, E15, E17,
+//! `BENCH_census.json`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
