@@ -38,3 +38,8 @@ pub use nondetectable::{NonDetectableCas, NonDetectableRegister};
 pub use plain::{PlainCas, PlainRegister};
 pub use tagged_cas::TaggedCas;
 pub use tagged_register::TaggedRegister;
+
+/// Compiles only for `Copy` types: the ownership guard tests call it in a
+/// `const` block on every handle and descriptor.
+#[cfg(test)]
+pub(crate) const fn assert_copy<T: Copy>() {}

@@ -118,7 +118,7 @@ mod tests {
         // Ann_p.resp keeps its value into the next invocation.
         let mut b = LayoutBuilder::new();
         let honest = DetectableRegister::new(&mut b, 2, 0);
-        let deprived = WithoutPrepare::new(honest.clone());
+        let deprived = WithoutPrepare::new(honest);
         let mem = SimMemory::new(b.finish());
         let p = Pid::new(0);
 

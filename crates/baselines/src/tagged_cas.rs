@@ -22,8 +22,6 @@
 //! one of them growing with operation count — versus Algorithm 2's fixed
 //! `N` bits. This is the contrast object for experiment E3.
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, FALSE,
     RESP_FAIL, RESP_NONE, TRUE,
@@ -34,7 +32,7 @@ use detectable::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 /// Bits reserved for the unbounded sequence number in the packed word.
 pub const TAG_SEQ_BITS: u32 = 20;
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 struct TaggedCasInner {
     n: u32,
     c_val: Field,
@@ -96,9 +94,9 @@ impl TaggedCasInner {
 /// let mut m = cas.invoke(Pid::new(0), &op);
 /// assert_eq!(run_to_completion(&mut *m, &mem, 100).unwrap(), TRUE);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct TaggedCas {
-    inner: Arc<TaggedCasInner>,
+    inner: TaggedCasInner,
 }
 
 impl TaggedCas {
@@ -123,7 +121,7 @@ impl TaggedCas {
         let seq = b.private_array(&format!("{name}.SEQ"), n, 1, TAG_SEQ_BITS);
         let ann = AnnBank::alloc(b, name, n, 1);
         TaggedCas {
-            inner: Arc::new(TaggedCasInner {
+            inner: TaggedCasInner {
                 n,
                 c_val,
                 c_pid,
@@ -132,7 +130,7 @@ impl TaggedCas {
                 obs,
                 seq,
                 ann,
-            }),
+            },
         }
     }
 
@@ -152,7 +150,7 @@ impl RecoverableObject for TaggedCas {
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
             OpSpec::Cas { old, new } => Box::new(TCasMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 old,
                 new,
@@ -161,7 +159,7 @@ impl RecoverableObject for TaggedCas {
                 cur: 0,
             }),
             OpSpec::Read => Box::new(TCasReadMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 val: None,
             }),
@@ -172,14 +170,14 @@ impl RecoverableObject for TaggedCas {
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
             OpSpec::Cas { .. } => Box::new(TCasRecoverMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 state: TCRState::CheckResp,
                 seq: 0,
                 scan: 0,
             }),
             OpSpec::Read => Box::new(TCasReadRecoverMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 checked: false,
                 inner: None,
@@ -219,7 +217,7 @@ enum TCState {
 
 #[derive(Clone)]
 struct TCasMachine {
-    obj: Arc<TaggedCasInner>,
+    obj: TaggedCasInner,
     pid: Pid,
     old: u32,
     new: u32,
@@ -230,7 +228,7 @@ struct TCasMachine {
 
 impl Machine for TCasMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             TCState::ReadSeq => {
@@ -337,7 +335,7 @@ enum TCRState {
 
 #[derive(Clone)]
 struct TCasRecoverMachine {
-    obj: Arc<TaggedCasInner>,
+    obj: TaggedCasInner,
     pid: Pid,
     state: TCRState,
     seq: Word,
@@ -346,7 +344,7 @@ struct TCasRecoverMachine {
 
 impl Machine for TCasRecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             TCRState::CheckResp => {
@@ -429,7 +427,7 @@ impl Machine for TCasRecoverMachine {
 
 #[derive(Clone)]
 struct TCasReadMachine {
-    obj: Arc<TaggedCasInner>,
+    obj: TaggedCasInner,
     pid: Pid,
     val: Option<u32>,
 }
@@ -468,7 +466,7 @@ impl Machine for TCasReadMachine {
 
 #[derive(Clone)]
 struct TCasReadRecoverMachine {
-    obj: Arc<TaggedCasInner>,
+    obj: TaggedCasInner,
     pid: Pid,
     checked: bool,
     inner: Option<TCasReadMachine>,
@@ -483,7 +481,7 @@ impl Machine for TCasReadRecoverMachine {
                 return Poll::Ready(resp);
             }
             self.inner = Some(TCasReadMachine {
-                obj: Arc::clone(&self.obj),
+                obj: self.obj,
                 pid: self.pid,
                 val: None,
             });
@@ -520,6 +518,21 @@ impl Machine for TCasReadRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::assert_copy::<TaggedCas>();
+            crate::assert_copy::<TaggedCasInner>();
+            assert!(!std::mem::needs_drop::<TCasMachine>());
+            assert!(!std::mem::needs_drop::<TCasRecoverMachine>());
+            assert!(!std::mem::needs_drop::<TCasReadMachine>());
+            assert!(!std::mem::needs_drop::<TCasReadRecoverMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, TaggedCas) {
         let mut b = LayoutBuilder::new();

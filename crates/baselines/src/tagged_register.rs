@@ -22,8 +22,6 @@
 //! overflow rather than silently wrapping (preserving the distinctness the
 //! algorithm's correctness rests on).
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK,
     RESP_FAIL, RESP_NONE,
@@ -34,7 +32,7 @@ use detectable::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 /// Bits reserved for the unbounded sequence number in the packed register.
 pub const TAG_SEQ_BITS: u32 = 26;
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 struct TaggedRegInner {
     n: u32,
     r_val: Field,
@@ -91,9 +89,9 @@ impl TaggedRegInner {
 /// let mut w = reg.invoke(p, &OpSpec::Write(9));
 /// assert_eq!(run_to_completion(&mut *w, &mem, 100).unwrap(), ACK);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct TaggedRegister {
-    inner: Arc<TaggedRegInner>,
+    inner: TaggedRegInner,
 }
 
 impl TaggedRegister {
@@ -114,7 +112,7 @@ impl TaggedRegister {
         let seq = b.private_array(&format!("{name}.SEQ"), n, 1, TAG_SEQ_BITS);
         let ann = AnnBank::alloc(b, name, n, 2);
         TaggedRegister {
-            inner: Arc::new(TaggedRegInner {
+            inner: TaggedRegInner {
                 n,
                 r_val,
                 r_pid,
@@ -123,7 +121,7 @@ impl TaggedRegister {
                 rd,
                 seq,
                 ann,
-            }),
+            },
         }
     }
 
@@ -149,7 +147,7 @@ impl RecoverableObject for TaggedRegister {
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
             OpSpec::Write(v) => Box::new(TWriteMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 val: v,
                 state: TWState::ReadSeq,
@@ -157,7 +155,7 @@ impl RecoverableObject for TaggedRegister {
                 old: 0,
             }),
             OpSpec::Read => Box::new(TReadMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 val: None,
             }),
@@ -168,13 +166,13 @@ impl RecoverableObject for TaggedRegister {
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
             OpSpec::Write(v) => Box::new(TWriteRecoverMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 val: v,
                 state: TWRState::CheckResp,
             }),
             OpSpec::Read => Box::new(TReadRecoverMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 checked: false,
                 inner: None,
@@ -210,7 +208,7 @@ enum TWState {
 
 #[derive(Clone)]
 struct TWriteMachine {
-    obj: Arc<TaggedRegInner>,
+    obj: TaggedRegInner,
     pid: Pid,
     val: u32,
     state: TWState,
@@ -220,7 +218,7 @@ struct TWriteMachine {
 
 impl Machine for TWriteMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             TWState::ReadSeq => {
@@ -299,7 +297,7 @@ enum TWRState {
 
 #[derive(Clone)]
 struct TWriteRecoverMachine {
-    obj: Arc<TaggedRegInner>,
+    obj: TaggedRegInner,
     pid: Pid,
     #[allow(dead_code)]
     val: u32,
@@ -308,7 +306,7 @@ struct TWriteRecoverMachine {
 
 impl Machine for TWriteRecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             TWRState::CheckResp => {
@@ -378,7 +376,7 @@ impl Machine for TWriteRecoverMachine {
 
 #[derive(Clone)]
 struct TReadMachine {
-    obj: Arc<TaggedRegInner>,
+    obj: TaggedRegInner,
     pid: Pid,
     val: Option<u32>,
 }
@@ -416,7 +414,7 @@ impl Machine for TReadMachine {
 
 #[derive(Clone)]
 struct TReadRecoverMachine {
-    obj: Arc<TaggedRegInner>,
+    obj: TaggedRegInner,
     pid: Pid,
     checked: bool,
     inner: Option<TReadMachine>,
@@ -431,7 +429,7 @@ impl Machine for TReadRecoverMachine {
                 return Poll::Ready(resp);
             }
             self.inner = Some(TReadMachine {
-                obj: Arc::clone(&self.obj),
+                obj: self.obj,
                 pid: self.pid,
                 val: None,
             });
@@ -468,6 +466,21 @@ impl Machine for TReadRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::assert_copy::<TaggedRegister>();
+            crate::assert_copy::<TaggedRegInner>();
+            assert!(!std::mem::needs_drop::<TWriteMachine>());
+            assert!(!std::mem::needs_drop::<TWriteRecoverMachine>());
+            assert!(!std::mem::needs_drop::<TReadMachine>());
+            assert!(!std::mem::needs_drop::<TReadRecoverMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, TaggedRegister) {
         let mut b = LayoutBuilder::new();

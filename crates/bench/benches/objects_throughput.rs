@@ -2,7 +2,8 @@
 //! what `Op.Recover` costs per crash point.
 //!
 //! Every cell warms once, then times a fixed number of runs; one sample
-//! per cell is written to `BENCH_objects.json` at the workspace root
+//! per cell (the median run and its quartiles) is written to
+//! `BENCH_objects.json` at the workspace root
 //! (regenerate with `cargo bench -p bench --bench objects_throughput`).
 //! Throughput cells run the simulator-checked step machines on real OS
 //! threads over `AtomicMemory` ([`bench::run_concurrent`]); each run
@@ -88,9 +89,11 @@ struct Recorder {
 }
 
 impl Recorder {
-    /// Warms `run` once, times [`RUNS`] more, and records one sample.
-    /// `run` returns the timed part of one run of `ops` counted operations;
-    /// `extra` is spliced into the sample as additional JSON fields.
+    /// Warms `run` once, times [`RUNS`] more, and records one sample: the
+    /// median run with its quartiles (runs are short, so one preempted run
+    /// would skew a mean). `run` returns the timed part of one run of `ops`
+    /// counted operations; `extra` is spliced into the sample as additional
+    /// JSON fields.
     fn sample(
         &mut self,
         cell: (&str, &str, u32, u32),
@@ -100,13 +103,17 @@ impl Recorder {
     ) {
         let (group, variant, threads, processes) = cell;
         run();
-        let mean = (0..RUNS).map(|_| run()).sum::<Duration>() / RUNS;
+        let mut times: Vec<Duration> = (0..RUNS).map(|_| run()).collect();
+        times.sort_unstable();
+        let [q1, median, q3] = [1, 2, 3].map(|q| times[q * times.len() / 4]);
         let sample = format!(
             "    {{\"group\": \"{group}\", \"variant\": \"{variant}\", \"threads\": {threads}, \
-             \"processes\": {processes},{extra} \"ops\": {ops}, \"mean_seconds\": {:.9}, \
-             \"ops_per_sec\": {:.0}}}",
-            mean.as_secs_f64(),
-            ops_per_sec(ops, mean),
+             \"processes\": {processes},{extra} \"ops\": {ops}, \"median_seconds\": {:.9}, \
+             \"q1_seconds\": {:.9}, \"q3_seconds\": {:.9}, \"ops_per_sec\": {:.0}}}",
+            median.as_secs_f64(),
+            q1.as_secs_f64(),
+            q3.as_secs_f64(),
+            ops_per_sec(ops, median),
         );
         println!("{sample}");
         self.samples.push(sample);

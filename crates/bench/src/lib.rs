@@ -21,13 +21,20 @@ use nvm::{AtomicMemory, Pid};
 
 /// Drives `threads` real OS threads, each performing `ops_per_thread`
 /// operations of `workload` against `obj` over shared atomic memory, and
-/// returns the wall-clock time from the start barrier to the last join.
+/// returns the wall-clock time from the first worker leaving the start
+/// barrier to the last worker finishing. The workers take both instants
+/// themselves: on an oversubscribed host a coordinating thread can be
+/// descheduled past the barrier while the workers run to completion.
 ///
 /// Used by the throughput benchmarks (experiment E8): the same step
 /// machines that the simulator checks for correctness run here over
 /// `AtomicU64` memory with sequentially consistent ordering, and each
 /// thread runs its operations through the same [`Driver`] caller protocol
 /// the correctness harness uses (crash-free, so recovery never triggers).
+///
+/// # Panics
+///
+/// Panics if `threads` is 0 or exceeds the object's process count.
 pub fn run_concurrent(
     obj: &dyn RecoverableObject,
     mem: &AtomicMemory,
@@ -35,30 +42,43 @@ pub fn run_concurrent(
     ops_per_thread: usize,
     workload: impl Fn(Pid, usize) -> OpSpec + Sync,
 ) -> Duration {
-    assert!(threads <= obj.processes());
-    let barrier = Barrier::new(threads as usize + 1);
-    let workload = &workload;
-    let barrier_ref = &barrier;
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            s.spawn(move || {
-                let pid = Pid::new(t);
-                // History-free: recording two events per op inside the
-                // timed loop would be measured as algorithm cost.
-                let mut driver = Driver::without_history(obj.processes());
-                barrier_ref.wait();
-                for i in 0..ops_per_thread {
-                    let op = workload(pid, i);
-                    driver.run_solo(obj, mem, pid.idx(), op, usize::MAX);
-                }
-            });
-        }
-        barrier_ref.wait();
-        // Scope joins all threads before the closure returns; the elapsed
-        // time therefore covers every worker's completion.
-        Instant::now()
-    })
-    .elapsed()
+    assert!((1..=obj.processes()).contains(&threads));
+    let barrier = Barrier::new(threads as usize);
+    let (workload, barrier) = (&workload, &barrier);
+    let spans: Vec<(Instant, Instant)> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || {
+                    let pid = Pid::new(t);
+                    // History-free: recording two events per op inside the
+                    // timed loop would be measured as algorithm cost.
+                    let mut driver = Driver::without_history(obj.processes());
+                    barrier.wait();
+                    let start = Instant::now();
+                    for i in 0..ops_per_thread {
+                        let op = workload(pid, i);
+                        driver.run_solo(obj, mem, pid.idx(), op, usize::MAX);
+                    }
+                    (start, Instant::now())
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("benchmark worker panicked"))
+            .collect()
+    });
+    let start = spans
+        .iter()
+        .map(|s| s.0)
+        .min()
+        .expect("at least one worker");
+    let end = spans
+        .iter()
+        .map(|s| s.1)
+        .max()
+        .expect("at least one worker");
+    end - start
 }
 
 /// Throughput in operations per second for a completed run.

@@ -40,8 +40,6 @@
 //! assert_eq!(run_to_completion(&mut *m2, &mem, 100).unwrap(), FALSE);
 //! ```
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, FALSE,
     RESP_FAIL, RESP_NONE, TRUE,
@@ -53,7 +51,7 @@ use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 /// one 64-bit CAS-able word, mirroring the paper's single Ω(N)-bit variable.
 pub const MAX_CAS_PROCESSES: u32 = 32;
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 pub(crate) struct CasInner {
     n: u32,
     init: u32,
@@ -83,9 +81,11 @@ impl CasInner {
 /// Supports [`OpSpec::Cas`] and [`OpSpec::Read`]; both are wait-free and
 /// `Cas` is detectable through lines 38–46 of the paper. See the
 /// [module documentation](self) for the algorithm and its space bound.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct DetectableCas {
-    inner: Arc<CasInner>,
+    /// Compositions (counter, FAA, swap, TAS) build their nested CAS
+    /// machines from it.
+    pub(crate) inner: CasInner,
 }
 
 impl DetectableCas {
@@ -108,7 +108,7 @@ impl DetectableCas {
         let rd = b.private_array(&format!("{name}.RD"), n, 1, 1);
         let ann = AnnBank::alloc(b, name, n, 1);
         DetectableCas {
-            inner: Arc::new(CasInner {
+            inner: CasInner {
                 n,
                 init,
                 c_val,
@@ -116,7 +116,7 @@ impl DetectableCas {
                 c,
                 rd,
                 ann,
-            }),
+            },
         }
     }
 
@@ -162,23 +162,16 @@ impl RecoverableObject for DetectableCas {
 
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Cas { old, new } => {
-                Box::new(CasMachine::new(Arc::clone(&self.inner), pid, old, new))
-            }
-            OpSpec::Read => Box::new(CasReadMachine::new(Arc::clone(&self.inner), pid)),
+            OpSpec::Cas { old, new } => Box::new(CasMachine::new(self.inner, pid, old, new)),
+            OpSpec::Read => Box::new(CasReadMachine::new(self.inner, pid)),
             ref other => panic!("cas object does not support {other}"),
         }
     }
 
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Cas { old, new } => Box::new(CasRecoverMachine::new(
-                Arc::clone(&self.inner),
-                pid,
-                old,
-                new,
-            )),
-            OpSpec::Read => Box::new(CasReadRecoverMachine::new(Arc::clone(&self.inner), pid)),
+            OpSpec::Cas { old, new } => Box::new(CasRecoverMachine::new(self.inner, pid, old, new)),
+            OpSpec::Read => Box::new(CasReadRecoverMachine::new(self.inner, pid)),
             ref other => panic!("cas object does not support {other}"),
         }
     }
@@ -201,9 +194,9 @@ impl RecoverableObject for DetectableCas {
 
     fn decode_op(&self, pid: Pid, op: &OpSpec, words: &[Word]) -> Option<Box<dyn Machine>> {
         match *op {
-            OpSpec::Cas { old, new } => CasMachine::decode(&self.inner, pid, old, new, words)
+            OpSpec::Cas { old, new } => CasMachine::decode(self.inner, pid, old, new, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
-            OpSpec::Read => CasReadMachine::decode(&self.inner, pid, words)
+            OpSpec::Read => CasReadMachine::decode(self.inner, pid, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
             _ => None,
         }
@@ -248,8 +241,8 @@ enum CState {
 }
 
 #[derive(Clone)]
-struct CasMachine {
-    obj: Arc<CasInner>,
+pub(crate) struct CasMachine {
+    obj: CasInner,
     pid: Pid,
     old: u32,
     new: u32,
@@ -261,7 +254,7 @@ struct CasMachine {
 }
 
 impl CasMachine {
-    fn new(obj: Arc<CasInner>, pid: Pid, old: u32, new: u32) -> Self {
+    pub(crate) fn new(obj: CasInner, pid: Pid, old: u32, new: u32) -> Self {
         CasMachine {
             obj,
             pid,
@@ -280,7 +273,7 @@ impl CasMachine {
     /// their nested CAS machines through this — the operation arguments are
     /// recoverable because `encode` stores them in `words[1..=2]`.
     pub(crate) fn decode(
-        obj: &Arc<CasInner>,
+        obj: CasInner,
         pid: Pid,
         old: u32,
         new: u32,
@@ -304,7 +297,7 @@ impl CasMachine {
             _ => return None,
         };
         Some(CasMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             old,
             new,
@@ -441,8 +434,8 @@ enum CRState {
 }
 
 #[derive(Clone)]
-struct CasRecoverMachine {
-    obj: Arc<CasInner>,
+pub(crate) struct CasRecoverMachine {
+    obj: CasInner,
     pid: Pid,
     #[allow(dead_code)] // recovery receives the same arguments as Cas
     old: u32,
@@ -453,7 +446,7 @@ struct CasRecoverMachine {
 }
 
 impl CasRecoverMachine {
-    fn new(obj: Arc<CasInner>, pid: Pid, old: u32, new: u32) -> Self {
+    pub(crate) fn new(obj: CasInner, pid: Pid, old: u32, new: u32) -> Self {
         CasRecoverMachine {
             obj,
             pid,
@@ -560,14 +553,14 @@ enum CRdState {
 
 #[derive(Clone)]
 struct CasReadMachine {
-    obj: Arc<CasInner>,
+    obj: CasInner,
     pid: Pid,
     state: CRdState,
     val: u32,
 }
 
 impl CasReadMachine {
-    fn new(obj: Arc<CasInner>, pid: Pid) -> Self {
+    fn new(obj: CasInner, pid: Pid) -> Self {
         CasReadMachine {
             obj,
             pid,
@@ -577,7 +570,7 @@ impl CasReadMachine {
     }
 
     /// Inverse of [`Machine::encode`] for the `Read` machine.
-    fn decode(obj: &Arc<CasInner>, pid: Pid, words: &[Word]) -> Option<CasReadMachine> {
+    fn decode(obj: CasInner, pid: Pid, words: &[Word]) -> Option<CasReadMachine> {
         if words.len() != 2 {
             return None;
         }
@@ -588,7 +581,7 @@ impl CasReadMachine {
             _ => return None,
         };
         Some(CasReadMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             state,
             val: u32::try_from(words[1]).ok()?,
@@ -642,14 +635,14 @@ impl Machine for CasReadMachine {
 
 #[derive(Clone)]
 struct CasReadRecoverMachine {
-    obj: Arc<CasInner>,
+    obj: CasInner,
     pid: Pid,
     checked: bool,
     inner: Option<CasReadMachine>,
 }
 
 impl CasReadRecoverMachine {
-    fn new(obj: Arc<CasInner>, pid: Pid) -> Self {
+    fn new(obj: CasInner, pid: Pid) -> Self {
         CasReadRecoverMachine {
             obj,
             pid,
@@ -667,7 +660,7 @@ impl Machine for CasReadRecoverMachine {
             if resp != RESP_NONE {
                 return Poll::Ready(resp);
             }
-            self.inner = Some(CasReadMachine::new(Arc::clone(&self.obj), self.pid));
+            self.inner = Some(CasReadMachine::new(self.obj, self.pid));
             return Poll::Pending;
         }
         self.inner
@@ -705,6 +698,22 @@ impl Machine for CasReadRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory, ACK};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::object::assert_copy::<DetectableCas>();
+            crate::object::assert_copy::<CasInner>();
+            crate::object::assert_copy::<AnnBank>();
+            assert!(!std::mem::needs_drop::<CasMachine>());
+            assert!(!std::mem::needs_drop::<CasRecoverMachine>());
+            assert!(!std::mem::needs_drop::<CasReadMachine>());
+            assert!(!std::mem::needs_drop::<CasReadRecoverMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, DetectableCas) {
         let mut b = LayoutBuilder::new();

@@ -17,13 +17,11 @@
 //! `Inc`/`Faa` are lock-free (not wait-free): a retry loop can be starved by
 //! other writers. `Read` is wait-free.
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK, RESP_FAIL, RESP_NONE, TRUE,
 };
 
-use crate::cas::DetectableCas;
+use crate::cas::{CasMachine, CasRecoverMachine, DetectableCas};
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 
 /// What the composed operation returns on inner success.
@@ -35,7 +33,7 @@ enum Flavor {
     Faa,
 }
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 struct CounterInner {
     cas: DetectableCas,
     /// Persisted argument of the in-flight inner CAS attempt (the `old`
@@ -82,33 +80,33 @@ impl CounterInner {
 /// let mut r = ctr.invoke(p, &OpSpec::Read);
 /// assert_eq!(run_to_completion(&mut *r, &mem, 1000).unwrap(), 3);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct DetectableCounter {
-    inner: Arc<CounterInner>,
+    inner: CounterInner,
 }
 
 /// A detectable fetch-and-add (`Faa(d)` / `Read`) built on [`DetectableCas`].
 ///
 /// `Faa(d)` returns the value the object held immediately before the
 /// operation's linearization point.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct DetectableFaa {
-    inner: Arc<CounterInner>,
+    inner: CounterInner,
 }
 
-fn build(b: &mut LayoutBuilder, name: &str, n: u32, flavor: Flavor) -> Arc<CounterInner> {
+fn build(b: &mut LayoutBuilder, name: &str, n: u32, flavor: Flavor) -> CounterInner {
     let cas = DetectableCas::with_name(b, &format!("{name}.cas"), n, 0);
     let arg = b.private_array(&format!("{name}.ARG"), n, 1, 32);
     let delta = b.private_array(&format!("{name}.DELTA"), n, 1, 32);
     let ann = AnnBank::alloc(b, name, n, 1);
-    Arc::new(CounterInner {
+    CounterInner {
         cas,
         arg,
         delta,
         ann,
         n,
         flavor,
-    })
+    }
 }
 
 impl DetectableCounter {
@@ -166,10 +164,10 @@ macro_rules! impl_recoverable {
 
             fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
                 match op {
-                    $read_op => Box::new(ReadMachine::new(Arc::clone(&self.inner), pid)),
+                    $read_op => Box::new(ReadMachine::new(self.inner, pid)),
                     $add_op => {
                         let d = delta_of(&self.inner, op);
-                        Box::new(AddMachine::new(Arc::clone(&self.inner), pid, d))
+                        Box::new(AddMachine::new(self.inner, pid, d))
                     }
                     other => panic!("object does not support {other}"),
                 }
@@ -177,10 +175,10 @@ macro_rules! impl_recoverable {
 
             fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
                 match op {
-                    $read_op => Box::new(ReadRecoverMachine::new(Arc::clone(&self.inner), pid)),
+                    $read_op => Box::new(ReadRecoverMachine::new(self.inner, pid)),
                     $add_op => {
                         let d = delta_of(&self.inner, op);
-                        Box::new(AddRecoverMachine::new(Arc::clone(&self.inner), pid, d))
+                        Box::new(AddRecoverMachine::new(self.inner, pid, d))
                     }
                     other => panic!("object does not support {other}"),
                 }
@@ -211,11 +209,11 @@ macro_rules! impl_recoverable {
 
             fn decode_op(&self, pid: Pid, op: &OpSpec, words: &[Word]) -> Option<Box<dyn Machine>> {
                 match op {
-                    $read_op => ReadMachine::decode(&self.inner, pid, words)
+                    $read_op => ReadMachine::decode(self.inner, pid, words)
                         .map(|m| Box::new(m) as Box<dyn Machine>),
                     $add_op => {
                         let d = delta_of(&self.inner, op);
-                        AddMachine::decode(&self.inner, pid, d, words)
+                        AddMachine::decode(self.inner, pid, d, words)
                             .map(|m| Box::new(m) as Box<dyn Machine>)
                     }
                     _ => None,
@@ -264,21 +262,21 @@ enum AddState {
     ResetInnerCp { v: u32 },
     PersistArgs { v: u32 },
     OuterCheckpoint { v: u32 },
-    RunCas { v: u32, m: Box<dyn Machine> },
+    RunCas { v: u32, m: CasMachine },
     PersistResp { v: u32 },
     Done,
 }
 
 #[derive(Clone)]
 struct AddMachine {
-    obj: Arc<CounterInner>,
+    obj: CounterInner,
     pid: Pid,
     delta: u32,
     state: AddState,
 }
 
 impl AddMachine {
-    fn new(obj: Arc<CounterInner>, pid: Pid, delta: u32) -> Self {
+    fn new(obj: CounterInner, pid: Pid, delta: u32) -> Self {
         AddMachine {
             obj,
             pid,
@@ -298,7 +296,7 @@ impl AddMachine {
     /// machine, reconstructing a nested CAS attempt through the inner
     /// object's own decoder (its `old`/`new` arguments are recoverable from
     /// the nested encoding and must agree with this attempt's `v`/`delta`).
-    fn decode(obj: &Arc<CounterInner>, pid: Pid, delta: u32, words: &[Word]) -> Option<AddMachine> {
+    fn decode(obj: CounterInner, pid: Pid, delta: u32, words: &[Word]) -> Option<AddMachine> {
         if words.len() < 3 || words[2] != u64::from(delta) {
             return None;
         }
@@ -319,7 +317,7 @@ impl AddMachine {
                 if old != v || new != v.wrapping_add(delta) {
                     return None;
                 }
-                let m = obj.cas.decode_op(pid, &OpSpec::Cas { old, new }, inner)?;
+                let m = CasMachine::decode(obj.cas.inner, pid, old, new, inner)?;
                 AddState::RunCas { v, m }
             }
             7 if flat => AddState::PersistResp { v },
@@ -327,7 +325,7 @@ impl AddMachine {
             _ => return None,
         };
         Some(AddMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             delta,
             state,
@@ -337,7 +335,7 @@ impl AddMachine {
 
 impl Machine for AddMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match &mut self.state {
             AddState::ReadValue => {
@@ -365,11 +363,7 @@ impl Machine for AddMachine {
             }
             AddState::OuterCheckpoint { v } => {
                 o.ann.write_cp(mem, p, 1);
-                let op = OpSpec::Cas {
-                    old: *v,
-                    new: v.wrapping_add(self.delta),
-                };
-                let m = o.cas.invoke(p, &op);
+                let m = CasMachine::new(o.cas.inner, p, *v, v.wrapping_add(self.delta));
                 self.state = AddState::RunCas { v: *v, m };
                 Poll::Pending
             }
@@ -444,7 +438,7 @@ enum AddRecState {
     ReadArg,
     RunInnerRecover {
         v: u32,
-        m: Box<dyn Machine>,
+        m: CasRecoverMachine,
     },
     PersistResp {
         v: u32,
@@ -456,14 +450,14 @@ enum AddRecState {
 
 #[derive(Clone)]
 struct AddRecoverMachine {
-    obj: Arc<CounterInner>,
+    obj: CounterInner,
     pid: Pid,
     delta: u32,
     state: AddRecState,
 }
 
 impl AddRecoverMachine {
-    fn new(obj: Arc<CounterInner>, pid: Pid, delta: u32) -> Self {
+    fn new(obj: CounterInner, pid: Pid, delta: u32) -> Self {
         AddRecoverMachine {
             obj,
             pid,
@@ -482,7 +476,7 @@ impl AddRecoverMachine {
 
 impl Machine for AddRecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match &mut self.state {
             AddRecState::CheckResp => {
@@ -507,11 +501,7 @@ impl Machine for AddRecoverMachine {
             AddRecState::ReadArg => {
                 let v = mem.read_pp(p, o.arg_loc(p)) as u32;
                 let d = mem.read_pp(p, o.delta_loc(p)) as u32;
-                let op = OpSpec::Cas {
-                    old: v,
-                    new: v.wrapping_add(d),
-                };
-                let m = o.cas.recover(p, &op);
+                let m = CasRecoverMachine::new(o.cas.inner, p, v, v.wrapping_add(d));
                 self.state = AddRecState::RunInnerRecover { v, m };
                 Poll::Pending
             }
@@ -526,8 +516,7 @@ impl Machine for AddRecoverMachine {
                         // operation with fresh attempts (NRL-style), so the
                         // caller gets exactly-once semantics without retry
                         // logic of its own.
-                        self.state =
-                            AddRecState::Retry(AddMachine::new(Arc::clone(&o), p, self.delta));
+                        self.state = AddRecState::Retry(AddMachine::new(*o, p, self.delta));
                     }
                 }
                 Poll::Pending
@@ -597,13 +586,13 @@ impl Machine for AddRecoverMachine {
 
 #[derive(Clone)]
 struct ReadMachine {
-    obj: Arc<CounterInner>,
+    obj: CounterInner,
     pid: Pid,
     val: Option<u32>,
 }
 
 impl ReadMachine {
-    fn new(obj: Arc<CounterInner>, pid: Pid) -> Self {
+    fn new(obj: CounterInner, pid: Pid) -> Self {
         ReadMachine {
             obj,
             pid,
@@ -612,7 +601,7 @@ impl ReadMachine {
     }
 
     /// Inverse of [`Machine::encode`] for the composed `Read` machine.
-    fn decode(obj: &Arc<CounterInner>, pid: Pid, words: &[Word]) -> Option<ReadMachine> {
+    fn decode(obj: CounterInner, pid: Pid, words: &[Word]) -> Option<ReadMachine> {
         if words.len() != 1 {
             return None;
         }
@@ -620,11 +609,7 @@ impl ReadMachine {
             RESP_NONE => None,
             w => Some(u32::try_from(w).ok()?),
         };
-        Some(ReadMachine {
-            obj: Arc::clone(obj),
-            pid,
-            val,
-        })
+        Some(ReadMachine { obj, pid, val })
     }
 }
 
@@ -667,14 +652,14 @@ impl Machine for ReadMachine {
 
 #[derive(Clone)]
 struct ReadRecoverMachine {
-    obj: Arc<CounterInner>,
+    obj: CounterInner,
     pid: Pid,
     checked: bool,
     inner: Option<ReadMachine>,
 }
 
 impl ReadRecoverMachine {
-    fn new(obj: Arc<CounterInner>, pid: Pid) -> Self {
+    fn new(obj: CounterInner, pid: Pid) -> Self {
         ReadRecoverMachine {
             obj,
             pid,
@@ -692,7 +677,7 @@ impl Machine for ReadRecoverMachine {
             if resp != RESP_NONE {
                 return Poll::Ready(resp);
             }
-            self.inner = Some(ReadMachine::new(Arc::clone(&self.obj), self.pid));
+            self.inner = Some(ReadMachine::new(self.obj, self.pid));
             return Poll::Pending;
         }
         self.inner
@@ -726,6 +711,22 @@ impl Machine for ReadRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::object::assert_copy::<DetectableCounter>();
+            crate::object::assert_copy::<DetectableFaa>();
+            crate::object::assert_copy::<CounterInner>();
+            assert!(!std::mem::needs_drop::<AddMachine>());
+            assert!(!std::mem::needs_drop::<AddRecoverMachine>());
+            assert!(!std::mem::needs_drop::<ReadMachine>());
+            assert!(!std::mem::needs_drop::<ReadRecoverMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, DetectableCounter) {
         let mut b = LayoutBuilder::new();

@@ -35,13 +35,11 @@
 //! assert_eq!(run_to_completion(&mut *r, &mem, 100).unwrap(), 7);
 //! ```
 
-use std::sync::Arc;
-
 use nvm::{AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK};
 
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 pub(crate) struct MaxRegInner {
     n: u32,
     mr: Loc,
@@ -62,9 +60,9 @@ impl MaxRegInner {
 /// Supports [`OpSpec::WriteMax`] and [`OpSpec::Read`]. Its existence
 /// separates doubly-perturbing objects (which *must* receive auxiliary
 /// state, Theorem 2) from merely perturbable ones.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct MaxRegister {
-    inner: Arc<MaxRegInner>,
+    inner: MaxRegInner,
 }
 
 impl MaxRegister {
@@ -79,7 +77,7 @@ impl MaxRegister {
         let mr = b.shared(&format!("{name}.MR"), n, 32);
         let ann = AnnBank::alloc(b, name, n, 1);
         MaxRegister {
-            inner: Arc::new(MaxRegInner { n, mr, ann }),
+            inner: MaxRegInner { n, mr, ann },
         }
     }
 
@@ -98,8 +96,8 @@ impl RecoverableObject for MaxRegister {
 
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::WriteMax(v) => Box::new(WriteMaxMachine::new(Arc::clone(&self.inner), pid, v)),
-            OpSpec::Read => Box::new(MaxReadMachine::new(Arc::clone(&self.inner), pid)),
+            OpSpec::WriteMax(v) => Box::new(WriteMaxMachine::new(self.inner, pid, v)),
+            OpSpec::Read => Box::new(MaxReadMachine::new(self.inner, pid)),
             ref other => panic!("max register does not support {other}"),
         }
     }
@@ -129,9 +127,9 @@ impl RecoverableObject for MaxRegister {
 
     fn decode_op(&self, pid: Pid, op: &OpSpec, words: &[Word]) -> Option<Box<dyn Machine>> {
         match *op {
-            OpSpec::WriteMax(v) => WriteMaxMachine::decode(&self.inner, pid, v, words)
+            OpSpec::WriteMax(v) => WriteMaxMachine::decode(self.inner, pid, v, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
-            OpSpec::Read => MaxReadMachine::decode(&self.inner, pid, words)
+            OpSpec::Read => MaxReadMachine::decode(self.inner, pid, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
             _ => None,
         }
@@ -160,14 +158,14 @@ enum WMState {
 
 #[derive(Clone)]
 struct WriteMaxMachine {
-    obj: Arc<MaxRegInner>,
+    obj: MaxRegInner,
     pid: Pid,
     val: u32,
     state: WMState,
 }
 
 impl WriteMaxMachine {
-    fn new(obj: Arc<MaxRegInner>, pid: Pid, val: u32) -> Self {
+    fn new(obj: MaxRegInner, pid: Pid, val: u32) -> Self {
         WriteMaxMachine {
             obj,
             pid,
@@ -177,12 +175,7 @@ impl WriteMaxMachine {
     }
 
     /// Inverse of [`Machine::encode`] for `WriteMax(val)`.
-    fn decode(
-        obj: &Arc<MaxRegInner>,
-        pid: Pid,
-        val: u32,
-        words: &[Word],
-    ) -> Option<WriteMaxMachine> {
+    fn decode(obj: MaxRegInner, pid: Pid, val: u32, words: &[Word]) -> Option<WriteMaxMachine> {
         if words.len() != 2 || words[1] != u64::from(val) {
             return None;
         }
@@ -193,7 +186,7 @@ impl WriteMaxMachine {
             _ => return None,
         };
         Some(WriteMaxMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             val,
             state,
@@ -271,7 +264,7 @@ enum MRState {
 
 #[derive(Clone)]
 struct MaxReadMachine {
-    obj: Arc<MaxRegInner>,
+    obj: MaxRegInner,
     pid: Pid,
     state: MRState,
     a: Vec<u32>,
@@ -279,7 +272,7 @@ struct MaxReadMachine {
 }
 
 impl MaxReadMachine {
-    fn new(obj: Arc<MaxRegInner>, pid: Pid) -> Self {
+    fn new(obj: MaxRegInner, pid: Pid) -> Self {
         // 50: a[N], initially all 0.
         let n = obj.n as usize;
         MaxReadMachine {
@@ -292,7 +285,7 @@ impl MaxReadMachine {
     }
 
     /// Inverse of [`Machine::encode`] for `Read`.
-    fn decode(obj: &Arc<MaxRegInner>, pid: Pid, words: &[Word]) -> Option<MaxReadMachine> {
+    fn decode(obj: MaxRegInner, pid: Pid, words: &[Word]) -> Option<MaxReadMachine> {
         let n = obj.n;
         if words.len() != 2 + n as usize {
             return None;
@@ -310,7 +303,7 @@ impl MaxReadMachine {
             .map(|&w| u32::try_from(w).ok())
             .collect::<Option<Vec<_>>>()?;
         Some(MaxReadMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             state,
             a,
@@ -321,7 +314,7 @@ impl MaxReadMachine {
 
 impl Machine for MaxReadMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             MRState::Verify(i) => {
@@ -392,6 +385,18 @@ impl Machine for MaxReadMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and `Write-Max` owns no
+    /// reference count or heap allocation. (`Read` owns its `a[N]` collect
+    /// array, a `Vec`.)
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::object::assert_copy::<MaxRegister>();
+            crate::object::assert_copy::<MaxRegInner>();
+            assert!(!std::mem::needs_drop::<WriteMaxMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, MaxRegister) {
         let mut b = LayoutBuilder::new();

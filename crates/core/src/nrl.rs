@@ -18,6 +18,11 @@ use crate::object::{ObjectKind, OpSpec, RecoverableObject};
 /// Wraps a detectable object so that recovery always completes the crashed
 /// operation (NRL semantics) instead of possibly returning `fail`.
 ///
+/// Unlike the paper's objects, whose machines carry a `Copy` descriptor of
+/// their locations, the adapter shares the wrapped object through an `Arc`:
+/// `O` may be any object, `Copy` or not. Its recovery machines therefore pay
+/// a reference count per recovery; no benchmark workload runs the adapter.
+///
 /// # Example
 ///
 /// ```

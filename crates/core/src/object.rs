@@ -106,6 +106,12 @@ pub enum ObjectKind {
 ///    steps it to completion; recovery may itself crash and be re-entered;
 /// 4. a recovery result of [`nvm::RESP_FAIL`] means the operation was not
 ///    linearized; anything else is the operation's response.
+///
+/// The paper's objects and the tagged baselines are `Copy` handles over a
+/// `Copy` descriptor of their NVM locations. [`invoke`](Self::invoke),
+/// [`recover`](Self::recover) and [`decode_op`](Self::decode_op) copy that
+/// descriptor into the machine, so neither they nor any step touch a shared
+/// reference count (see [`nvm::Machine`], "Ownership").
 pub trait RecoverableObject: Send + Sync {
     /// The caller/system protocol executed immediately before an invocation.
     /// This is the only place auxiliary state (Theorem 2) may be written.
@@ -228,6 +234,11 @@ impl MemExt for dyn Memory + '_ {
         ok
     }
 }
+
+/// Compiles only for `Copy` types: the ownership guard tests call it in a
+/// `const` block on every handle and descriptor.
+#[cfg(test)]
+pub(crate) const fn assert_copy<T: Copy>() {}
 
 #[cfg(test)]
 mod tests {

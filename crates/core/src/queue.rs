@@ -26,15 +26,13 @@
 //! on `next`/`deq_id` and keeps recovery scans sound; the arena capacity is
 //! fixed at construction. `Enq`/`Deq` are lock-free.
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK, RESP_FAIL, RESP_NONE,
 };
 
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject, EMPTY};
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 struct QueueInner {
     n: u32,
     cap: u32,
@@ -120,9 +118,9 @@ impl QueueInner {
 /// let mut d2 = q.invoke(p, &OpSpec::Deq);
 /// assert_eq!(run_to_completion(&mut *d2, &mem, 1000).unwrap(), EMPTY);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct DetectableQueue {
-    inner: Arc<QueueInner>,
+    inner: QueueInner,
 }
 
 impl DetectableQueue {
@@ -153,7 +151,7 @@ impl DetectableQueue {
         let alloc = b.private_array(&format!("{name}.ALLOC"), n, 1, 32);
         let ann = AnnBank::alloc(b, name, n, 1);
         DetectableQueue {
-            inner: Arc::new(QueueInner {
+            inner: QueueInner {
                 n,
                 cap,
                 slab,
@@ -166,7 +164,7 @@ impl DetectableQueue {
                 deq_node,
                 alloc,
                 ann,
-            }),
+            },
         }
     }
 
@@ -202,16 +200,16 @@ impl RecoverableObject for DetectableQueue {
 
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Enq(v) => Box::new(EnqMachine::new(Arc::clone(&self.inner), pid, v)),
-            OpSpec::Deq => Box::new(DeqMachine::new(Arc::clone(&self.inner), pid)),
+            OpSpec::Enq(v) => Box::new(EnqMachine::new(self.inner, pid, v)),
+            OpSpec::Deq => Box::new(DeqMachine::new(self.inner, pid)),
             ref other => panic!("queue does not support {other}"),
         }
     }
 
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Enq(_) => Box::new(EnqRecoverMachine::new(Arc::clone(&self.inner), pid)),
-            OpSpec::Deq => Box::new(DeqRecoverMachine::new(Arc::clone(&self.inner), pid)),
+            OpSpec::Enq(_) => Box::new(EnqRecoverMachine::new(self.inner, pid)),
+            OpSpec::Deq => Box::new(DeqRecoverMachine::new(self.inner, pid)),
             ref other => panic!("queue does not support {other}"),
         }
     }
@@ -230,10 +228,10 @@ impl RecoverableObject for DetectableQueue {
 
     fn decode_op(&self, pid: Pid, op: &OpSpec, words: &[Word]) -> Option<Box<dyn Machine>> {
         match *op {
-            OpSpec::Enq(v) => EnqMachine::decode(&self.inner, pid, v, words)
+            OpSpec::Enq(v) => EnqMachine::decode(self.inner, pid, v, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
             OpSpec::Deq => {
-                DeqMachine::decode(&self.inner, pid, words).map(|m| Box::new(m) as Box<dyn Machine>)
+                DeqMachine::decode(self.inner, pid, words).map(|m| Box::new(m) as Box<dyn Machine>)
             }
             _ => None,
         }
@@ -268,7 +266,7 @@ enum EState {
 
 #[derive(Clone)]
 struct EnqMachine {
-    obj: Arc<QueueInner>,
+    obj: QueueInner,
     pid: Pid,
     val: u32,
     state: EState,
@@ -279,7 +277,7 @@ struct EnqMachine {
 }
 
 impl EnqMachine {
-    fn new(obj: Arc<QueueInner>, pid: Pid, val: u32) -> Self {
+    fn new(obj: QueueInner, pid: Pid, val: u32) -> Self {
         EnqMachine {
             obj,
             pid,
@@ -293,7 +291,7 @@ impl EnqMachine {
     }
 
     /// Inverse of [`Machine::encode`] for `Enq(val)`.
-    fn decode(obj: &Arc<QueueInner>, pid: Pid, val: u32, words: &[Word]) -> Option<EnqMachine> {
+    fn decode(obj: QueueInner, pid: Pid, val: u32, words: &[Word]) -> Option<EnqMachine> {
         if words.len() != 6 || words[1] != u64::from(val) {
             return None;
         }
@@ -315,7 +313,7 @@ impl EnqMachine {
             _ => return None,
         };
         Some(EnqMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             val,
             state,
@@ -329,7 +327,7 @@ impl EnqMachine {
 
 impl Machine for EnqMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             EState::AllocRead => {
@@ -472,7 +470,7 @@ enum ERState {
 
 #[derive(Clone)]
 struct EnqRecoverMachine {
-    obj: Arc<QueueInner>,
+    obj: QueueInner,
     pid: Pid,
     state: ERState,
     idx: u32,
@@ -480,7 +478,7 @@ struct EnqRecoverMachine {
 }
 
 impl EnqRecoverMachine {
-    fn new(obj: Arc<QueueInner>, pid: Pid) -> Self {
+    fn new(obj: QueueInner, pid: Pid) -> Self {
         EnqRecoverMachine {
             obj,
             pid,
@@ -493,7 +491,7 @@ impl EnqRecoverMachine {
 
 impl Machine for EnqRecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             ERState::CheckResp => {
@@ -604,7 +602,7 @@ enum DState {
 
 #[derive(Clone)]
 struct DeqMachine {
-    obj: Arc<QueueInner>,
+    obj: QueueInner,
     pid: Pid,
     state: DState,
     id: Word,
@@ -615,7 +613,7 @@ struct DeqMachine {
 }
 
 impl DeqMachine {
-    fn new(obj: Arc<QueueInner>, pid: Pid) -> Self {
+    fn new(obj: QueueInner, pid: Pid) -> Self {
         DeqMachine {
             obj,
             pid,
@@ -629,7 +627,7 @@ impl DeqMachine {
     }
 
     /// Inverse of [`Machine::encode`] for `Deq`.
-    fn decode(obj: &Arc<QueueInner>, pid: Pid, words: &[Word]) -> Option<DeqMachine> {
+    fn decode(obj: QueueInner, pid: Pid, words: &[Word]) -> Option<DeqMachine> {
         if words.len() != 6 {
             return None;
         }
@@ -653,7 +651,7 @@ impl DeqMachine {
             _ => return None,
         };
         Some(DeqMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             state,
             id: words[1],
@@ -667,7 +665,7 @@ impl DeqMachine {
 
 impl Machine for DeqMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             DState::ReadSeq => {
@@ -832,7 +830,7 @@ enum DRState {
 
 #[derive(Clone)]
 struct DeqRecoverMachine {
-    obj: Arc<QueueInner>,
+    obj: QueueInner,
     pid: Pid,
     state: DRState,
     id: Word,
@@ -841,7 +839,7 @@ struct DeqRecoverMachine {
 }
 
 impl DeqRecoverMachine {
-    fn new(obj: Arc<QueueInner>, pid: Pid) -> Self {
+    fn new(obj: QueueInner, pid: Pid) -> Self {
         DeqRecoverMachine {
             obj,
             pid,
@@ -855,7 +853,7 @@ impl DeqRecoverMachine {
 
 impl Machine for DeqRecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match self.state {
             DRState::CheckResp => {
@@ -951,6 +949,21 @@ impl Machine for DeqRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::object::assert_copy::<DetectableQueue>();
+            crate::object::assert_copy::<QueueInner>();
+            assert!(!std::mem::needs_drop::<EnqMachine>());
+            assert!(!std::mem::needs_drop::<EnqRecoverMachine>());
+            assert!(!std::mem::needs_drop::<DeqMachine>());
+            assert!(!std::mem::needs_drop::<DeqRecoverMachine>());
+        }
+    }
 
     fn world(n: u32, cap: u32) -> (SimMemory, DetectableQueue) {
         let mut b = LayoutBuilder::new();

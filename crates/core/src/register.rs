@@ -45,8 +45,6 @@
 //! assert_eq!(run_to_completion(&mut *r, &mem, 100).unwrap(), 7);
 //! ```
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK,
     RESP_FAIL, RESP_NONE,
@@ -55,7 +53,7 @@ use nvm::{
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 
 /// Shared layout and bit packing of one Algorithm 1 instance.
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 pub(crate) struct RegisterInner {
     n: u32,
     init: u32,
@@ -127,9 +125,9 @@ impl RegisterInner {
 /// Supports [`OpSpec::Write`] and [`OpSpec::Read`]; both are wait-free, and
 /// `Write` is detectable through its recovery function (lines 14–27 of the
 /// paper). See the [module documentation](self) for the algorithm.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct DetectableRegister {
-    inner: Arc<RegisterInner>,
+    inner: RegisterInner,
 }
 
 /// Maximum processes supported by the packing of `R` (6-bit writer ids).
@@ -187,9 +185,7 @@ impl DetectableRegister {
             t,
             ann,
         };
-        DetectableRegister {
-            inner: Arc::new(inner),
-        }
+        DetectableRegister { inner }
     }
 
     /// Materializes the initial value `⟨init, 0, 0⟩` in a freshly created
@@ -215,16 +211,16 @@ impl RecoverableObject for DetectableRegister {
 
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Write(v) => Box::new(WriteMachine::new(Arc::clone(&self.inner), pid, v)),
-            OpSpec::Read => Box::new(ReadMachine::new(Arc::clone(&self.inner), pid)),
+            OpSpec::Write(v) => Box::new(WriteMachine::new(self.inner, pid, v)),
+            OpSpec::Read => Box::new(ReadMachine::new(self.inner, pid)),
             ref other => panic!("register does not support {other}"),
         }
     }
 
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Write(v) => Box::new(WriteRecoverMachine::new(Arc::clone(&self.inner), pid, v)),
-            OpSpec::Read => Box::new(ReadRecoverMachine::new(Arc::clone(&self.inner), pid)),
+            OpSpec::Write(v) => Box::new(WriteRecoverMachine::new(self.inner, pid, v)),
+            OpSpec::Read => Box::new(ReadRecoverMachine::new(self.inner, pid)),
             ref other => panic!("register does not support {other}"),
         }
     }
@@ -247,10 +243,11 @@ impl RecoverableObject for DetectableRegister {
 
     fn decode_op(&self, pid: Pid, op: &OpSpec, words: &[Word]) -> Option<Box<dyn Machine>> {
         match *op {
-            OpSpec::Write(v) => WriteMachine::decode(&self.inner, pid, v, words)
+            OpSpec::Write(v) => WriteMachine::decode(self.inner, pid, v, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
-            OpSpec::Read => ReadMachine::decode(&self.inner, pid, words)
-                .map(|m| Box::new(m) as Box<dyn Machine>),
+            OpSpec::Read => {
+                ReadMachine::decode(self.inner, pid, words).map(|m| Box::new(m) as Box<dyn Machine>)
+            }
             _ => None,
         }
     }
@@ -288,7 +285,7 @@ enum WState {
 /// The `Write(val)` operation machine.
 #[derive(Clone)]
 struct WriteMachine {
-    obj: Arc<RegisterInner>,
+    obj: RegisterInner,
     pid: Pid,
     val: u32,
     state: WState,
@@ -300,7 +297,7 @@ struct WriteMachine {
 }
 
 impl WriteMachine {
-    fn new(obj: Arc<RegisterInner>, pid: Pid, val: u32) -> Self {
+    fn new(obj: RegisterInner, pid: Pid, val: u32) -> Self {
         WriteMachine {
             obj,
             pid,
@@ -315,12 +312,7 @@ impl WriteMachine {
 
     /// Inverse of [`Machine::encode`]: rebuilds an in-flight `Write(val)`
     /// machine from its encoding.
-    fn decode(
-        obj: &Arc<RegisterInner>,
-        pid: Pid,
-        val: u32,
-        words: &[Word],
-    ) -> Option<WriteMachine> {
+    fn decode(obj: RegisterInner, pid: Pid, val: u32, words: &[Word]) -> Option<WriteMachine> {
         if words.len() != 6 || words[1] != u64::from(val) {
             return None;
         }
@@ -340,7 +332,7 @@ impl WriteMachine {
             _ => return None,
         };
         Some(WriteMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             val,
             state,
@@ -509,7 +501,7 @@ enum WRState {
 /// The `Write.Recover(val)` machine.
 #[derive(Clone)]
 struct WriteRecoverMachine {
-    obj: Arc<RegisterInner>,
+    obj: RegisterInner,
     pid: Pid,
     #[allow(dead_code)] // recovery is called with the same args as Write
     val: u32,
@@ -521,7 +513,7 @@ struct WriteRecoverMachine {
 }
 
 impl WriteRecoverMachine {
-    fn new(obj: Arc<RegisterInner>, pid: Pid, val: u32) -> Self {
+    fn new(obj: RegisterInner, pid: Pid, val: u32) -> Self {
         WriteRecoverMachine {
             obj,
             pid,
@@ -679,14 +671,14 @@ enum RState {
 /// The `Read()` machine: read `R`, persist the response, return it.
 #[derive(Clone)]
 struct ReadMachine {
-    obj: Arc<RegisterInner>,
+    obj: RegisterInner,
     pid: Pid,
     state: RState,
     val: u32,
 }
 
 impl ReadMachine {
-    fn new(obj: Arc<RegisterInner>, pid: Pid) -> Self {
+    fn new(obj: RegisterInner, pid: Pid) -> Self {
         ReadMachine {
             obj,
             pid,
@@ -696,7 +688,7 @@ impl ReadMachine {
     }
 
     /// Inverse of [`Machine::encode`] for the `Read` machine.
-    fn decode(obj: &Arc<RegisterInner>, pid: Pid, words: &[Word]) -> Option<ReadMachine> {
+    fn decode(obj: RegisterInner, pid: Pid, words: &[Word]) -> Option<ReadMachine> {
         if words.len() != 2 {
             return None;
         }
@@ -707,7 +699,7 @@ impl ReadMachine {
             _ => return None,
         };
         Some(ReadMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             state,
             val: u32::try_from(words[1]).ok()?,
@@ -763,14 +755,14 @@ impl Machine for ReadMachine {
 /// `Read.Recover`: return the persisted response if any, otherwise re-invoke.
 #[derive(Clone)]
 struct ReadRecoverMachine {
-    obj: Arc<RegisterInner>,
+    obj: RegisterInner,
     pid: Pid,
     checked: bool,
     inner: Option<ReadMachine>,
 }
 
 impl ReadRecoverMachine {
-    fn new(obj: Arc<RegisterInner>, pid: Pid) -> Self {
+    fn new(obj: RegisterInner, pid: Pid) -> Self {
         ReadRecoverMachine {
             obj,
             pid,
@@ -788,7 +780,7 @@ impl Machine for ReadRecoverMachine {
             if resp != RESP_NONE {
                 return Poll::Ready(resp);
             }
-            self.inner = Some(ReadMachine::new(Arc::clone(&self.obj), self.pid));
+            self.inner = Some(ReadMachine::new(self.obj, self.pid));
             return Poll::Pending;
         }
         self.inner
@@ -826,6 +818,21 @@ impl Machine for ReadRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::object::assert_copy::<DetectableRegister>();
+            crate::object::assert_copy::<RegisterInner>();
+            assert!(!std::mem::needs_drop::<WriteMachine>());
+            assert!(!std::mem::needs_drop::<WriteRecoverMachine>());
+            assert!(!std::mem::needs_drop::<ReadMachine>());
+            assert!(!std::mem::needs_drop::<ReadRecoverMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, DetectableRegister) {
         let mut b = LayoutBuilder::new();

@@ -16,16 +16,14 @@
 //!
 //! `Swap` is lock-free; `Read` is wait-free.
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, RESP_FAIL, RESP_NONE, TRUE,
 };
 
-use crate::cas::DetectableCas;
+use crate::cas::{CasMachine, CasRecoverMachine, DetectableCas};
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 struct SwapInner {
     cas: DetectableCas,
     /// Persisted `old` argument of the in-flight inner CAS attempt — both
@@ -63,9 +61,9 @@ impl SwapInner {
 /// let mut m2 = sw.invoke(p, &OpSpec::Swap(9));
 /// assert_eq!(run_to_completion(&mut *m2, &mem, 1000).unwrap(), 7);
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct DetectableSwap {
-    inner: Arc<SwapInner>,
+    inner: SwapInner,
 }
 
 impl DetectableSwap {
@@ -80,7 +78,7 @@ impl DetectableSwap {
         let arg = b.private_array(&format!("{name}.ARG"), n, 1, 32);
         let ann = AnnBank::alloc(b, name, n, 1);
         DetectableSwap {
-            inner: Arc::new(SwapInner { cas, arg, ann, n }),
+            inner: SwapInner { cas, arg, ann, n },
         }
     }
 
@@ -97,9 +95,9 @@ impl RecoverableObject for DetectableSwap {
 
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Swap(v) => Box::new(SwapMachine::new(Arc::clone(&self.inner), pid, v)),
+            OpSpec::Swap(v) => Box::new(SwapMachine::new(self.inner, pid, v)),
             OpSpec::Read => Box::new(SwapReadMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 val: None,
             }),
@@ -109,9 +107,9 @@ impl RecoverableObject for DetectableSwap {
 
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Swap(v) => Box::new(SwapRecoverMachine::new(Arc::clone(&self.inner), pid, v)),
+            OpSpec::Swap(v) => Box::new(SwapRecoverMachine::new(self.inner, pid, v)),
             OpSpec::Read => Box::new(SwapReadRecoverMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 checked: false,
                 inner: None,
@@ -145,9 +143,9 @@ impl RecoverableObject for DetectableSwap {
 
     fn decode_op(&self, pid: Pid, op: &OpSpec, words: &[Word]) -> Option<Box<dyn Machine>> {
         match *op {
-            OpSpec::Swap(v) => SwapMachine::decode(&self.inner, pid, v, words)
+            OpSpec::Swap(v) => SwapMachine::decode(self.inner, pid, v, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
-            OpSpec::Read => SwapReadMachine::decode(&self.inner, pid, words)
+            OpSpec::Read => SwapReadMachine::decode(self.inner, pid, words)
                 .map(|m| Box::new(m) as Box<dyn Machine>),
             _ => None,
         }
@@ -163,21 +161,21 @@ enum SwState {
     ResetInnerCp { v: u32 },
     PersistArg { v: u32 },
     OuterCheckpoint { v: u32 },
-    RunCas { v: u32, m: Box<dyn Machine> },
+    RunCas { v: u32, m: CasMachine },
     PersistResp { v: u32 },
     Done,
 }
 
 #[derive(Clone)]
 struct SwapMachine {
-    obj: Arc<SwapInner>,
+    obj: SwapInner,
     pid: Pid,
     val: u32,
     state: SwState,
 }
 
 impl SwapMachine {
-    fn new(obj: Arc<SwapInner>, pid: Pid, val: u32) -> Self {
+    fn new(obj: SwapInner, pid: Pid, val: u32) -> Self {
         SwapMachine {
             obj,
             pid,
@@ -190,7 +188,7 @@ impl SwapMachine {
     /// reconstructing a nested CAS attempt through the inner object's
     /// decoder (its `old` must agree with the attempt's observed value and
     /// its `new` with the swap argument).
-    fn decode(obj: &Arc<SwapInner>, pid: Pid, val: u32, words: &[Word]) -> Option<SwapMachine> {
+    fn decode(obj: SwapInner, pid: Pid, val: u32, words: &[Word]) -> Option<SwapMachine> {
         if words.len() < 3 || words[2] != u64::from(val) {
             return None;
         }
@@ -207,9 +205,7 @@ impl SwapMachine {
                 if inner.get(1) != Some(&u64::from(v)) || inner.get(2) != Some(&u64::from(val)) {
                     return None;
                 }
-                let m = obj
-                    .cas
-                    .decode_op(pid, &OpSpec::Cas { old: v, new: val }, inner)?;
+                let m = CasMachine::decode(obj.cas.inner, pid, v, val, inner)?;
                 SwState::RunCas { v, m }
             }
             7 if flat => SwState::PersistResp { v },
@@ -217,7 +213,7 @@ impl SwapMachine {
             _ => return None,
         };
         Some(SwapMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             val,
             state,
@@ -227,7 +223,7 @@ impl SwapMachine {
 
 impl Machine for SwapMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match &mut self.state {
             SwState::ReadValue => {
@@ -260,13 +256,7 @@ impl Machine for SwapMachine {
             }
             SwState::OuterCheckpoint { v } => {
                 o.ann.write_cp(mem, p, 1);
-                let m = o.cas.invoke(
-                    p,
-                    &OpSpec::Cas {
-                        old: *v,
-                        new: self.val,
-                    },
-                );
+                let m = CasMachine::new(o.cas.inner, p, *v, self.val);
                 self.state = SwState::RunCas { v: *v, m };
                 Poll::Pending
             }
@@ -333,7 +323,7 @@ enum SwRecState {
     CheckResp,
     CheckCp,
     ReadArg,
-    RunInnerRecover { v: u32, m: Box<dyn Machine> },
+    RunInnerRecover { v: u32, m: CasRecoverMachine },
     PersistResp { v: u32 },
     Retry(SwapMachine),
     Done,
@@ -341,14 +331,14 @@ enum SwRecState {
 
 #[derive(Clone)]
 struct SwapRecoverMachine {
-    obj: Arc<SwapInner>,
+    obj: SwapInner,
     pid: Pid,
     val: u32,
     state: SwRecState,
 }
 
 impl SwapRecoverMachine {
-    fn new(obj: Arc<SwapInner>, pid: Pid, val: u32) -> Self {
+    fn new(obj: SwapInner, pid: Pid, val: u32) -> Self {
         SwapRecoverMachine {
             obj,
             pid,
@@ -360,7 +350,7 @@ impl SwapRecoverMachine {
 
 impl Machine for SwapRecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match &mut self.state {
             SwRecState::CheckResp => {
@@ -382,13 +372,7 @@ impl Machine for SwapRecoverMachine {
             }
             SwRecState::ReadArg => {
                 let v = mem.read_pp(p, o.arg_loc(p)) as u32;
-                let m = o.cas.recover(
-                    p,
-                    &OpSpec::Cas {
-                        old: v,
-                        new: self.val,
-                    },
-                );
+                let m = CasRecoverMachine::new(o.cas.inner, p, v, self.val);
                 self.state = SwRecState::RunInnerRecover { v, m };
                 Poll::Pending
             }
@@ -398,8 +382,7 @@ impl Machine for SwapRecoverMachine {
                         self.state = SwRecState::PersistResp { v: *v };
                     } else {
                         // Not applied: finish the swap with fresh attempts.
-                        self.state =
-                            SwRecState::Retry(SwapMachine::new(Arc::clone(&o), p, self.val));
+                        self.state = SwRecState::Retry(SwapMachine::new(*o, p, self.val));
                     }
                 }
                 Poll::Pending
@@ -463,14 +446,14 @@ impl Machine for SwapRecoverMachine {
 
 #[derive(Clone)]
 struct SwapReadMachine {
-    obj: Arc<SwapInner>,
+    obj: SwapInner,
     pid: Pid,
     val: Option<u32>,
 }
 
 impl SwapReadMachine {
     /// Inverse of [`Machine::encode`] for the composed `Read` machine.
-    fn decode(obj: &Arc<SwapInner>, pid: Pid, words: &[Word]) -> Option<SwapReadMachine> {
+    fn decode(obj: SwapInner, pid: Pid, words: &[Word]) -> Option<SwapReadMachine> {
         if words.len() != 1 {
             return None;
         }
@@ -478,11 +461,7 @@ impl SwapReadMachine {
             RESP_NONE => None,
             w => Some(u32::try_from(w).ok()?),
         };
-        Some(SwapReadMachine {
-            obj: Arc::clone(obj),
-            pid,
-            val,
-        })
+        Some(SwapReadMachine { obj, pid, val })
     }
 }
 
@@ -519,7 +498,7 @@ impl Machine for SwapReadMachine {
 
 #[derive(Clone)]
 struct SwapReadRecoverMachine {
-    obj: Arc<SwapInner>,
+    obj: SwapInner,
     pid: Pid,
     checked: bool,
     inner: Option<SwapReadMachine>,
@@ -534,7 +513,7 @@ impl Machine for SwapReadRecoverMachine {
                 return Poll::Ready(resp);
             }
             self.inner = Some(SwapReadMachine {
-                obj: Arc::clone(&self.obj),
+                obj: self.obj,
                 pid: self.pid,
                 val: None,
             });
@@ -571,6 +550,21 @@ impl Machine for SwapReadRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::object::assert_copy::<DetectableSwap>();
+            crate::object::assert_copy::<SwapInner>();
+            assert!(!std::mem::needs_drop::<SwapMachine>());
+            assert!(!std::mem::needs_drop::<SwapRecoverMachine>());
+            assert!(!std::mem::needs_drop::<SwapReadMachine>());
+            assert!(!std::mem::needs_drop::<SwapReadRecoverMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, DetectableSwap) {
         let mut b = LayoutBuilder::new();

@@ -12,16 +12,14 @@
 //! change to 1 happened within the operation's interval, so returning 1
 //! linearizes there). `Reset` is lock-free.
 
-use std::sync::Arc;
-
 use nvm::{
     AnnBank, LayoutBuilder, Machine, Memory, Pid, Poll, Word, ACK, RESP_FAIL, RESP_NONE, TRUE,
 };
 
-use crate::cas::DetectableCas;
+use crate::cas::{CasMachine, CasRecoverMachine, DetectableCas};
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 
-#[derive(Debug)]
+#[derive(Copy, Clone, Debug)]
 struct TasInner {
     cas: DetectableCas,
     ann: AnnBank,
@@ -49,9 +47,9 @@ struct TasInner {
 /// let mut m2 = tas.invoke(p, &OpSpec::TestAndSet);
 /// assert_eq!(run_to_completion(&mut *m2, &mem, 100).unwrap(), 1); // already set
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct DetectableTas {
-    inner: Arc<TasInner>,
+    inner: TasInner,
 }
 
 impl DetectableTas {
@@ -65,7 +63,7 @@ impl DetectableTas {
         let cas = DetectableCas::with_name(b, &format!("{name}.cas"), n, 0);
         let ann = AnnBank::alloc(b, name, n, 1);
         DetectableTas {
-            inner: Arc::new(TasInner { cas, ann, n }),
+            inner: TasInner { cas, ann, n },
         }
     }
 
@@ -82,18 +80,10 @@ impl RecoverableObject for DetectableTas {
 
     fn invoke(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match op {
-            OpSpec::TestAndSet => Box::new(TasMachine::new(
-                Arc::clone(&self.inner),
-                pid,
-                TasFlavor::Set,
-            )),
-            OpSpec::Reset => Box::new(TasMachine::new(
-                Arc::clone(&self.inner),
-                pid,
-                TasFlavor::Reset,
-            )),
+            OpSpec::TestAndSet => Box::new(TasMachine::new(self.inner, pid, TasFlavor::Set)),
+            OpSpec::Reset => Box::new(TasMachine::new(self.inner, pid, TasFlavor::Reset)),
             OpSpec::Read => Box::new(TasReadMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 val: None,
             }),
@@ -103,18 +93,10 @@ impl RecoverableObject for DetectableTas {
 
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match op {
-            OpSpec::TestAndSet => Box::new(TasRecoverMachine::new(
-                Arc::clone(&self.inner),
-                pid,
-                TasFlavor::Set,
-            )),
-            OpSpec::Reset => Box::new(TasRecoverMachine::new(
-                Arc::clone(&self.inner),
-                pid,
-                TasFlavor::Reset,
-            )),
+            OpSpec::TestAndSet => Box::new(TasRecoverMachine::new(self.inner, pid, TasFlavor::Set)),
+            OpSpec::Reset => Box::new(TasRecoverMachine::new(self.inner, pid, TasFlavor::Reset)),
             OpSpec::Read => Box::new(TasReadRecoverMachine {
-                obj: Arc::clone(&self.inner),
+                obj: self.inner,
                 pid,
                 checked: false,
                 inner: None,
@@ -150,12 +132,12 @@ impl RecoverableObject for DetectableTas {
             OpSpec::TestAndSet => TasFlavor::Set,
             OpSpec::Reset => TasFlavor::Reset,
             OpSpec::Read => {
-                return TasReadMachine::decode(&self.inner, pid, words)
+                return TasReadMachine::decode(self.inner, pid, words)
                     .map(|m| Box::new(m) as Box<dyn Machine>)
             }
             _ => return None,
         };
-        TasMachine::decode(&self.inner, pid, flavor, words).map(|m| Box::new(m) as Box<dyn Machine>)
+        TasMachine::decode(self.inner, pid, flavor, words).map(|m| Box::new(m) as Box<dyn Machine>)
     }
 }
 
@@ -183,21 +165,21 @@ enum TState {
     ResetInnerResp,
     ResetInnerCp,
     OuterCheckpoint,
-    RunCas(Box<dyn Machine>),
+    RunCas(CasMachine),
     PersistResp(Word),
     Done,
 }
 
 #[derive(Clone)]
 struct TasMachine {
-    obj: Arc<TasInner>,
+    obj: TasInner,
     pid: Pid,
     flavor: TasFlavor,
     state: TState,
 }
 
 impl TasMachine {
-    fn new(obj: Arc<TasInner>, pid: Pid, flavor: TasFlavor) -> Self {
+    fn new(obj: TasInner, pid: Pid, flavor: TasFlavor) -> Self {
         TasMachine {
             obj,
             pid,
@@ -209,12 +191,7 @@ impl TasMachine {
     /// Inverse of [`Machine::encode`]: rebuilds an in-flight `TestAndSet`
     /// or `Reset`, routing a nested CAS attempt through the inner object's
     /// decoder (its arguments are fixed by the flavor).
-    fn decode(
-        obj: &Arc<TasInner>,
-        pid: Pid,
-        flavor: TasFlavor,
-        words: &[Word],
-    ) -> Option<TasMachine> {
+    fn decode(obj: TasInner, pid: Pid, flavor: TasFlavor, words: &[Word]) -> Option<TasMachine> {
         if words.len() < 2 || words[1] != flavor as u64 {
             return None;
         }
@@ -229,14 +206,14 @@ impl TasMachine {
                 if rest.get(1) != Some(&u64::from(old)) || rest.get(2) != Some(&u64::from(new)) {
                     return None;
                 }
-                TState::RunCas(obj.cas.decode_op(pid, &OpSpec::Cas { old, new }, rest)?)
+                TState::RunCas(CasMachine::decode(obj.cas.inner, pid, old, new, rest)?)
             }
             6 if rest.len() == 1 => TState::PersistResp(rest[0]),
             7 if rest.is_empty() => TState::Done,
             _ => return None,
         };
         Some(TasMachine {
-            obj: Arc::clone(obj),
+            obj,
             pid,
             flavor,
             state,
@@ -246,7 +223,7 @@ impl TasMachine {
 
 impl Machine for TasMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match &mut self.state {
             TState::ReadValue => {
@@ -274,7 +251,7 @@ impl Machine for TasMachine {
             TState::OuterCheckpoint => {
                 o.ann.write_cp(mem, p, 1);
                 let (old, new) = self.flavor.cas_args();
-                let m = o.cas.invoke(p, &OpSpec::Cas { old, new });
+                let m = CasMachine::new(o.cas.inner, p, old, new);
                 self.state = TState::RunCas(m);
                 Poll::Pending
             }
@@ -344,7 +321,7 @@ impl Machine for TasMachine {
 enum TRecState {
     CheckResp,
     CheckCp,
-    RunInnerRecover(Box<dyn Machine>),
+    RunInnerRecover(CasRecoverMachine),
     PersistResp(Word),
     Retry(TasMachine),
     Done,
@@ -352,14 +329,14 @@ enum TRecState {
 
 #[derive(Clone)]
 struct TasRecoverMachine {
-    obj: Arc<TasInner>,
+    obj: TasInner,
     pid: Pid,
     flavor: TasFlavor,
     state: TRecState,
 }
 
 impl TasRecoverMachine {
-    fn new(obj: Arc<TasInner>, pid: Pid, flavor: TasFlavor) -> Self {
+    fn new(obj: TasInner, pid: Pid, flavor: TasFlavor) -> Self {
         TasRecoverMachine {
             obj,
             pid,
@@ -371,7 +348,7 @@ impl TasRecoverMachine {
 
 impl Machine for TasRecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
-        let o = Arc::clone(&self.obj);
+        let o = &self.obj;
         let p = self.pid;
         match &mut self.state {
             TRecState::CheckResp => {
@@ -389,7 +366,7 @@ impl Machine for TasRecoverMachine {
                     return Poll::Ready(RESP_FAIL);
                 }
                 let (old, new) = self.flavor.cas_args();
-                let m = o.cas.recover(p, &OpSpec::Cas { old, new });
+                let m = CasRecoverMachine::new(o.cas.inner, p, old, new);
                 self.state = TRecState::RunInnerRecover(m);
                 Poll::Pending
             }
@@ -411,11 +388,7 @@ impl Machine for TasRecoverMachine {
                         // Reset did not take effect yet: finish it NRL-style
                         // (resets are safe to re-execute).
                         (TasFlavor::Reset, _) => {
-                            self.state = TRecState::Retry(TasMachine::new(
-                                Arc::clone(&o),
-                                p,
-                                TasFlavor::Reset,
-                            ))
+                            self.state = TRecState::Retry(TasMachine::new(*o, p, TasFlavor::Reset))
                         }
                     }
                 }
@@ -474,14 +447,14 @@ impl Machine for TasRecoverMachine {
 
 #[derive(Clone)]
 struct TasReadMachine {
-    obj: Arc<TasInner>,
+    obj: TasInner,
     pid: Pid,
     val: Option<u32>,
 }
 
 impl TasReadMachine {
     /// Inverse of [`Machine::encode`] for the composed `Read` machine.
-    fn decode(obj: &Arc<TasInner>, pid: Pid, words: &[Word]) -> Option<TasReadMachine> {
+    fn decode(obj: TasInner, pid: Pid, words: &[Word]) -> Option<TasReadMachine> {
         if words.len() != 1 {
             return None;
         }
@@ -489,11 +462,7 @@ impl TasReadMachine {
             RESP_NONE => None,
             w => Some(u32::try_from(w).ok()?),
         };
-        Some(TasReadMachine {
-            obj: Arc::clone(obj),
-            pid,
-            val,
-        })
+        Some(TasReadMachine { obj, pid, val })
     }
 }
 
@@ -530,7 +499,7 @@ impl Machine for TasReadMachine {
 
 #[derive(Clone)]
 struct TasReadRecoverMachine {
-    obj: Arc<TasInner>,
+    obj: TasInner,
     pid: Pid,
     checked: bool,
     inner: Option<TasReadMachine>,
@@ -545,7 +514,7 @@ impl Machine for TasReadRecoverMachine {
                 return Poll::Ready(resp);
             }
             self.inner = Some(TasReadMachine {
-                obj: Arc::clone(&self.obj),
+                obj: self.obj,
                 pid: self.pid,
                 val: None,
             });
@@ -582,6 +551,21 @@ impl Machine for TasReadRecoverMachine {
 mod tests {
     use super::*;
     use nvm::{run_to_completion, SimMemory};
+
+    /// The handle and its descriptor are `Copy`, and no machine owns a
+    /// reference count or a heap allocation: each carries its object's
+    /// locations by value.
+    #[test]
+    fn machines_carry_locations_by_value() {
+        const {
+            crate::object::assert_copy::<DetectableTas>();
+            crate::object::assert_copy::<TasInner>();
+            assert!(!std::mem::needs_drop::<TasMachine>());
+            assert!(!std::mem::needs_drop::<TasRecoverMachine>());
+            assert!(!std::mem::needs_drop::<TasReadMachine>());
+            assert!(!std::mem::needs_drop::<TasReadRecoverMachine>());
+        }
+    }
 
     fn world(n: u32) -> (SimMemory, DetectableTas) {
         let mut b = LayoutBuilder::new();

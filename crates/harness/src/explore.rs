@@ -212,7 +212,7 @@ pub struct ExploreOutcome {
     /// changes totals, it only forces re-exploration).
     pub memo_evictions: usize,
     /// Scheduler-action counters of the parallel subtree workers (steals,
-    /// parks, per-worker subtree counts). All-zero for sequential runs —
+    /// parks, nodes each worker expanded). All-zero for sequential runs —
     /// they never start a scheduler.
     pub sched: SchedStats,
 }
@@ -1053,7 +1053,17 @@ struct SubtreeResult {
     memo_hits: usize,
 }
 
-fn explore_parallel(
+/// A frontier entry of [`expand_frontier`]: a complete execution, or a
+/// subtree root with the forked memory it runs on.
+enum Entry {
+    Leaf(Node),
+    Subtree(Node, Box<SimMemory>),
+}
+
+/// Expands a frontier of subtree roots in canonical depth-first order,
+/// wave by wave, each on its own memory fork. Leaves reached during
+/// expansion stay in the list and are evaluated in place.
+fn expand_frontier(
     obj: &dyn RecoverableObject,
     mem: &SimMemory,
     source: OpSource<'_>,
@@ -1061,15 +1071,8 @@ fn explore_parallel(
     root: Node,
     progress: &Progress,
     sym: bool,
-) -> ExploreOutcome {
-    // Expand a frontier of subtree roots in canonical depth-first order,
-    // wave by wave, each on its own memory fork. Leaves reached during
-    // expansion stay in the list and are evaluated in place.
+) -> Vec<Entry> {
     let target = cfg.parallelism * 4;
-    enum Entry {
-        Leaf(Node),
-        Subtree(Node, Box<SimMemory>),
-    }
     let mut frontier: Vec<Entry> = vec![Entry::Subtree(root, Box::new(mem.fork()))];
     // Wave cap: a path-shaped tree (e.g. a crash-free script) never widens,
     // so expansion must not chase the target forever.
@@ -1104,7 +1107,19 @@ fn explore_parallel(
         }
         frontier = next;
     }
+    frontier
+}
 
+fn explore_parallel(
+    obj: &dyn RecoverableObject,
+    mem: &SimMemory,
+    source: OpSource<'_>,
+    cfg: &ExploreConfig,
+    root: Node,
+    progress: &Progress,
+    sym: bool,
+) -> ExploreOutcome {
+    let frontier = expand_frontier(obj, mem, source, cfg, root, progress, sym);
     // Evaluate the frontier: leaves in place (cheap), subtrees on workers,
     // round-robin in canonical order.
     let mut results: Vec<SubtreeResult> = Vec::new();
@@ -1151,9 +1166,11 @@ fn explore_parallel(
                 let mut worker = sched.worker(id);
                 let mut out = Vec::new();
                 while let Some(job) = worker.next() {
+                    let mut expanded = 0;
                     if !progress.moot(job.index) {
                         let mut engine = Engine::new(obj, cfg, source, progress, job.index, sym);
                         engine.run(&job.mem, job.node);
+                        expanded = engine.unique_nodes as u64;
                         out.push(SubtreeResult {
                             index: job.index,
                             leaves: engine.leaves,
@@ -1163,7 +1180,7 @@ fn explore_parallel(
                             memo_hits: engine.memo_hits,
                         });
                     }
-                    worker.complete();
+                    worker.complete_expanded(expanded);
                 }
                 done.lock().expect("result sink poisoned").append(&mut out);
             });
@@ -1387,6 +1404,42 @@ mod tests {
             assert_eq!(par.truncated, seq.truncated);
             assert!(par.violation.is_none());
         }
+    }
+
+    #[test]
+    fn per_worker_expansions_count_nodes_not_jobs() {
+        // One CAS with up to two crashes: the frontier holds one complete
+        // execution (evaluated in place) and seven subtree jobs.
+        let (cas, mem) = build_world(|b| DetectableCas::new(b, 1, 0));
+        let w = vec![vec![OpSpec::Cas { old: 0, new: 1 }]];
+        let cfg = ExploreConfig {
+            max_crashes: 2,
+            parallelism: 2,
+            ..Default::default()
+        };
+        let source = OpSource::PerProcess(&w);
+        let frontier = expand_frontier(
+            &cas,
+            &mem,
+            source,
+            &cfg,
+            Node::root(1),
+            &Progress::new(&cfg),
+            false,
+        );
+        let in_place = frontier
+            .iter()
+            .filter(|e| matches!(e, Entry::Leaf(_)))
+            .count();
+        assert!(in_place > 0 && in_place < frontier.len());
+        let out = explore_engine(&cas, &mem, source, &cfg);
+        out.assert_clean();
+        let per_worker = &out.sched.per_worker_expansions;
+        assert_eq!(per_worker.len(), 2);
+        assert_eq!(
+            per_worker.iter().sum::<u64>() + in_place as u64,
+            out.unique_nodes as u64
+        );
     }
 
     #[test]

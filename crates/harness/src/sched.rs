@@ -85,8 +85,10 @@ pub struct SchedStats {
     /// Staged intern batches flushed to the state arena (census engines;
     /// the explorer does not intern).
     pub flush_batches: u64,
-    /// Tasks fully processed by each worker, indexed by worker id. The sum
-    /// is the run's total expansions.
+    /// Nodes expanded by each worker, indexed by worker id. A census task
+    /// is one node; an explorer subtree job counts every node its depth-first
+    /// search expanded. The sum is the run's total expansions (the explorer's
+    /// `unique_nodes` minus the frontier leaves it evaluates in place).
     pub per_worker_expansions: Vec<u64>,
 }
 
@@ -295,9 +297,15 @@ impl<T> Worker<'_, T> {
     /// Marks one task fully processed (successors already pushed) and
     /// tallies it for this worker's expansion count.
     pub(crate) fn complete(&self) {
+        self.complete_expanded(1);
+    }
+
+    /// Like [`complete`](Self::complete), for a task that expanded
+    /// `expansions` nodes (an explorer subtree job).
+    pub(crate) fn complete_expanded(&self, expansions: u64) {
         self.sched.expansions[self.id]
             .0
-            .fetch_add(1, Ordering::Relaxed);
+            .fetch_add(expansions, Ordering::Relaxed);
         self.sched.finished[self.id]
             .0
             .fetch_add(1, Ordering::SeqCst);

@@ -23,7 +23,7 @@ use crate::memory::Memory;
 use crate::word::{Pid, Word, RESP_NONE};
 
 /// The `resp` and `CP` fields of `Ann_p` for all `N` processes of one object.
-#[derive(Clone, Debug)]
+#[derive(Copy, Clone, Debug)]
 pub struct AnnBank {
     resp: Loc,
     cp: Loc,

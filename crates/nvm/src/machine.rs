@@ -49,6 +49,13 @@ impl Poll {
 ///
 /// Machines are `Send` so the multi-threaded benchmark harness can drive one
 /// per thread over an [`crate::AtomicMemory`].
+///
+/// **Ownership.** A machine owns a `Copy` descriptor of its object's
+/// locations (`Loc`, `Field`, [`crate::AnnBank`]), not an `Arc` to a shared
+/// object, and a composed machine holds its nested machine by value. So no
+/// step touches a reference count that other threads also write, and
+/// cloning a machine is a plain copy of its fields. (The NRL adapter in the
+/// `detectable` crate, which wraps objects of any type, is the exception.)
 pub trait Machine: Send {
     /// Executes the next line of the algorithm: at most one primitive memory
     /// operation plus local computation.

@@ -52,9 +52,10 @@ pub const MAPPED_VERSION: u64 = 2;
 pub const HEADER_WORDS: usize = 16;
 
 /// The raw `mmap`/`munmap`/`msync` bindings. This is the only unsafe code
-/// in the crate: it maps a regular file `MAP_SHARED`, hands out
-/// `&AtomicU64` views into the (page-aligned, `u64`-aligned) mapping, and
-/// unmaps on drop. No other module can name these symbols.
+/// in the crate: it maps a regular file `MAP_SHARED` (or anonymous memory
+/// `MAP_PRIVATE`), hands out `&AtomicU64` views into the (page-aligned,
+/// `u64`-aligned) mapping, and unmaps on drop. No other module can name
+/// these symbols.
 #[allow(unsafe_code)]
 mod sys {
     use std::io;
@@ -62,6 +63,8 @@ mod sys {
     const PROT_READ: i32 = 1;
     const PROT_WRITE: i32 = 2;
     const MAP_SHARED: i32 = 0x01;
+    const MAP_PRIVATE: i32 = 0x02;
+    const MAP_ANONYMOUS: i32 = 0x20;
     pub const MS_SYNC: i32 = 4;
     pub const MS_ASYNC: i32 = 1;
 
@@ -73,12 +76,23 @@ mod sys {
 
     /// Maps `len` bytes of the open file `fd` read/write + `MAP_SHARED`.
     pub fn map_shared(fd: i32, len: usize) -> io::Result<*mut u8> {
+        map(len, MAP_SHARED, fd)
+    }
+
+    /// Maps `len` bytes of zero-filled private anonymous memory.
+    pub fn map_anonymous(len: usize) -> io::Result<*mut u8> {
+        map(len, MAP_PRIVATE | MAP_ANONYMOUS, -1)
+    }
+
+    fn map(len: usize, flags: i32, fd: i32) -> io::Result<*mut u8> {
+        // SAFETY: a null hint lets the kernel place a fresh mapping, so no
+        // existing memory is replaced; failure is reported, not used.
         let p = unsafe {
             mmap(
                 std::ptr::null_mut(),
                 len,
                 PROT_READ | PROT_WRITE,
-                MAP_SHARED,
+                flags,
                 fd,
                 0,
             )
@@ -112,7 +126,55 @@ mod sys {
         debug_assert_eq!(off % 8, 0);
         unsafe { &*(base.add(off) as *const std::sync::atomic::AtomicU64) }
     }
+
+    /// Zero-initialized atomic words in a private anonymous mapping, the
+    /// storage of [`AtomicMemory`](crate::AtomicMemory). The kernel supplies
+    /// zero pages on first touch and takes them back on drop, so a dropped
+    /// memory leaves no block in the allocator's heap. (A freed heap block
+    /// can be split by later small allocations; a closed loop that builds a
+    /// fresh world per run then grows the heap by a whole world.)
+    #[derive(Debug)]
+    pub(crate) struct AnonWords {
+        base: *mut u8,
+        bytes: usize,
+        n: usize,
+    }
+
+    // SAFETY: `base` is a mapping owned by this value alone and unmapped
+    // once, on drop; its words are only reached through `&AtomicU64`, so
+    // moving or sharing the owner across threads is sound.
+    unsafe impl Send for AnonWords {}
+    // SAFETY: as for `Send`.
+    unsafe impl Sync for AnonWords {}
+
+    impl AnonWords {
+        /// Maps `n` zeroed words; panics if the kernel refuses.
+        pub(crate) fn new(n: usize) -> Self {
+            let bytes = (n * 8).max(8);
+            let base = map_anonymous(bytes).expect("map anonymous memory");
+            AnonWords { base, bytes, n }
+        }
+    }
+
+    impl std::ops::Deref for AnonWords {
+        type Target = [std::sync::atomic::AtomicU64];
+
+        fn deref(&self) -> &Self::Target {
+            // SAFETY: the page-aligned (so `u64`-aligned) mapping holds
+            // `bytes >= 8 * n` bytes and lives until `self` drops; it is
+            // only accessed through atomics.
+            unsafe { std::slice::from_raw_parts(self.base as *const _, self.n) }
+        }
+    }
+
+    impl Drop for AnonWords {
+        fn drop(&mut self) {
+            unmap(self.base, self.bytes);
+        }
+    }
 }
+
+pub(crate) use sys::AnonWords;
 
 /// A fixed-size file mapped `MAP_SHARED` as a header plus `words` atomic
 /// `u64` cells. Multiple processes mapping the same file see one coherent

@@ -6,10 +6,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::layout::{Layout, Loc};
+use crate::mapped::AnonWords;
 use crate::stats::Stats;
 use crate::word::{Pid, Word};
 
@@ -673,16 +674,16 @@ impl Memory for SimMemory {
 #[derive(Debug)]
 pub struct AtomicMemory {
     layout: Arc<Layout>,
-    words: Vec<AtomicU64>,
+    words: AnonWords,
 }
 
 impl AtomicMemory {
-    /// Creates a zero-initialized atomic memory.
+    /// Creates a zero-initialized atomic memory (an anonymous mapping, see
+    /// `AnonWords` in [`crate::mapped`]).
     pub fn new(layout: Layout) -> Self {
-        let n = layout.total_words();
         AtomicMemory {
+            words: AnonWords::new(layout.total_words()),
             layout: Arc::new(layout),
-            words: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 
@@ -886,6 +887,21 @@ mod tests {
         assert!(!m.cas(p, x, 4, 6));
         assert_eq!(m.peek(x), 5);
         m.persist(p, x); // no-op, must not panic
+    }
+
+    #[test]
+    fn atomic_memory_starts_zeroed_at_any_size() {
+        for words in [1, 512, 1 << 20] {
+            let mut b = LayoutBuilder::new();
+            let x = b.shared("X", words, 64);
+            let m = AtomicMemory::new(b.finish());
+            assert_eq!(m.peek(x), 0);
+            assert_eq!(m.peek(x.at(words as usize - 1)), 0);
+            m.write(Pid::new(0), x.at(words as usize - 1), 7);
+            assert_eq!(m.peek(x.at(words as usize - 1)), 7);
+        }
+        // An empty layout maps no words but must still build and drop.
+        drop(AtomicMemory::new(LayoutBuilder::new().finish()));
     }
 
     #[test]
