@@ -39,7 +39,7 @@
 //! | role | in RAM | on disk ([`crate::external`]) |
 //! |---|---|---|
 //! | frontier | a FIFO for one worker; work-stealing deques ([`crate::sched`]) for more | generation files |
-//! | admission | sharded fingerprint set, per successor | seen-file sort-merge replay at generation end |
+//! | admission | sharded fingerprint set, per successor | repeat filter per successor, seen-file sort-merge replay at generation end |
 //! | image store | [`StateArena`] | [`nvm::SpillableArena`] |
 //!
 //! [`census_bfs_engine`] takes the disk tier when [`BfsConfig::disk_dir`]
@@ -390,6 +390,14 @@ pub(crate) struct Slots {
 }
 
 impl Slots {
+    pub(crate) fn new(cap: usize) -> Self {
+        Slots {
+            admitted: AtomicUsize::new(0),
+            cap,
+            truncated: AtomicBool::new(false),
+        }
+    }
+
     /// Reserves one admission slot: a reservation CAS loop, so the cap is
     /// exact even under concurrent admission from every shard.
     pub(crate) fn reserve(&self) -> bool {
@@ -437,8 +445,10 @@ impl VisitedSet {
 /// Admission role: decides which generated successors reach the frontier.
 pub(crate) trait Admission {
     /// Whether the successor with fingerprint `fp` at budget `ops_used`
-    /// goes to the frontier now (a tier that admits later returns `true`
-    /// and decides in its frontier).
+    /// goes to the frontier. A tier that admits later, in its frontier,
+    /// returns `false` only for a successor it can already prove the
+    /// frontier would reject (the disk tier's repeat filter), so a rejected
+    /// successor is never staged, interned or encoded.
     fn admit(&self, slots: &Slots, fp: (u64, u64), ops_used: usize) -> bool;
 
     /// Admits the root configuration, a generation by itself.
@@ -667,11 +677,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
             cfg,
             images,
             admission,
-            slots: Slots {
-                admitted: AtomicUsize::new(0),
-                cap: cfg.max_states,
-                truncated: AtomicBool::new(false),
-            },
+            slots: Slots::new(cfg.max_states),
         }
     }
 

@@ -107,6 +107,10 @@ fn external_engine_matches_in_ram_on_every_kind() {
                     spill.sort_runs >= 2,
                     "{tag}: single-run sort proves nothing: {spill:?}"
                 );
+                assert!(
+                    spill.candidates_dropped > 0,
+                    "{tag}: the repeat filter dropped nothing: {spill:?}"
+                );
             }
         }
     }
