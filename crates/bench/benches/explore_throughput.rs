@@ -20,11 +20,12 @@
 //!   private-cache state counts — they are a mode-coverage baseline;
 //!   dirty-set state blow-up needs deliberately-unpersisted workloads
 //!   (see ROADMAP).
-//! * **par{2,4,8}** (E17) — the pruned triangle on 2/4/8 subtree workers
-//!   scheduled by `harness::sched`; each sample embeds the scheduler
-//!   counters and leaf totals stay pinned to the sequential row. Rows
-//!   are measured on every host (`host_cpus` says whether to read them
-//!   as a scaling curve or a determinism pin).
+//! * **par{2,4,8}** (E17) — the pruned triangle on 2/4/8 workers: the
+//!   canonical search plus 1/3/7 helpers that warm its memo. Each sample
+//!   embeds `workers` and the per-worker expansion counts (worker 0
+//!   first), and leaf totals stay pinned to the sequential row. Rows are
+//!   measured on every host (`host_cpus` says whether to read them as a
+//!   scaling curve or a determinism pin).
 
 use std::time::Instant;
 
@@ -123,8 +124,8 @@ fn rows() -> Vec<Row> {
             cfg: symmetric_config(symmetry),
         });
     }
-    // E17 scaling rows: the pruned triangle on subtree workers. "pruned"
-    // above is the 1-thread point of the same curve.
+    // E17 scaling rows: the pruned triangle on worker 0 plus helpers.
+    // "pruned" above is the 1-thread point of the same curve.
     for (engine, threads) in [("par2", 2usize), ("par4", 4), ("par8", 8)] {
         let (obj, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
         out.push(Row {
@@ -144,7 +145,7 @@ fn rows() -> Vec<Row> {
 
 /// Records `BENCH_explore.json` next to the workspace root: one sample
 /// per grid row with leaves, unique node expansions, memo hits, wall
-/// time, the derived leaves/sec and the scheduler counters (nonzero on
+/// time, the derived leaves/sec and the worker counters (nonzero on
 /// the `par*` rows). The `par*` rows'
 /// leaf totals are asserted equal to the sequential pruned row at record
 /// time — the E17 determinism contract.

@@ -61,23 +61,25 @@
 //!    blow-ups degrade to extra work instead of OOM and totals never
 //!    depend on the budget.
 //!
-//! More than one worker ([`ExploreConfig::parallelism`]) splits the tree at a frontier
-//! of subtree roots (each on a [`fork`](SimMemory::fork) of the memory) and
-//! explores subtrees on worker threads. Results are merged in canonical
-//! (depth-first) order, so on runs that complete within the leaf budget
-//! the outcome — leaf count, violation found or not, and *which*
-//! violation — is deterministic regardless of thread count. Two
-//! qualifications: when a violation is found, `leaves` reports only
-//! executions examined up to discovery (its exact value is
-//! scheduling-dependent in parallel runs); and when the `max_leaves`
-//! budget truncates a parallel run, *which* leaves got covered before the
-//! budget tripped is scheduling-dependent, so a violation hiding near the
-//! budget boundary may be found in one run and missed in another
-//! (sequential truncation always covers the canonical first `max_leaves`
-//! executions).
+//! More than one worker ([`ExploreConfig::parallelism`]) runs the same
+//! search several times over one shared memo (the "lazy SMP" scheme of
+//! game-tree search). Worker 0 is the canonical sequential search on the
+//! caller's memory, and its leaf count, truncation and violation are the
+//! result. Each helper `h` runs the same engine from the root on its own
+//! [`fork`](SimMemory::fork) of the memory, with every node's action list
+//! rotated by `h`, so it reaches subtrees in a different order. A helper's
+//! only effect is the memo entries it leaves: exact leaf counts of fully
+//! explored, violation-free subtrees, which worker 0 then adds without
+//! expanding them. Helpers have no leaf budget; they stop on a violation
+//! or once worker 0 returns. Since a memo hit is the exact count of a clean
+//! subtree and worker 0 walks canonical order, the outcome — `leaves`,
+//! `truncated` and *which* violation — equals the sequential run's at every
+//! parallelism, truncated runs included. When a violation is found,
+//! `leaves` counts the executions up to its discovery. Only `unique_nodes`
+//! and `memo_hits` (summed over workers) depend on thread count and timing.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use detectable::{OpSpec, RecoverableObject};
@@ -87,7 +89,7 @@ use nvm::{CacheMode, Checkpoint, CrashPolicy, Pid, SimMemory, Word};
 use crate::driver::{op_key, Driver, ProcState, RetryPolicy};
 use crate::history::{Outcome, RankedRecord};
 use crate::linearize::{check_execution, Violation};
-use crate::sched::{resolve_parallelism, SchedStats, Scheduler};
+use crate::sched::{resolve_parallelism, SchedStats};
 
 /// Where operations come from (the engine's borrowed view; the owned
 /// [`Workload`](crate::Workload) type resolves onto it).
@@ -161,11 +163,12 @@ pub struct ExploreConfig {
     /// count outgrows RAM degrades to re-exploring evicted states instead
     /// of aborting — totals stay exact, only `unique_nodes`/work grows.
     pub memo_budget: Option<usize>,
-    /// Worker threads for subtree exploration: `1` is in-place sequential
-    /// search, `0` (the default) means the host's available parallelism
-    /// ([`resolve_parallelism`]). Leaf totals on runs that finish within
-    /// the leaf budget are identical at every setting, `unique_nodes` is
-    /// not (see the [module docs](self) for the truncation caveat).
+    /// Worker threads: `1` is the sequential search alone, `p > 1` adds
+    /// `p - 1` helpers that warm the shared memo (see the [module
+    /// docs](self)), and `0` (the default) means the host's available
+    /// parallelism ([`resolve_parallelism`]). `leaves`, `truncated` and the
+    /// violation are identical at every setting; `unique_nodes` and
+    /// `memo_hits` are not.
     pub parallelism: usize,
 }
 
@@ -199,10 +202,11 @@ pub struct ExploreOutcome {
     pub violation: Option<Violation>,
     /// Whether the leaf budget was exhausted (coverage incomplete).
     pub truncated: bool,
-    /// Distinct system configurations actually expanded.
+    /// Distinct system configurations actually expanded, summed over
+    /// workers (a configuration that two workers both expand counts twice).
     pub unique_nodes: usize,
     /// Subtrees skipped because their root configuration was already
-    /// explored (per worker; informational).
+    /// explored (summed over workers; informational).
     pub memo_hits: usize,
     /// Whether symmetry reduction was actually active (requested *and*
     /// supported by the object, layout, and workload shape).
@@ -211,9 +215,11 @@ pub struct ExploreOutcome {
     /// [`ExploreConfig::memo_budget`] (informational; eviction never
     /// changes totals, it only forces re-exploration).
     pub memo_evictions: usize,
-    /// Scheduler-action counters of the parallel subtree workers (steals,
-    /// parks, nodes each worker expanded). All-zero for sequential runs —
-    /// they never start a scheduler.
+    /// Worker counters of a parallel run: `workers` and
+    /// `per_worker_expansions` (nodes each worker expanded, worker 0
+    /// first). The steal, park and flush counters stay 0, since the
+    /// explorer runs no work-stealing scheduler. All-zero for sequential
+    /// runs, which start no helper.
     pub sched: SchedStats,
 }
 
@@ -390,55 +396,20 @@ impl Memo {
     }
 }
 
-/// Progress counters shared by all workers of one exploration.
+/// State shared by all workers of one exploration: the memo they fill, and
+/// the flag that stops the helpers once worker 0 returns.
 struct Progress {
-    leaves: AtomicUsize,
     abort: AtomicBool,
-    /// Lowest canonical subtree index with a violation so far.
-    min_violation: AtomicUsize,
-    max_leaves: usize,
     memo: Memo,
 }
 
-impl Progress {
-    fn new(cfg: &ExploreConfig) -> Self {
-        Progress {
-            leaves: AtomicUsize::new(0),
-            abort: AtomicBool::new(false),
-            min_violation: AtomicUsize::new(usize::MAX),
-            max_leaves: cfg.max_leaves,
-            memo: Memo::new(cfg.memo_budget),
-        }
-    }
+/// Sets [`Progress::abort`] when worker 0 returns or unwinds, so the
+/// helpers drain out and the scope can join them.
+struct StopHelpers<'a>(&'a AtomicBool);
 
-    /// Adds `n` leaves; returns true if the global budget is now exhausted.
-    /// Saturating: astronomically large memoized subtree counts must not
-    /// wrap the counter past the budget check.
-    fn add_leaves(&self, n: usize) -> bool {
-        let total = self
-            .leaves
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |t| {
-                Some(t.saturating_add(n))
-            })
-            .expect("fetch_update closure always returns Some")
-            .saturating_add(n);
-        // `usize::MAX` means unbounded: saturation there is not exhaustion.
-        if self.max_leaves != usize::MAX && total >= self.max_leaves {
-            self.abort.store(true, Ordering::Relaxed);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn report_violation(&self, subtree: usize) {
-        self.min_violation.fetch_min(subtree, Ordering::Relaxed);
-    }
-
-    /// Whether work on subtree `index` is moot (budget exhausted, or a
-    /// violation exists in an earlier subtree).
-    fn moot(&self, index: usize) -> bool {
-        self.abort.load(Ordering::Relaxed) || self.min_violation.load(Ordering::Relaxed) < index
+impl Drop for StopHelpers<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }
 
@@ -571,15 +542,16 @@ struct Frame {
     entry_leaves: usize,
 }
 
-/// Per-worker sequential search engine.
+/// One worker's depth-first search engine.
 struct Engine<'a> {
     obj: &'a dyn RecoverableObject,
     cfg: &'a ExploreConfig,
     source: OpSource<'a>,
     retry: RetryPolicy,
     progress: &'a Progress,
-    /// This worker's canonical subtree index (for violation ordering).
-    subtree: usize,
+    /// Worker id: 0 walks canonical order under the leaf budget; helper
+    /// `id` rotates every action list by `id` and has no budget.
+    id: usize,
     /// Whether canonical orbit fingerprints are in use (probed once by
     /// [`explore_engine`]; requires object + layout permutation support).
     sym: bool,
@@ -614,7 +586,7 @@ impl<'a> Engine<'a> {
         cfg: &'a ExploreConfig,
         source: OpSource<'a>,
         progress: &'a Progress,
-        subtree: usize,
+        id: usize,
         sym: bool,
     ) -> Self {
         Engine {
@@ -627,7 +599,7 @@ impl<'a> Engine<'a> {
                 reset_per_op: false,
             },
             progress,
-            subtree,
+            id,
             sym,
             stack: Vec::new(),
             key_words: Vec::new(),
@@ -651,7 +623,7 @@ impl<'a> Engine<'a> {
     }
 
     fn aborted(&self) -> bool {
-        self.violation.is_some() || self.truncated || self.progress.moot(self.subtree)
+        self.violation.is_some() || self.truncated || self.progress.abort.load(Ordering::Relaxed)
     }
 
     /// Explores the whole subtree rooted at `root` over `mem`, leaving the
@@ -723,14 +695,14 @@ impl<'a> Engine<'a> {
             }
         }
         self.unique_nodes += 1;
-        let acts = actions(self.cfg, self.source, &node);
+        let mut acts = actions(self.cfg, self.source, &node);
         if acts.is_empty() {
             self.count_leaves(1);
             self.check_leaf(&node);
             // Violating configurations must never enter the memo: a memo
-            // hit skips check_leaf, which would let a converging prefix in
-            // another subtree silently count a violating leaf as checked —
-            // and make the reported violation depend on thread scheduling.
+            // hit skips check_leaf, which would let a converging prefix
+            // silently count a violating leaf as checked — and let a
+            // helper hide the violation from worker 0.
             if self.violation.is_none() {
                 if let Some(k) = key {
                     self.progress.memo.insert(k, 1);
@@ -741,6 +713,8 @@ impl<'a> Engine<'a> {
             }
             return;
         }
+        let turn = self.id % acts.len();
+        acts.rotate_left(turn);
         self.stack.push(Frame {
             node,
             acts,
@@ -751,9 +725,13 @@ impl<'a> Engine<'a> {
         });
     }
 
+    /// Adds `n` leaves (saturating: memoized counts of astronomically
+    /// large subtrees must not wrap) and trips worker 0's leaf budget.
+    /// `usize::MAX` means unbounded: saturation there is not exhaustion.
     fn count_leaves(&mut self, n: usize) {
         self.leaves = self.leaves.saturating_add(n);
-        if self.progress.add_leaves(n) {
+        let budget = self.cfg.max_leaves;
+        if self.id == 0 && budget != usize::MAX && self.leaves >= budget {
             self.truncated = true;
         }
     }
@@ -764,7 +742,6 @@ impl<'a> Engine<'a> {
     fn check_leaf(&mut self, node: &Node) {
         if let Err(v) = check_execution(self.obj, node.driver.history()) {
             self.violation = Some(v);
-            self.progress.report_violation(self.subtree);
         }
     }
 
@@ -970,8 +947,8 @@ impl<'a> Engine<'a> {
 /// Exhaustively explores executions of `obj` and checks every complete one.
 ///
 /// The memory must be freshly initialized; it is left in its starting state
-/// on return. See the [module docs](self) for the engine design and the
-/// determinism guarantees of parallel runs.
+/// on return. See the [module docs](self) for the engine design and why
+/// parallel runs report the sequential outcome.
 pub fn explore_engine(
     obj: &dyn RecoverableObject,
     mem: &SimMemory,
@@ -979,27 +956,59 @@ pub fn explore_engine(
     cfg: &ExploreConfig,
 ) -> ExploreOutcome {
     let root = Node::root(obj.processes());
-    let progress = Progress::new(cfg);
-    let sym = symmetry_supported(obj, mem, source, cfg);
-    let cfg = &ExploreConfig {
-        parallelism: resolve_parallelism(cfg.parallelism),
-        ..cfg.clone()
+    let progress = Progress {
+        abort: AtomicBool::new(false),
+        memo: Memo::new(cfg.memo_budget),
     };
-    if cfg.parallelism == 1 {
+    let sym = symmetry_supported(obj, mem, source, cfg);
+    let workers = resolve_parallelism(cfg.parallelism);
+    let (engine, per_worker) = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..workers)
+            .map(|id| {
+                let (progress, root, fork) = (&progress, root.clone(), mem.fork());
+                s.spawn(move || {
+                    let mut helper = Engine::new(obj, cfg, source, progress, id, sym);
+                    helper.run(&fork, root);
+                    (helper.unique_nodes, helper.memo_hits)
+                })
+            })
+            .collect();
         let mut engine = Engine::new(obj, cfg, source, &progress, 0, sym);
-        engine.run(mem, root);
-        return ExploreOutcome {
-            leaves: engine.leaves.min(cfg.max_leaves),
-            violation: engine.violation,
-            truncated: engine.truncated,
-            unique_nodes: engine.unique_nodes,
-            memo_hits: engine.memo_hits,
-            symmetry: sym,
-            memo_evictions: progress.memo.evictions(),
-            sched: SchedStats::default(),
-        };
+        {
+            let _stop = StopHelpers(&progress.abort);
+            engine.run(mem, root);
+        }
+        // (expanded nodes, memo hits) per worker, worker 0 first.
+        let per_worker: Vec<(usize, usize)> =
+            std::iter::once((engine.unique_nodes, engine.memo_hits))
+                .chain(
+                    helpers
+                        .into_iter()
+                        .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+                )
+                .collect();
+        (engine, per_worker)
+    });
+    // A sequential run starts no helper and reports no worker counters.
+    let sched = if workers == 1 {
+        SchedStats::default()
+    } else {
+        SchedStats {
+            workers: workers as u64,
+            per_worker_expansions: per_worker.iter().map(|&(nodes, _)| nodes as u64).collect(),
+            ..SchedStats::default()
+        }
+    };
+    ExploreOutcome {
+        leaves: engine.leaves.min(cfg.max_leaves),
+        violation: engine.violation,
+        truncated: engine.truncated,
+        unique_nodes: per_worker.iter().map(|&(nodes, _)| nodes).sum(),
+        memo_hits: per_worker.iter().map(|&(_, hits)| hits).sum(),
+        symmetry: sym,
+        memo_evictions: progress.memo.evictions(),
+        sched,
     }
-    explore_parallel(obj, mem, source, cfg, root, &progress, sym)
 }
 
 /// Whether symmetry reduction is both requested and available: pruning on,
@@ -1035,186 +1044,6 @@ fn symmetry_supported(
     let mut scratch = Vec::new();
     mem.logical_words_permuted(&identity, true, &mut scratch)
         && obj.permute_memory(&mut scratch, &identity)
-}
-
-/// A frontier entry: a subtree root plus the forked memory it runs on.
-struct SubtreeJob {
-    index: usize,
-    node: Node,
-    mem: SimMemory,
-}
-
-struct SubtreeResult {
-    index: usize,
-    leaves: usize,
-    violation: Option<Violation>,
-    truncated: bool,
-    unique_nodes: usize,
-    memo_hits: usize,
-}
-
-/// A frontier entry of [`expand_frontier`]: a complete execution, or a
-/// subtree root with the forked memory it runs on.
-enum Entry {
-    Leaf(Node),
-    Subtree(Node, Box<SimMemory>),
-}
-
-/// Expands a frontier of subtree roots in canonical depth-first order,
-/// wave by wave, each on its own memory fork. Leaves reached during
-/// expansion stay in the list and are evaluated in place.
-fn expand_frontier(
-    obj: &dyn RecoverableObject,
-    mem: &SimMemory,
-    source: OpSource<'_>,
-    cfg: &ExploreConfig,
-    root: Node,
-    progress: &Progress,
-    sym: bool,
-) -> Vec<Entry> {
-    let target = cfg.parallelism * 4;
-    let mut frontier: Vec<Entry> = vec![Entry::Subtree(root, Box::new(mem.fork()))];
-    // Wave cap: a path-shaped tree (e.g. a crash-free script) never widens,
-    // so expansion must not chase the target forever.
-    for _wave in 0..16 {
-        let interior = frontier
-            .iter()
-            .filter(|e| matches!(e, Entry::Subtree(..)))
-            .count();
-        if interior == 0 || frontier.len() >= target {
-            break;
-        }
-        let mut next = Vec::with_capacity(frontier.len() * 2);
-        for entry in frontier {
-            match entry {
-                Entry::Leaf(n) => next.push(Entry::Leaf(n)),
-                Entry::Subtree(node, fork) => {
-                    let acts = actions(cfg, source, &node);
-                    if acts.is_empty() {
-                        next.push(Entry::Leaf(node));
-                        continue;
-                    }
-                    // A throwaway engine applies each action on a child fork.
-                    for action in acts {
-                        let child_mem = fork.fork();
-                        let mut child = node.clone();
-                        let mut scratch = Engine::new(obj, cfg, source, progress, usize::MAX, sym);
-                        scratch.apply(&child_mem, &mut child, action);
-                        next.push(Entry::Subtree(child, Box::new(child_mem)));
-                    }
-                }
-            }
-        }
-        frontier = next;
-    }
-    frontier
-}
-
-fn explore_parallel(
-    obj: &dyn RecoverableObject,
-    mem: &SimMemory,
-    source: OpSource<'_>,
-    cfg: &ExploreConfig,
-    root: Node,
-    progress: &Progress,
-    sym: bool,
-) -> ExploreOutcome {
-    let frontier = expand_frontier(obj, mem, source, cfg, root, progress, sym);
-    // Evaluate the frontier: leaves in place (cheap), subtrees on workers,
-    // round-robin in canonical order.
-    let mut results: Vec<SubtreeResult> = Vec::new();
-    let mut jobs: Vec<SubtreeJob> = Vec::new();
-    for (index, entry) in frontier.into_iter().enumerate() {
-        match entry {
-            Entry::Leaf(node) => {
-                let mut engine = Engine::new(obj, cfg, source, progress, index, sym);
-                engine.count_leaves(1);
-                engine.check_leaf(&node);
-                results.push(SubtreeResult {
-                    index,
-                    leaves: engine.leaves,
-                    violation: engine.violation,
-                    truncated: engine.truncated,
-                    unique_nodes: 1,
-                    memo_hits: 0,
-                });
-            }
-            Entry::Subtree(node, fork) => jobs.push(SubtreeJob {
-                index,
-                node,
-                mem: *fork,
-            }),
-        }
-    }
-
-    // Subtree jobs run on the shared work-stealing scheduler (the same
-    // substrate as the census BFS): seeded round-robin, idle workers steal
-    // from siblings' fronts, and each worker handle doubles as the panic
-    // guard — a worker that unwinds aborts the scheduler so its siblings
-    // drain out and `thread::scope` propagates the original panic instead
-    // of hanging. Subtrees never spawn new jobs, so the deques only drain;
-    // canonical merge order is restored by the index sort below.
-    let workers = cfg.parallelism.min(jobs.len().max(1));
-    let sched: Scheduler<SubtreeJob> = Scheduler::new(workers);
-    sched.seed(jobs);
-    let done = Mutex::new(Vec::new());
-    std::thread::scope(|s| {
-        for id in 0..workers {
-            let sched = &sched;
-            let done = &done;
-            s.spawn(move || {
-                let mut worker = sched.worker(id);
-                let mut out = Vec::new();
-                while let Some(job) = worker.next() {
-                    let mut expanded = 0;
-                    if !progress.moot(job.index) {
-                        let mut engine = Engine::new(obj, cfg, source, progress, job.index, sym);
-                        engine.run(&job.mem, job.node);
-                        expanded = engine.unique_nodes as u64;
-                        out.push(SubtreeResult {
-                            index: job.index,
-                            leaves: engine.leaves,
-                            violation: engine.violation,
-                            truncated: engine.truncated,
-                            unique_nodes: engine.unique_nodes,
-                            memo_hits: engine.memo_hits,
-                        });
-                    }
-                    worker.complete_expanded(expanded);
-                }
-                done.lock().expect("result sink poisoned").append(&mut out);
-            });
-        }
-    });
-    results.extend(done.into_inner().expect("result sink poisoned"));
-    results.sort_by_key(|r| r.index);
-    let sched_stats = sched.stats();
-
-    // Merge in canonical order: the first violating subtree wins.
-    let mut leaves = 0usize;
-    let mut violation = None;
-    let mut truncated = false;
-    let mut unique_nodes = 0;
-    let mut memo_hits = 0;
-    for r in results {
-        leaves = leaves.saturating_add(r.leaves);
-        truncated |= r.truncated;
-        unique_nodes += r.unique_nodes;
-        memo_hits += r.memo_hits;
-        if violation.is_none() {
-            violation = r.violation;
-        }
-    }
-    ExploreOutcome {
-        leaves: leaves.min(cfg.max_leaves),
-        violation,
-        truncated,
-        unique_nodes,
-        memo_hits,
-        symmetry: sym,
-        memo_evictions: progress.memo.evictions(),
-        sched: sched_stats,
-    }
 }
 
 #[cfg(test)]
@@ -1408,8 +1237,7 @@ mod tests {
 
     #[test]
     fn per_worker_expansions_count_nodes_not_jobs() {
-        // One CAS with up to two crashes: the frontier holds one complete
-        // execution (evaluated in place) and seven subtree jobs.
+        // One CAS with up to two crashes, on worker 0 plus one helper.
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 1, 0));
         let w = vec![vec![OpSpec::Cas { old: 0, new: 1 }]];
         let cfg = ExploreConfig {
@@ -1417,29 +1245,67 @@ mod tests {
             parallelism: 2,
             ..Default::default()
         };
-        let source = OpSource::PerProcess(&w);
-        let frontier = expand_frontier(
-            &cas,
-            &mem,
-            source,
-            &cfg,
-            Node::root(1),
-            &Progress::new(&cfg),
-            false,
-        );
-        let in_place = frontier
-            .iter()
-            .filter(|e| matches!(e, Entry::Leaf(_)))
-            .count();
-        assert!(in_place > 0 && in_place < frontier.len());
-        let out = explore_engine(&cas, &mem, source, &cfg);
+        let out = explore_engine(&cas, &mem, OpSource::PerProcess(&w), &cfg);
         out.assert_clean();
         let per_worker = &out.sched.per_worker_expansions;
-        assert_eq!(per_worker.len(), 2);
-        assert_eq!(
-            per_worker.iter().sum::<u64>() + in_place as u64,
-            out.unique_nodes as u64
-        );
+        assert_eq!(out.sched.workers, 2);
+        assert_eq!(per_worker.len(), 2, "one entry per worker");
+        assert!(per_worker[0] > 0, "worker 0 expands at least the root");
+        assert_eq!(per_worker.iter().sum::<u64>(), out.unique_nodes as u64);
+    }
+
+    #[test]
+    fn parallel_runs_match_sequential_even_when_truncated() {
+        // Memo hits are exact counts of clean subtrees and worker 0 walks
+        // canonical order, so a leaf budget cuts every parallel run where
+        // it cuts the sequential one: same leaves, truncation and
+        // violation, on a clean register and on a deprived one.
+        use crate::aux_state::theorem2_script;
+        use detectable::ObjectKind;
+        let lists = vec![vec![OpSpec::Write(1), OpSpec::Read], vec![OpSpec::Write(2)]];
+        let script = theorem2_script(ObjectKind::Register);
+        // The script's operations as per-process lists: the violation then
+        // sits behind clean executions that helpers can memoize.
+        let mut split = vec![Vec::new(); 2];
+        for &(pid, op) in &script {
+            split[pid.idx()].push(op);
+        }
+        let worlds = [
+            (false, OpSource::PerProcess(&lists)),
+            (true, OpSource::Script(&script)),
+            (true, OpSource::PerProcess(&split)),
+        ];
+        let run = |deprived: bool, source: OpSource<'_>, max_leaves: usize, parallelism: usize| {
+            let cfg = ExploreConfig {
+                max_leaves,
+                parallelism,
+                ..Default::default()
+            };
+            let out = if deprived {
+                let (reg, mem) = build_world(|b| {
+                    baselines::WithoutPrepare::new(DetectableRegister::new(b, 2, 0))
+                });
+                explore_engine(&reg, &mem, source, &cfg)
+            } else {
+                let (reg, mem) = build_world(|b| DetectableRegister::new(b, 2, 0));
+                explore_engine(&reg, &mem, source, &cfg)
+            };
+            (out.leaves, out.truncated, out.violation.map(|v| v.rendered))
+        };
+        for (world, &(deprived, source)) in worlds.iter().enumerate() {
+            for max_leaves in [1, 7, 50, 333, 1000, 5000, usize::MAX] {
+                let seq = run(deprived, source, max_leaves, 1);
+                for parallelism in [2, 3, 4, 8] {
+                    for _ in 0..5 {
+                        assert_eq!(
+                            run(deprived, source, max_leaves, parallelism),
+                            seq,
+                            "world {world}, max_leaves {max_leaves}, parallelism {parallelism}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -402,7 +402,7 @@ pub(crate) fn census_on_disk(
         SpillConfig {
             seg_slots: k.seg_slots,
             hot_segments: k.hot_segments,
-            disk_dir: Some(run_dir.clone()),
+            disk_dir: run_dir.clone(),
         },
     );
     let seen = SeenFile::new(k.chunk_entries / 32);

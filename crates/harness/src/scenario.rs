@@ -737,8 +737,9 @@ pub struct RunStats {
     /// Bytes the external-memory census spilled to disk (frontier
     /// generations, sort runs, seen files; zero for in-RAM runs).
     pub spilled_bytes: u64,
-    /// Work-stealing scheduler counters (census BFS and parallel explore
-    /// runs; all-zero — empty per-worker vector — elsewhere).
+    /// Worker counters: the census BFS's work-stealing scheduler, or a
+    /// parallel exploration's `workers` and per-worker expansions; all-zero
+    /// — empty per-worker vector — elsewhere.
     pub sched: SchedStats,
 }
 

@@ -1,7 +1,10 @@
-//! Work-stealing scheduler shared by the census BFS and the explorer's
-//! parallel subtree workers: per-worker deques in the Chase-Lev
-//! discipline, randomized stealing, exponential backoff, parking, and
-//! sharded pending-count termination detection.
+//! Work-stealing scheduler of the parallel census BFS: per-worker deques
+//! in the Chase-Lev discipline, randomized stealing, exponential backoff,
+//! parking, and sharded pending-count termination detection. The census
+//! is its only user; the explorer parallelizes without it (its helpers
+//! share a memo, not a queue — see [`explore`](mod@crate::explore)). This
+//! module also holds [`SchedStats`], the worker counters every engine
+//! reports, and [`resolve_parallelism`].
 //!
 //! # Deque discipline
 //!
@@ -68,10 +71,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-/// Scheduler-action counters for one parallel run, reported through
-/// [`RunStats`](crate::RunStats) into every `--json` stream. All zeros
-/// (with an empty per-worker vector) for runs that never started a
-/// parallel scheduler.
+/// Worker counters for one parallel run, reported through
+/// [`RunStats`](crate::RunStats) into every `--json` stream. The census's
+/// scheduler fills every field; the explorer, which runs no scheduler,
+/// fills only `workers` and `per_worker_expansions`. All zeros (with an
+/// empty per-worker vector) for sequential explorations and for engines
+/// that report no workers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
     /// Worker threads the scheduler ran.
@@ -86,9 +91,9 @@ pub struct SchedStats {
     /// the explorer does not intern).
     pub flush_batches: u64,
     /// Nodes expanded by each worker, indexed by worker id. A census task
-    /// is one node; an explorer subtree job counts every node its depth-first
-    /// search expanded. The sum is the run's total expansions (the explorer's
-    /// `unique_nodes` minus the frontier leaves it evaluates in place).
+    /// is one node. The explorer counts every node each worker's
+    /// depth-first search expanded, worker 0 (the canonical search) first;
+    /// the sum is its `unique_nodes`.
     pub per_worker_expansions: Vec<u64>,
 }
 
@@ -297,15 +302,9 @@ impl<T> Worker<'_, T> {
     /// Marks one task fully processed (successors already pushed) and
     /// tallies it for this worker's expansion count.
     pub(crate) fn complete(&self) {
-        self.complete_expanded(1);
-    }
-
-    /// Like [`complete`](Self::complete), for a task that expanded
-    /// `expansions` nodes (an explorer subtree job).
-    pub(crate) fn complete_expanded(&self, expansions: u64) {
         self.sched.expansions[self.id]
             .0
-            .fetch_add(expansions, Ordering::Relaxed);
+            .fetch_add(1, Ordering::Relaxed);
         self.sched.finished[self.id]
             .0
             .fetch_add(1, Ordering::SeqCst);

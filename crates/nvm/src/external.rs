@@ -6,8 +6,7 @@
 //! the same append-only, handle-stable contract but partitions storage
 //! into fixed-size **segments**: one active segment accepts appends in
 //! RAM, and every filled segment is *sealed* — written to a file under a
-//! caller-supplied directory and dropped from RAM (or, with no directory,
-//! parked in RAM so the type still works without a disk tier). Reads of
+//! caller-supplied directory and dropped from RAM. Reads of
 //! sealed segments go through a small hot-segment cache; a miss reads the
 //! whole segment back from its file. Only the active segment, the cache,
 //! and the dedup index stay resident, so the arena's RAM footprint is
@@ -33,8 +32,8 @@ use std::sync::Mutex;
 use crate::hash::FoldBuildHasher;
 use crate::word::Word;
 
-/// Sizing knobs for a [`SpillableArena`]. Callers derive these from a RAM
-/// budget; the defaults suit tests and small worlds.
+/// Sizing knobs and directory of a [`SpillableArena`]. Callers derive the
+/// sizes from a RAM budget.
 #[derive(Clone, Debug)]
 pub struct SpillConfig {
     /// Images per segment. The active segment and each cached segment
@@ -42,28 +41,15 @@ pub struct SpillConfig {
     pub seg_slots: usize,
     /// Sealed segments kept hot in RAM for re-reads (LRU-evicted).
     pub hot_segments: usize,
-    /// Where sealed segments are written. `None` parks sealed segments
-    /// in RAM instead (no disk tier, identical semantics).
-    pub disk_dir: Option<PathBuf>,
-}
-
-impl Default for SpillConfig {
-    fn default() -> Self {
-        SpillConfig {
-            seg_slots: 4096,
-            hot_segments: 2,
-            disk_dir: None,
-        }
-    }
+    /// Where sealed segments are written.
+    pub disk_dir: PathBuf,
 }
 
 /// Counters describing how much of a [`SpillableArena`]'s traffic hit the
 /// disk tier.
 #[derive(Copy, Clone, Default, Debug)]
 pub struct SpillArenaStats {
-    /// Segments filled and sealed (RAM- or disk-parked).
-    pub segments_sealed: usize,
-    /// Sealed segments written to files.
+    /// Segments filled, sealed and written to files.
     pub segments_spilled: usize,
     /// Whole-segment reads back from files (hot-cache misses).
     pub segment_reads: usize,
@@ -71,9 +57,10 @@ pub struct SpillArenaStats {
     pub cache_hits: usize,
 }
 
-enum Sealed {
-    Ram(Box<[Word]>),
-    Disk { file: File, path: PathBuf },
+/// A sealed segment: its file, opened read-only.
+struct Sealed {
+    file: File,
+    path: PathBuf,
 }
 
 struct Inner {
@@ -137,9 +124,9 @@ impl SpillableArena {
     }
 
     /// High-water mark of the arena's *resident* footprint in bytes:
-    /// dedup index plus active segment plus RAM-parked sealed segments
-    /// plus hot cache. An estimate (hash-map overhead is approximated),
-    /// maintained so callers can check a RAM budget rather than assert it.
+    /// dedup index plus active segment plus hot cache. An estimate
+    /// (hash-map overhead is approximated), maintained so callers can
+    /// check a RAM budget rather than assert it.
     pub fn peak_resident_bytes(&self) -> usize {
         self.lock().peak_resident
     }
@@ -153,16 +140,8 @@ impl SpillableArena {
         // per capacity slot. Word storage: exact.
         let index = inner.index.capacity() * 32;
         let active = inner.active.capacity() * 8;
-        let parked: usize = inner
-            .sealed
-            .iter()
-            .map(|s| match s {
-                Sealed::Ram(w) => w.len() * 8,
-                Sealed::Disk { .. } => 0,
-            })
-            .sum();
         let cache: usize = inner.cache.values().map(|w| w.len() * 8).sum();
-        index + active + parked + cache
+        index + active + cache
     }
 
     fn note_resident(&self, inner: &mut Inner) {
@@ -214,32 +193,25 @@ impl SpillableArena {
         handle
     }
 
-    /// Seals the (full) active segment: spills it to `disk_dir/arena-seg-N.bin`
-    /// when a disk directory is configured, parks it in RAM otherwise.
+    /// Seals the (full) active segment: spills it to
+    /// `disk_dir/arena-seg-N.bin`.
     fn seal(&self, inner: &mut Inner) {
         let words = std::mem::take(&mut inner.active);
         let seg = inner.sealed.len();
-        inner.stats.segments_sealed += 1;
-        let sealed = match &self.cfg.disk_dir {
-            Some(dir) => {
-                let path = dir.join(format!("arena-seg-{seg}.bin"));
-                let mut file = File::create(&path)
-                    .unwrap_or_else(|e| panic!("create arena segment {}: {e}", path.display()));
-                let mut buf = Vec::with_capacity(words.len() * 8);
-                for w in &words {
-                    buf.extend_from_slice(&w.to_le_bytes());
-                }
-                file.write_all(&buf)
-                    .unwrap_or_else(|e| panic!("write arena segment {}: {e}", path.display()));
-                inner.stats.segments_spilled += 1;
-                // Reopen read-only so later reads cannot write back.
-                let file = File::open(&path)
-                    .unwrap_or_else(|e| panic!("reopen arena segment {}: {e}", path.display()));
-                Sealed::Disk { file, path }
-            }
-            None => Sealed::Ram(words.clone().into_boxed_slice()),
-        };
-        inner.sealed.push(sealed);
+        let path = self.cfg.disk_dir.join(format!("arena-seg-{seg}.bin"));
+        let mut file = File::create(&path)
+            .unwrap_or_else(|e| panic!("create arena segment {}: {e}", path.display()));
+        let mut buf = Vec::with_capacity(words.len() * 8);
+        for w in &words {
+            buf.extend_from_slice(&w.to_le_bytes());
+        }
+        file.write_all(&buf)
+            .unwrap_or_else(|e| panic!("write arena segment {}: {e}", path.display()));
+        inner.stats.segments_spilled += 1;
+        // Reopen read-only so later reads cannot write back.
+        let file = File::open(&path)
+            .unwrap_or_else(|e| panic!("reopen arena segment {}: {e}", path.display()));
+        inner.sealed.push(Sealed { file, path });
         inner.active = Vec::with_capacity(self.cfg.seg_slots * self.stride);
     }
 
@@ -266,10 +238,6 @@ impl SpillableArena {
             return;
         }
         assert!(seg < inner.sealed.len(), "handle out of range");
-        if let Sealed::Ram(words) = &inner.sealed[seg] {
-            out.extend_from_slice(&words[at..at + self.stride]);
-            return;
-        }
         if let Some(words) = inner.cache.get(&seg) {
             out.extend_from_slice(&words[at..at + self.stride]);
             inner.stats.cache_hits += 1;
@@ -292,9 +260,7 @@ impl SpillableArena {
     }
 
     fn load_segment(&self, inner: &mut Inner, seg: usize) -> Box<[Word]> {
-        let Sealed::Disk { file, path } = &mut inner.sealed[seg] else {
-            unreachable!("load_segment called on RAM segment");
-        };
+        let Sealed { file, path } = &mut inner.sealed[seg];
         let bytes = self.cfg.seg_slots * self.stride * 8;
         let mut buf = vec![0u8; bytes];
         file.seek(SeekFrom::Start(0))
@@ -312,9 +278,7 @@ impl Drop for SpillableArena {
     fn drop(&mut self) {
         let inner = self.inner.get_mut().expect("spillable arena poisoned");
         for s in &inner.sealed {
-            if let Sealed::Disk { path, .. } = s {
-                let _ = fs::remove_file(path);
-            }
+            let _ = fs::remove_file(&s.path);
         }
     }
 }
@@ -356,12 +320,13 @@ mod tests {
 
     #[test]
     fn intern_dedups_and_reads_back_across_segments() {
+        let dir = unique_dir();
         let arena = SpillableArena::new(
             3,
             SpillConfig {
                 seg_slots: 2,
                 hot_segments: 1,
-                disk_dir: None,
+                disk_dir: dir.clone(),
             },
         );
         let images: Vec<Vec<Word>> = (0..7u64).map(|i| vec![i, i + 1, i + 2]).collect();
@@ -373,13 +338,14 @@ mod tests {
             assert_eq!(intern128(&arena, im, hash(im)), h, "re-intern is stable");
         }
         assert_eq!(arena.distinct(), 7);
-        assert_eq!(arena.spill_stats().segments_sealed, 3);
-        assert_eq!(arena.spill_stats().segments_spilled, 0, "no disk dir");
+        assert_eq!(arena.spill_stats().segments_spilled, 3);
         let mut out = Vec::new();
         for (im, &h) in images.iter().zip(&handles) {
             arena.read_into(h, &mut out);
             assert_eq!(&out, im);
         }
+        drop(arena);
+        fs::remove_dir(&dir).expect("remove test dir");
     }
 
     #[test]
@@ -393,7 +359,7 @@ mod tests {
                 SpillConfig {
                     seg_slots: 2,
                     hot_segments: 1,
-                    disk_dir: Some(dir.clone()),
+                    disk_dir: dir.clone(),
                 },
             );
             handles = images
@@ -432,7 +398,7 @@ mod tests {
             SpillConfig {
                 seg_slots: 2,
                 hot_segments: 2,
-                disk_dir: Some(dir.clone()),
+                disk_dir: dir.clone(),
             },
         );
         for i in 0..6u64 {
@@ -451,10 +417,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "stride")]
     fn wrong_width_is_rejected() {
-        intern128(
-            &SpillableArena::new(2, SpillConfig::default()),
-            &[1],
-            (0, 0),
+        let arena = SpillableArena::new(
+            2,
+            SpillConfig {
+                seg_slots: 4,
+                hot_segments: 1,
+                // The width check fires before anything is written.
+                disk_dir: std::env::temp_dir(),
+            },
         );
+        intern128(&arena, &[1], (0, 0));
     }
 }

@@ -2,9 +2,9 @@
 //! configurations over every object kind, the census and the explorer
 //! must report identical totals at every worker-thread level — the
 //! scheduler may only change *who* expands a node, never *what* the run
-//! observes. Plus the explorer's worker-panic regression: a subtree
-//! worker that unwinds must propagate out of the engine instead of
-//! leaving its siblings parked forever.
+//! observes. Plus the explorer's worker-panic regression: a worker that
+//! unwinds must propagate out of the engine instead of leaving its
+//! siblings running forever.
 
 use detectable::{ObjectKind, OpSpec, RecoverableObject};
 use harness::{build_world, BfsConfig, ExploreConfig, Scenario, SymmetryMode, Verdict, Workload};
@@ -131,9 +131,9 @@ proptest! {
         }
     }
 
-    /// Explorer totals — leaves, unique nodes, truncation, violation
-    /// found or not — are identical at every thread level: subtrees merge
-    /// in canonical order regardless of which worker ran them.
+    /// Explorer totals — leaves, truncation, violation found or not — are
+    /// identical at every thread level: worker 0 walks canonical order, and
+    /// the helpers only hand it exact counts of clean subtrees.
     #[test]
     fn explore_totals_are_thread_level_invariant(w in arb_world()) {
         let seq = explore_at(&w, 1);
@@ -147,8 +147,8 @@ proptest! {
                 seq.stats.executions
             );
             // `unique_nodes` (distinct_configs) is deliberately not
-            // compared: subtree splitting changes what the pruning memo
-            // sees, so it is not part of the determinism contract — only
+            // compared: it sums every worker's expansions, which depend on
+            // timing, so it is not part of the determinism contract — only
             // leaves, truncation and the violation are.
             prop_assert!(par.stats.truncated == seq.stats.truncated, "{tag}: truncated");
             prop_assert!(par.passed == seq.passed, "{tag}: passed");
@@ -189,10 +189,8 @@ fn multi_worker_census_records_scheduling_activity() {
 
 // ───────────────── explorer worker panic propagation ─────────────────
 
-/// A machine that survives three steps and then panics: deep enough that
-/// the explorer's frontier expansion (which steps each machine at most
-/// `target`-depth times on the main thread) hands the bomb to a subtree
-/// worker before it goes off.
+/// A machine that survives three steps and then panics, a few levels
+/// below the root, where every explorer worker reaches it.
 struct StepBomb {
     pid: Pid,
     steps: u32,
@@ -244,11 +242,10 @@ impl RecoverableObject for BombObject {
     }
 }
 
-/// A subtree worker that panics mid-exploration must propagate the panic
-/// out of `explore_engine` — not leave its siblings parked on the
-/// scheduler forever (the regression this pins is a hang, which fails as
-/// a suite timeout). `thread::scope` rewraps the payload, so no message
-/// is pinned.
+/// A worker that panics mid-exploration must propagate the panic out of
+/// `explore_engine` — not leave its siblings running forever (the
+/// regression this pins is a hang, which fails as a suite timeout).
+/// `thread::scope` may rewrap the payload, so no message is pinned.
 #[test]
 #[should_panic]
 fn parallel_explore_propagates_a_worker_panic_instead_of_hanging() {
