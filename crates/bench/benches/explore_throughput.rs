@@ -20,10 +20,13 @@
 //!   private-cache state counts — they are a mode-coverage baseline;
 //!   dirty-set state blow-up needs deliberately-unpersisted workloads
 //!   (see ROADMAP).
-//! * **par{2,4,8}** (E17) — the pruned triangle on 2/4/8 workers: the
-//!   canonical search plus 1/3/7 helpers that warm its memo. Each sample
+//! * **seq, par{2,4,8}** (E17) — the benchmark's `explore` world (3
+//!   processes × `[Cas(0, 1), Read]`, 1 crash, symmetry on, exhaustive)
+//!   on 1/2/4/8 workers: the canonical search alone, then with 1/3/7
+//!   helpers that warm its memo. The sequential run takes seconds, long
+//!   enough for every helper to start and expand nodes. Each sample
 //!   embeds `workers` and the per-worker expansion counts (worker 0
-//!   first), and leaf totals stay pinned to the sequential row. Rows are
+//!   first), and leaf totals stay pinned to the `seq` row. Rows are
 //!   measured on every host (`host_cpus` says whether to read them as a
 //!   scaling curve or a determinism pin).
 
@@ -63,6 +66,12 @@ fn triangle_config(prune: bool) -> ExploreConfig {
 /// exhaustively (tens of millions of leaves through memoized counts).
 fn symmetric_workload() -> Vec<Vec<OpSpec>> {
     vec![vec![OpSpec::Cas { old: 0, new: 1 }]; 3]
+}
+
+/// E17 configuration: the benchmark's `explore` world, whose sequential
+/// run takes seconds.
+fn scaling_workload() -> Vec<Vec<OpSpec>> {
+    vec![vec![OpSpec::Cas { old: 0, new: 1 }, OpSpec::Read]; 3]
 }
 
 fn symmetric_config(symmetry: SymmetryMode) -> ExploreConfig {
@@ -124,19 +133,18 @@ fn rows() -> Vec<Row> {
             cfg: symmetric_config(symmetry),
         });
     }
-    // E17 scaling rows: the pruned triangle on worker 0 plus helpers.
-    // "pruned" above is the 1-thread point of the same curve.
-    for (engine, threads) in [("par2", 2usize), ("par4", 4), ("par8", 8)] {
-        let (obj, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
+    // E17 scaling rows: the canonical search on 1 worker, then plus helpers.
+    for (engine, threads) in [("seq", 1usize), ("par2", 2), ("par4", 4), ("par8", 8)] {
+        let (obj, mem) = build_world(|b| DetectableCas::new(b, 3, 0));
         out.push(Row {
-            workload: "cas-triangle 2p x 2op, 1 crash, max_leaves 100000",
+            workload: "symmetric cas 3p x [cas, read], 1 crash, exhaustive",
             engine,
             mem,
             obj,
-            ops: triangle_workload(),
+            ops: scaling_workload(),
             cfg: ExploreConfig {
                 parallelism: threads,
-                ..triangle_config(true)
+                ..symmetric_config(SymmetryMode::On)
             },
         });
     }
@@ -147,12 +155,12 @@ fn rows() -> Vec<Row> {
 /// per grid row with leaves, unique node expansions, memo hits, wall
 /// time, the derived leaves/sec and the worker counters (nonzero on
 /// the `par*` rows). The `par*` rows'
-/// leaf totals are asserted equal to the sequential pruned row at record
-/// time — the E17 determinism contract.
+/// leaf totals are asserted equal to the `seq` row at record time — the
+/// E17 determinism contract.
 fn main() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut entries = Vec::new();
-    let mut pruned_leaves = None;
+    let mut seq_leaves = None;
     for row in rows() {
         // Warm once, then time a fixed number of runs.
         let _ = explore_engine(&row.obj, &row.mem, OpSource::PerProcess(&row.ops), &row.cfg);
@@ -171,12 +179,12 @@ fn main() {
         let out = out.expect("at least one run");
         out.assert_no_violation();
         let leaves_per_sec = out.leaves as f64 / elapsed.as_secs_f64();
-        if row.engine == "pruned" {
-            pruned_leaves = Some(out.leaves);
+        if row.engine == "seq" {
+            seq_leaves = Some(out.leaves);
         } else if row.engine.starts_with("par") {
             assert_eq!(
                 Some(out.leaves),
-                pruned_leaves,
+                seq_leaves,
                 "{}: leaf totals moved across thread levels",
                 row.engine
             );

@@ -134,7 +134,6 @@ pub struct SimMemory {
     mode: CacheMode,
     stats: RefCell<Stats>,
     crashes: RefCell<u64>,
-    check_ownership: bool,
     touched_shared: Cell<bool>,
     journal: RefCell<Vec<UndoEntry>>,
     journal_depth: Cell<usize>,
@@ -156,7 +155,6 @@ impl SimMemory {
             mode,
             stats: RefCell::new(Stats::default()),
             crashes: RefCell::new(0),
-            check_ownership: true,
             touched_shared: Cell::new(false),
             journal: RefCell::new(Vec::new()),
             journal_depth: Cell::new(0),
@@ -174,7 +172,6 @@ impl SimMemory {
             mode: self.mode,
             stats: RefCell::new(Stats::default()),
             crashes: RefCell::new(*self.crashes.borrow()),
-            check_ownership: self.check_ownership,
             touched_shared: Cell::new(false),
             journal: RefCell::new(Vec::new()),
             journal_depth: Cell::new(0),
@@ -202,25 +199,17 @@ impl SimMemory {
         }
     }
 
-    /// Disables the private-region ownership assertion (used by harness code
-    /// that legitimately inspects another process's announcement cells).
-    pub fn set_ownership_checks(&mut self, on: bool) {
-        self.check_ownership = on;
-    }
-
     /// The cache mode this memory simulates.
     pub fn mode(&self) -> CacheMode {
         self.mode
     }
 
     fn check_access(&self, pid: Pid, loc: Loc) {
-        if self.check_ownership {
-            if let Some(owner) = self.layout.owner_of(loc) {
-                assert_eq!(
-                    owner, pid,
-                    "model violation: {pid} accessed private cell {loc} owned by {owner}"
-                );
-            }
+        if let Some(owner) = self.layout.owner_of(loc) {
+            assert_eq!(
+                owner, pid,
+                "model violation: {pid} accessed private cell {loc} owned by {owner}"
+            );
         }
         assert!(
             loc.index() < self.layout.total_words(),
@@ -594,11 +583,6 @@ impl SimMemory {
     /// A copy of the operation statistics.
     pub fn stats(&self) -> Stats {
         self.stats.borrow().clone()
-    }
-
-    /// Resets the operation statistics.
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = Stats::default();
     }
 }
 
