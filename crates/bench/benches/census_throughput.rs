@@ -1,10 +1,10 @@
 //! **Experiment E12/E14** — census-engine throughput: configurations
-//! expanded per second on the N = 4 detectable-CAS world — full-snapshot
-//! reference engine vs the arena/work-stealing engine, sequential vs
-//! parallel, exact vs dominance-pruned.
+//! expanded per second on the N = 4 detectable-CAS world by the
+//! arena/work-stealing engine, sequential vs parallel, exact vs
+//! dominance-pruned.
 //!
-//! The arena engine expands each successor under an undo-log checkpoint
-//! (O(writes) instead of a full-memory restore), stores frontier states as
+//! The engine expands each successor under an undo-log checkpoint
+//! (O(writes) instead of a full-memory copy), stores frontier states as
 //! 8-byte handles into a deduplicating arena, and schedules expansion on
 //! per-worker work-stealing deques (`harness::sched`), so its states/sec
 //! figure is the headline number future PRs track via the committed
@@ -22,10 +22,8 @@ use std::time::Instant;
 
 use detectable::{DetectableCas, ObjectKind, OpSpec};
 use harness::{
-    build_world, census_bfs_engine, census_bfs_snapshot_engine, census_table_json, BfsConfig,
-    CensusReport, Scenario, Workload,
+    build_world, census_bfs_engine, census_table_json, BfsConfig, CensusReport, Scenario, Workload,
 };
-use nvm::SimMemory;
 
 /// The fixed benchmark world: the Theorem 1 N = 4 census over the standard
 /// 2-op CAS alphabet, 5-op budget (~650k configurations).
@@ -49,10 +47,6 @@ fn config(parallelism: usize) -> BfsConfig {
     }
 }
 
-fn world() -> (DetectableCas, SimMemory) {
-    build_world(|b| DetectableCas::new(b, N, 0))
-}
-
 fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -69,7 +63,6 @@ fn host_cpus() -> usize {
 /// every host — `host_cpus` tells a reader whether to read them as a
 /// scaling curve or as a determinism pin.
 fn main() {
-    let (cas, mem) = world();
     let cpus = host_cpus();
     let mut entries = Vec::new();
 
@@ -121,9 +114,6 @@ fn main() {
         out
     };
 
-    sample("snapshot-seq", true, &|| {
-        census_bfs_snapshot_engine(&cas, &mem, &alphabet(), &config(1))
-    });
     let scenario_report = |cfg: BfsConfig| -> CensusReport {
         let v = Scenario::object(ObjectKind::Cas)
             .processes(N)

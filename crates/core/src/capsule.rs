@@ -13,14 +13,14 @@
 //!   v := value of C                  one raw read of the inner CAS object
 //!   inner Ann_p.resp := ⊥            caller protocol for the inner CAS,
 //!   inner Ann_p.CP   := 0            one write per step
-//!   ARG_p := v [; DELTA_p := d]      the recovery arguments, if the object has them
+//!   ARG_p := v                       the recovery argument, if the object has one
 //!   Ann_p.CP := 1                    outer checkpoint: the inner CAS is announced
 //!   inner Cas(old, new)              the detectable CAS of Algorithm 2
 //!   Ann_p.resp := response           when the operation answers
 //! ```
 //!
 //! Recovery returns a persisted response if there is one, answers `fail` if
-//! the checkpoint was never set, reads back the persisted arguments, and
+//! the checkpoint was never set, reads back the persisted argument, and
 //! asks the inner `Cas.Recover` whether the crashed attempt's CAS took
 //! effect: the detectable CAS's verdict (`true` / `false` / `fail`) is
 //! exactly what the outer recovery needs. `Read` is one raw read of `C`
@@ -31,8 +31,8 @@
 //!
 //! | operation | rule | CAS | answers at the read | lost CAS | cells |
 //! |---|---|---|---|---|---|
-//! | `Inc` | `Add { delta: 1 }` | `Cas(v, v + 1)` | never | retry | `ARG`, `DELTA` |
-//! | `Faa(d)` | `Add { delta: d }` | `Cas(v, v + d)` | never | retry | `ARG`, `DELTA` |
+//! | `Inc` | `Add { delta: 1 }` | `Cas(v, v + 1)` | never | retry | `ARG` |
+//! | `Faa(d)` | `Add { delta: d }` | `Cas(v, v + d)` | never | retry | `ARG` |
 //! | `Swap(x)` | `Swap(x)` | `Cas(v, x)` | `v == x`: `v` | retry | `ARG` |
 //! | `TestAndSet` | `TestAndSet` | `Cas(0, 1)` | `v == 1`: 1 | answer 1 | — |
 //! | `Reset` | `Reset` | `Cas(1, 0)` | `v == 0`: `ack` | retry | — |
@@ -160,12 +160,10 @@ pub struct CapsuleObject<const K: u8> {
 struct Capsule {
     cas: DetectableCas,
     /// `ARG_p`: the value `v` the in-flight attempt's CAS expects. Recovery
-    /// re-derives the CAS arguments from it, and add and swap answer with
-    /// it. Absent for TAS, whose CAS arguments are fixed.
+    /// reads it back because add and swap answer with it. Absent for TAS,
+    /// whose CAS arguments are fixed. (`Cas.Recover` itself needs no CAS
+    /// arguments, so nothing else about the attempt is persisted.)
     arg: Option<Loc>,
-    /// `DELTA_p`: the in-flight `Inc`/`Faa` delta, persisted with `ARG_p`
-    /// so recovery can rebuild the CAS from NVM alone.
-    delta: Option<Loc>,
     ann: AnnBank,
     n: u32,
 }
@@ -189,21 +187,13 @@ impl<const K: u8> CapsuleObject<K> {
     /// Like [`new`](Self::new) with a custom layout-region name prefix.
     ///
     /// The regions are `{name}.cas`, then `{name}.ARG` (not for TAS), then
-    /// `{name}.DELTA` (counter and FAA), then the outer `{name}.Ann`.
+    /// the outer `{name}.Ann`.
     pub fn with_name(b: &mut LayoutBuilder, name: &str, n: u32) -> Self {
         let cas = DetectableCas::with_name(b, &format!("{name}.cas"), n, 0);
         let arg = (K != TAS).then(|| b.private_array(&format!("{name}.ARG"), n, 1, 32));
-        let delta =
-            matches!(K, COUNTER | FAA).then(|| b.private_array(&format!("{name}.DELTA"), n, 1, 32));
         let ann = AnnBank::alloc(b, name, n, 1);
         CapsuleObject {
-            obj: Capsule {
-                cas,
-                arg,
-                delta,
-                ann,
-                n,
-            },
+            obj: Capsule { cas, arg, ann, n },
         }
     }
 
@@ -277,8 +267,8 @@ impl<const K: u8> RecoverableObject for CapsuleObject<K> {
         Self::SPEC.2
     }
 
-    /// The composition adds only pid-free private state (`ARG`, `DELTA`,
-    /// the outer `Ann`), all relocated generically; the inner CAS's toggle
+    /// The composition adds only pid-free private state (`ARG`, the outer
+    /// `Ann`), all relocated generically; the inner CAS's toggle
     /// vector is the one packed encoding left.
     fn permute_memory(&self, words: &mut [Word], perm: &[u32]) -> bool {
         self.obj.cas.permute_memory(words, perm)
@@ -413,7 +403,7 @@ enum Attempt {
     ReadValue,
     ResetInnerResp(u32),
     ResetInnerCp(u32),
-    PersistArgs(u32),
+    PersistArg(u32),
     OuterCheckpoint(u32),
     RunCas(u32, CasMachine),
     PersistResp(Word),
@@ -453,7 +443,7 @@ impl AttemptMachine {
             1 if flat && payload == 0 => Attempt::ReadValue,
             2 if flat => Attempt::ResetInnerResp(v?),
             3 if flat => Attempt::ResetInnerCp(v?),
-            4 if flat && obj.arg.is_some() => Attempt::PersistArgs(v?),
+            4 if flat && obj.arg.is_some() => Attempt::PersistArg(v?),
             5 if flat => Attempt::OuterCheckpoint(v?),
             6 => {
                 let (old, new) = rule.cas_args(v?);
@@ -495,16 +485,13 @@ impl Machine for AttemptMachine {
             Attempt::ResetInnerCp(v) => {
                 mem.write_pp(p, o.cas.ann().cp_loc(p), 0);
                 self.state = match o.arg {
-                    Some(_) => Attempt::PersistArgs(*v),
+                    Some(_) => Attempt::PersistArg(*v),
                     None => Attempt::OuterCheckpoint(*v),
                 };
             }
-            Attempt::PersistArgs(v) => {
+            Attempt::PersistArg(v) => {
                 if let Some(arg) = o.arg {
                     mem.write_pp(p, arg.at(p.idx()), u64::from(*v));
-                }
-                if let (Some(cell), Rule::Add { delta, .. }) = (o.delta, rule) {
-                    mem.write_pp(p, cell.at(p.idx()), u64::from(delta));
                 }
                 self.state = Attempt::OuterCheckpoint(*v);
             }
@@ -542,7 +529,7 @@ impl Machine for AttemptMachine {
             Attempt::ReadValue => "capsule:read",
             Attempt::ResetInnerResp(_) => "capsule:reset-resp",
             Attempt::ResetInnerCp(_) => "capsule:reset-cp",
-            Attempt::PersistArgs(_) => "capsule:args",
+            Attempt::PersistArg(_) => "capsule:arg",
             Attempt::OuterCheckpoint(_) => "capsule:cp",
             Attempt::RunCas(..) => "capsule:cas",
             Attempt::PersistResp(_) => "capsule:resp",
@@ -560,7 +547,7 @@ impl Machine for AttemptMachine {
             Attempt::ReadValue => (1, 0),
             Attempt::ResetInnerResp(v) => (2, u64::from(*v)),
             Attempt::ResetInnerCp(v) => (3, u64::from(*v)),
-            Attempt::PersistArgs(v) => (4, u64::from(*v)),
+            Attempt::PersistArg(v) => (4, u64::from(*v)),
             Attempt::OuterCheckpoint(v) => (5, u64::from(*v)),
             Attempt::RunCas(v, _) => (6, u64::from(*v)),
             Attempt::PersistResp(carried) => (7, *carried),
@@ -600,12 +587,9 @@ struct RecoverMachine {
 impl Machine for RecoverMachine {
     fn step(&mut self, mem: &dyn Memory) -> Poll {
         let (o, p, rule) = (&self.obj, self.pid, self.rule);
-        // Recovery receives the crashed operation's arguments; `Add` still
-        // takes its delta from `DELTA_p`, read with `ARG_p` in one step.
-        let inner_recover = |rule: Rule, v| {
-            let (old, new) = rule.cas_args(v);
-            Recovery::RunInnerRecover(v, CasRecoverMachine::new(o.cas.inner, p, old, new))
-        };
+        // `Cas.Recover` takes no CAS arguments; `v` only shapes the answer.
+        let inner_recover =
+            |v| Recovery::RunInnerRecover(v, CasRecoverMachine::new(o.cas.inner, p));
         match &mut self.state {
             Recovery::CheckResp => {
                 let resp = o.ann.read_resp(mem, p);
@@ -624,20 +608,14 @@ impl Machine for RecoverMachine {
                 }
                 self.state = match o.arg {
                     Some(_) => Recovery::ReadArg,
-                    None => inner_recover(rule, 0),
+                    None => inner_recover(0),
                 };
             }
             Recovery::ReadArg => {
-                let i = p.idx();
-                let v = o.arg.map_or(0, |arg| mem.read_pp(p, arg.at(i)) as u32);
-                let persisted = match (rule, o.delta) {
-                    (Rule::Add { returns_prev, .. }, Some(cell)) => Rule::Add {
-                        delta: mem.read_pp(p, cell.at(i)) as u32,
-                        returns_prev,
-                    },
-                    _ => rule,
-                };
-                self.state = inner_recover(persisted, v);
+                let v = o
+                    .arg
+                    .map_or(0, |arg| mem.read_pp(p, arg.at(p.idx())) as u32);
+                self.state = inner_recover(v);
             }
             Recovery::RunInnerRecover(v, m) => {
                 if let Poll::Ready(w) = m.step(mem) {
@@ -1062,7 +1040,7 @@ pub(crate) mod suite {
     /// Renaming processes maps executions onto executions: the op by p0
     /// then a `Read` by p2, permuted by (0 1), is the op by p1 then the
     /// same `Read`. The composition delegates to the inner CAS's toggle
-    /// vector; its `ARG`/`DELTA`/`Ann` words relocate generically.
+    /// vector; its `ARG`/`Ann` words relocate generically.
     pub(crate) fn permute_memory_maps_executions_across_pids(row: Row) {
         let run = |pid| {
             let w = world(row.k, 3);

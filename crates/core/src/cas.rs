@@ -170,7 +170,7 @@ impl RecoverableObject for DetectableCas {
 
     fn recover(&self, pid: Pid, op: &OpSpec) -> Box<dyn Machine> {
         match *op {
-            OpSpec::Cas { old, new } => Box::new(CasRecoverMachine::new(self.inner, pid, old, new)),
+            OpSpec::Cas { .. } => Box::new(CasRecoverMachine::new(self.inner, pid)),
             OpSpec::Read => Box::new(CasReadRecoverMachine::new(self.inner, pid)),
             ref other => panic!("cas object does not support {other}"),
         }
@@ -437,21 +437,15 @@ enum CRState {
 pub(crate) struct CasRecoverMachine {
     obj: CasInner,
     pid: Pid,
-    #[allow(dead_code)] // recovery receives the same arguments as Cas
-    old: u32,
-    #[allow(dead_code)]
-    new: u32,
     state: CRState,
     vec: u64,
 }
 
 impl CasRecoverMachine {
-    pub(crate) fn new(obj: CasInner, pid: Pid, old: u32, new: u32) -> Self {
+    pub(crate) fn new(obj: CasInner, pid: Pid) -> Self {
         CasRecoverMachine {
             obj,
             pid,
-            old,
-            new,
             state: CRState::L38,
             vec: 0,
         }

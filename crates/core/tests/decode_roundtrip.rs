@@ -43,14 +43,15 @@ fn pin_roundtrip(obj: &dyn RecoverableObject, mem: &SimMemory, script: &[(u32, O
                 obj.name()
             );
 
-            // Step the decoded machine on a scratch copy of the world, then
-            // the original on the real one; they must agree on everything.
-            let snap = mem.snapshot();
+            // Step the decoded machine under a checkpoint and rewind, then
+            // step the original from the same state; they must agree on
+            // everything.
+            let cp = mem.checkpoint();
             let dpoll = dm.step(mem);
             let denc = dm.encode();
             let mut dimg = Vec::new();
             mem.logical_words_into(&mut dimg);
-            mem.restore(&snap);
+            mem.rollback(cp);
 
             let poll = m.step(mem);
             assert_eq!(

@@ -33,8 +33,8 @@
 //! successor. The census is crash-free, so a configuration's memory half
 //! is fully determined by its *logical* word image; nodes carry an 8-byte
 //! handle into an image store that keeps each distinct image once, not a
-//! per-node [`MemSnapshot`](nvm::MemSnapshot). Only the storage varies,
-//! in three roles the loop is generic over:
+//! per-node copy of the memory. Only the storage varies, in three roles
+//! the loop is generic over:
 //!
 //! | role | in RAM | on disk ([`crate::external`]) |
 //! |---|---|---|
@@ -94,10 +94,6 @@
 //! maximal successor set), and therefore `distinct_shared`, bound
 //! satisfaction and truncation match the exact engine at every thread
 //! level.
-//!
-//! [`census_bfs_snapshot_engine`] preserves the original single-threaded
-//! full-snapshot engine (exact node keys, one `restore` per successor, no
-//! dominance) as the differential-testing reference and benchmark baseline.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -144,8 +140,8 @@ pub struct CensusReport {
     /// Disk-tier counters when the BFS ran on disk; `None` otherwise.
     pub spill: Option<SpillStats>,
     /// Scheduler-action counters (steals, parks, per-worker expansions,
-    /// intern-flush batches). All-zero for engines that neither schedule
-    /// nor batch-intern (the solo drive and the snapshot reference).
+    /// intern-flush batches). All-zero for the solo drive, which neither
+    /// schedules nor batch-interns.
     pub sched: SchedStats,
 }
 
@@ -319,18 +315,6 @@ pub(crate) struct BfsNode<H> {
 /// An admitted root node and its configuration fingerprint.
 pub(crate) type Seeded<H> = (BfsNode<H>, (u64, u64));
 
-/// Node key for the reference engine: operation budget, the driver's
-/// volatile state (machine encodings included), and full NVM contents
-/// (shared + private). Two nodes with equal keys have identical future
-/// behaviour. The driver's *history* is deliberately not part of the key —
-/// the census counts configurations, not paths.
-fn encode_node(mem: &SimMemory, driver: &Driver, ops_used: usize) -> Vec<Word> {
-    let mut key: Vec<Word> = vec![ops_used as Word];
-    driver.encode_key(&mut key);
-    key.extend(mem.full_key());
-    key
-}
-
 /// The memory component of the configuration fingerprint: both lanes of
 /// [`hash2`] over the logical image, in one pass. Lane 0 doubles as the
 /// in-RAM arena's routing/index hash and both lanes form the disk arena's
@@ -340,19 +324,20 @@ fn image_hashes(image: &[Word]) -> (u64, u64) {
     hash2(SEEDS, image)
 }
 
-/// 128-bit fingerprint of the configuration [`encode_node`] keys exactly:
-/// the *logical* memory image (equal [`full_key`](SimMemory::full_key)s —
-/// not [`state_words_into`](SimMemory::state_words_into), whose dirty-set
-/// and crash-ordinal sensitivity would split states the full-key
-/// reference engine merges), driver volatile state, and — unless dominance pruning
-/// quotients it away — the operation budget. Collisions (vanishingly
-/// unlikely) could merge two distinct configurations — the same trade-off
-/// the explorer's pruning memo makes, bought because a 16-byte fingerprint
-/// keeps a multi-million-state visited set in cache where exact
-/// full-memory keys thrash. The driver key is hashed by [`hash2`] seeded
-/// with the two image lanes, so each half chains its own independently
-/// seeded image hash (true 128-bit resistance, not one 64-bit hash copied
-/// twice).
+/// 128-bit fingerprint of a configuration: the *logical* memory image
+/// (equal [`full_key`](SimMemory::full_key)s — not
+/// [`state_words_into`](SimMemory::state_words_into), whose dirty-set and
+/// crash-ordinal sensitivity would split states that behave identically
+/// in a crash-free search), driver volatile state (machine encodings
+/// included, history not: the census counts configurations, not paths),
+/// and — unless dominance pruning quotients it away — the operation
+/// budget. Collisions (vanishingly unlikely) could merge two distinct
+/// configurations — the same trade-off the explorer's pruning memo makes,
+/// bought because a 16-byte fingerprint keeps a multi-million-state
+/// visited set in cache where exact full-memory keys thrash. The driver
+/// key is hashed by [`hash2`] seeded with the two image lanes, so each
+/// half chains its own independently seeded image hash (true 128-bit
+/// resistance, not one 64-bit hash copied twice).
 fn fingerprint_image(
     image_hashes: (u64, u64),
     driver: &Driver,
@@ -527,7 +512,7 @@ pub(crate) trait Frontier<H> {
 
 /// One in-RAM worker: a plain FIFO keeps admission in canonical BFS order,
 /// so truncated sequential runs stay deterministic (and, without
-/// dominance, match the snapshot reference engine's admissions exactly).
+/// dominance, match the reference census's admissions exactly).
 impl<H> Frontier<H> for VecDeque<BfsNode<H>> {
     fn next(&mut self) -> Option<BfsNode<H>> {
         self.pop_front()
@@ -897,114 +882,6 @@ pub fn census_bfs_engine(
     census.report(mem, tally, sched, resident, None)
 }
 
-/// The original single-threaded full-snapshot census engine, kept as the
-/// differential-testing reference for [`census_bfs_engine`]'s arena engine and as
-/// the benchmark baseline (`census_throughput` / `BENCH_census.json`).
-///
-/// Node identity uses exact full-memory keys (no fingerprint hashing) and
-/// every successor is entered by a full [`SimMemory::restore`]. Limit
-/// semantics match the arena engine — `max_states` caps visited-set
-/// admissions, exactly that many nodes are expanded, truncation is
-/// reported — so on any world the two engines agree on every count
-/// (sequentially, even under truncation: both admit in canonical BFS
-/// order). `cfg.parallelism` and `cfg.dominance` are ignored: this engine
-/// is always sequential and exact.
-pub fn census_bfs_snapshot_engine(
-    obj: &dyn RecoverableObject,
-    mem: &SimMemory,
-    alphabet: &[OpSpec],
-    cfg: &BfsConfig,
-) -> CensusReport {
-    /// Reference-engine frontier entry: a full memory snapshot.
-    struct SnapNode {
-        snap: nvm::MemSnapshot,
-        driver: Driver,
-        ops_used: usize,
-    }
-
-    let n = obj.processes() as usize;
-    let mut shared_seen: HashSet<Vec<Word>> = HashSet::new();
-    let mut visited: HashSet<Vec<Word>> = HashSet::new();
-    let mut queue: VecDeque<SnapNode> = VecDeque::new();
-    let mut truncated = false;
-    let persists_before = mem.stats().persists;
-    let start = mem.snapshot();
-
-    let root = SnapNode {
-        snap: mem.snapshot(),
-        // History-free: BFS nodes are cloned per successor and the census
-        // counts configurations, never paths.
-        driver: Driver::without_history(obj.processes()),
-        ops_used: 0,
-    };
-    shared_seen.insert(mem.shared_key());
-    if cfg.max_states > 0 {
-        visited.insert(encode_node(mem, &root.driver, 0));
-        queue.push_back(root);
-    } else {
-        truncated = true;
-    }
-
-    let mut expanded = 0usize;
-    let mut steps = 0u64;
-    let mut resolved = 0u64;
-    while let Some(node) = queue.pop_front() {
-        expanded += 1;
-        let mut successor = |mem: &SimMemory, driver: Driver, ops_used: usize| {
-            shared_seen.insert(mem.shared_key());
-            let key = encode_node(mem, &driver, ops_used);
-            if !visited.contains(&key) {
-                if visited.len() >= cfg.max_states {
-                    truncated = true;
-                } else {
-                    visited.insert(key);
-                    queue.push_back(SnapNode {
-                        snap: mem.snapshot(),
-                        driver,
-                        ops_used,
-                    });
-                }
-            }
-        };
-        for i in 0..n {
-            if node.driver.state(i).in_flight() {
-                mem.restore(&node.snap);
-                let mut driver = node.driver.clone();
-                let outcome = driver.step(obj, mem, i, &CENSUS_RETRY);
-                steps += 1;
-                resolved += u64::from(outcome.resolved());
-                successor(mem, driver, node.ops_used);
-            } else if node.ops_used < cfg.max_ops {
-                for op in alphabet {
-                    mem.restore(&node.snap);
-                    let mut driver = node.driver.clone();
-                    driver.invoke(obj, mem, i, *op, &CENSUS_RETRY);
-                    steps += 1;
-                    successor(mem, driver, node.ops_used + 1);
-                }
-            }
-        }
-    }
-
-    mem.restore(&start);
-    let full_entry = mem.layout().total_words() * 8;
-    let peak = set_bytes(visited.len(), full_entry)
-        + set_bytes(shared_seen.len(), mem.shared_key().len() * 8)
-        + (visited.len() * (full_entry + obj.processes() as usize * 48)) as u64;
-    CensusReport {
-        distinct_shared: shared_seen.len(),
-        theorem_bound: (1u64 << obj.processes()) - 1,
-        work: expanded,
-        steps,
-        resolved_ops: resolved,
-        persists: mem.stats().persists - persists_before,
-        truncated,
-        peak_resident_bytes: peak,
-        spill: None,
-        sched: SchedStats::default(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1076,9 +953,14 @@ mod tests {
     #[test]
     fn bfs_engine_leaves_the_input_memory_untouched() {
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-        let before = mem.snapshot();
+        let state = |mem: &SimMemory| {
+            let mut out = Vec::new();
+            mem.state_words_into(&mut out);
+            out
+        };
+        let before = state(&mem);
         let _ = census_bfs_engine(&cas, &mem, &cas_alphabet(), &BfsConfig::default());
-        assert_eq!(mem.snapshot(), before);
+        assert_eq!(state(&mem), before);
     }
 
     #[test]
@@ -1086,20 +968,17 @@ mod tests {
         // Regression: the old engine broke *before* expanding the popped
         // node, so `max_states: 1` expanded nothing yet counted one unit of
         // work. The cap now bounds admissions: the root is admitted, fully
-        // expanded, and its successors are observed but not expanded.
+        // expanded, and its successors are observed but not expanded. (The
+        // reference census in `tests/census_scale.rs` pins the same.)
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
         let cfg = BfsConfig {
             max_ops: 4,
             max_states: 1,
             ..Default::default()
         };
-        for report in [
-            census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg),
-            census_bfs_snapshot_engine(&cas, &mem, &cas_alphabet(), &cfg),
-        ] {
-            assert_eq!(report.work, 1, "exactly max_states nodes expanded");
-            assert!(report.truncated, "the cap must be reported");
-        }
+        let report = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
+        assert_eq!(report.work, 1, "exactly max_states nodes expanded");
+        assert!(report.truncated, "the cap must be reported");
         // The cap bounds expansions exactly at every setting, not one off.
         for max_states in [2, 3, 10] {
             let report = census_bfs_engine(
@@ -1141,30 +1020,6 @@ mod tests {
         );
         assert!(!full.truncated);
         assert!(full.meets_bound() && !full.bound_failed());
-    }
-
-    #[test]
-    fn fork_engine_matches_snapshot_reference() {
-        // Differential test: the arena/checkpoint engine and the original
-        // full-snapshot engine agree on every count, complete or truncated
-        // (sequentially both admit in canonical BFS order).
-        let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-        for (max_ops, max_states) in [(2, 200_000), (4, 200_000), (4, 37), (3, 1)] {
-            let cfg = BfsConfig {
-                max_ops,
-                max_states,
-                parallelism: 1,
-                ..Default::default()
-            };
-            let fork = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
-            let snap = census_bfs_snapshot_engine(&cas, &mem, &cas_alphabet(), &cfg);
-            assert_eq!(fork.distinct_shared, snap.distinct_shared, "{cfg:?}");
-            assert_eq!(fork.work, snap.work, "{cfg:?}");
-            assert_eq!(fork.truncated, snap.truncated, "{cfg:?}");
-            assert_eq!(fork.steps, snap.steps, "{cfg:?}");
-            assert_eq!(fork.resolved_ops, snap.resolved_ops, "{cfg:?}");
-            assert_eq!(fork.persists, snap.persists, "{cfg:?}");
-        }
     }
 
     #[test]

@@ -773,13 +773,13 @@ mod tests {
         let mut a = d.clone();
         let mut b = d2;
         for i in [0usize, 2] {
-            let snap = mem.snapshot();
+            let cp = mem.checkpoint();
             let ra = loop {
                 if let StepOutcome::Returned(w) = a.step(&reg, &mem, i, &retry) {
                     break w;
                 }
             };
-            mem.restore(&snap);
+            mem.rollback(cp);
             let rb = loop {
                 if let StepOutcome::Returned(w) = b.step(&reg, &mem, i, &retry) {
                     break w;

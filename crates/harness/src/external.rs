@@ -23,7 +23,7 @@
 //!
 //! 1. **Expand**: the worker loop streams generation `g`'s node file and
 //!    expands each admitted record exactly like the in-RAM tier. A *repeat
-//!    filter* ([`SeenFile`]) drops each successor that repeats a recent
+//!    filter* (`SeenFile`) drops each successor that repeats a recent
 //!    candidate at a budget no lower. Every other successor is a
 //!    candidate: its fingerprint is appended — tagged with a generation
 //!    sequence number — to a candidate file, and its record (budget,
@@ -46,7 +46,7 @@
 //!    truncated or not — so every count in the report matches. The
 //!    differential tests pin this. Unlike the in-RAM visited set, the seen
 //!    file may keep a fingerprint whose admission the cap refused; that
-//!    changes nothing, since once [`Slots::reserve`] fails every later call
+//!    changes nothing, since once `Slots::reserve` fails every later call
 //!    fails too.
 //! 4. **Next**: generation `g + 1` is the node file step 1 wrote, read
 //!    through the bitmap — `try_next` seeks past the records whose bit is

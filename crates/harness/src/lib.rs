@@ -1,7 +1,7 @@
 //! Correctness harness for the detectable-objects reproduction.
 //!
 //! This crate is the "evaluation testbed" of the reproduction: it drives the
-//! objects of the [`detectable`] and [`baselines`] crates through crashes
+//! objects of the [`detectable`] and `baselines` crates through crashes
 //! and adversarial schedules, and checks the paper's claims:
 //!
 //! * [`spec`] — sequential specifications of every object kind;
@@ -63,8 +63,7 @@ pub mod workload;
 
 pub use aux_state::{probe_aux_state, theorem2_script};
 pub use census::{
-    census_bfs_engine, census_bfs_snapshot_engine, census_drive_engine, gray_code_cas_ops,
-    BfsConfig, CensusReport,
+    census_bfs_engine, census_drive_engine, gray_code_cas_ops, BfsConfig, CensusReport,
 };
 pub use driver::{op_from_key, op_key, Driver, ProcState, RetryPolicy, StepOutcome};
 pub use explore::{explore_engine, ExploreConfig, ExploreOutcome, OpSource, SymmetryMode};

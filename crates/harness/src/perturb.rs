@@ -370,8 +370,13 @@ mod tests {
         use crate::sim::build_world;
         let w = witness(ObjectKind::Register).expect("Lemma 3");
         let (reg, mem) = build_world(|b| detectable::DetectableRegister::new(b, 2, 0));
-        let before = mem.snapshot();
+        let state = || {
+            let mut out = Vec::new();
+            mem.state_words_into(&mut out);
+            out
+        };
+        let before = state();
         let _ = validate_witness_on_impl(&w, &reg, &mem);
-        assert_eq!(mem.snapshot(), before);
+        assert_eq!(state(), before);
     }
 }

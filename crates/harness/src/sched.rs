@@ -34,7 +34,7 @@
 //! `Σcreated(t₁) ≤ Σcreated(t₂) = Σfinished(t₁) ≤ Σcreated(t₁)` forces
 //! equality at `t₁`. New tasks are only created by a task still being
 //! processed (a worker pushes successors **before** calling
-//! [`Worker::complete`]) or by pre-spawn seeding, so a quiescent system
+//! `Worker::complete`) or by pre-spawn seeding, so a quiescent system
 //! stays quiescent — the sweep can never report termination while work is
 //! in flight.
 //!
@@ -59,7 +59,7 @@
 //!
 //! # Panic propagation
 //!
-//! Every [`Worker`] is a drop guard: leaving the worker loop — normally or
+//! Every `Worker` is a drop guard: leaving the worker loop — normally or
 //! by unwinding — flips a shared `aborted` flag and wakes all sleepers.
 //! After a normal exit this is a no-op in effect (a worker only returns
 //! once the system is quiescent, when every sibling is exiting anyway);

@@ -2,14 +2,14 @@
 //!
 //! Breadth-first searches revisit states in arbitrary order, so every
 //! frontier node must *carry* the memory it will resume from. Storing a
-//! [`MemSnapshot`](crate::MemSnapshot) per node costs a `Vec` plus a
-//! `BTreeMap` allocation each, and moving nodes between worker threads
-//! moves those heaps with them. For crash-free searches the logical word
-//! image alone determines all future behavior, and the same image recurs
-//! across many nodes (the same memory with different in-flight machines),
-//! so the Theorem 1 census stores each **distinct** image once in a shared
-//! [`StateArena`] and hands nodes around as 8-byte [`CompactState`]
-//! handles: peak memory drops from O(nodes × memory) to
+//! full copy per node ([`SimMemory::fork`](crate::SimMemory::fork)) costs
+//! a `Vec` plus a `BTreeMap` allocation each, and moving nodes between
+//! worker threads moves those heaps with them. For crash-free searches the
+//! logical word image alone determines all future behavior, and the same
+//! image recurs across many nodes (the same memory with different
+//! in-flight machines), so the Theorem 1 census stores each **distinct**
+//! image once in a shared [`StateArena`] and hands nodes around as 8-byte
+//! [`CompactState`] handles: peak memory drops from O(nodes × memory) to
 //! O(nodes + distinct images × memory), and node hand-off between workers
 //! is a copy of one word.
 //!

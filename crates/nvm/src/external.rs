@@ -14,7 +14,7 @@
 //!
 //! # Identity is probabilistic, not exact
 //!
-//! [`StateArena`] resolves hash collisions by exact image comparison;
+//! [`StateArena`](crate::StateArena) resolves hash collisions by exact image comparison;
 //! doing that here would mean a disk read per intern. Instead the dedup
 //! index keys on a caller-supplied **128-bit** hash and trusts it: two
 //! distinct images with equal 128-bit hashes would alias. This is the

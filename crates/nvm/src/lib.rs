@@ -23,8 +23,8 @@
 //!
 //! Two interchangeable memory back-ends are provided:
 //!
-//! * [`SimMemory`] — deterministic, single-threaded, snapshot/restore capable;
-//!   used by the randomized simulator, the exhaustive explorer and the
+//! * [`SimMemory`] — deterministic, single-threaded, forkable, with LIFO
+//!   checkpoint/rollback; used by the randomized simulator, the exhaustive explorer and the
 //!   reachable-configuration census.
 //! * [`AtomicMemory`] — `AtomicU64`-backed, sequentially consistent; used by
 //!   the multi-threaded throughput benchmarks.
@@ -75,8 +75,6 @@ pub use external::{SpillArenaStats, SpillConfig, SpillableArena};
 pub use layout::{Layout, LayoutBuilder, Loc, Region, Space};
 pub use machine::{run_to_completion, Machine, Poll, StepLimitError};
 pub use mapped::{write_through, MappedFile, MappedMemory};
-pub use memory::{
-    AtomicMemory, CacheMode, Checkpoint, CrashPolicy, MemSnapshot, Memory, SimMemory,
-};
+pub use memory::{AtomicMemory, CacheMode, Checkpoint, CrashPolicy, Memory, SimMemory};
 pub use stats::Stats;
 pub use word::{Field, FieldBuilder, Pid, Word, ACK, FALSE, RESP_FAIL, RESP_NONE, TRUE};

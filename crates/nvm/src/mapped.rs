@@ -25,7 +25,7 @@
 //!   cache. Persisted words are committed (store + `msync`) at exactly the
 //!   points [`SimMemory`](crate::SimMemory) would commit them.
 //!
-//! The `unsafe` needed for the `mmap` FFI is confined to the private [`sys`]
+//! The `unsafe` needed for the `mmap` FFI is confined to the private `sys`
 //! module; the rest of the crate keeps denying unsafe code.
 
 use std::fmt;
@@ -378,14 +378,14 @@ impl fmt::Debug for MappedFile {
 /// Decides, ahead of time, whether writes to cell `idx` write through to
 /// the file under `policy` for crash ordinal `epoch`.
 ///
-/// A SIGKILL cannot run the write-back loop [`SimMemory::crash`]
-/// (crate::SimMemory::crash) runs, so the dirty-subset decision is made
-/// *per cell, before the crash*, and enforced as a write-through
-/// discipline: a `persist` coin means every store to the cell is committed
-/// as it happens (so the file holds the cell's latest value at the kill,
-/// exactly as write-back would leave it); a `drop` coin means stores stay
-/// in the volatile overlay (so the file keeps the last explicitly persisted
-/// value, exactly as dropping the dirty cell would).
+/// A SIGKILL cannot run the write-back loop
+/// [`SimMemory::crash`](crate::SimMemory::crash) runs, so the dirty-subset
+/// decision is made *per cell, before the crash*, and enforced as a
+/// write-through discipline: a `persist` coin means every store to the cell
+/// is committed as it happens (so the file holds the cell's latest value at
+/// the kill, exactly as write-back would leave it); a `drop` coin means
+/// stores stay in the volatile overlay (so the file keeps the last
+/// explicitly persisted value, exactly as dropping the dirty cell would).
 ///
 /// The coin is deliberately **value-independent**: deciding per *write*
 /// rather than per *cell* could commit an intermediate value (write 1
@@ -435,10 +435,10 @@ const OVERLAY_LOCK: usize = 0;
 ///   declares a crash must [`wipe`](MappedFile::wipe) it — that wipe is the
 ///   crash's loss of the cache.
 ///
-/// All file stores are `SeqCst`, matching [`AtomicMemory`]
-/// (crate::AtomicMemory). Overlay access is serialized by a lock word in
-/// the overlay file's header, held across each read, write, cas and
-/// persist, which also gives a cross-process SharedCache `cas` its
+/// All file stores are `SeqCst`, matching
+/// [`AtomicMemory`](crate::AtomicMemory). Overlay access is serialized by a
+/// lock word in the overlay file's header, held across each read, write, cas
+/// and persist, which also gives a cross-process SharedCache `cas` its
 /// atomicity. A process killed while holding the lock leaves it held until
 /// the wipe releases it.
 #[derive(Debug)]

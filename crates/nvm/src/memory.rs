@@ -64,20 +64,6 @@ pub enum CrashPolicy {
     RandomSubset(u64),
 }
 
-/// A restorable copy of the full simulated memory state.
-///
-/// Snapshots are full copies: capture and restore cost O(memory size). The
-/// breadth-first census uses them because it revisits states in arbitrary
-/// order. Depth-first exploration should prefer the cheaper LIFO
-/// [`SimMemory::checkpoint`] / [`SimMemory::rollback`] pair, whose cost is
-/// O(writes since the checkpoint).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MemSnapshot {
-    nvm: Vec<Word>,
-    cache: BTreeMap<u32, Word>,
-    crashes: u64,
-}
-
 /// A lightweight undo-log mark produced by [`SimMemory::checkpoint`].
 ///
 /// Checkpoints are strictly nested (LIFO): roll back the most recent one
@@ -98,15 +84,15 @@ enum UndoEntry {
     Cache { idx: u32, old: Option<Word> },
     /// The crash counter held `old` before.
     Crashes { old: u64 },
-    /// Fallback for whole-state mutations (`restore` under journaling).
-    Full(Box<MemSnapshot>),
 }
 
 /// Deterministic single-threaded simulated NVM.
 ///
-/// Supports both cache modes, system-wide crashes, snapshot/restore (used by
-/// the exhaustive explorer), shared-state fingerprints (used by the Theorem 1
-/// census) and per-process operation statistics.
+/// Supports both cache modes, system-wide crashes, two ways to copy and
+/// rewind state — a full [`fork`](Self::fork) and LIFO
+/// [`checkpoint`](Self::checkpoint) / [`rollback`](Self::rollback) — plus
+/// shared-state keys (used by the Theorem 1 census) and per-process
+/// operation statistics.
 ///
 /// # Example
 ///
@@ -326,15 +312,14 @@ impl SimMemory {
     }
 
     /// Opens an undo-log checkpoint: every subsequent mutation (including
-    /// crashes and nested `restore`s) is journaled until the matching
-    /// [`rollback`](Self::rollback). Cost: O(1) now, O(writes since the
-    /// checkpoint) to roll back — the cheap branch primitive for depth-first
-    /// state-space exploration, replacing full-copy [`snapshot`]s.
+    /// crashes and [`load_words`](Self::load_words)) is journaled until the
+    /// matching [`rollback`](Self::rollback). Cost: O(1) now, O(writes since
+    /// the checkpoint) to roll back — the cheap branch primitive for
+    /// state-space search, where a full [`fork`](Self::fork) would copy the
+    /// whole memory.
     ///
     /// Checkpoints nest LIFO; each must be rolled back (or leaked — see
     /// [`discard`](Self::discard)) in reverse order of creation.
-    ///
-    /// [`snapshot`]: Self::snapshot
     pub fn checkpoint(&self) -> Checkpoint {
         let depth = self.journal_depth.get() + 1;
         self.journal_depth.set(depth);
@@ -346,7 +331,7 @@ impl SimMemory {
     }
 
     /// Rewinds every mutation journaled since `cp` was taken, consuming it.
-    /// Statistics are not rewound (matching [`restore`](Self::restore)).
+    /// Statistics are not rewound.
     ///
     /// # Panics
     ///
@@ -372,11 +357,6 @@ impl SimMemory {
                     }
                 },
                 UndoEntry::Crashes { old } => *self.crashes.borrow_mut() = old,
-                UndoEntry::Full(snap) => {
-                    nvm.copy_from_slice(&snap.nvm);
-                    cache.clone_from(&snap.cache);
-                    *self.crashes.borrow_mut() = snap.crashes;
-                }
             }
         }
         self.journal_depth.set(cp.depth - 1);
@@ -421,29 +401,6 @@ impl SimMemory {
         out.push(*self.crashes.borrow());
     }
 
-    /// Captures the full NVM + cache state.
-    pub fn snapshot(&self) -> MemSnapshot {
-        MemSnapshot {
-            nvm: self.nvm.borrow().clone(),
-            cache: self.cache.borrow().clone(),
-            crashes: *self.crashes.borrow(),
-        }
-    }
-
-    /// Restores a previously captured state. Statistics are not restored.
-    /// Under an open [`checkpoint`](Self::checkpoint) the restore itself is
-    /// journaled (as a full-state entry) so `rollback` stays correct.
-    pub fn restore(&self, snap: &MemSnapshot) {
-        if self.journaling() {
-            self.journal
-                .borrow_mut()
-                .push(UndoEntry::Full(Box::new(self.snapshot())));
-        }
-        self.nvm.borrow_mut().copy_from_slice(&snap.nvm);
-        *self.cache.borrow_mut() = snap.cache.clone();
-        *self.crashes.borrow_mut() = snap.crashes;
-    }
-
     /// Fills `out` (cleared first) with the logical contents of all NVM —
     /// the allocation-free [`full_key`](Self::full_key), for hot loops that
     /// read the image into a reusable scratch buffer (the census reads one
@@ -464,31 +421,40 @@ impl SimMemory {
     /// continuations a state is fully determined by its logical words
     /// (equal [`full_key`](Self::full_key)s behave identically under every
     /// future primitive), so a search node can be reconstituted from the
-    /// interned image alone. Searches that inject crashes must keep full
-    /// [`snapshot`]s — dirtiness is behavior there, and this method erases
-    /// it.
+    /// interned image alone. Searches that inject crashes must copy the
+    /// whole state ([`fork`](Self::fork), or a checkpoint) — dirtiness is
+    /// behavior there, and this method erases it.
     ///
-    /// Under an open [`checkpoint`](Self::checkpoint) the load is journaled
-    /// (as a full-state entry) so `rollback` stays correct.
+    /// Under an open [`checkpoint`](Self::checkpoint) every overwritten word
+    /// and every cleared cache cell is journaled, so `rollback` restores
+    /// the previous state, dirtiness included.
     ///
     /// # Panics
     ///
     /// Panics if `words` does not span the layout exactly.
-    ///
-    /// [`snapshot`]: Self::snapshot
     pub fn load_words(&self, words: &[Word]) {
         assert_eq!(
             words.len(),
             self.layout.total_words(),
             "logical image width != layout words"
         );
+        let mut nvm = self.nvm.borrow_mut();
+        let mut cache = self.cache.borrow_mut();
         if self.journaling() {
-            self.journal
-                .borrow_mut()
-                .push(UndoEntry::Full(Box::new(self.snapshot())));
+            let mut journal = self.journal.borrow_mut();
+            journal.extend(
+                nvm.iter()
+                    .enumerate()
+                    .map(|(i, &old)| UndoEntry::Nvm { idx: i as u32, old }),
+            );
+            journal.extend(
+                cache
+                    .iter()
+                    .map(|(&idx, &w)| UndoEntry::Cache { idx, old: Some(w) }),
+            );
         }
-        self.nvm.borrow_mut().copy_from_slice(words);
-        self.cache.borrow_mut().clear();
+        nvm.copy_from_slice(words);
+        cache.clear();
     }
 
     /// Fills `out` with this memory's word contents under the process-id
@@ -571,10 +537,6 @@ impl SimMemory {
     /// Exact logical contents of *all* NVM (shared and private), usable as a
     /// full-configuration key in state-space searches.
     pub fn full_key(&self) -> Vec<Word> {
-        self.logical_words()
-    }
-
-    fn logical_words(&self) -> Vec<Word> {
         let mut words = Vec::new();
         self.logical_words_into(&mut words);
         words
@@ -809,22 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_roundtrip() {
-        let (m, x, _) = mem(CacheMode::SharedCache);
-        let p = Pid::new(0);
-        m.write(p, x, 1);
-        m.persist(p, x);
-        m.write(p, x.at(1), 2); // dirty
-        let snap = m.snapshot();
-        m.write(p, x, 100);
-        m.persist(p, x);
-        m.crash(CrashPolicy::DropAll);
-        m.restore(&snap);
-        assert_eq!(m.read(p, x), 1);
-        assert_eq!(m.read(p, x.at(1)), 2);
-    }
-
-    #[test]
     fn fingerprint_ignores_private_cells() {
         let (m, _x, rd) = mem(CacheMode::PrivateCache);
         let f0 = m.shared_key();
@@ -893,13 +839,13 @@ mod tests {
         let (m, x, _) = mem(CacheMode::PrivateCache);
         let p = Pid::new(0);
         m.write(p, x, 1);
-        let before = m.snapshot();
+        let before = state_words(&m);
         let cp = m.checkpoint();
         m.write(p, x, 2);
         assert!(m.cas(p, x, 2, 3));
         m.write(p, x.at(1), 9);
         m.rollback(cp);
-        assert_eq!(m.snapshot(), before);
+        assert_eq!(state_words(&m), before);
         assert_eq!(m.read(p, x), 1);
         assert_eq!(m.read(p, x.at(1)), 0);
     }
@@ -911,7 +857,7 @@ mod tests {
         m.write(p, x, 1);
         m.persist(p, x);
         m.write(p, x.at(1), 2); // dirty
-        let before = m.snapshot();
+        let before = state_words(&m);
         let cp = m.checkpoint();
         m.write(p, x, 7);
         m.persist(p, x);
@@ -919,7 +865,7 @@ mod tests {
         m.write(p, x.at(1), 8);
         m.crash(CrashPolicy::PersistAll);
         m.rollback(cp);
-        assert_eq!(m.snapshot(), before);
+        assert_eq!(state_words(&m), before);
         assert_eq!(m.crash_count(), 0);
         assert_eq!(m.read(p, x.at(1)), 2); // dirty value restored to cache
         m.crash(CrashPolicy::DropAll);
@@ -961,21 +907,6 @@ mod tests {
         assert_eq!(m.read(p, x), 5);
         m.rollback(outer); // the discarded branch's writes still rewind
         assert_eq!(m.read(p, x), 0);
-    }
-
-    #[test]
-    fn restore_under_checkpoint_is_journaled() {
-        let (m, x, _) = mem(CacheMode::SharedCache);
-        let p = Pid::new(0);
-        m.write(p, x, 1);
-        let early = m.snapshot();
-        m.write(p, x, 2);
-        let before = m.snapshot();
-        let cp = m.checkpoint();
-        m.restore(&early);
-        assert_eq!(m.read(p, x), 1);
-        m.rollback(cp);
-        assert_eq!(m.snapshot(), before);
     }
 
     fn state_words(m: &SimMemory) -> Vec<Word> {
@@ -1144,13 +1075,19 @@ mod tests {
     fn load_words_under_checkpoint_rolls_back() {
         let (m, x, _) = mem(CacheMode::SharedCache);
         let p = Pid::new(0);
+        m.write(p, x.at(1), 3);
+        m.persist(p, x.at(1));
         m.write(p, x, 1); // dirty
-        let before = m.snapshot();
+        let before = state_words(&m);
         let cp = m.checkpoint();
         m.load_words(&vec![9; m.layout.total_words()]);
         assert_eq!(m.read(p, x), 9);
+        m.write(p, x, 4); // dirty again on top of the loaded image
+        m.crash(CrashPolicy::DropAll);
         m.rollback(cp);
-        assert_eq!(m.snapshot(), before, "dirtiness restored too");
+        assert_eq!(state_words(&m), before, "dirtiness restored too");
+        m.crash(CrashPolicy::DropAll);
+        assert_eq!((m.read(p, x), m.read(p, x.at(1))), (0, 3));
     }
 
     #[test]

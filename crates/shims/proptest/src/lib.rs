@@ -248,7 +248,7 @@ pub mod prop {
             VecStrategy { elem, size }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             elem: S,
             size: Range<usize>,

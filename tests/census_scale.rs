@@ -2,16 +2,19 @@
 //! arena/work-stealing engine, and dominance pruning — the cap expands
 //! exactly `max_states` nodes, truncation is visible end to end (report,
 //! `Verdict`, JSON), exact-engine runs count identically at every thread
-//! level, the arena engine agrees with the retained full-snapshot
-//! reference engine, and the dominance-pruned mode reproduces the exact
-//! verdict (while legitimately shrinking the raw work counts — the
-//! non-count-preserving contract, pinned below).
+//! level, the arena engine agrees with the reference census defined here,
+//! and the dominance-pruned mode reproduces the exact verdict (while
+//! legitimately shrinking the raw work counts — the non-count-preserving
+//! contract, pinned below).
+
+use std::collections::{HashSet, VecDeque};
 
 use detectable::{ObjectKind, OpSpec, RecoverableObject};
 use harness::{
-    build_world, census_bfs_snapshot_engine, BfsConfig, Driver, Scenario, Verdict, Workload,
+    build_world, census_bfs_engine, BfsConfig, CensusReport, Driver, RetryPolicy, RunStats,
+    Scenario, Verdict, Workload,
 };
-use nvm::{Machine, Memory, Pid, Poll, Word};
+use nvm::{Machine, Memory, Pid, Poll, SimMemory, Word};
 
 fn cas_alphabet() -> Vec<OpSpec> {
     vec![
@@ -120,6 +123,162 @@ fn parallel_census_reports_identical_counts() {
 
 // ───────────────── cross-engine agreement ─────────────────
 
+/// The counts both census implementations report, compared whole.
+#[derive(Debug, PartialEq, Eq)]
+struct Counts {
+    distinct_shared: u64,
+    work: u64,
+    truncated: bool,
+    steps: u64,
+    resolved_ops: u64,
+    persists: u64,
+}
+
+impl From<&CensusReport> for Counts {
+    fn from(r: &CensusReport) -> Self {
+        Counts {
+            distinct_shared: r.distinct_shared as u64,
+            work: r.work as u64,
+            truncated: r.truncated,
+            steps: r.steps,
+            resolved_ops: r.resolved_ops,
+            persists: r.persists,
+        }
+    }
+}
+
+impl From<&RunStats> for Counts {
+    fn from(s: &RunStats) -> Self {
+        Counts {
+            distinct_shared: s.distinct_configs,
+            work: s.executions,
+            truncated: s.truncated,
+            steps: s.steps,
+            resolved_ops: s.resolved_ops,
+            persists: s.persists,
+        }
+    }
+}
+
+/// The reference census, kept independent of the engine it checks: exact
+/// node keys (operation budget, driver key, full logical memory — no
+/// fingerprints), a plain FIFO (no arena, no batching), and a
+/// [`SimMemory::fork`] of its own for every frontier node: each successor
+/// is generated on a fresh fork of its parent. A fork is a full copy,
+/// dirty cache cells and crash ordinal included, so shared-cache worlds
+/// compare correctly, and its counters start at zero, so `persists` is the
+/// sum over the forks. The cap means what it means for
+/// `census_bfs_engine`: `max_states` bounds admissions, every admitted
+/// node is expanded, and a refused admission marks the run truncated.
+/// `parallelism` and `dominance` are ignored: the reference is sequential
+/// and exact.
+fn reference_census(
+    obj: &dyn RecoverableObject,
+    mem: &SimMemory,
+    alphabet: &[OpSpec],
+    cfg: &BfsConfig,
+) -> Counts {
+    const RETRY: RetryPolicy = RetryPolicy {
+        retry_on_fail: false,
+        max_retries: 0,
+        reset_per_op: false,
+    };
+    let key = |mem: &SimMemory, driver: &Driver, ops_used: usize| {
+        let mut key = vec![ops_used as Word];
+        driver.encode_key(&mut key);
+        key.extend(mem.full_key());
+        key
+    };
+    let root = Driver::without_history(obj.processes());
+    let mut shared = HashSet::from([mem.shared_key()]);
+    let mut visited = HashSet::new();
+    let mut queue = VecDeque::new();
+    let mut counts = Counts {
+        distinct_shared: 0,
+        work: 0,
+        truncated: cfg.max_states == 0,
+        steps: 0,
+        resolved_ops: 0,
+        persists: 0,
+    };
+    if cfg.max_states > 0 {
+        visited.insert(key(mem, &root, 0));
+        queue.push_back((mem.fork(), root, 0));
+    }
+    while let Some((node_mem, node_driver, ops_used)) = queue.pop_front() {
+        counts.work += 1;
+        for i in 0..obj.processes() as usize {
+            let successors: Vec<(SimMemory, Driver, usize)> = if node_driver.state(i).in_flight() {
+                let (fork, mut driver) = (node_mem.fork(), node_driver.clone());
+                let outcome = driver.step(obj, &fork, i, &RETRY);
+                counts.resolved_ops += u64::from(outcome.resolved());
+                vec![(fork, driver, ops_used)]
+            } else if ops_used < cfg.max_ops {
+                alphabet
+                    .iter()
+                    .map(|op| {
+                        let (fork, mut driver) = (node_mem.fork(), node_driver.clone());
+                        driver.invoke(obj, &fork, i, *op, &RETRY);
+                        (fork, driver, ops_used + 1)
+                    })
+                    .collect()
+            } else {
+                Vec::new()
+            };
+            for (fork, driver, ops_used) in successors {
+                counts.steps += 1;
+                counts.persists += fork.stats().persists;
+                shared.insert(fork.shared_key());
+                let k = key(&fork, &driver, ops_used);
+                if visited.contains(&k) {
+                    continue;
+                }
+                if visited.len() >= cfg.max_states {
+                    counts.truncated = true;
+                } else {
+                    visited.insert(k);
+                    queue.push_back((fork, driver, ops_used));
+                }
+            }
+        }
+    }
+    counts.distinct_shared = shared.len() as u64;
+    counts
+}
+
+#[test]
+fn reference_census_cap_of_one_expands_exactly_the_root() {
+    use detectable::DetectableCas;
+    let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
+    let cfg = BfsConfig {
+        max_ops: 4,
+        max_states: 1,
+        ..Default::default()
+    };
+    let reference = reference_census(&cas, &mem, &cas_alphabet(), &cfg);
+    assert_eq!(reference.work, 1, "exactly max_states nodes expanded");
+    assert!(reference.truncated, "the cap must be reported");
+}
+
+/// The engine and the reference agree on every count, complete or
+/// truncated: sequentially both admit in canonical BFS order.
+#[test]
+fn fork_engine_matches_reference_census_at_every_cap() {
+    use detectable::DetectableCas;
+    let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
+    for (max_ops, max_states) in [(2, 200_000), (4, 200_000), (4, 37), (3, 1)] {
+        let cfg = BfsConfig {
+            max_ops,
+            max_states,
+            parallelism: 1,
+            ..Default::default()
+        };
+        let engine = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
+        let reference = reference_census(&cas, &mem, &cas_alphabet(), &cfg);
+        assert_eq!(Counts::from(&engine), reference, "{cfg:?}");
+    }
+}
+
 #[test]
 fn fork_engine_counts_match_snapshot_reference_on_small_worlds() {
     use detectable::DetectableCas;
@@ -130,14 +289,13 @@ fn fork_engine_counts_match_snapshot_reference_on_small_worlds() {
             ..Default::default()
         };
         let (cas, mem) = build_world(|b| DetectableCas::new(b, n, 0));
-        let reference = census_bfs_snapshot_engine(&cas, &mem, &cas_alphabet(), &cfg);
+        let reference = reference_census(&cas, &mem, &cas_alphabet(), &cfg);
         let fork = cas_census(n, &cfg);
         assert_eq!(
-            fork.stats.distinct_configs, reference.distinct_shared as u64,
+            Counts::from(&fork.stats),
+            reference,
             "n={n} max_ops={max_ops}"
         );
-        assert_eq!(fork.stats.executions, reference.work as u64);
-        assert_eq!(fork.stats.truncated, reference.truncated);
     }
 }
 
@@ -146,7 +304,7 @@ fn fork_engine_matches_snapshot_reference_in_shared_cache_mode() {
     // Shared-cache worlds are where the engines could drift apart: mid-
     // operation states carry dirty (unpersisted) cells, so a fingerprint
     // keyed on dirtiness — rather than on logical contents like the
-    // reference engine's full keys — would split states the reference
+    // reference census's full keys — would split states the reference
     // merges and skew the work count.
     use detectable::DetectableCas;
     use harness::build_world_mode;
@@ -157,17 +315,12 @@ fn fork_engine_matches_snapshot_reference_in_shared_cache_mode() {
         ..Default::default()
     };
     let (cas, mem) = build_world_mode(CacheMode::SharedCache, |b| DetectableCas::new(b, 2, 0));
-    let reference = census_bfs_snapshot_engine(&cas, &mem, &cas_alphabet(), &cfg);
+    let reference = reference_census(&cas, &mem, &cas_alphabet(), &cfg);
     let fork = Scenario::object(ObjectKind::Cas)
         .memory(CacheMode::SharedCache)
         .workload(Workload::round_robin(cas_alphabet(), cfg.max_ops))
         .census(&cfg);
-    assert_eq!(
-        fork.stats.distinct_configs,
-        reference.distinct_shared as u64
-    );
-    assert_eq!(fork.stats.executions, reference.work as u64);
-    assert_eq!(fork.stats.truncated, reference.truncated);
+    assert_eq!(Counts::from(&fork.stats), reference);
 }
 
 // ───────────────── dominance pruning (non-count-preserving) ─────────────────
@@ -391,7 +544,7 @@ fn parallel_census_propagates_a_worker_panic_instead_of_hanging() {
         b.shared("X", 1, 64);
         PanicObject
     });
-    let _ = harness::census_bfs_engine(
+    let _ = census_bfs_engine(
         &PanicObject,
         &mem,
         &[OpSpec::Read],

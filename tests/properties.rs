@@ -243,34 +243,15 @@ proptest! {
     }
 
     #[test]
-    fn snapshot_restore_is_identity(
-        writes in prop::collection::vec((0usize..8, any::<u64>()), 0..20),
-    ) {
-        let mut b = nvm::LayoutBuilder::new();
-        let base = b.shared("cells", 8, 64);
-        let mem = nvm::SimMemory::new(b.finish());
-        let p = Pid::new(0);
-        for (i, w) in &writes {
-            nvm::Memory::write(&mem, p, base.at(*i), *w);
-        }
-        let snap = mem.snapshot();
-        let key = mem.shared_key();
-        for (i, w) in &writes {
-            nvm::Memory::write(&mem, p, base.at(*i), w.wrapping_add(1));
-        }
-        mem.restore(&snap);
-        prop_assert_eq!(mem.shared_key(), key);
-    }
-
-    #[test]
-    fn checkpoint_rollback_matches_full_snapshot(
+    fn checkpoint_rollback_restores_state_words(
         mode_sel in 0u8..2,
         prefix in prop::collection::vec((0usize..8, any::<u64>()), 0..8),
-        ops in prop::collection::vec((0u8..8, 0usize..8, any::<u64>()), 1..24),
+        ops in prop::collection::vec((0u8..7, 0usize..8, any::<u64>()), 1..24),
     ) {
-        // The undo-log checkpoint must rewind *exactly* to the state a full
-        // MemSnapshot captured, whatever mix of writes, CASes, persists,
-        // pokes, and crashes (all three policies) happened in between.
+        // The undo-log checkpoint must rewind *exactly* to the state words
+        // (NVM, dirty overlay, crash ordinal) it started from, whatever mix
+        // of writes, CASes, persists, pokes, crashes (all three policies)
+        // and whole-image loads happened in between.
         let mode = if mode_sel == 0 { CacheMode::PrivateCache } else { CacheMode::SharedCache };
         let mut b = nvm::LayoutBuilder::new();
         let base = b.shared("cells", 8, 64);
@@ -279,22 +260,26 @@ proptest! {
         for (i, w) in &prefix {
             nvm::Memory::write(&mem, p, base.at(*i), *w);
         }
-        let snap = mem.snapshot();
         let words = state_words(&mem);
         let cp = mem.checkpoint();
         for (kind, i, w) in &ops {
             let loc = base.at(*i);
-            match kind % 6 {
+            match kind % 7 {
                 0 => nvm::Memory::write(&mem, p, loc, *w),
                 1 => { let _ = nvm::Memory::cas(&mem, p, loc, mem.peek(loc), *w); }
                 2 => nvm::Memory::persist(&mem, p, loc),
                 3 => mem.poke(loc, *w),
                 4 => mem.crash(if w % 2 == 0 { CrashPolicy::DropAll } else { CrashPolicy::PersistAll }),
-                _ => mem.crash(CrashPolicy::RandomSubset(*w)),
+                5 => mem.crash(CrashPolicy::RandomSubset(*w)),
+                _ => {
+                    let image: Vec<nvm::Word> = (0..8u64)
+                        .map(|j| w ^ j.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                        .collect();
+                    mem.load_words(&image);
+                }
             }
         }
         mem.rollback(cp);
-        prop_assert_eq!(mem.snapshot(), snap);
         prop_assert_eq!(state_words(&mem), words);
     }
 
