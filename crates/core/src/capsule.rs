@@ -51,8 +51,8 @@
 //! starve their retry loop.
 
 use nvm::{
-    AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK, FALSE, RESP_FAIL,
-    RESP_NONE, TRUE,
+    encode_to_vec, AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK, FALSE,
+    RESP_FAIL, RESP_NONE, TRUE,
 };
 
 use crate::cas::{CasMachine, CasRecoverMachine, DetectableCas};
@@ -541,8 +541,12 @@ impl Machine for AttemptMachine {
         Box::new(self.clone())
     }
 
-    /// `[rule word, state, payload]`, then the nested CAS machine's words.
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    /// `[rule word, state, payload]`, then the nested CAS machine's words.
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let (s, payload) = match &self.state {
             Attempt::ReadValue => (1, 0),
             Attempt::ResetInnerResp(v) => (2, u64::from(*v)),
@@ -553,11 +557,10 @@ impl Machine for AttemptMachine {
             Attempt::PersistResp(carried) => (7, *carried),
             Attempt::Done => (8, 0),
         };
-        let mut out = vec![self.rule.word(), s, payload];
+        out.extend_from_slice(&[self.rule.word(), s, payload]);
         if let Attempt::RunCas(_, m) = &self.state {
-            out.extend(m.encode());
+            m.encode_into(out);
         }
-        out
     }
 }
 
@@ -670,23 +673,26 @@ impl Machine for RecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
-        let mut out = vec![self.rule.word()];
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
+        out.push(self.rule.word());
         match &self.state {
             Recovery::CheckResp => out.push(1),
             Recovery::CheckCp => out.push(2),
             Recovery::ReadArg => out.push(3),
             Recovery::RunInnerRecover(v, m) => {
                 out.extend([4, u64::from(*v)]);
-                out.extend(m.encode());
+                m.encode_into(out);
             }
             Recovery::PersistResp(carried) => out.extend([5, *carried]),
             Recovery::Retry(attempt) => {
                 out.push(6);
-                out.extend(attempt.encode());
+                attempt.encode_into(out);
             }
             Recovery::Done => out.push(7),
         }
-        out
     }
 }
 
@@ -754,7 +760,11 @@ impl Machine for ReadMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
-        vec![self.val.map_or(RESP_NONE, u64::from)]
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
+        out.push(self.val.map_or(RESP_NONE, u64::from));
     }
 }
 
@@ -796,11 +806,14 @@ impl Machine for ReadRecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
-        let mut v = vec![u64::from(self.checked)];
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
+        out.push(u64::from(self.checked));
         if let Some(m) = &self.inner {
-            v.extend(m.encode());
+            m.encode_into(out);
         }
-        v
     }
 }
 

@@ -41,8 +41,8 @@
 //! ```
 
 use nvm::{
-    AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, FALSE,
-    RESP_FAIL, RESP_NONE, TRUE,
+    encode_to_vec, AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll,
+    Word, FALSE, RESP_FAIL, RESP_NONE, TRUE,
 };
 
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
@@ -398,6 +398,10 @@ impl Machine for CasMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             CState::L28 => 28,
             CState::L30 { resp } => 30 + resp,
@@ -407,7 +411,7 @@ impl Machine for CasMachine {
             CState::L36 => 36,
             CState::Done => 37,
         };
-        vec![
+        out.extend_from_slice(&[
             s,
             u64::from(self.old),
             u64::from(self.new),
@@ -415,7 +419,7 @@ impl Machine for CasMachine {
             self.vec,
             self.newvec,
             u64::from(self.res),
-        ]
+        ]);
     }
 }
 
@@ -522,6 +526,10 @@ impl Machine for CasRecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             CRState::L38 => 38,
             CRState::L40 => 40,
@@ -530,7 +538,7 @@ impl Machine for CasRecoverMachine {
             CRState::L45 => 45,
             CRState::Done => 46,
         };
-        vec![s, self.vec]
+        out.extend_from_slice(&[s, self.vec]);
     }
 }
 
@@ -618,12 +626,16 @@ impl Machine for CasReadMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             CRdState::ReadC => 1,
             CRdState::Persist => 2,
             CRdState::Done => 3,
         };
-        vec![s, u64::from(self.val)]
+        out.extend_from_slice(&[s, u64::from(self.val)]);
     }
 }
 
@@ -680,11 +692,14 @@ impl Machine for CasReadRecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
-        let mut v = vec![u64::from(self.checked)];
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
+        out.push(u64::from(self.checked));
         if let Some(m) = &self.inner {
-            v.extend(m.encode());
+            m.encode_into(out);
         }
-        v
     }
 }
 

@@ -35,7 +35,7 @@
 //! assert_eq!(run_to_completion(&mut *r, &mem, 100).unwrap(), 7);
 //! ```
 
-use nvm::{AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK};
+use nvm::{encode_to_vec, AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK};
 
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
 
@@ -238,12 +238,16 @@ impl Machine for WriteMaxMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             WMState::L47 => 47,
             WMState::L48 => 48,
             WMState::Done => 49,
         };
-        vec![s, u64::from(self.val)]
+        out.extend_from_slice(&[s, u64::from(self.val)]);
     }
 }
 
@@ -369,15 +373,18 @@ impl Machine for MaxReadMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             MRState::Verify(i) => 100 + u64::from(i),
             MRState::Collect(i) => 200 + u64::from(i),
             MRState::Persist => 54,
             MRState::Done => 55,
         };
-        let mut v = vec![s, u64::from(self.res)];
-        v.extend(self.a.iter().map(|&x| u64::from(x)));
-        v
+        out.extend_from_slice(&[s, u64::from(self.res)]);
+        out.extend(self.a.iter().map(|&x| u64::from(x)));
     }
 }
 

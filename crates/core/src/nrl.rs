@@ -185,13 +185,13 @@ impl<O: RecoverableObject + 'static> Machine for NrlRecoverMachine<O> {
         match &self.state {
             NrlState::Recovering(m) => {
                 let mut v = vec![1];
-                v.extend(m.encode());
+                m.encode_into(&mut v);
                 v
             }
             NrlState::Reinvoke => vec![2],
             NrlState::Running(m) => {
                 let mut v = vec![3];
-                v.extend(m.encode());
+                m.encode_into(&mut v);
                 v
             }
             NrlState::Done => vec![4],

@@ -27,7 +27,8 @@
 //! fixed at construction. `Enq`/`Deq` are lock-free.
 
 use nvm::{
-    AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK, RESP_FAIL, RESP_NONE,
+    encode_to_vec, AnnBank, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK, RESP_FAIL,
+    RESP_NONE,
 };
 
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject, EMPTY};
@@ -446,14 +447,18 @@ impl Machine for EnqMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
-        vec![
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
+        out.extend_from_slice(&[
             self.state as u64,
             u64::from(self.val),
             u64::from(self.idx),
             u64::from(self.alloc_count),
             u64::from(self.last),
             self.nxt,
-        ]
+        ]);
     }
 }
 
@@ -565,6 +570,10 @@ impl Machine for EnqRecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             ERState::CheckResp => 1,
             ERState::CheckCp => 2,
@@ -574,7 +583,7 @@ impl Machine for EnqRecoverMachine {
             ERState::PersistResp => 4,
             ERState::Done => 5,
         };
-        vec![s, u64::from(self.idx), u64::from(self.last)]
+        out.extend_from_slice(&[s, u64::from(self.idx), u64::from(self.last)]);
     }
 }
 
@@ -786,6 +795,10 @@ impl Machine for DeqMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             DState::ReadSeq => 1,
             DState::Checkpoint => 2,
@@ -805,14 +818,14 @@ impl Machine for DeqMachine {
             DState::PersistResp(w) => 100u64.wrapping_add(w),
             DState::Done => 12,
         };
-        vec![
+        out.extend_from_slice(&[
             s,
             self.id,
             u64::from(self.h),
             u64::from(self.t),
             self.nxt,
             self.val,
-        ]
+        ]);
     }
 }
 
@@ -931,6 +944,10 @@ impl Machine for DeqRecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             DRState::CheckResp => 1,
             DRState::CheckCp => 2,
@@ -941,7 +958,7 @@ impl Machine for DeqRecoverMachine {
             DRState::PersistResp => 4,
             DRState::Done => 5,
         };
-        vec![s, self.id, u64::from(self.target), self.val]
+        out.extend_from_slice(&[s, self.id, u64::from(self.target), self.val]);
     }
 }
 

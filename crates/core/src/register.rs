@@ -46,8 +46,8 @@
 //! ```
 
 use nvm::{
-    AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll, Word, ACK,
-    RESP_FAIL, RESP_NONE,
+    encode_to_vec, AnnBank, Field, FieldBuilder, LayoutBuilder, Loc, Machine, Memory, Pid, Poll,
+    Word, ACK, RESP_FAIL, RESP_NONE,
 };
 
 use crate::object::{MemExt, ObjectKind, OpSpec, RecoverableObject};
@@ -455,6 +455,10 @@ impl Machine for WriteMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             WState::L1 => 1,
             WState::L2 => 2,
@@ -469,14 +473,14 @@ impl Machine for WriteMachine {
             WState::L12 => 12,
             WState::Done => 13,
         };
-        vec![
+        out.extend_from_slice(&[
             s,
             u64::from(self.val),
             u64::from(self.qval),
             u64::from(self.q),
             self.qtoggle,
             self.mtoggle,
-        ]
+        ]);
     }
 }
 
@@ -635,6 +639,10 @@ impl Machine for WriteRecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             WRState::L14 => 14,
             WRState::L15 => 15,
@@ -647,13 +655,13 @@ impl Machine for WriteRecoverMachine {
             WRState::L26 => 26,
             WRState::Done => 27,
         };
-        vec![
+        out.extend_from_slice(&[
             s,
             self.mtoggle,
             u64::from(self.qval),
             u64::from(self.q),
             self.qtoggle,
-        ]
+        ]);
     }
 }
 
@@ -743,12 +751,16 @@ impl Machine for ReadMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
         let s = match self.state {
             RState::ReadR => 1,
             RState::Persist => 2,
             RState::Done => 3,
         };
-        vec![s, u64::from(self.val)]
+        out.extend_from_slice(&[s, u64::from(self.val)]);
     }
 }
 
@@ -806,11 +818,14 @@ impl Machine for ReadRecoverMachine {
     }
 
     fn encode(&self) -> Vec<Word> {
-        let mut v = vec![u64::from(self.checked)];
+        encode_to_vec(self)
+    }
+
+    fn encode_into(&self, out: &mut Vec<Word>) {
+        out.push(u64::from(self.checked));
         if let Some(m) = &self.inner {
-            v.extend(m.encode());
+            m.encode_into(out);
         }
-        v
     }
 }
 

@@ -12,16 +12,33 @@
 //! * stepping the decoded machine produces the same poll result, the same
 //!   next encoding, and the same logical memory image as stepping the
 //!   original.
+//!
+//! Every machine state those runs reach, and every state of the recovery
+//! machines entered after a crash at each step, also pins
+//! [`Machine::encode_into`]: on a non-empty buffer it appends exactly
+//! `encode()` and leaves the prefix alone (the search engines splice keys
+//! from it).
 
 use detectable::{
     DetectableCas, DetectableCounter, DetectableFaa, DetectableQueue, DetectableRegister,
     DetectableSwap, DetectableTas, MaxRegister, OpSpec, RecoverableObject,
 };
-use nvm::{LayoutBuilder, Pid, Poll, SimMemory};
+use nvm::{run_to_completion, LayoutBuilder, Machine, Pid, Poll, SimMemory};
+
+/// `m.encode_into` appends exactly `m.encode()` to a non-empty buffer.
+fn pin_encode_into(m: &dyn Machine, what: &str) {
+    let prefix = [u64::MAX, 7];
+    let mut out = prefix.to_vec();
+    m.encode_into(&mut out);
+    assert_eq!(out[..2], prefix, "{what}: encode_into touched the prefix");
+    assert_eq!(out[2..], m.encode(), "{what}: encode_into != encode");
+}
 
 /// Runs `script` sequentially, checking the decode round-trip before every
-/// step and the behavioral equivalence of the decoded machine across it.
+/// step and the behavioral equivalence of the decoded machine across it,
+/// then the recovery machines' `encode_into`.
 fn pin_roundtrip(obj: &dyn RecoverableObject, mem: &SimMemory, script: &[(u32, OpSpec)]) {
+    pin_recovery_encode_into(obj, mem, script);
     assert!(obj.decodable(), "{} must be decodable", obj.name());
     for (opno, &(pidx, ref op)) in script.iter().enumerate() {
         let pid = Pid::new(pidx);
@@ -29,6 +46,8 @@ fn pin_roundtrip(obj: &dyn RecoverableObject, mem: &SimMemory, script: &[(u32, O
         let mut m = obj.invoke(pid, op);
         let mut steps = 0u32;
         loop {
+            let what = format!("{}: op #{opno} {op} at step {steps}", obj.name());
+            pin_encode_into(&*m, &what);
             let enc = m.encode();
             let mut dm = obj.decode_op(pid, op, &enc).unwrap_or_else(|| {
                 panic!(
@@ -48,6 +67,7 @@ fn pin_roundtrip(obj: &dyn RecoverableObject, mem: &SimMemory, script: &[(u32, O
             // everything.
             let cp = mem.checkpoint();
             let dpoll = dm.step(mem);
+            pin_encode_into(&*dm, &what);
             let denc = dm.encode();
             let mut dimg = Vec::new();
             mem.logical_words_into(&mut dimg);
@@ -82,12 +102,55 @@ fn pin_roundtrip(obj: &dyn RecoverableObject, mem: &SimMemory, script: &[(u32, O
             }
         }
         // The completed (Done) state must round-trip too.
+        pin_encode_into(&*m, &format!("{}: op #{opno} {op} done", obj.name()));
         let enc = m.encode();
         let dm = obj
             .decode_op(pid, op, &enc)
             .unwrap_or_else(|| panic!("{}: {op} Done state failed to decode", obj.name()));
         assert_eq!(dm.encode(), enc);
     }
+}
+
+/// For each operation of `script` and each crash point `k` (after `k`
+/// steps, every write persisted), pins `encode_into` at every step of the
+/// operation's recovery machine, then rewinds; the script's operations run
+/// to completion in between, so later recoveries start from later states.
+/// `mem` is left as the script leaves it.
+fn pin_recovery_encode_into(
+    obj: &dyn RecoverableObject,
+    mem: &SimMemory,
+    script: &[(u32, OpSpec)],
+) {
+    let start = mem.checkpoint();
+    for (opno, &(pidx, ref op)) in script.iter().enumerate() {
+        let pid = Pid::new(pidx);
+        for crash_after in 0.. {
+            let cp = mem.checkpoint();
+            obj.prepare(mem, pid, op);
+            let mut m = obj.invoke(pid, op);
+            let completed = (0..crash_after).any(|_| m.step(mem).is_ready());
+            let mut r = obj.recover(pid, op);
+            for step in 0.. {
+                let what = format!(
+                    "{}: op #{opno} {op} recovering from step {crash_after}, at step {step}",
+                    obj.name()
+                );
+                pin_encode_into(&*r, &what);
+                if r.step(mem).is_ready() {
+                    pin_encode_into(&*r, &what);
+                    break;
+                }
+                assert!(step < 10_000, "{what}: recovery did not complete");
+            }
+            mem.rollback(cp);
+            if completed {
+                break;
+            }
+        }
+        obj.prepare(mem, pid, op);
+        run_to_completion(&mut *obj.invoke(pid, op), mem, 10_000).expect("solo op completes");
+    }
+    mem.rollback(start);
 }
 
 fn garbage_is_rejected(obj: &dyn RecoverableObject, op: &OpSpec) {

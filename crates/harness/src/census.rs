@@ -52,10 +52,16 @@
 //! interns one expansion's admitted images in one batch: one lock
 //! acquisition per shard per flush instead of one per successor.
 //!
-//! Per generated successor, a worker reads the logical image once into a
-//! scratch buffer and hashes it in one pass that yields both lanes of
-//! [`hash2`]; a second pass over the short driver key, seeded with those
-//! lanes, gives the 128-bit fingerprint. It then probes the visited set
+//! A node's driver is only borrowed: a successor acts on a copy of the one
+//! process that moves (`Driver::step_successor`,
+//! `Driver::invoke_successor`), its driver key is spliced from the node's
+//! per-process key segments (encoded once per node) around that process's
+//! new segment, and its [`Driver`] is built (`Driver::with_process`) only
+//! if it is admitted. Per generated
+//! successor, a worker reads the logical image once into a scratch buffer
+//! and hashes it in one pass that yields both lanes of [`hash2`]; a second
+//! pass over the short driver key, seeded with those lanes, gives the
+//! 128-bit fingerprint. It then probes the visited set
 //! (the only lock on the path) and its **own** shared-configuration set
 //! with a borrowed slice of the shared words, cloning the key only when it
 //! is new to that worker; `Census::report` unions the worker sets. Maps
@@ -104,7 +110,7 @@ use detectable::{OpSpec, RecoverableObject};
 use nvm::hash::{hash2, FoldBuildHasher, SEEDS};
 use nvm::{CompactState, Memory, Pid, SimMemory, StateArena, Word};
 
-use crate::driver::{Driver, RetryPolicy};
+use crate::driver::{Driver, Proc};
 use crate::external::SpillStats;
 use crate::sched::{resolve_parallelism, SchedStats, Scheduler, Worker};
 
@@ -324,35 +330,6 @@ fn image_hashes(image: &[Word]) -> (u64, u64) {
     hash2(SEEDS, image)
 }
 
-/// 128-bit fingerprint of a configuration: the *logical* memory image
-/// (equal [`full_key`](SimMemory::full_key)s — not
-/// [`state_words_into`](SimMemory::state_words_into), whose dirty-set and
-/// crash-ordinal sensitivity would split states that behave identically
-/// in a crash-free search), driver volatile state (machine encodings
-/// included, history not: the census counts configurations, not paths),
-/// and — unless dominance pruning quotients it away — the operation
-/// budget. Collisions (vanishingly unlikely) could merge two distinct
-/// configurations — the same trade-off the explorer's pruning memo makes,
-/// bought because a 16-byte fingerprint keeps a multi-million-state
-/// visited set in cache where exact full-memory keys thrash. The driver
-/// key is hashed by [`hash2`] seeded with the two image lanes, so each
-/// half chains its own independently seeded image hash (true 128-bit
-/// resistance, not one 64-bit hash copied twice).
-fn fingerprint_image(
-    image_hashes: (u64, u64),
-    driver: &Driver,
-    ops_used: usize,
-    dominance: bool,
-    scratch: &mut Vec<Word>,
-) -> (u64, u64) {
-    scratch.clear();
-    if !dominance {
-        scratch.push(ops_used as Word);
-    }
-    driver.encode_key(scratch);
-    hash2(image_hashes, scratch)
-}
-
 const SHARDS: usize = 64;
 
 /// One visited-set shard: a plain fingerprint set in exact mode (the
@@ -535,13 +512,6 @@ impl<H> Frontier<H> for Worker<'_, BfsNode<H>> {
     }
 }
 
-/// The crash-free retry policy every census engine drives under.
-const CENSUS_RETRY: RetryPolicy = RetryPolicy {
-    retry_on_fail: false,
-    max_retries: 0,
-    reset_per_op: false,
-};
-
 /// Per-worker scratch buffers, reused across every successor.
 #[derive(Default)]
 struct Scratch {
@@ -549,7 +519,12 @@ struct Scratch {
     node_image: Vec<Word>,
     /// Logical image of the successor just generated.
     image: Vec<Word>,
-    /// Driver-key encoding buffer for fingerprints.
+    /// The node's driver key, one [`Proc::encode_key`] segment per
+    /// process, encoded once per expansion.
+    segs: Vec<Word>,
+    /// Process `i`'s segment is `segs[seg_bounds[i]..seg_bounds[i + 1]]`.
+    seg_bounds: Vec<usize>,
+    /// The successor's fingerprint key, spliced from `segs`.
     key: Vec<Word>,
     /// Shared-region words of the successor just generated.
     shared_key: Vec<Word>,
@@ -675,7 +650,10 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         let mut image = Vec::new();
         mem.logical_words_into(&mut image);
         let hashes = image_hashes(&image);
-        let fp = fingerprint_image(hashes, &driver, 0, self.cfg.dominance, &mut Vec::new());
+        let mut key = Vec::new();
+        self.key_prefix(&mut key, 0);
+        driver.encode_key(&mut key);
+        let fp = hash2(hashes, &key);
         if !self.admission.admit_root(&self.slots, fp) {
             return None;
         }
@@ -689,19 +667,52 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         Some((node, fp))
     }
 
-    /// Observes one generated successor: its shared key always (into the
-    /// worker's own set, cloned only when new to it), and — if the
-    /// admission role lets it through — stages its image, node halves and
-    /// fingerprint in `batch` for the end-of-expansion flush. Admission
-    /// order (the thing sequential determinism rests on) is decided here,
-    /// per successor; only the interning is deferred.
+    /// Starts a configuration's fingerprint key in `key`: the operation
+    /// budget, unless dominance pruning quotients it away. The driver key
+    /// ([`Driver::encode_key`]) follows, and [`hash2`] over the whole key,
+    /// seeded with the two [`image_hashes`] lanes, gives the 128-bit
+    /// fingerprint.
+    ///
+    /// The fingerprint covers the *logical* memory image (equal
+    /// [`full_key`](SimMemory::full_key)s — not
+    /// [`state_words_into`](SimMemory::state_words_into), whose dirty-set
+    /// and crash-ordinal sensitivity would split states that behave
+    /// identically in a crash-free search), driver volatile state (machine
+    /// encodings included, history not: the census counts configurations,
+    /// not paths) and the budget. Collisions (vanishingly unlikely) could
+    /// merge two distinct configurations — the same trade-off the
+    /// explorer's pruning memo makes, bought because a 16-byte fingerprint
+    /// keeps a multi-million-state visited set in cache where exact
+    /// full-memory keys thrash. Each half of the fingerprint chains its own
+    /// independently seeded image hash (true 128-bit resistance, not one
+    /// 64-bit hash copied twice).
+    fn key_prefix(&self, key: &mut Vec<Word>, ops_used: usize) {
+        key.clear();
+        if !self.cfg.dominance {
+            key.push(ops_used as Word);
+        }
+    }
+
+    /// Observes one generated successor (`node` with process `i`'s slot
+    /// replaced by `p`, its memory in `mem`): its shared key always (into
+    /// the worker's own set, cloned only when new to it), and — if the
+    /// admission role lets it through — stages its image, its driver
+    /// (built here, only on admission) and fingerprint in `batch` for the
+    /// end-of-expansion flush. Admission order (the thing sequential
+    /// determinism rests on) is decided here, per successor; only the
+    /// interning is deferred.
+    ///
+    /// The fingerprint key is spliced from the node's segments in
+    /// `scratch` with process `i`'s new segment in place of its old one,
+    /// so only the machine that moved is encoded.
     fn successor(
         &self,
         mem: &SimMemory,
         batch: &mut Batch<I>,
         scratch: &mut Scratch,
-        driver: Driver,
-        ops_used: usize,
+        node: &BfsNode<I::Handle>,
+        i: usize,
+        p: Proc,
     ) {
         mem.logical_words_into(&mut scratch.image);
         mem.layout()
@@ -710,14 +721,26 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
             scratch.shared.insert(scratch.shared_key.clone());
         }
         let hashes = image_hashes(&scratch.image);
-        let fp = fingerprint_image(
-            hashes,
-            &driver,
-            ops_used,
-            self.cfg.dominance,
-            &mut scratch.key,
-        );
+        // An invocation spends one operation of the budget; a step none.
+        let ops_used = node.ops_used + usize::from(node.driver.state(i).is_idle());
+        let key = &mut scratch.key;
+        self.key_prefix(key, ops_used);
+        key.extend_from_slice(&scratch.segs[..scratch.seg_bounds[i]]);
+        p.encode_key(key);
+        key.extend_from_slice(&scratch.segs[scratch.seg_bounds[i + 1]..]);
+        let fp = hash2(hashes, key);
         if self.admission.admit(&self.slots, fp, ops_used) {
+            let driver = node.driver.with_process(i, p);
+            debug_assert_eq!(
+                *key,
+                {
+                    let mut k = Vec::new();
+                    self.key_prefix(&mut k, ops_used);
+                    driver.encode_key(&mut k);
+                    k
+                },
+                "spliced key differs from the successor driver's key"
+            );
             batch.images.extend_from_slice(&scratch.image);
             batch.hashes.push(hashes);
             batch.meta.push((driver, ops_used as u32));
@@ -727,9 +750,10 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
 
     /// Expands one node on a scratch memory: install its image once, then
     /// enter every successor under a checkpoint and roll it back — O(writes
-    /// of one step) per successor. Admitted successors are staged in
-    /// `batch`; the caller flushes it ([`Batch::flush`]) after the
-    /// expansion.
+    /// of one step) per successor. A successor acts on a copy of one
+    /// process's slot; the node's driver is only borrowed. Admitted
+    /// successors are staged in `batch`; the caller flushes it
+    /// ([`Batch::flush`]) after the expansion.
     fn expand(
         &self,
         mem: &SimMemory,
@@ -740,23 +764,29 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     ) {
         self.images.read_into(node.state, &mut scratch.node_image);
         mem.load_words(&scratch.node_image);
-        for i in 0..self.obj.processes() as usize {
+        let n = self.obj.processes() as usize;
+        scratch.segs.clear();
+        scratch.seg_bounds.clear();
+        scratch.seg_bounds.push(0);
+        for i in 0..n {
+            node.driver.process(i).encode_key(&mut scratch.segs);
+            scratch.seg_bounds.push(scratch.segs.len());
+        }
+        for i in 0..n {
             if node.driver.state(i).in_flight() {
                 // Step the in-flight machine.
                 let cp = mem.checkpoint();
-                let mut driver = node.driver.clone();
-                let outcome = driver.step(self.obj, mem, i, &CENSUS_RETRY);
+                let (p, outcome) = node.driver.step_successor(self.obj, mem, i);
                 tally.steps += 1;
                 tally.resolved += u64::from(outcome.resolved());
-                self.successor(mem, batch, scratch, driver, node.ops_used);
+                self.successor(mem, batch, scratch, node, i, p);
                 mem.rollback(cp);
             } else if node.ops_used < self.cfg.max_ops {
                 for op in self.alphabet {
                     let cp = mem.checkpoint();
-                    let mut driver = node.driver.clone();
-                    driver.invoke(self.obj, mem, i, *op, &CENSUS_RETRY);
+                    let p = node.driver.invoke_successor(self.obj, mem, i, *op);
                     tally.steps += 1;
-                    self.successor(mem, batch, scratch, driver, node.ops_used + 1);
+                    self.successor(mem, batch, scratch, node, i, p);
                     mem.rollback(cp);
                 }
             }
@@ -1080,6 +1110,36 @@ mod tests {
             "dominance must actually prune ({} vs {})",
             dom.work,
             exact.work
+        );
+    }
+
+    #[test]
+    fn census_splices_keys_of_default_encoding_machines() {
+        // The tagged CAS baseline's machines keep `Machine::encode_into`'s
+        // default (appending a fresh `encode` vector), so the spliced-key
+        // debug assertion in `successor` checks that path here; the counts
+        // must not depend on the worker count.
+        let (cas, mem) = build_world(|b| baselines::TaggedCas::new(b, 2));
+        let base = BfsConfig {
+            max_ops: 4,
+            parallelism: 1,
+            ..Default::default()
+        };
+        let seq = census_bfs_engine(&cas, &mem, &cas_alphabet(), &base);
+        assert!(!seq.truncated);
+        assert!(seq.steps > seq.work as u64 && seq.work > 100, "{seq:?}");
+        let par = census_bfs_engine(
+            &cas,
+            &mem,
+            &cas_alphabet(),
+            &BfsConfig {
+                parallelism: 2,
+                ..base
+            },
+        );
+        assert_eq!(
+            (par.work, par.steps, par.distinct_shared),
+            (seq.work, seq.steps, seq.distinct_shared)
         );
     }
 

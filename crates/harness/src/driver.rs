@@ -191,15 +191,131 @@ pub fn op_from_key(key: Word) -> Option<OpSpec> {
     }
 }
 
+/// The policy of drives that never re-invoke: the solo building blocks
+/// and the census's successor primitives.
+const NO_RETRY: RetryPolicy = RetryPolicy {
+    retry_on_fail: false,
+    max_retries: 0,
+    reset_per_op: false,
+};
+
+/// One process's slot in a [`Driver`]: its life-cycle stage and the
+/// fail-retries it consumed (under the current budget window — see
+/// [`RetryPolicy::reset_per_op`]).
+#[derive(Clone)]
+pub(crate) struct Proc {
+    /// The life-cycle stage.
+    pub(crate) state: ProcState,
+    /// Fail-retries consumed.
+    pub(crate) retries: usize,
+}
+
+impl Proc {
+    /// Appends this process's key segment to `out`:
+    /// `retries, stage[, op_key[, len, machine words…]]`, the stage `0`
+    /// Idle, `1` Done, `2` NeedRecovery, `3` Running, `4` Recovering.
+    /// [`Driver::encode_key`] is these segments in process order, so a
+    /// caller that changes one process can splice a new key from the
+    /// others' segments.
+    pub(crate) fn encode_key(&self, out: &mut Vec<Word>) {
+        out.push(self.retries as Word);
+        match &self.state {
+            ProcState::Idle => out.push(0),
+            ProcState::Done => out.push(1),
+            ProcState::NeedRecovery { op } => out.extend([2, op_key(op)]),
+            ProcState::Running { op, m } => {
+                out.extend([3, op_key(op)]);
+                encode_machine(&**m, out);
+            }
+            ProcState::Recovering { op, m } => {
+                out.extend([4, op_key(op)]);
+                encode_machine(&**m, out);
+            }
+        }
+    }
+}
+
+/// Appends `len, machine words…`: the words go straight into `out`
+/// through [`Machine::encode_into`] and `len` is patched in after them.
+fn encode_machine(m: &dyn Machine, out: &mut Vec<Word>) {
+    let at = out.len();
+    out.push(0);
+    m.encode_into(out);
+    out[at] = (out.len() - at - 1) as Word;
+}
+
+/// The caller protocol's invocation for process `pid`: the announcement
+/// ([`RecoverableObject::prepare`]), then the operation machine.
+fn start(obj: &dyn RecoverableObject, mem: &dyn Memory, pid: Pid, op: OpSpec) -> ProcState {
+    obj.prepare(mem, pid, &op);
+    ProcState::Running {
+        m: obj.invoke(pid, &op),
+        op,
+    }
+}
+
+/// One scheduler action of process `pid`, whose slot is `p`: one machine
+/// step (Running / Recovering, through `poll`), or one recovery entry
+/// (NeedRecovery). A `fail` verdict re-invokes the operation when `retry`
+/// allows, charging `p.retries`. The caller records the events the
+/// returned outcome implies.
+fn transition(
+    obj: &dyn RecoverableObject,
+    mem: &dyn Memory,
+    pid: Pid,
+    p: &mut Proc,
+    retry: &RetryPolicy,
+    poll: impl FnOnce(&mut Box<dyn Machine>, &dyn Memory) -> Poll,
+) -> StepOutcome {
+    let cur = std::mem::replace(&mut p.state, ProcState::Idle);
+    let (next, outcome) = match cur {
+        ProcState::Idle | ProcState::Done => {
+            panic!("{pid} stepped while idle/done; schedulers invoke first")
+        }
+        ProcState::Running { op, mut m } => match poll(&mut m, mem) {
+            Poll::Ready(resp) => (ProcState::Idle, StepOutcome::Returned(resp)),
+            Poll::Pending => (ProcState::Running { op, m }, StepOutcome::Progress),
+        },
+        ProcState::NeedRecovery { op } => (
+            ProcState::Recovering {
+                m: obj.recover(pid, &op),
+                op,
+            },
+            StepOutcome::RecoveryEntered,
+        ),
+        ProcState::Recovering { op, mut m } => match poll(&mut m, mem) {
+            Poll::Ready(verdict) => {
+                // The caller may re-attempt: a fresh invocation of the
+                // same abstract operation.
+                let retried =
+                    verdict == RESP_FAIL && retry.retry_on_fail && p.retries < retry.max_retries;
+                let next = if retried {
+                    p.retries += 1;
+                    start(obj, mem, pid, op)
+                } else {
+                    ProcState::Idle
+                };
+                (next, StepOutcome::Recovered { verdict, retried })
+            }
+            Poll::Pending => (ProcState::Recovering { op, m }, StepOutcome::Progress),
+        },
+    };
+    p.state = next;
+    outcome
+}
+
 /// Drives N processes' operation life cycles over a shared memory,
 /// recording the execution [`History`].
 ///
 /// The driver is cloneable — machines clone their volatile state — so
-/// state-space explorers can branch whole system configurations.
+/// state-space explorers can branch whole system configurations. The
+/// census, which branches one process at a time, need not: its successor
+/// primitives (`step_successor`, `invoke_successor`) act on a copy of one
+/// process's slot and leave the driver untouched, and `with_process`
+/// builds the successor driver only when the census keeps it.
 #[derive(Clone)]
 pub struct Driver {
-    states: Vec<ProcState>,
-    retries: Vec<usize>,
+    procs: Vec<Proc>,
     history: History,
     record: bool,
 }
@@ -208,18 +324,21 @@ impl Driver {
     /// A driver for `n` idle processes with an empty history.
     pub fn new(n: u32) -> Self {
         Driver {
-            states: (0..n).map(|_| ProcState::Idle).collect(),
-            retries: vec![0; n as usize],
+            procs: (0..n)
+                .map(|_| Proc {
+                    state: ProcState::Idle,
+                    retries: 0,
+                })
+                .collect(),
             history: History::new(),
             record: true,
         }
     }
 
     /// A driver that records no history. For consumers that never read it —
-    /// the breadth-first census (whose nodes are cloned per successor and
-    /// must stay O(processes), not O(path)) and the throughput benches
-    /// (where per-operation event pushes would be measured as algorithm
-    /// cost).
+    /// the breadth-first census (whose nodes must stay O(processes), not
+    /// O(path)) and the throughput benches (where per-operation event
+    /// pushes would be measured as algorithm cost).
     pub fn without_history(n: u32) -> Self {
         Driver {
             record: false,
@@ -240,12 +359,17 @@ impl Driver {
 
     /// Number of processes driven.
     pub fn processes(&self) -> usize {
-        self.states.len()
+        self.procs.len()
+    }
+
+    /// Process `i`'s slot: its stage and retry count.
+    pub(crate) fn process(&self, i: usize) -> &Proc {
+        &self.procs[i]
     }
 
     /// Process `i`'s current life-cycle stage.
     pub fn state(&self, i: usize) -> &ProcState {
-        &self.states[i]
+        &self.procs[i].state
     }
 
     /// The history recorded so far.
@@ -261,17 +385,17 @@ impl Driver {
     /// Fail-retries consumed by process `i` (under the current budget
     /// window — see [`RetryPolicy::reset_per_op`]).
     pub fn retries(&self, i: usize) -> usize {
-        self.retries[i]
+        self.procs[i].retries
     }
 
     /// Whether every process is [`ProcState::Done`].
     pub fn all_done(&self) -> bool {
-        self.states.iter().all(ProcState::is_done)
+        self.procs.iter().all(|p| p.state.is_done())
     }
 
     /// Whether any process is mid-operation or mid-recovery.
     pub fn any_in_flight(&self) -> bool {
-        self.states.iter().any(ProcState::in_flight)
+        self.procs.iter().any(|p| p.state.in_flight())
     }
 
     /// Marks an idle process as finished with its workload.
@@ -281,10 +405,10 @@ impl Driver {
     /// Panics if the process has an operation in flight.
     pub fn mark_done(&mut self, i: usize) {
         assert!(
-            self.states[i].is_idle(),
+            self.procs[i].state.is_idle(),
             "p{i} marked done with an operation in flight"
         );
-        self.states[i] = ProcState::Done;
+        self.procs[i].state = ProcState::Done;
     }
 
     /// Marks an idle process as having crashed while executing `op`, so its
@@ -298,10 +422,10 @@ impl Driver {
     /// Panics if the process has an operation in flight in *this* driver.
     pub fn mark_crashed(&mut self, i: usize, op: OpSpec) {
         assert!(
-            self.states[i].is_idle(),
+            self.procs[i].state.is_idle(),
             "p{i} marked crashed with an operation in flight"
         );
-        self.states[i] = ProcState::NeedRecovery { op };
+        self.procs[i].state = ProcState::NeedRecovery { op };
     }
 
     /// Runs the caller protocol for a new operation: the announcement
@@ -319,21 +443,21 @@ impl Driver {
         op: OpSpec,
         retry: &RetryPolicy,
     ) {
-        assert!(
-            self.states[i].is_idle(),
-            "p{i} invoked {op} while {:?} an operation is in flight",
-            self.states[i].pending_op()
-        );
+        self.assert_idle(i, op);
         if retry.reset_per_op {
-            self.retries[i] = 0;
+            self.procs[i].retries = 0;
         }
         let pid = Pid::new(i as u32);
-        obj.prepare(mem, pid, &op);
+        self.procs[i].state = start(obj, mem, pid, op);
         self.push_event(Event::Invoke { pid, op });
-        self.states[i] = ProcState::Running {
-            m: obj.invoke(pid, &op),
-            op,
-        };
+    }
+
+    fn assert_idle(&self, i: usize, op: OpSpec) {
+        assert!(
+            self.procs[i].state.is_idle(),
+            "p{i} invoked {op} while {:?} an operation is in flight",
+            self.procs[i].state.pending_op()
+        );
     }
 
     /// Advances process `i` by one scheduler action: one machine step
@@ -389,6 +513,8 @@ impl Driver {
         })
     }
 
+    /// Runs [`transition`] on process `i` in place and records the events
+    /// its outcome implies.
     fn advance(
         &mut self,
         obj: &dyn RecoverableObject,
@@ -398,62 +524,81 @@ impl Driver {
         poll: impl FnOnce(&mut Box<dyn Machine>, &dyn Memory) -> Poll,
     ) -> StepOutcome {
         let pid = Pid::new(i as u32);
-        let cur = std::mem::replace(&mut self.states[i], ProcState::Idle);
-        let (next, outcome) = match cur {
-            ProcState::Idle | ProcState::Done => {
-                panic!("p{i} stepped while idle/done; schedulers invoke first")
+        let outcome = transition(obj, mem, pid, &mut self.procs[i], retry, poll);
+        match outcome {
+            StepOutcome::Returned(resp) => self.push_event(Event::Return { pid, resp }),
+            StepOutcome::Recovered { verdict, retried } => {
+                self.push_event(Event::RecoveryReturn { pid, verdict });
+                if retried {
+                    let op = *self.procs[i]
+                        .state
+                        .pending_op()
+                        .expect("a retried operation is running");
+                    self.push_event(Event::Invoke { pid, op });
+                }
             }
-            ProcState::Running { op, mut m } => match poll(&mut m, mem) {
-                Poll::Ready(resp) => {
-                    self.push_event(Event::Return { pid, resp });
-                    (ProcState::Idle, StepOutcome::Returned(resp))
-                }
-                Poll::Pending => (ProcState::Running { op, m }, StepOutcome::Progress),
-            },
-            ProcState::NeedRecovery { op } => (
-                ProcState::Recovering {
-                    m: obj.recover(pid, &op),
-                    op,
-                },
-                StepOutcome::RecoveryEntered,
-            ),
-            ProcState::Recovering { op, mut m } => match poll(&mut m, mem) {
-                Poll::Ready(verdict) => {
-                    self.push_event(Event::RecoveryReturn { pid, verdict });
-                    if verdict == RESP_FAIL
-                        && retry.retry_on_fail
-                        && self.retries[i] < retry.max_retries
-                    {
-                        // The caller chooses to re-attempt: a fresh
-                        // invocation of the same abstract operation.
-                        self.retries[i] += 1;
-                        obj.prepare(mem, pid, &op);
-                        self.push_event(Event::Invoke { pid, op });
-                        (
-                            ProcState::Running {
-                                m: obj.invoke(pid, &op),
-                                op,
-                            },
-                            StepOutcome::Recovered {
-                                verdict,
-                                retried: true,
-                            },
-                        )
-                    } else {
-                        (
-                            ProcState::Idle,
-                            StepOutcome::Recovered {
-                                verdict,
-                                retried: false,
-                            },
-                        )
-                    }
-                }
-                Poll::Pending => (ProcState::Recovering { op, m }, StepOutcome::Progress),
-            },
-        };
-        self.states[i] = next;
+            StepOutcome::Progress | StepOutcome::RecoveryEntered => {}
+        }
         outcome
+    }
+
+    /// Process `i`'s slot after one [`step`](Self::step) under a policy
+    /// that never retries, computed on a copy: the driver is untouched and
+    /// only process `i`'s machine is cloned. The memory takes the step's
+    /// effects. Records nothing — the census's drivers keep no history —
+    /// so combine with [`with_process`](Self::with_process) only on
+    /// history-less drivers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process is idle or done.
+    pub(crate) fn step_successor(
+        &self,
+        obj: &dyn RecoverableObject,
+        mem: &dyn Memory,
+        i: usize,
+    ) -> (Proc, StepOutcome) {
+        let mut p = self.procs[i].clone();
+        let outcome = transition(obj, mem, Pid::new(i as u32), &mut p, &NO_RETRY, |m, mem| {
+            m.step(mem)
+        });
+        (p, outcome)
+    }
+
+    /// Process `i`'s slot after [`invoke`](Self::invoke)ing `op` under a
+    /// policy that never retries, leaving the driver untouched (the memory
+    /// takes the announcement). Records nothing, as
+    /// [`step_successor`](Self::step_successor).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process is not [`ProcState::Idle`].
+    pub(crate) fn invoke_successor(
+        &self,
+        obj: &dyn RecoverableObject,
+        mem: &dyn Memory,
+        i: usize,
+        op: OpSpec,
+    ) -> Proc {
+        self.assert_idle(i, op);
+        Proc {
+            state: start(obj, mem, Pid::new(i as u32), op),
+            retries: self.procs[i].retries,
+        }
+    }
+
+    /// A copy of this driver with process `i`'s slot replaced by `p`: the
+    /// other processes' machines are cloned, process `i`'s is moved in.
+    pub(crate) fn with_process(&self, i: usize, p: Proc) -> Driver {
+        let mut procs = Vec::with_capacity(self.procs.len());
+        procs.extend_from_slice(&self.procs[..i]);
+        procs.push(p);
+        procs.extend_from_slice(&self.procs[i + 1..]);
+        Driver {
+            procs,
+            history: self.history.clone(),
+            record: self.record,
+        }
     }
 
     /// A system-wide crash: the memory applies `policy` to its dirty cache
@@ -462,9 +607,9 @@ impl Driver {
     pub fn crash(&mut self, mem: &SimMemory, policy: CrashPolicy) {
         mem.crash(policy);
         self.push_event(Event::Crash);
-        for st in self.states.iter_mut() {
-            let cur = std::mem::replace(st, ProcState::Idle);
-            *st = match cur {
+        for p in self.procs.iter_mut() {
+            let cur = std::mem::replace(&mut p.state, ProcState::Idle);
+            p.state = match cur {
                 ProcState::Running { op, .. } | ProcState::Recovering { op, .. } => {
                     ProcState::NeedRecovery { op }
                 }
@@ -522,14 +667,9 @@ impl Driver {
         op: OpSpec,
         limit: usize,
     ) -> (Option<Word>, usize) {
-        let retry = RetryPolicy {
-            retry_on_fail: false,
-            max_retries: 0,
-            reset_per_op: false,
-        };
-        self.invoke(obj, mem, i, op, &retry);
+        self.invoke(obj, mem, i, op, &NO_RETRY);
         for used in 1..=limit {
-            if let StepOutcome::Returned(resp) = self.step(obj, mem, i, &retry) {
+            if let StepOutcome::Returned(resp) = self.step(obj, mem, i, &NO_RETRY) {
                 return (Some(resp), used);
             }
         }
@@ -537,37 +677,16 @@ impl Driver {
     }
 
     /// Appends a canonical encoding of the driver's volatile state — per
-    /// process: life-cycle stage, pending operation, machine state, and
-    /// retry count — to `out`. Together with the memory's state this
-    /// determines all future behavior, so explorers use it in visited-set
-    /// keys. The history is deliberately excluded: callers that need
-    /// path-sensitivity (the explorer's leaf checker does) hash it
-    /// separately.
+    /// process, a segment of retry count, life-cycle stage, pending
+    /// operation and machine state (`retries, stage[, op_key[, len,
+    /// machine words…]]`) — to `out`. Together
+    /// with the memory's state this determines all future behavior, so
+    /// explorers use it in visited-set keys. The history is deliberately
+    /// excluded: callers that need path-sensitivity (the explorer's leaf
+    /// checker does) hash it separately.
     pub fn encode_key(&self, out: &mut Vec<Word>) {
-        for (st, retries) in self.states.iter().zip(&self.retries) {
-            out.push(*retries as Word);
-            match st {
-                ProcState::Idle => out.push(0),
-                ProcState::Done => out.push(1),
-                ProcState::NeedRecovery { op } => {
-                    out.push(2);
-                    out.push(op_key(op));
-                }
-                ProcState::Running { op, m } => {
-                    out.push(3);
-                    out.push(op_key(op));
-                    let e = m.encode();
-                    out.push(e.len() as Word);
-                    out.extend(e);
-                }
-                ProcState::Recovering { op, m } => {
-                    out.push(4);
-                    out.push(op_key(op));
-                    let e = m.encode();
-                    out.push(e.len() as Word);
-                    out.extend(e);
-                }
-            }
+        for p in &self.procs {
+            p.encode_key(out);
         }
     }
 
@@ -583,19 +702,12 @@ impl Driver {
     /// on-disk frontier instead of live machines.
     pub fn try_encode_frontier(&self, out: &mut Vec<Word>) -> bool {
         let start = out.len();
-        for (st, retries) in self.states.iter().zip(&self.retries) {
-            if *retries != 0 {
-                out.truncate(start);
-                return false;
-            }
-            match st {
-                ProcState::Idle => out.push(0),
-                ProcState::Running { op, m } => {
-                    out.push(1);
-                    out.push(op_key(op));
-                    let e = m.encode();
-                    out.push(e.len() as Word);
-                    out.extend(e);
+        for p in &self.procs {
+            match (&p.state, p.retries) {
+                (ProcState::Idle, 0) => out.push(0),
+                (ProcState::Running { op, m }, 0) => {
+                    out.extend([1, op_key(op)]);
+                    encode_machine(&**m, out);
                 }
                 _ => {
                     out.truncate(start);
@@ -622,7 +734,7 @@ impl Driver {
                     let len = usize::try_from(*words.get(at + 2)?).ok()?;
                     let enc = words.get(at + 3..at + 3 + len)?;
                     let m = obj.decode_op(Pid::new(i as u32), &op, enc)?;
-                    d.states[i] = ProcState::Running { op, m };
+                    d.procs[i].state = ProcState::Running { op, m };
                     at += 3 + len;
                 }
                 _ => return None,
@@ -803,6 +915,55 @@ mod tests {
         assert!(Driver::decode_frontier(&cas, 2, &[9]).is_none());
         assert!(Driver::decode_frontier(&cas, 2, &[0]).is_none());
         assert!(Driver::decode_frontier(&cas, 2, &[0, 0, 7]).is_none());
+    }
+
+    #[test]
+    fn successor_primitives_match_step_and_invoke() {
+        // Acting on a copy of one slot and rebuilding the driver must equal
+        // acting on a clone of the whole driver: same outcome, same key,
+        // same memory, and the original untouched.
+        let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
+        let key = |d: &Driver| {
+            let mut k = Vec::new();
+            d.encode_key(&mut k);
+            k
+        };
+        let image = |mem: &SimMemory| {
+            let mut w = Vec::new();
+            mem.logical_words_into(&mut w);
+            w
+        };
+        let op = OpSpec::Cas { old: 0, new: 1 };
+        let mut d = Driver::without_history(2);
+        d.invoke(&cas, &mem, 1, OpSpec::Read, &NO_RETRY);
+
+        let before = key(&d);
+        let cp = mem.checkpoint();
+        let p = d.invoke_successor(&cas, &mem, 0, op);
+        let (copy, copy_mem) = (d.with_process(0, p), image(&mem));
+        mem.rollback(cp);
+        assert_eq!(key(&d), before, "the node is only borrowed");
+        d.invoke(&cas, &mem, 0, op, &NO_RETRY);
+        assert_eq!((key(&copy), copy_mem), (key(&d), image(&mem)));
+
+        loop {
+            let before = key(&d);
+            let cp = mem.checkpoint();
+            let (p, outcome) = d.step_successor(&cas, &mem, 0);
+            let mut seg = Vec::new();
+            p.encode_key(&mut seg);
+            let (copy, copy_mem) = (d.with_process(0, p), image(&mem));
+            mem.rollback(cp);
+            assert_eq!(key(&d), before, "the node is only borrowed");
+            assert_eq!(d.step(&cas, &mem, 0, &NO_RETRY), outcome);
+            assert_eq!((key(&copy), copy_mem), (key(&d), image(&mem)));
+            let mut expect = Vec::new();
+            d.process(0).encode_key(&mut expect);
+            assert_eq!(seg, expect);
+            if outcome.resolved() {
+                break;
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! index keys on a caller-supplied **128-bit** hash and trusts it: two
 //! distinct images with equal 128-bit hashes would alias. This is the
 //! same trade the census already makes for its visited-set fingerprints
-//! (see `fingerprint_image` in the harness), so the disk tier adds
+//! (see `Census::key_prefix` in the harness), so the disk tier adds
 //! no *new* class of error by using it — and the differential tests pin
 //! it against the exact in-RAM engine on every count.
 

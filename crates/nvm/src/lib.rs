@@ -73,7 +73,7 @@ pub use ann::AnnBank;
 pub use arena::{CompactState, StateArena};
 pub use external::{SpillArenaStats, SpillConfig, SpillableArena};
 pub use layout::{Layout, LayoutBuilder, Loc, Region, Space};
-pub use machine::{run_to_completion, Machine, Poll, StepLimitError};
+pub use machine::{encode_to_vec, run_to_completion, Machine, Poll, StepLimitError};
 pub use mapped::{write_through, MappedFile, MappedMemory};
 pub use memory::{AtomicMemory, CacheMode, Checkpoint, CrashPolicy, Memory, SimMemory};
 pub use stats::Stats;

@@ -79,6 +79,25 @@ pub trait Machine: Send {
     /// words, for configuration-census visited-set keys. Two machines with
     /// equal encodings must behave identically from here on.
     fn encode(&self) -> Vec<Word>;
+
+    /// Appends exactly the words of [`encode`](Machine::encode) to `out`.
+    ///
+    /// The default goes through `encode`'s fresh vector. Machines on the
+    /// search engines' hot paths override it to push their words straight
+    /// into the caller's key buffer, and then implement `encode` as
+    /// [`encode_to_vec`]`(self)`; a machine must never do the latter
+    /// without the former, or the two defaults call each other forever.
+    fn encode_into(&self, out: &mut Vec<Word>) {
+        out.extend(self.encode());
+    }
+}
+
+/// [`Machine::encode`] for a machine that overrides
+/// [`Machine::encode_into`]: its words in a fresh vector.
+pub fn encode_to_vec<M: Machine + ?Sized>(m: &M) -> Vec<Word> {
+    let mut out = Vec::new();
+    m.encode_into(&mut out);
+    out
 }
 
 impl Clone for Box<dyn Machine> {
@@ -241,6 +260,19 @@ mod tests {
         assert_ne!(copy.encode(), m.encode());
         let _ = copy.step(&mem);
         assert_eq!(mem.peek(x), 3); // both completed their remaining steps
+    }
+
+    #[test]
+    fn default_encode_into_appends_encode() {
+        let m = Incr {
+            pid: Pid::new(0),
+            loc: setup().1,
+            left: 4,
+        };
+        let mut out = vec![9];
+        m.encode_into(&mut out);
+        assert_eq!(out, [9, 4]);
+        assert_eq!(encode_to_vec(&m), m.encode());
     }
 
     #[test]
