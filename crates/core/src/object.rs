@@ -172,10 +172,11 @@ pub trait RecoverableObject: Send + Sync {
     }
 
     /// Whether [`decode_op`](Self::decode_op) can reconstruct every machine
-    /// this object hands out for census-alphabet operations. The external
-    /// (disk-spilling) census engine serializes frontier nodes as words and
-    /// needs this inverse to resume them; the harness routes objects that
-    /// return `false` (the default) to the in-RAM engine instead — the same
+    /// this object hands out for census-alphabet operations. The census's
+    /// disk tier stores frontier nodes as their driver keys, whose machine
+    /// words are [`encode`](nvm::Machine::encode) output, and needs this
+    /// inverse to resume them; the harness routes objects that return
+    /// `false` (the default) to the in-RAM engine instead — the same
     /// graceful-fallback convention as [`permute_memory`](Self::permute_memory).
     fn decodable(&self) -> bool {
         false

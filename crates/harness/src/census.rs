@@ -56,10 +56,11 @@
 //! process that moves (`Driver::step_successor`,
 //! `Driver::invoke_successor`), its driver key is spliced from the node's
 //! per-process key segments (encoded once per node) around that process's
-//! new segment, and its [`Driver`] is built (`Driver::with_process`) only
-//! if it is admitted. Per generated
-//! successor, a worker reads the logical image once into a scratch buffer
-//! and hashes it in one pass that yields both lanes of [`hash2`]; a second
+//! new segment, and only an admitted successor is staged for the frontier:
+//! the in-RAM tier builds its [`Driver`] (`Driver::with_process`), the disk
+//! tier keeps the spliced key words. Per generated successor, a worker
+//! reads the logical image once into a scratch buffer and hashes it in one
+//! pass that yields both lanes of [`hash2`]; a second
 //! pass over the short driver key, seeded with those lanes, gives the
 //! 128-bit fingerprint. It then probes the visited set
 //! (the only lock on the path) and its **own** shared-configuration set
@@ -311,10 +312,11 @@ impl Default for BfsConfig {
 /// One frontier entry: a handle to the node's logical memory image in the
 /// tier's image store, the driver's volatile state, and the operation
 /// budget consumed so far. Everything a worker needs to resume the
-/// configuration, at 8 bytes plus the driver.
-pub(crate) struct BfsNode<H> {
+/// configuration, at 8 bytes plus the driver (`D` is how a frontier
+/// [stages](Frontier::stage) an admitted successor's driver).
+pub(crate) struct BfsNode<H, D = Driver> {
     pub(crate) state: H,
-    pub(crate) driver: Driver,
+    pub(crate) driver: D,
     pub(crate) ops_used: usize,
 }
 
@@ -478,19 +480,37 @@ impl Images for StateArena {
 
 /// Frontier role: the admitted nodes not yet expanded.
 pub(crate) trait Frontier<H> {
+    /// What an admitted successor's driver is kept as until it is pushed.
+    type Staged;
+    /// Stages the driver of an admitted successor: `parent` with process
+    /// `i`'s slot replaced by `p`, whose driver key
+    /// ([`Driver::encode_key`]) is `key`.
+    fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Self::Staged;
     /// The next node to expand; `None` once the search has drained.
     fn next(&mut self) -> Option<BfsNode<H>>;
     /// Takes one expansion's successors (drained from `nodes`) and their
     /// fingerprints, in generation order.
-    fn push(&mut self, nodes: &mut Vec<BfsNode<H>>, fps: &[(u64, u64)]);
+    fn push(&mut self, nodes: &mut Vec<BfsNode<H, Self::Staged>>, fps: &[(u64, u64)]);
     /// Marks the node last returned by [`next`](Self::next) expanded.
     fn complete(&mut self) {}
+}
+
+/// The in-RAM tier stages a successor as its driver, built here and only
+/// here; the spliced `key` must be that driver's key.
+fn successor_driver(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Driver {
+    let driver = parent.with_process(i, p);
+    debug_assert_eq!(key, driver.key(), "spliced key is not the driver's");
+    driver
 }
 
 /// One in-RAM worker: a plain FIFO keeps admission in canonical BFS order,
 /// so truncated sequential runs stay deterministic (and, without
 /// dominance, match the reference census's admissions exactly).
 impl<H> Frontier<H> for VecDeque<BfsNode<H>> {
+    type Staged = Driver;
+    fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Driver {
+        successor_driver(parent, i, p, key)
+    }
     fn next(&mut self) -> Option<BfsNode<H>> {
         self.pop_front()
     }
@@ -501,6 +521,10 @@ impl<H> Frontier<H> for VecDeque<BfsNode<H>> {
 
 /// Two or more in-RAM workers: the work-stealing deques.
 impl<H> Frontier<H> for Worker<'_, BfsNode<H>> {
+    type Staged = Driver;
+    fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Driver {
+        successor_driver(parent, i, p, key)
+    }
     fn next(&mut self) -> Option<BfsNode<H>> {
         Worker::next(self)
     }
@@ -538,17 +562,17 @@ struct Scratch {
 /// A worker-local batch of one expansion's admitted successors: images
 /// staged for one [`Images::intern`] call, with their hashes, the
 /// non-image node halves and the fingerprints alongside in staging order.
-struct Batch<I: Images> {
+struct Batch<I: Images, D> {
     images: Vec<Word>,
     hashes: Vec<(u64, u64)>,
-    /// `(driver, ops_used)` per staged image, same order.
-    meta: Vec<(Driver, u32)>,
+    /// `(staged driver, ops_used)` per staged image, same order.
+    meta: Vec<(D, u32)>,
     fps: Vec<(u64, u64)>,
     handles: Vec<I::Handle>,
-    nodes: Vec<BfsNode<I::Handle>>,
+    nodes: Vec<BfsNode<I::Handle, D>>,
 }
 
-impl<I: Images> Batch<I> {
+impl<I: Images, D> Batch<I, D> {
     fn new() -> Self {
         Batch {
             images: Vec::new(),
@@ -564,7 +588,7 @@ impl<I: Images> Batch<I> {
     /// `frontier` in staging order, so the one-worker FIFO order is exactly
     /// the per-successor admission order. Returns whether anything was
     /// flushed (`flush_batches` counts non-empty flushes only).
-    fn flush(&mut self, images: &I, frontier: &mut impl Frontier<I::Handle>) -> bool {
+    fn flush(&mut self, images: &I, frontier: &mut impl Frontier<I::Handle, Staged = D>) -> bool {
         if self.meta.is_empty() {
             return false;
         }
@@ -696,8 +720,8 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// Observes one generated successor (`node` with process `i`'s slot
     /// replaced by `p`, its memory in `mem`): its shared key always (into
     /// the worker's own set, cloned only when new to it), and — if the
-    /// admission role lets it through — stages its image, its driver
-    /// (built here, only on admission) and fingerprint in `batch` for the
+    /// admission role lets it through — stages its image, its driver (as
+    /// [`Frontier::stage`] makes it) and fingerprint in `batch` for the
     /// end-of-expansion flush. Admission order (the thing sequential
     /// determinism rests on) is decided here, per successor; only the
     /// interning is deferred.
@@ -705,10 +729,10 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// The fingerprint key is spliced from the node's segments in
     /// `scratch` with process `i`'s new segment in place of its old one,
     /// so only the machine that moved is encoded.
-    fn successor(
+    fn successor<F: Frontier<I::Handle>>(
         &self,
         mem: &SimMemory,
-        batch: &mut Batch<I>,
+        batch: &mut Batch<I, F::Staged>,
         scratch: &mut Scratch,
         node: &BfsNode<I::Handle>,
         i: usize,
@@ -725,22 +749,13 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         let ops_used = node.ops_used + usize::from(node.driver.state(i).is_idle());
         let key = &mut scratch.key;
         self.key_prefix(key, ops_used);
+        let driver_key = key.len();
         key.extend_from_slice(&scratch.segs[..scratch.seg_bounds[i]]);
         p.encode_key(key);
         key.extend_from_slice(&scratch.segs[scratch.seg_bounds[i + 1]..]);
         let fp = hash2(hashes, key);
         if self.admission.admit(&self.slots, fp, ops_used) {
-            let driver = node.driver.with_process(i, p);
-            debug_assert_eq!(
-                *key,
-                {
-                    let mut k = Vec::new();
-                    self.key_prefix(&mut k, ops_used);
-                    driver.encode_key(&mut k);
-                    k
-                },
-                "spliced key differs from the successor driver's key"
-            );
+            let driver = F::stage(&node.driver, i, p, &key[driver_key..]);
             batch.images.extend_from_slice(&scratch.image);
             batch.hashes.push(hashes);
             batch.meta.push((driver, ops_used as u32));
@@ -754,11 +769,11 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// process's slot; the node's driver is only borrowed. Admitted
     /// successors are staged in `batch`; the caller flushes it
     /// ([`Batch::flush`]) after the expansion.
-    fn expand(
+    fn expand<F: Frontier<I::Handle>>(
         &self,
         mem: &SimMemory,
         node: &BfsNode<I::Handle>,
-        batch: &mut Batch<I>,
+        batch: &mut Batch<I, F::Staged>,
         scratch: &mut Scratch,
         tally: &mut Tally,
     ) {
@@ -779,14 +794,14 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
                 let (p, outcome) = node.driver.step_successor(self.obj, mem, i);
                 tally.steps += 1;
                 tally.resolved += u64::from(outcome.resolved());
-                self.successor(mem, batch, scratch, node, i, p);
+                self.successor::<F>(mem, batch, scratch, node, i, p);
                 mem.rollback(cp);
             } else if node.ops_used < self.cfg.max_ops {
                 for op in self.alphabet {
                     let cp = mem.checkpoint();
                     let p = node.driver.invoke_successor(self.obj, mem, i, *op);
                     tally.steps += 1;
-                    self.successor(mem, batch, scratch, node, i, p);
+                    self.successor::<F>(mem, batch, scratch, node, i, p);
                     mem.rollback(cp);
                 }
             }
@@ -797,12 +812,12 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// a node, expand it, flush its admitted successors to the frontier,
     /// mark it complete. Successors are pushed before the node is released,
     /// so the work-stealing quiescence sweep never misses created work.
-    pub(crate) fn work(&self, fork: SimMemory, frontier: &mut impl Frontier<I::Handle>) -> Tally {
+    pub(crate) fn work<F: Frontier<I::Handle>>(&self, fork: SimMemory, frontier: &mut F) -> Tally {
         let mut scratch = Scratch::default();
         let mut batch = Batch::new();
         let mut tally = Tally::default();
         while let Some(node) = frontier.next() {
-            self.expand(&fork, &node, &mut batch, &mut scratch, &mut tally);
+            self.expand::<F>(&fork, &node, &mut batch, &mut scratch, &mut tally);
             tally.expanded += 1;
             tally.flushes += u64::from(batch.flush(self.images, frontier));
             frontier.complete();

@@ -216,7 +216,8 @@ impl Proc {
     /// Idle, `1` Done, `2` NeedRecovery, `3` Running, `4` Recovering.
     /// [`Driver::encode_key`] is these segments in process order, so a
     /// caller that changes one process can splice a new key from the
-    /// others' segments.
+    /// others' segments; [`Driver::decode_frontier`] inverts them for the
+    /// census's drivers.
     pub(crate) fn encode_key(&self, out: &mut Vec<Word>) {
         out.push(self.retries as Word);
         match &self.state {
@@ -690,60 +691,39 @@ impl Driver {
         }
     }
 
-    /// Serializes a crash-free frontier driver — every process `Idle` or
-    /// `Running` with zero retries, as the census produces — into a flat
-    /// word vector that [`decode_frontier`](Self::decode_frontier) can
-    /// reconstruct. Returns `None` if any process is in another stage or
-    /// has consumed retries (such drivers also carry history-recording
-    /// state this codec deliberately does not capture).
-    ///
-    /// Per process: `0` for `Idle`, or `1, op_key, len, machine words…` for
-    /// `Running`. The census's disk tier stores these words in its
-    /// on-disk frontier instead of live machines.
-    pub fn try_encode_frontier(&self, out: &mut Vec<Word>) -> bool {
-        let start = out.len();
-        for p in &self.procs {
-            match (&p.state, p.retries) {
-                (ProcState::Idle, 0) => out.push(0),
-                (ProcState::Running { op, m }, 0) => {
-                    out.extend([1, op_key(op)]);
-                    encode_machine(&**m, out);
-                }
-                _ => {
-                    out.truncate(start);
-                    return false;
-                }
-            }
-        }
-        true
+    /// [`encode_key`](Self::encode_key) into a fresh vector.
+    pub(crate) fn key(&self) -> Vec<Word> {
+        let mut k = Vec::new();
+        self.encode_key(&mut k);
+        k
     }
 
-    /// Reconstructs a history-less driver from
-    /// [`try_encode_frontier`](Self::try_encode_frontier) words, rebuilding
-    /// each `Running` machine through [`RecoverableObject::decode_op`].
-    /// Returns `None` on malformed words or when the object cannot decode a
-    /// machine — callers fall back to the in-RAM engine in that case.
+    /// Inverse of [`encode_key`](Self::encode_key) for the drivers a
+    /// crash-free census produces: every process `Idle` (stage `0`) or
+    /// `Running` (stage `3`) with zero retries. Returns a history-less
+    /// driver, rebuilding each `Running` machine through
+    /// [`RecoverableObject::decode_op`]. Returns `None` for any other
+    /// stage, consumed retries, truncated or trailing words, or a machine
+    /// the object cannot decode. The census's disk tier stores node keys
+    /// in its frontier files and resumes them through this.
     pub fn decode_frontier(obj: &dyn RecoverableObject, n: u32, words: &[Word]) -> Option<Driver> {
         let mut d = Driver::without_history(n);
         let mut at = 0usize;
         for i in 0..n as usize {
-            match *words.get(at)? {
-                0 => at += 1,
-                1 => {
-                    let op = op_from_key(*words.get(at + 1)?)?;
-                    let len = usize::try_from(*words.get(at + 2)?).ok()?;
-                    let enc = words.get(at + 3..at + 3 + len)?;
-                    let m = obj.decode_op(Pid::new(i as u32), &op, enc)?;
+            match *words.get(at..at + 2)? {
+                [0, 0] => at += 2,
+                [0, 3] => {
+                    let op = op_from_key(*words.get(at + 2)?)?;
+                    let len = usize::try_from(*words.get(at + 3)?).ok()?;
+                    let end = (at + 4).checked_add(len)?;
+                    let m = obj.decode_op(Pid::new(i as u32), &op, words.get(at + 4..end)?)?;
                     d.procs[i].state = ProcState::Running { op, m };
-                    at += 3 + len;
+                    at = end;
                 }
                 _ => return None,
             }
         }
-        if at != words.len() {
-            return None;
-        }
-        Some(d)
+        (at == words.len()).then_some(d)
     }
 }
 
@@ -839,17 +819,12 @@ mod tests {
         let (reg, mem) = build_world(|b| DetectableRegister::new(b, 2, 0));
         let mut d = Driver::for_object(&reg);
         let retry = RetryPolicy::default();
-        let key = |d: &Driver| {
-            let mut k = Vec::new();
-            d.encode_key(&mut k);
-            k
-        };
-        let idle = key(&d);
+        let idle = d.key();
         d.invoke(&reg, &mem, 0, OpSpec::Write(1), &retry);
-        let invoked = key(&d);
+        let invoked = d.key();
         assert_ne!(idle, invoked);
         let _ = d.step(&reg, &mem, 0, &retry);
-        assert_ne!(key(&d), invoked);
+        assert_ne!(d.key(), invoked);
     }
 
     #[test]
@@ -861,60 +836,91 @@ mod tests {
         assert!(d.history().events().is_empty());
     }
 
-    #[test]
-    fn frontier_codec_roundtrips_running_and_idle() {
-        let (reg, mem) = build_world(|b| DetectableRegister::new(b, 3, 0));
-        let mut d = Driver::without_history(3);
-        let retry = RetryPolicy::default();
-        d.invoke(&reg, &mem, 0, OpSpec::Write(4), &retry);
-        let _ = d.step(&reg, &mem, 0, &retry);
-        d.invoke(&reg, &mem, 2, OpSpec::Read, &retry);
-
-        let mut words = Vec::new();
-        assert!(d.try_encode_frontier(&mut words));
-        let d2 = Driver::decode_frontier(&reg, 3, &words).expect("decode");
-
-        let key = |d: &Driver| {
-            let mut k = Vec::new();
-            d.encode_key(&mut k);
-            k
-        };
-        assert_eq!(key(&d), key(&d2));
-
-        // The decoded driver finishes the in-flight ops identically.
-        let mut a = d.clone();
-        let mut b = d2;
-        for i in [0usize, 2] {
-            let cp = mem.checkpoint();
-            let ra = loop {
-                if let StepOutcome::Returned(w) = a.step(&reg, &mem, i, &retry) {
-                    break w;
-                }
+    /// `encode_key` → `decode_frontier` → `encode_key` gives back the same
+    /// words, and the decoded driver finishes every in-flight operation
+    /// with the same response and memory as the original.
+    fn assert_key_roundtrips(obj: &dyn RecoverableObject, mem: &SimMemory, d: &Driver) {
+        let n = d.processes() as u32;
+        let words = d.key();
+        let decoded = Driver::decode_frontier(obj, n, &words).expect("census key decodes");
+        assert_eq!(decoded.key(), words);
+        let (mut a, mut b) = (d.clone(), decoded);
+        for i in (0..d.processes()).filter(|&i| d.state(i).in_flight()) {
+            let finish = |d: &mut Driver| {
+                let cp = mem.checkpoint();
+                let resp = loop {
+                    if let StepOutcome::Returned(w) = d.step(obj, mem, i, &NO_RETRY) {
+                        break w;
+                    }
+                };
+                let mut image = Vec::new();
+                mem.logical_words_into(&mut image);
+                mem.rollback(cp);
+                (resp, image)
             };
-            mem.rollback(cp);
-            let rb = loop {
-                if let StepOutcome::Returned(w) = b.step(&reg, &mem, i, &retry) {
-                    break w;
-                }
-            };
-            assert_eq!(ra, rb);
+            assert_eq!(finish(&mut a), finish(&mut b), "p{i}");
         }
     }
 
     #[test]
-    fn frontier_codec_refuses_non_census_states() {
+    fn frontier_decode_inverts_census_keys() {
+        let (reg, mem) = build_world(|b| DetectableRegister::new(b, 3, 0));
+        let mut d = Driver::without_history(3);
+        assert_key_roundtrips(&reg, &mem, &d);
+        d.invoke(&reg, &mem, 0, OpSpec::Write(4), &NO_RETRY);
+        let _ = d.step(&reg, &mem, 0, &NO_RETRY);
+        d.invoke(&reg, &mem, 2, OpSpec::Read, &NO_RETRY);
+        assert_key_roundtrips(&reg, &mem, &d);
+
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
         let mut d = Driver::without_history(2);
-        let retry = RetryPolicy::default();
-        d.invoke(&cas, &mem, 0, OpSpec::Cas { old: 0, new: 1 }, &retry);
+        d.invoke(&cas, &mem, 1, OpSpec::Cas { old: 0, new: 1 }, &NO_RETRY);
+        assert_key_roundtrips(&cas, &mem, &d);
+        while !d.step(&cas, &mem, 1, &NO_RETRY).resolved() {
+            assert_key_roundtrips(&cas, &mem, &d);
+        }
+        d.invoke(&cas, &mem, 0, OpSpec::Cas { old: 1, new: 0 }, &NO_RETRY);
+        assert_key_roundtrips(&cas, &mem, &d);
+    }
+
+    #[test]
+    fn frontier_decode_refuses_non_census_keys() {
+        let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
+        let decode = |words: &[Word]| Driver::decode_frontier(&cas, 2, words);
+        let op = OpSpec::Cas { old: 0, new: 1 };
+        let mut d = Driver::without_history(2);
+        d.invoke(&cas, &mem, 0, op, &NO_RETRY);
+        let running = d.key();
+        assert!(decode(&running).is_some());
+
+        // Truncated anywhere, or followed by trailing words.
+        for cut in 0..running.len() {
+            assert!(decode(&running[..cut]).is_none(), "cut at {cut}");
+        }
+        assert!(decode(&[running.as_slice(), &[0]].concat()).is_none());
+        // A machine length running past the end of the words.
+        let mut long = running.clone();
+        long[3] = Word::MAX;
+        assert!(decode(&long).is_none());
+        // Consumed retries, or a stage no crash-free census reaches.
+        let mut retried = running.clone();
+        retried[0] = 1;
+        assert!(decode(&retried).is_none());
+        for stage in [1, 2, 4, 5] {
+            let mut k = running.clone();
+            k[1] = stage;
+            assert!(decode(&k).is_none(), "stage {stage}");
+        }
+
+        // A crashed driver's key (NeedRecovery), and a Recovering one.
         d.crash(&mem, CrashPolicy::DropAll);
-        let mut words = Vec::new();
-        assert!(!d.try_encode_frontier(&mut words));
-        assert!(words.is_empty());
-        // Malformed words refuse to decode.
-        assert!(Driver::decode_frontier(&cas, 2, &[9]).is_none());
-        assert!(Driver::decode_frontier(&cas, 2, &[0]).is_none());
-        assert!(Driver::decode_frontier(&cas, 2, &[0, 0, 7]).is_none());
+        assert!(decode(&d.key()).is_none());
+        assert_eq!(
+            d.step(&cas, &mem, 0, &NO_RETRY),
+            StepOutcome::RecoveryEntered
+        );
+        assert!(matches!(d.state(0), ProcState::Recovering { .. }));
+        assert!(decode(&d.key()).is_none());
     }
 
     #[test]
@@ -923,11 +929,6 @@ mod tests {
         // acting on a clone of the whole driver: same outcome, same key,
         // same memory, and the original untouched.
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-        let key = |d: &Driver| {
-            let mut k = Vec::new();
-            d.encode_key(&mut k);
-            k
-        };
         let image = |mem: &SimMemory| {
             let mut w = Vec::new();
             mem.logical_words_into(&mut w);
@@ -937,26 +938,26 @@ mod tests {
         let mut d = Driver::without_history(2);
         d.invoke(&cas, &mem, 1, OpSpec::Read, &NO_RETRY);
 
-        let before = key(&d);
+        let before = d.key();
         let cp = mem.checkpoint();
         let p = d.invoke_successor(&cas, &mem, 0, op);
         let (copy, copy_mem) = (d.with_process(0, p), image(&mem));
         mem.rollback(cp);
-        assert_eq!(key(&d), before, "the node is only borrowed");
+        assert_eq!(d.key(), before, "the node is only borrowed");
         d.invoke(&cas, &mem, 0, op, &NO_RETRY);
-        assert_eq!((key(&copy), copy_mem), (key(&d), image(&mem)));
+        assert_eq!((copy.key(), copy_mem), (d.key(), image(&mem)));
 
         loop {
-            let before = key(&d);
+            let before = d.key();
             let cp = mem.checkpoint();
             let (p, outcome) = d.step_successor(&cas, &mem, 0);
             let mut seg = Vec::new();
             p.encode_key(&mut seg);
             let (copy, copy_mem) = (d.with_process(0, p), image(&mem));
             mem.rollback(cp);
-            assert_eq!(key(&d), before, "the node is only borrowed");
+            assert_eq!(d.key(), before, "the node is only borrowed");
             assert_eq!(d.step(&cas, &mem, 0, &NO_RETRY), outcome);
-            assert_eq!((key(&copy), copy_mem), (key(&d), image(&mem)));
+            assert_eq!((copy.key(), copy_mem), (d.key(), image(&mem)));
             let mut expect = Vec::new();
             d.process(0).encode_key(&mut expect);
             assert_eq!(seg, expect);

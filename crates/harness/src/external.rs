@@ -11,11 +11,12 @@
 //! * **images** live in a [`SpillableArena`] — sealed segments spill to
 //!   files, only the active segment, a small hot-segment cache and the
 //!   (hash → handle) index stay resident;
-//! * **the frontier** is a sequence of *generation files*: flat records of
-//!   `(ops_used, arena handle, encoded driver)`. Machines are rebuilt from
-//!   their encodings via [`RecoverableObject::decode_op`] — which is why
-//!   the engine picks this tier only for objects that are
-//!   [`decodable`](RecoverableObject::decodable);
+//! * **the frontier** is a sequence of *generation files* of node records
+//!   `[ops_used, arena handle, len, driver key…]`, the key being the one
+//!   the expansion spliced for the fingerprint ([`Driver::encode_key`]).
+//!   [`Driver::decode_frontier`] resumes a record through
+//!   [`RecoverableObject::decode_op`] — so this tier is only for objects
+//!   that are [`decodable`](RecoverableObject::decodable);
 //! * **the visited set** is a sorted *seen file* of admitted configuration
 //!   fingerprints, consulted by streamed sort-merge instead of hash lookup.
 //!
@@ -27,8 +28,7 @@
 //!    candidate at a budget no lower. Every other successor is a
 //!    candidate: its fingerprint is appended — tagged with a generation
 //!    sequence number — to a candidate file, and its record (budget,
-//!    interned image handle, encoded driver) to generation `g + 1`'s node
-//!    file.
+//!    interned image handle, driver key) to generation `g + 1`'s node file.
 //! 2. **Sort-merge**: sort the candidate fingerprints in RAM-budget-sized
 //!    chunks into run files, k-way merge the runs, and walk the merge
 //!    against the sorted seen file. Per fingerprint group, replay the
@@ -73,11 +73,7 @@
 //!
 //! The tier runs one worker whatever [`BfsConfig::parallelism`] says: the
 //! canonical admission order that makes it bit-for-bit comparable against
-//! the reference engines is a sequential notion. On the benchmark's
-//! `census-spill` workload (N = 4, 16 MiB budget, 2-CPU Xeon host) a
-//! 3.5–4.1 s run splits into 1.6–2.0 s of expansion, 1.0–1.1 s of
-//! end-of-generation passes, 0.5–0.6 s of candidate encoding and writing
-//! and 0.3–0.4 s of frontier reading and decoding.
+//! the reference engines is a sequential notion.
 
 use std::cell::{Cell, RefCell};
 use std::fs::{self, File};
@@ -91,7 +87,7 @@ use nvm::{Memory, SimMemory, SpillConfig, SpillableArena, Word};
 use crate::census::{
     Admission, BfsConfig, BfsNode, Census, CensusReport, Frontier, Images, Seeded, Slots,
 };
-use crate::driver::Driver;
+use crate::driver::{Driver, Proc};
 
 /// Disk-tier counters for one census run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -217,28 +213,23 @@ fn next_entry<const N: usize>(r: &mut WordReader) -> io::Result<Option<[Word; N]
     Ok(r.get_into(&mut e)?.then_some(e))
 }
 
-/// Reads a node record's `len`-word driver body into `drv`, which the file
+/// Reads a node record's `len`-word driver key into `key`, which the file
 /// must hold in full: a record's header promises its body.
-fn read_body(r: &mut WordReader, len: usize, drv: &mut Vec<Word>) -> io::Result<()> {
-    drv.resize(len, 0);
-    if r.get_into(drv)? {
+fn read_body(r: &mut WordReader, len: usize, key: &mut Vec<Word>) -> io::Result<()> {
+    key.resize(len, 0);
+    if r.get_into(key)? {
         Ok(())
     } else {
         Err(io::ErrorKind::UnexpectedEof.into())
     }
 }
 
-/// Encodes one node record `[ops_used, handle, len, driver...]` into `rec`
-/// (cleared first); a node file is these records back to back.
-fn node_record<'r>(node: &BfsNode<u64>, rec: &'r mut Vec<Word>) -> &'r [Word] {
-    rec.clear();
-    rec.extend([node.ops_used as Word, node.state, 0]);
-    assert!(
-        node.driver.try_encode_frontier(rec),
-        "crash-free census produced a non-frontier driver state"
-    );
-    rec[2] = (rec.len() - 3) as Word;
-    rec
+/// Writes one node record `[ops_used, handle, len, key...]`, `key` being
+/// the node's driver key ([`Driver::encode_key`]); a node file is these
+/// records back to back.
+fn put_node(w: &mut WordWriter, ops_used: usize, handle: u64, key: &[Word]) -> io::Result<()> {
+    w.put_all(&[ops_used as Word, handle, key.len() as Word])?;
+    w.put_all(key)
 }
 
 /// Removes the run directory on drop, so a panicking run does not leak
@@ -464,7 +455,7 @@ struct Generations<'a> {
     gen: u64,
     /// `None` once the search has drained.
     cur: Option<Gen>,
-    /// Node-record scratch.
+    /// The driver key of the record being read.
     rec: Vec<Word>,
     spill: SpillStats,
     /// Peak of the per-generation transient buffers (sort chunk, bitmap,
@@ -484,7 +475,7 @@ impl Generations<'_> {
         let mut gen_w = WordWriter::create(&self.gen_path(0))?;
         let mut admitted = Bitmap::new(usize::from(root.is_some()));
         if let Some((node, fp)) = root {
-            gen_w.put_all(node_record(&node, &mut self.rec))?;
+            put_node(&mut gen_w, 0, node.state, &node.driver.key())?;
             seen_w.put_all(&[fp.0, fp.1, 0])?;
             admitted.set(0);
         }
@@ -519,7 +510,8 @@ impl Generations<'_> {
                     self.spill.generations += 1;
                 }
                 let driver = Driver::decode_frontier(self.obj, self.obj.processes(), &self.rec)
-                    .expect("decodable object failed to decode its own frontier encoding");
+                    .expect("decodable object failed to decode its own node key");
+                debug_assert_eq!(self.rec, driver.key(), "key decode does not round-trip");
                 return Ok(Some(BfsNode {
                     state: handle,
                     driver,
@@ -532,12 +524,16 @@ impl Generations<'_> {
         Ok(None)
     }
 
-    fn try_push(&mut self, nodes: &mut Vec<BfsNode<u64>>, fps: &[(u64, u64)]) -> io::Result<()> {
+    fn try_push(
+        &mut self,
+        nodes: &mut Vec<BfsNode<u64, Box<[Word]>>>,
+        fps: &[(u64, u64)],
+    ) -> io::Result<()> {
         let cur = self.cur.as_mut().expect("push during an expansion");
         for (node, fp) in nodes.drain(..).zip(fps) {
             cur.fps
                 .put_all(&[fp.0, fp.1, cur.seq, node.ops_used as Word])?;
-            cur.next.put_all(node_record(&node, &mut self.rec))?;
+            put_node(&mut cur.next, node.ops_used, node.state, &node.driver)?;
             cur.seq += 1;
         }
         Ok(())
@@ -669,10 +665,15 @@ impl Generations<'_> {
 }
 
 impl Frontier<u64> for Generations<'_> {
+    /// A successor's driver key alone: the words its node record stores.
+    type Staged = Box<[Word]>;
+    fn stage(_: &Driver, _: usize, _: Proc, key: &[Word]) -> Box<[Word]> {
+        key.into()
+    }
     fn next(&mut self) -> Option<BfsNode<u64>> {
         self.try_next().expect(SPILL_IO)
     }
-    fn push(&mut self, nodes: &mut Vec<BfsNode<u64>>, fps: &[(u64, u64)]) {
+    fn push(&mut self, nodes: &mut Vec<BfsNode<u64, Box<[Word]>>>, fps: &[(u64, u64)]) {
         self.try_push(nodes, fps).expect(SPILL_IO);
     }
 }
@@ -852,7 +853,7 @@ mod tests {
 
     #[test]
     fn torn_node_body_is_an_error_not_an_end() {
-        // One record `[ops_used, handle, len, driver...]` with a body longer
+        // One record `[ops_used, handle, len, key...]` with a body longer
         // than one I/O chunk.
         let len = IO_CHUNK_WORDS + 36;
         let mut rec = vec![2, 7, len as Word];
