@@ -26,6 +26,11 @@
 //! Exits 2 on an invalid configuration (before any cycle runs), and 1 if
 //! any *detectable* row leaves an operation unresolved, fails a check, or
 //! errors.
+//!
+//! `--json` reports each row's kill and recovery latencies as p50, p99 and
+//! max from a fixed log-bucket histogram, and the row's recovery time
+//! split into its three phases (recoverers and mid-cycle probe, survivor
+//! drain, log parse and check), summed over the row's cycles.
 
 use baselines::{NonDetectableCas, NonDetectableRegister};
 use bench::{flag_value, json_mode, markdown_table};
@@ -50,6 +55,78 @@ fn factory(
     }
 }
 
+/// Sub-buckets per power of two: a bucket spans at most 1/8 of its lower
+/// bound.
+const SUB_BITS: u32 = 3;
+/// Enough buckets for every `u64`.
+const BUCKETS: usize = (64 - SUB_BITS as usize + 1) << SUB_BITS;
+
+/// Fixed log-bucket histogram of microsecond latencies. Values below
+/// `2 << SUB_BITS` get a bucket each; above that, each power of two
+/// splits into `1 << SUB_BITS` equal buckets.
+struct LatencyHistogram {
+    counts: Vec<u64>,
+    max: u64,
+}
+
+impl LatencyHistogram {
+    fn new() -> LatencyHistogram {
+        LatencyHistogram {
+            counts: vec![0; BUCKETS],
+            max: 0,
+        }
+    }
+
+    fn bucket(us: u64) -> usize {
+        if us < 1 << SUB_BITS {
+            return us as usize;
+        }
+        let shift = 63 - us.leading_zeros() - SUB_BITS;
+        (((shift + 1) as usize) << SUB_BITS) | ((us >> shift) as usize & ((1 << SUB_BITS) - 1))
+    }
+
+    /// The largest value bucket `b` holds.
+    fn upper(b: usize) -> u64 {
+        if b < 1 << SUB_BITS {
+            return b as u64;
+        }
+        let shift = (b >> SUB_BITS) - 1;
+        let mantissa = (b as u64 & ((1 << SUB_BITS) - 1)) | 1 << SUB_BITS;
+        (mantissa << shift) + ((1 << shift) - 1)
+    }
+
+    fn record(&mut self, us: u64) {
+        self.counts[Self::bucket(us)] += 1;
+        self.max = self.max.max(us);
+    }
+
+    /// The nearest-rank `q`-quantile, as the upper bound of its bucket
+    /// capped at the exact maximum, so `p50 <= p99 <= max` always holds.
+    /// Zero when nothing was recorded.
+    fn quantile(&self, q: f64) -> u64 {
+        let total: u64 = self.counts.iter().sum();
+        let rank = ((q * total as f64).ceil() as u64).max(1);
+        let mut seen = 0;
+        for (b, &c) in self.counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Self::upper(b).min(self.max);
+            }
+        }
+        0
+    }
+
+    /// `"{name}_p50_us":…,"{name}_p99_us":…,"{name}_max_us":…`
+    fn json(&self, name: &str) -> String {
+        format!(
+            "\"{name}_p50_us\":{},\"{name}_p99_us\":{},\"{name}_max_us\":{}",
+            self.quantile(0.5),
+            self.quantile(0.99),
+            self.max
+        )
+    }
+}
+
 struct Row {
     object: String,
     kind: ObjectKind,
@@ -67,8 +144,12 @@ struct Row {
     recovery_reentries: u64,
     check_failures: u64,
     errors: u64,
-    kill_us_sum: u64,
-    recovery_us_sum: u64,
+    kill_latency: LatencyHistogram,
+    recovery_latency: LatencyHistogram,
+    recover_us: u64,
+    drain_us: u64,
+    check_us: u64,
+    recovery_us: u64,
 }
 
 impl Row {
@@ -81,7 +162,8 @@ impl Row {
              \"recovered_unresolved\":{},\"recovery_kills\":{},\
              \"recovery_reentries\":{},\
              \"check_failures\":{},\"errors\":{},\"expected_failures\":{},\
-             \"avg_kill_latency_us\":{},\"avg_recovery_latency_us\":{}}}",
+             {},{},\"recover_us\":{},\"drain_us\":{},\"check_us\":{},\
+             \"recovery_us\":{}}}",
             self.object,
             kind_name(self.kind),
             self.detectable,
@@ -99,8 +181,12 @@ impl Row {
             self.check_failures,
             self.errors,
             !self.detectable,
-            self.kill_us_sum / self.cycles.max(1),
-            self.recovery_us_sum / self.cycles.max(1),
+            self.kill_latency.json("kill_latency"),
+            self.recovery_latency.json("recovery_latency"),
+            self.recover_us,
+            self.drain_us,
+            self.check_us,
+            self.recovery_us,
         )
     }
 
@@ -224,8 +310,12 @@ fn main() {
             recovery_reentries: 0,
             check_failures: 0,
             errors: 0,
-            kill_us_sum: 0,
-            recovery_us_sum: 0,
+            kill_latency: LatencyHistogram::new(),
+            recovery_latency: LatencyHistogram::new(),
+            recover_us: 0,
+            drain_us: 0,
+            check_us: 0,
+            recovery_us: 0,
         };
         for cycle in 0..cycles {
             match run_cycle(&cfg, factory, cycle) {
@@ -241,8 +331,12 @@ fn main() {
                     row.recovery_kills += r.recovery_kills as u64;
                     row.recovery_reentries += r.recovery_reentries as u64;
                     row.check_failures += u64::from(!r.check_ok);
-                    row.kill_us_sum += r.kill_latency_us;
-                    row.recovery_us_sum += r.recovery_latency_us;
+                    row.kill_latency.record(r.kill_latency_us);
+                    row.recovery_latency.record(r.recovery_latency_us);
+                    row.recover_us += r.recover_us;
+                    row.drain_us += r.drain_us;
+                    row.check_us += r.check_us;
+                    row.recovery_us += r.recovery_latency_us;
                     if !r.check_ok && detectable {
                         eprintln!(
                             "VIOLATION: {} cycle {cycle}:\n{}",
@@ -344,5 +438,38 @@ fn main() {
             );
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn histogram_buckets_are_exact_below_sixteen_and_within_an_eighth_above() {
+        for us in (0..5_000).chain([u64::MAX / 3, u64::MAX]) {
+            let b = LatencyHistogram::bucket(us);
+            assert!(b < BUCKETS);
+            let upper = LatencyHistogram::upper(b);
+            assert!(upper >= us, "{us} above its bucket's upper bound {upper}");
+            if us < 16 {
+                assert_eq!(upper, us);
+            } else {
+                assert!(upper - us <= us / 8, "{us} in a bucket up to {upper}");
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_quantiles_are_ordered_and_capped_at_the_max() {
+        let mut h = LatencyHistogram::new();
+        assert_eq!(h.quantile(0.5), 0);
+        for us in [5_000, 6_000, 6_100, 7_000, 12_345] {
+            h.record(us);
+        }
+        let (p50, p99) = (h.quantile(0.5), h.quantile(0.99));
+        assert!((6_100..=6_100 + 6_100 / 8).contains(&p50), "p50 {p50}");
+        assert_eq!(p99, 12_345);
+        assert!(p50 <= p99 && p99 <= h.max);
     }
 }

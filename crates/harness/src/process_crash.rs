@@ -54,8 +54,9 @@
 //! return record precedes every post-barrier invocation record, which is
 //! exactly the split [`check_records_windowed`] needs. Workers share no
 //! address space, so the barrier runs over the log file's header: worker
-//! `p` stores its round in user slot `4 + p` and spins until the
-//! parent-owned release word (user slot 1) reaches that round. The parent
+//! `p` stores its round in user slot `4 + p` and waits until the
+//! parent-owned release word (user slot 1) reaches that round, yielding
+//! its CPU between polls before it falls back to short sleeps. The parent
 //! releases a round only when every *live* worker has arrived — and
 //! deliberately **withholds** releases while recoveries run, so the
 //! survivors park at their next cut and a dead process's operation
@@ -151,10 +152,20 @@ const ENV_RECOVER: &str = "PC_RECOVER";
 /// [`PACED_STEPS`] steps (absent or 0 = unpaced).
 const ENV_PACE: &str = "PC_RECOVER_PACE";
 
-/// Exit code of a worker whose barrier spin was abandoned (parent gone).
+/// Exit code of a worker whose barrier wait was abandoned (parent gone).
 const EXIT_ABANDONED: i32 = 103;
 /// Exit code of a recoverer whose step budget ran out before a verdict.
 const EXIT_UNRESOLVED: i32 = 102;
+
+/// Polls [`wait_until`] makes with `yield_now` between them before it
+/// falls back to sleeping. A 16-op round takes tens of microseconds, so a
+/// timer sleep per poll would park a waiter far longer than its peers
+/// take to arrive; yielding hands the CPU straight to those peers.
+const SPIN_YIELDS: u32 = 2_000;
+/// Sleep between a worker's barrier polls once its yields are spent.
+const WORKER_NAP: Duration = Duration::from_micros(50);
+/// Sleep between the parent's drain polls once its yields are spent.
+const DRAIN_NAP: Duration = Duration::from_micros(100);
 
 /// Builds the object named `name` for `n` processes into `b`, or `None` if
 /// the name is unknown. Binaries that host crash cycles install one factory
@@ -447,8 +458,18 @@ pub struct CycleReport {
     /// Microseconds from worker spawn to the kill (or clean exit).
     pub kill_latency_us: u64,
     /// Microseconds spent recovering (including nested recovery kills and
-    /// re-entries), stitching and checking.
+    /// re-entries), stitching and checking: exactly
+    /// `recover_us + drain_us + check_us`.
     pub recovery_latency_us: u64,
+    /// The part of `recovery_latency_us` spent in the recoverer children
+    /// and the mid-cycle probe, while the survivors are parked.
+    pub recover_us: u64,
+    /// The part spent draining the survivors through the barrier until
+    /// every worker has exited.
+    pub drain_us: u64,
+    /// The part spent parsing the log, stitching the history, running the
+    /// end-of-run probe and the windowed check.
+    pub check_us: u64,
 }
 
 impl CycleReport {
@@ -554,10 +575,9 @@ fn install_exit_on_panic() {
 /// machine → return record; the announcement runs FIRST because recovery
 /// must only ever read a current announcement, so an operation enters the
 /// log only once fully prepared (a kill mid-prepare leaves no record — and
-/// no linearized effect). The rendezvous runs over the log header (arrive:
-/// store the round in this pid's arrival word; wait: spin until the
-/// parent's release word reaches the round), so a dead sibling cannot
-/// wedge the survivors — the parent excludes it from the arrival quorum.
+/// no linearized effect). The rendezvous runs over the log header (see
+/// [`barrier_wait`]), so a dead sibling cannot wedge the survivors — the
+/// parent excludes it from the arrival quorum.
 fn run_fabric_worker(factory: WorldFactory) -> ! {
     let e = WorkerEnv::load();
     let me: u32 = env(ENV_PID).parse().expect("crash worker: bad pid");
@@ -571,7 +591,7 @@ fn run_fabric_worker(factory: WorldFactory) -> ! {
     let pid = Pid::new(me);
     let slot0 = me as usize * e.ops * 2 * RECORD_WORDS;
     // If the parent dies (or stalls beyond any plausible recovery pause),
-    // abandon the spin instead of leaking an orphan that burns CPU forever.
+    // abandon the wait instead of leaking an orphan that polls forever.
     let abandon = Instant::now() + Duration::from_secs(120);
     let stall_requested = || log.user(SLOT_STALL).load(Ordering::SeqCst) >> me & 1 == 1;
     let stall = || {
@@ -581,16 +601,11 @@ fn run_fabric_worker(factory: WorldFactory) -> ! {
         }
     };
     for i in 0..e.ops {
-        if i > 0 && i % e.barrier_every == 0 {
-            let round = (i / e.barrier_every) as u64;
-            log.user(SLOT_ARRIVAL0 + me as usize)
-                .store(round, Ordering::SeqCst);
-            while log.user(SLOT_RELEASE).load(Ordering::SeqCst) < round {
-                if Instant::now() > abandon {
-                    std::process::exit(EXIT_ABANDONED);
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
+        if i > 0
+            && i % e.barrier_every == 0
+            && !barrier_wait(&log, me, (i / e.barrier_every) as u64, abandon)
+        {
+            std::process::exit(EXIT_ABANDONED);
         }
         // When the parent raises this worker's stall bit, pause either
         // before the machine runs (the kill interrupts an
@@ -625,6 +640,39 @@ fn run_fabric_worker(factory: WorldFactory) -> ! {
         );
     }
     std::process::exit(0);
+}
+
+/// Polls `ready` until it holds (`true`) or `deadline` passes (`false`).
+/// `ready` is polled first, so a condition that already holds costs no
+/// wait; after that the polls are [`SPIN_YIELDS`] `yield_now`s apart, then
+/// `nap` apart.
+fn wait_until(deadline: Instant, nap: Duration, mut ready: impl FnMut() -> bool) -> bool {
+    let mut yields = 0;
+    loop {
+        if ready() {
+            return true;
+        }
+        if Instant::now() > deadline {
+            return false;
+        }
+        if yields < SPIN_YIELDS {
+            yields += 1;
+            std::thread::yield_now();
+        } else {
+            std::thread::sleep(nap);
+        }
+    }
+}
+
+/// Worker `me`'s side of one quiescent cut: store `round` in its arrival
+/// word, then wait until the parent's release word reaches it. `false` if
+/// `abandon` passes first (the parent is gone).
+fn barrier_wait(log: &MappedFile, me: u32, round: u64, abandon: Instant) -> bool {
+    log.user(SLOT_ARRIVAL0 + me as usize)
+        .store(round, Ordering::SeqCst);
+    wait_until(abandon, WORKER_NAP, || {
+        log.user(SLOT_RELEASE).load(Ordering::SeqCst) >= round
+    })
 }
 
 /// Recoverer: resolves the open invocation of one dead process, in its own
@@ -837,20 +885,21 @@ impl Children {
 /// arrived at it. Exited workers keep their final arrival word,
 /// so they never gate a release; killed workers are excluded outright —
 /// that exclusion is what lets the survivors re-barrier across a dead
-/// peer.
-fn pump_barrier(log: &MappedFile, killed: &[bool]) {
+/// peer. Returns whether it released.
+fn pump_barrier(log: &MappedFile, killed: &[bool]) -> bool {
     let next = log.user(SLOT_RELEASE).load(Ordering::SeqCst) + 1;
     let live = (0..killed.len()).filter(|&p| !killed[p]);
     let mut any = false;
     for p in live {
         any = true;
         if log.user(SLOT_ARRIVAL0 + p).load(Ordering::SeqCst) < next {
-            return;
+            return false;
         }
     }
     if any {
         log.user(SLOT_RELEASE).store(next, Ordering::SeqCst);
     }
+    any
 }
 
 /// One solo `Read` by `pid` over a fresh mapping of the cycle's NVM (file
@@ -1179,19 +1228,26 @@ pub fn run_cycle(
         }
     }
 
-    // Resume the survivors and wait everything out.
-    let drain_deadline = Instant::now() + Duration::from_secs(120);
+    // Resume the survivors and wait everything out. No kill is timed
+    // against this traffic, so each round is released as soon as its last
+    // survivor arrives. Each wait covers one round (or the final exits),
+    // so the yield budget restarts at every release.
+    let draining = Instant::now();
+    let drain_deadline = draining + Duration::from_secs(120);
     while !kids.all_exited() {
-        kids.reap()?;
-        pump_barrier(&log, &kids.killed);
-        if Instant::now() > drain_deadline {
+        let mut reaped = Ok(());
+        let progressed = wait_until(drain_deadline, DRAIN_NAP, || {
+            reaped = kids.reap();
+            reaped.is_err() || pump_barrier(&log, &kids.killed) || kids.all_exited()
+        });
+        reaped?;
+        if !progressed {
             kids.kill_all();
             return Err(io::Error::new(
                 io::ErrorKind::TimedOut,
                 "surviving workers did not finish within 120s",
             ));
         }
-        std::thread::sleep(Duration::from_micros(100));
     }
     for (i, st) in kids.exited.iter().enumerate() {
         if kids.killed[i] {
@@ -1205,7 +1261,12 @@ pub fn run_cycle(
         }
     }
 
+    let checking = Instant::now();
     let (recs, in_flight) = parse_log(&log, cfg.procs, cfg.ops_per_proc)?;
+    // The mapped log is released once parsed, and the parsed records once
+    // the history holds them, so the cycle's peak resident set never
+    // stacks the log, its records, the history and the checked records.
+    drop(log);
     if !report.crashed {
         let stray = in_flight.iter().flatten().count();
         if stray != 0 {
@@ -1250,6 +1311,7 @@ pub fn run_cycle(
         .filter(|r| r.resp != RESP_FAIL)
         .count();
     report.recovered_failed = recovery_recs.filter(|r| r.resp == RESP_FAIL).count();
+    drop(recs);
     let still_open = in_flight.iter().flatten().count();
     report.in_flight = report.recovered_ok + report.recovered_failed + still_open;
 
@@ -1270,7 +1332,14 @@ pub fn run_cycle(
 
     let records = h.to_records();
     let check = check_records_windowed(cfg.kind, &records);
-    report.recovery_latency_us = recovering.elapsed().as_micros() as u64;
+    // Phase boundaries in microseconds since `recovering`, so the three
+    // phases sum to the whole exactly.
+    let since = |t: Instant| (t - recovering).as_micros() as u64;
+    let (drained, checked) = (since(checking), since(Instant::now()));
+    report.recover_us = since(draining);
+    report.drain_us = drained - report.recover_us;
+    report.check_us = checked - drained;
+    report.recovery_latency_us = checked;
     report.check_ok = check.is_ok();
     report.violation = check.err().map(|v| v.to_string());
     Ok(report)
@@ -1374,6 +1443,60 @@ mod tests {
         append_record(&log, 0, TAG_INVOKE, op_key(&OpSpec::Read), 0);
         append_record(&log, RECORD_WORDS, TAG_INVOKE, op_key(&OpSpec::Read), 0);
         assert!(parse_log(&log, 1, 4).is_err());
+        drop(log);
+        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn wait_until_polls_a_condition_that_holds_once() {
+        let mut polls = 0;
+        // The deadline has already passed: only the first poll can succeed.
+        assert!(wait_until(Instant::now(), WORKER_NAP, || {
+            polls += 1;
+            true
+        }));
+        assert_eq!(polls, 1);
+    }
+
+    #[test]
+    fn wait_until_keeps_polling_past_its_yields_until_the_condition_holds() {
+        let mut polls = 0;
+        let deadline = Instant::now() + Duration::from_secs(60);
+        assert!(wait_until(deadline, WORKER_NAP, || {
+            polls += 1;
+            polls == SPIN_YIELDS + 3
+        }));
+        assert_eq!(polls, SPIN_YIELDS + 3);
+    }
+
+    #[test]
+    fn wait_until_gives_up_at_its_deadline() {
+        let start = Instant::now();
+        let patience = Duration::from_millis(20);
+        assert!(!wait_until(start + patience, WORKER_NAP, || false));
+        assert!(start.elapsed() >= patience);
+    }
+
+    #[test]
+    fn barrier_rounds_release_live_arrivals_and_abandon_without_a_parent() {
+        let (path, log) = scratch_log(2, 4, "barrier");
+        let far = Instant::now() + Duration::from_secs(60);
+        // p1 arrives at round 1 alone: no release while p0 is live, and
+        // the release once p0 is dead.
+        log.user(SLOT_ARRIVAL0 + 1).store(1, Ordering::SeqCst);
+        assert!(!pump_barrier(&log, &[false, false]));
+        assert!(pump_barrier(&log, &[true, false]));
+        assert_eq!(log.user(SLOT_RELEASE).load(Ordering::SeqCst), 1);
+        // Released rounds pass at once and publish the arrival.
+        assert!(barrier_wait(&log, 1, 1, far));
+        assert_eq!(log.user(SLOT_ARRIVAL0 + 1).load(Ordering::SeqCst), 1);
+        // A round nobody releases ends at the abandon deadline, which is
+        // the worker's cue to exit with EXIT_ABANDONED.
+        let abandon = Instant::now() + Duration::from_millis(20);
+        assert!(!barrier_wait(&log, 1, 2, abandon));
+        assert_eq!(log.user(SLOT_ARRIVAL0 + 1).load(Ordering::SeqCst), 2);
+        // With every worker dead there is no quorum to release.
+        assert!(!pump_barrier(&log, &[true, true]));
         drop(log);
         let _ = std::fs::remove_file(path);
     }
