@@ -1,7 +1,7 @@
-//! **Experiment E12/E14** — census-engine throughput: configurations
+//! **Experiment E12/E15** — census-engine throughput: configurations
 //! expanded per second on the N = 4 detectable-CAS world by the
-//! arena/work-stealing engine, sequential vs parallel, exact vs
-//! dominance-pruned.
+//! arena/work-stealing engine, sequential vs parallel, unfolded vs with
+//! the private-step fold.
 //!
 //! The engine expands each successor under an undo-log checkpoint
 //! (O(writes) instead of a full-memory copy), stores frontier states as
@@ -42,7 +42,6 @@ fn config(parallelism: usize) -> BfsConfig {
         max_ops: MAX_OPS,
         max_states: 20_000_000,
         parallelism,
-        dominance: false,
         ..Default::default()
     }
 }
@@ -56,7 +55,7 @@ fn host_cpus() -> usize {
 /// states/sec, peak resident bytes, spilled bytes, scheduler counters and
 /// the host CPU count it ran under, plus a `table` document (the
 /// `census_table --json` schema) that CI diffs live output against.
-/// Disk-tier rows (`ext-n5-seq`, `ext-n6-dom`) run the external-memory
+/// Disk-tier rows (`ext-n5-seq`, `ext-n6-fold`) run the external-memory
 /// engine under a 512 MiB budget next to their in-RAM twins and assert the
 /// E15 acceptance contract: identical counts, measured peak under the
 /// budget. The `fork-par{2,4,8}` rows (experiment E17) are measured on
@@ -151,40 +150,40 @@ fn main() {
             ),
         }
     }
-    // The dominance-pruned engine: fewer expansions for the same verdict,
-    // tracked so pruning regressions surface in the baseline diff.
-    sample("dom-seq", true, &|| {
+    // The private-step fold: fewer expansions for the same verdict,
+    // tracked so reduction regressions surface in the baseline diff.
+    sample("fold-seq", true, &|| {
         scenario_report(BfsConfig {
-            dominance: true,
+            fold_private: true,
             ..config(1)
         })
     });
 
     // Disk-tier rows (experiment E15): the census's disk tier vs its
-    // in-RAM tier on the worlds the disk tier exists for — N = 5 exact
-    // and N = 6 dominance — under a deliberately small RAM budget. These
-    // are single-shot (no warm run): each costs minutes on one core, and
-    // the point of the row is the peak-resident / counts contract, with
-    // throughput as the secondary trend line.
+    // in-RAM tier on the worlds the disk tier exists for — N = 5
+    // unfolded and N = 6 folded — under a deliberately small RAM budget.
+    // These are single-shot (no warm run): the point of the row is the
+    // peak-resident / counts contract, with throughput as the secondary
+    // trend line.
     const EXT_BUDGET: usize = 512 << 20;
     let spill = std::env::temp_dir().join(format!("census-bench-{}", std::process::id()));
     std::fs::create_dir_all(&spill).expect("spill dir");
-    let ext_cfg = |dominance: bool, disk: bool| BfsConfig {
+    let ext_cfg = |fold_private: bool, disk: bool| BfsConfig {
         max_ops: 5,
         max_states: 20_000_000,
         parallelism: 1,
-        dominance,
+        fold_private,
         disk_dir: disk.then(|| spill.clone()),
         ram_budget: disk.then_some(EXT_BUDGET),
     };
-    for (n, dominance) in [(5u32, false), (6, true)] {
+    for (n, fold) in [(5u32, false), (6, true)] {
         let (obj, world_mem) = build_world(|b| DetectableCas::new(b, n, 0));
-        let tag = if dominance { "dom" } else { "seq" };
+        let tag = if fold { "fold" } else { "seq" };
         let ram = sample(&format!("ram-n{n}-{tag}"), false, &|| {
-            census_bfs_engine(&obj, &world_mem, &alphabet(), &ext_cfg(dominance, false))
+            census_bfs_engine(&obj, &world_mem, &alphabet(), &ext_cfg(fold, false))
         });
         let ext = sample(&format!("ext-n{n}-{tag}"), false, &|| {
-            census_bfs_engine(&obj, &world_mem, &alphabet(), &ext_cfg(dominance, true))
+            census_bfs_engine(&obj, &world_mem, &alphabet(), &ext_cfg(fold, true))
         });
         // The acceptance contract for the disk tier: identical verdict and
         // counts under the budget, with the measured peak actually under it.

@@ -1,4 +1,4 @@
-//! **Experiment E1 / E12 / E14 / E15** — Theorem 1 / Figure 1: the
+//! **Experiment E1 / E12 / E15** — Theorem 1 / Figure 1: the
 //! reachable-configuration census.
 //!
 //! Counts distinct shared-memory configurations (memory-equivalence classes)
@@ -14,26 +14,26 @@
 //!   exhaustive census to N = 4 and N = 5 (experiment E12); `--threads N`
 //!   spreads frontier expansion over worker threads with identical counts
 //!   at every setting;
-//! * *bfs-dom* rows use ops_used-dominance pruning (experiment E14):
-//!   expansions shrink by roughly the op-budget factor, the
-//!   distinct-configuration verdict is provably that of the exact engine,
-//!   and 63 ≥ 2⁶ − 1 completes on CI hardware. `--dominance` switches
-//!   every BFS row to the pruned engine;
+//! * *bfs-fold* rows (detectable CAS, N ≥ 6) fold each machine step's
+//!   private-only continuation into it (`BfsConfig::fold_private`, the
+//!   explorer's partial-order reduction): expansions shrink 20–40×, the
+//!   distinct-configuration verdict is provably that of the unfolded
+//!   engine, and 63 ≥ 2⁶ − 1 completes in about a second;
 //! * `--max-n K` extends (or shrinks) the BFS sweep: the default 6 is
-//!   today's CI table; `--max-n 7` adds the N = 7 *bfs-dom* row
+//!   today's CI table; `--max-n 7` adds the N = 7 *bfs-fold* row
 //!   (experiment E15), which needs a 6-op budget (`Σ C(7,k), k ≤ 6` =
-//!   `127 = 2^7 − 1`) and is sized for the census's disk tier —
-//!   pass `--disk-dir DIR` (and optionally `--ram-budget BYTES`) to spill
-//!   the frontier, arena segments and visited set to disk instead of
-//!   holding the multi-hundred-million-node space resident;
+//!   `127 = 2^7 − 1`) and completes in RAM (about 5M states). Pass
+//!   `--disk-dir DIR` (and optionally `--ram-budget BYTES`) to run every
+//!   BFS row on the census's disk tier instead, spilling the frontier,
+//!   arena segments and visited set to disk;
 //! * the non-detectable baseline stays at the value-domain size, flat in N —
 //!   the ablation isolating detectability as the cause of the blow-up.
 //!
 //! Run: `cargo run --release -p bench --bin census_table [-- --threads N]
-//! [--dominance] [--max-n K] [--disk-dir DIR] [--ram-budget BYTES] [--json]`
+//! [--max-n K] [--disk-dir DIR] [--ram-budget BYTES] [--json]`
 
 use baselines::NonDetectableCas;
-use bench::{flag_present, flag_value, json_mode, markdown_table, threads_flag};
+use bench::{flag_value, json_mode, markdown_table, threads_flag};
 use detectable::{ObjectKind, OpSpec};
 use harness::{
     census_table_json, gray_code_cas_ops, resolve_parallelism, BfsConfig, Scenario, Verdict,
@@ -100,7 +100,6 @@ fn row(mode: &str, n: u32, v: &Verdict) -> Vec<String> {
 fn main() {
     // `--threads` omitted → 0 → the host's available parallelism.
     let threads = resolve_parallelism(threads_flag());
-    let dominance = flag_present("dominance");
     let max_n: u32 =
         flag_value("max-n").map_or(6, |v| v.parse().expect("--max-n takes a process count"));
     let disk_dir = flag_value("disk-dir").map(std::path::PathBuf::from);
@@ -121,22 +120,22 @@ fn main() {
         verdicts.push(v);
     }
 
-    // Exhaustive BFS, both implementations. The arena engine reaches N = 5
-    // exactly; the N ≥ 6 rows need the dominance quotient to stay tractable,
-    // so they are always pruned and labeled as such (the verdict is the
-    // exact engine's by the dominance soundness argument — see DESIGN §3.3).
+    // Exhaustive BFS, both implementations. The N ≤ 5 rows step one
+    // primitive per successor; the N ≥ 6 rows fold private-only steps to
+    // stay tractable, and are labeled as such (the verdict is the unfolded
+    // engine's by the fold's soundness argument — see DESIGN §3.3).
     let mut bfs_row = |n: u32, detectable: bool| {
-        let dom = dominance || (detectable && n >= 6);
+        let fold = detectable && n >= 6;
         let cfg = BfsConfig {
             max_ops: bfs_ops(n),
             max_states: 20_000_000,
             parallelism: threads,
-            dominance: dom,
+            fold_private: fold,
             disk_dir: disk_dir.clone(),
             ram_budget,
         };
         let v = bfs_scenario(n, detectable).census(&cfg);
-        let mode_tag = if dom { "bfs-dom" } else { "bfs" };
+        let mode_tag = if fold { "bfs-fold" } else { "bfs" };
         rows.push(row(
             &format!(
                 "{mode_tag} (≤{} ops, {} states)",
@@ -159,14 +158,9 @@ fn main() {
         return;
     }
 
-    println!("# E1/E12/E14/E15 — Theorem 1 census: reachable shared-memory configurations\n");
+    println!("# E1/E12/E15 — Theorem 1 census: reachable shared-memory configurations\n");
     println!(
-        "BFS rows expanded on {threads} worker thread(s){}{}.\n",
-        if dominance {
-            " with ops_used-dominance pruning"
-        } else {
-            ""
-        },
+        "BFS rows expanded on {threads} worker thread(s){}.\n",
         if disk_dir.is_some() {
             " on the external-memory (disk-spill) engine"
         } else {

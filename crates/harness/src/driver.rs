@@ -305,6 +305,40 @@ fn transition(
     outcome
 }
 
+/// The most private-only steps [`step_folded`] folds after a machine's
+/// first step. The paper's algorithms take a handful of private steps
+/// between shared accesses, so the bound only ever binds on a machine that
+/// spins on its own cells forever; it keeps such a livelock from hanging
+/// either search.
+const FOLD_LIMIT: usize = 1 << 12;
+
+/// One machine step, then — while the machine is pending — up to
+/// [`FOLD_LIMIT`] more, as long as each touches only private cells
+/// ([`SimMemory::shared_touched`]). A speculative step that touches shared
+/// memory is rewound through the memory's undo log and the machine's
+/// clone. Stopping early is always sound: it only leaves a private step
+/// for a later action.
+fn step_folded(m: &mut Box<dyn Machine>, mem: &SimMemory) -> Poll {
+    let mut r = m.step(mem);
+    for _ in 0..FOLD_LIMIT {
+        if !matches!(r, Poll::Pending) {
+            break;
+        }
+        let cp = mem.checkpoint();
+        let saved = m.clone_box();
+        mem.reset_shared_touch();
+        let speculative = m.step(mem);
+        if mem.shared_touched() {
+            mem.rollback(cp);
+            *m = saved;
+            break;
+        }
+        mem.discard(cp);
+        r = speculative;
+    }
+    r
+}
+
 /// Drives N processes' operation life cycles over a shared memory,
 /// recording the execution [`History`].
 ///
@@ -478,13 +512,13 @@ impl Driver {
         self.advance(obj, mem, i, retry, |m, mem| m.step(mem))
     }
 
-    /// Like [`step`](Self::step), but with the explorer's partial-order
-    /// reduction: after the first machine step, subsequent steps that touch
-    /// only the acting process's private cells are folded into the same
-    /// action (they commute with every other process's actions, so
-    /// exploring their interleavings separately adds nothing). A
-    /// speculative extra step that turns out to touch shared memory is
-    /// rewound through the memory's undo log and the machine's clone.
+    /// Like [`step`](Self::step), but with the partial-order reduction both
+    /// searches share: after the first machine step, subsequent steps that
+    /// touch only the acting process's private cells are folded into the
+    /// same action (they commute with every other process's actions, so
+    /// exploring their interleavings separately adds nothing). At most
+    /// 4,096 steps are folded, so a machine spinning on its own cells
+    /// cannot hang the caller.
     pub fn step_merged(
         &mut self,
         obj: &dyn RecoverableObject,
@@ -492,26 +526,7 @@ impl Driver {
         i: usize,
         retry: &RetryPolicy,
     ) -> StepOutcome {
-        self.advance(obj, mem, i, retry, |m, mem_dyn| {
-            let sim: &SimMemory = mem;
-            let _ = mem_dyn;
-            sim.reset_shared_touch();
-            let mut r = m.step(sim);
-            while matches!(r, Poll::Pending) {
-                let cp = sim.checkpoint();
-                let saved = m.clone_box();
-                sim.reset_shared_touch();
-                let speculative = m.step(sim);
-                if sim.shared_touched() {
-                    sim.rollback(cp);
-                    *m = saved;
-                    break;
-                }
-                sim.discard(cp);
-                r = speculative;
-            }
-            r
-        })
+        self.advance(obj, mem, i, retry, |m, _| step_folded(m, mem))
     }
 
     /// Runs [`transition`] on process `i` in place and records the events
@@ -543,9 +558,10 @@ impl Driver {
         outcome
     }
 
-    /// Process `i`'s slot after one [`step`](Self::step) under a policy
-    /// that never retries, computed on a copy: the driver is untouched and
-    /// only process `i`'s machine is cloned. The memory takes the step's
+    /// Process `i`'s slot after one [`step`](Self::step) — or, if `fold`,
+    /// one [`step_merged`](Self::step_merged) — under a policy that never
+    /// retries, computed on a copy: the driver is untouched and only
+    /// process `i`'s machine is cloned. The memory takes the step's
     /// effects. Records nothing — the census's drivers keep no history —
     /// so combine with [`with_process`](Self::with_process) only on
     /// history-less drivers.
@@ -556,12 +572,17 @@ impl Driver {
     pub(crate) fn step_successor(
         &self,
         obj: &dyn RecoverableObject,
-        mem: &dyn Memory,
+        mem: &SimMemory,
         i: usize,
+        fold: bool,
     ) -> (Proc, StepOutcome) {
         let mut p = self.procs[i].clone();
-        let outcome = transition(obj, mem, Pid::new(i as u32), &mut p, &NO_RETRY, |m, mem| {
-            m.step(mem)
+        let outcome = transition(obj, mem, Pid::new(i as u32), &mut p, &NO_RETRY, |m, _| {
+            if fold {
+                step_folded(m, mem)
+            } else {
+                m.step(mem)
+            }
         });
         (p, outcome)
     }
@@ -948,9 +969,20 @@ mod tests {
         assert_eq!((copy.key(), copy_mem), (d.key(), image(&mem)));
 
         loop {
+            // A folded successor is the node after `step_merged`.
+            let cp = mem.checkpoint();
+            let (p, folded) = d.step_successor(&cas, &mem, 0, true);
+            let (copy, copy_mem) = (d.with_process(0, p), image(&mem));
+            mem.rollback(cp);
+            let cp = mem.checkpoint();
+            let mut merged = d.clone();
+            assert_eq!(merged.step_merged(&cas, &mem, 0, &NO_RETRY), folded);
+            assert_eq!((copy.key(), copy_mem), (merged.key(), image(&mem)));
+            mem.rollback(cp);
+
             let before = d.key();
             let cp = mem.checkpoint();
-            let (p, outcome) = d.step_successor(&cas, &mem, 0);
+            let (p, outcome) = d.step_successor(&cas, &mem, 0, false);
             let mut seg = Vec::new();
             p.encode_key(&mut seg);
             let (copy, copy_mem) = (d.with_process(0, p), image(&mem));

@@ -25,25 +25,24 @@
 //! 1. **Expand**: the worker loop streams generation `g`'s node file and
 //!    expands each admitted record exactly like the in-RAM tier. A *repeat
 //!    filter* (`SeenFile`) drops each successor that repeats a recent
-//!    candidate at a budget no lower. Every other successor is a
-//!    candidate: its fingerprint is appended — tagged with a generation
-//!    sequence number — to a candidate file, and its record (budget,
-//!    interned image handle, driver key) to generation `g + 1`'s node file.
+//!    candidate. Every other successor is a candidate: its fingerprint is
+//!    appended — tagged with a generation sequence number — to a candidate
+//!    file, and its record (budget, interned image handle, driver key) to
+//!    generation `g + 1`'s node file.
 //! 2. **Sort-merge**: sort the candidate fingerprints in RAM-budget-sized
 //!    chunks into run files, k-way merge the runs, and walk the merge
-//!    against the sorted seen file. Per fingerprint group, replay the
-//!    candidates in sequence order with the in-RAM admission rule (exact:
-//!    first unseen occurrence; dominance: each strictly-lower budget than
-//!    the running minimum). Would-be admissions set bits in an in-RAM
-//!    bitmap indexed by sequence number. The same walk writes the next
-//!    seen file: the old entries below each group, then the group's
-//!    minimum budget.
+//!    against the sorted seen file. A fingerprint group that is not in the
+//!    seen file admits its first candidate in sequence order, as the
+//!    in-RAM visited set admits a fingerprint's first occurrence; it sets
+//!    that candidate's bit in an in-RAM bitmap indexed by sequence number.
+//!    The same walk writes the next seen file: the old entries below each
+//!    group, then the group's fingerprint.
 //! 3. **Cap**: scan the bitmap in sequence order, reserving one admission
 //!    slot per would-be admission and clearing those past
 //!    [`BfsConfig::max_states`]. Because sequence order *is* the canonical
 //!    sequential BFS admission order, the tier admits exactly the nodes the
-//!    one-worker in-RAM tier admits — in both exact and dominance modes,
-//!    truncated or not — so every count in the report matches. The
+//!    one-worker in-RAM tier admits — folded or not, truncated or not — so
+//!    every count in the report matches. The
 //!    differential tests pin this. Unlike the in-RAM visited set, the seen
 //!    file may keep a fingerprint whose admission the cap refused; that
 //!    changes nothing, since once `Slots::reserve` fails every later call
@@ -53,14 +52,10 @@
 //!    clear, so no record is copied. Generation `g`'s files are deleted.
 //!
 //! The filter never changes an admission. Its slots hold only fingerprints
-//! written as candidates, each at the lowest budget written since it took
-//! the slot. The replay left that fingerprint's running minimum at or below
-//! the slot's budget, or the cap refused it and so refuses everything after.
-//! A repeat at a budget no lower is then never admitted: in exact mode it
-//! is not a first occurrence, in dominance mode it is not strictly below
-//! the minimum. Most repeats follow their twin closely, so a small table
-//! catches most of them; it has `chunk_entries / 32` slots, 96 KiB at a
-//! 16 MiB budget.
+//! written as candidates, and a repeat of a candidate is not a first
+//! occurrence (the fingerprint already carries the budget). Most repeats
+//! follow their twin closely, so a small table catches most of them; it
+//! has one slot per 4 KiB of RAM budget, 96 KiB at a 16 MiB budget.
 //!
 //! Images are interned at expansion time, before admission is known, so
 //! the arena may store images only capacity-rejected nodes reference —
@@ -116,21 +111,23 @@ struct Knobs {
     seg_slots: usize,
     hot_segments: usize,
     chunk_entries: usize,
+    filter_slots: usize,
 }
 
-/// Bytes per candidate-fingerprint entry: `fp0, fp1, seqno, budget`.
-const FP_ENTRY_WORDS: usize = 4;
+/// Words per candidate-fingerprint entry: `fp0, fp1, seqno`.
+const FP_ENTRY_WORDS: usize = 3;
 
 fn knobs(stride: usize, ram_budget: Option<usize>) -> Knobs {
     let budget = ram_budget.unwrap_or(512 << 20);
     Knobs {
         // A quarter of the budget for the active segment (the hot cache
-        // holds two more of the same size), a quarter for sort chunks; the
-        // rest is headroom for the resident index, bitmaps and the repeat
-        // filter (`chunk_entries / 32` slots of 24 bytes).
+        // holds two more of the same size), a quarter for sort chunks, one
+        // repeat-filter slot of 24 bytes per 4 KiB; the rest is headroom
+        // for the resident index and bitmaps.
         seg_slots: (budget / 4 / (stride * 8)).clamp(8, 1 << 20),
         hot_segments: 2,
         chunk_entries: (budget / 4 / (FP_ENTRY_WORDS * 8)).clamp(64, 1 << 24),
+        filter_slots: budget / 4096,
     }
 }
 
@@ -242,38 +239,33 @@ impl Drop for DirGuard {
     }
 }
 
-/// A candidate fingerprint entry `[fp0, fp1, seqno, budget]`, ordered by
-/// `(fp0, fp1, seqno)` for the sort-merge. A seen-file entry is
-/// `[fp0, fp1, budget]`, sorted by `(fp0, fp1)`.
+/// A candidate fingerprint entry `[fp0, fp1, seqno]`, sorted as a tuple
+/// for the sort-merge. A seen-file entry is `[fp0, fp1]`, sorted likewise.
 type FpEntry = [u64; FP_ENTRY_WORDS];
-
-fn fp_key(e: &FpEntry) -> (u64, u64, u64) {
-    (e[0], e[1], e[2])
-}
 
 /// The old seen file, streamed into the next one as the merge passes
 /// each fingerprint group.
 struct SeenMerge {
     r: WordReader,
-    cur: Option<[u64; 3]>,
+    cur: Option<[u64; 2]>,
     w: WordWriter,
 }
 
 impl SeenMerge {
     /// Copies the old entries below `fp` (all that remain if `None`), and
-    /// takes `fp`'s own entry if it is next, returning its budget.
-    fn upto(&mut self, fp: Option<(u64, u64)>) -> io::Result<Option<u64>> {
+    /// takes `fp`'s own entry if it is next, returning whether it was.
+    fn upto(&mut self, fp: Option<[u64; 2]>) -> io::Result<bool> {
         while let Some(s) = self.cur {
-            if fp.is_some_and(|fp| (s[0], s[1]) > fp) {
+            if fp.is_some_and(|fp| s > fp) {
                 break;
             }
             self.cur = next_entry(&mut self.r)?;
-            if fp == Some((s[0], s[1])) {
-                return Ok(Some(s[2]));
+            if fp == Some(s) {
+                return Ok(true);
             }
             self.w.put_all(&s)?;
         }
-        Ok(None)
+        Ok(false)
     }
 }
 
@@ -315,39 +307,36 @@ static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
 /// repeat filter proves the replay would reject it (see the
 /// [module docs](self)).
 struct SeenFile {
-    /// Direct-mapped repeat filter, one `[fp0, fp1, budget + 1]` per slot;
-    /// `0` in the last word marks an empty slot.
-    filter: RefCell<Vec<[u64; 3]>>,
+    /// Direct-mapped repeat filter, one fingerprint (or `None`) per slot.
+    filter: RefCell<Vec<Option<(u64, u64)>>>,
     dropped: Cell<u64>,
 }
 
 impl SeenFile {
     fn new(slots: usize) -> Self {
         SeenFile {
-            filter: RefCell::new(vec![[0; 3]; slots.max(1)]),
+            filter: RefCell::new(vec![None; slots.max(1)]),
             dropped: Cell::new(0),
         }
     }
 
     fn bytes(&self) -> usize {
-        self.filter.borrow().len() * std::mem::size_of::<[u64; 3]>()
+        self.filter.borrow().len() * std::mem::size_of::<Option<(u64, u64)>>()
     }
 }
 
 impl Admission for SeenFile {
-    /// Drops the successor if its slot holds the same fingerprint at a
-    /// budget no higher; otherwise it takes the slot and becomes a
-    /// candidate.
-    fn admit(&self, _: &Slots, fp: (u64, u64), ops_used: usize) -> bool {
+    /// Drops the successor if its slot holds the same fingerprint;
+    /// otherwise it takes the slot and becomes a candidate.
+    fn admit(&self, _: &Slots, fp: (u64, u64)) -> bool {
         let mut filter = self.filter.borrow_mut();
         let len = filter.len() as u64;
         let slot = &mut filter[(fp.0 % len) as usize];
-        let budget = ops_used as u64 + 1;
-        if slot[2] != 0 && slot[2] <= budget && (slot[0], slot[1]) == fp {
+        if *slot == Some(fp) {
             self.dropped.set(self.dropped.get() + 1);
             return false;
         }
-        *slot = [fp.0, fp.1, budget];
+        *slot = Some(fp);
         true
     }
 
@@ -396,14 +385,13 @@ pub(crate) fn census_on_disk(
             disk_dir: run_dir.clone(),
         },
     );
-    let seen = SeenFile::new(k.chunk_entries / 32);
+    let seen = SeenFile::new(k.filter_slots);
     let census = Census::new(obj, alphabet, cfg, &arena, &seen);
     let root = census.root(mem);
     let mut gens = Generations {
         obj,
         slots: &census.slots,
         dir: &run_dir,
-        dominance: cfg.dominance,
         chunk_entries: k.chunk_entries,
         gen: 0,
         cur: None,
@@ -450,7 +438,6 @@ struct Generations<'a> {
     obj: &'a dyn RecoverableObject,
     slots: &'a Slots,
     dir: &'a Path,
-    dominance: bool,
     chunk_entries: usize,
     gen: u64,
     /// `None` once the search has drained.
@@ -476,7 +463,7 @@ impl Generations<'_> {
         let mut admitted = Bitmap::new(usize::from(root.is_some()));
         if let Some((node, fp)) = root {
             put_node(&mut gen_w, 0, node.state, &node.driver.key())?;
-            seen_w.put_all(&[fp.0, fp.1, 0])?;
+            seen_w.put_all(&[fp.0, fp.1])?;
             admitted.set(0);
         }
         self.spill.bytes_spilled += seen_w.finish()? + gen_w.finish()?;
@@ -531,8 +518,7 @@ impl Generations<'_> {
     ) -> io::Result<()> {
         let cur = self.cur.as_mut().expect("push during an expansion");
         for (node, fp) in nodes.drain(..).zip(fps) {
-            cur.fps
-                .put_all(&[fp.0, fp.1, cur.seq, node.ops_used as Word])?;
+            cur.fps.put_all(&[fp.0, fp.1, cur.seq])?;
             put_node(&mut cur.next, node.ops_used, node.state, &node.driver)?;
             cur.seq += 1;
         }
@@ -574,7 +560,7 @@ impl Generations<'_> {
                 if chunk.is_empty() {
                     break;
                 }
-                chunk.sort_unstable_by_key(fp_key);
+                chunk.sort_unstable();
                 let path = dir.join(format!("run-{}.fps", runs.len()));
                 let mut w = WordWriter::create(&path)?;
                 w.put_all(chunk.as_flattened())?;
@@ -603,40 +589,27 @@ impl Generations<'_> {
                 r: seen_r,
                 w: WordWriter::create(&next_seen_path)?,
             };
-            // Per-fingerprint-group replay state: the group key and the
-            // running minimum admitted budget (`None` ⇒ unseen so far).
-            let mut group: Option<((u64, u64), Option<u64>)> = None;
+            // The fingerprint group being walked.
+            let mut group = None;
             // Pop the globally smallest (fp0, fp1, seqno) entry each round.
             while let Some(best) = cursors
                 .iter()
                 .enumerate()
-                .filter_map(|(i, (_, e))| e.map(|e| (fp_key(&e), i)))
+                .filter_map(|(i, (_, e))| e.map(|e| (e, i)))
                 .min()
                 .map(|(_, i)| i)
             {
-                let entry = cursors[best].1.take().expect("cursor checked non-empty");
+                let [fp0, fp1, seq] = cursors[best].1.take().expect("cursor checked non-empty");
                 cursors[best].1 = next_entry(&mut cursors[best].0)?;
-
-                let fp = (entry[0], entry[1]);
-                if group.map(|(g, _)| g) != Some(fp) {
-                    // The closing group's running minimum is its entry in
-                    // the next seen file.
-                    if let Some((g, Some(min))) = group {
-                        seen.w.put_all(&[g.0, g.1, min])?;
+                // Only a group's first, lowest-sequence candidate can
+                // admit, and only if no earlier generation saw it.
+                if group != Some([fp0, fp1]) {
+                    group = Some([fp0, fp1]);
+                    if !seen.upto(group)? {
+                        bitmap.set(seq as usize);
                     }
-                    group = Some((fp, seen.upto(Some(fp))?));
+                    seen.w.put_all(&[fp0, fp1])?;
                 }
-                let (_, running) = group.as_mut().expect("group just set");
-                // Exact: only a never-seen fingerprint admits, once.
-                // Dominance: a strictly lower budget than every prior
-                // admission (including earlier in this generation).
-                if running.is_none_or(|min| self.dominance && entry[3] < min) {
-                    *running = Some(entry[3]);
-                    bitmap.set(entry[2] as usize);
-                }
-            }
-            if let Some((g, Some(min))) = group {
-                seen.w.put_all(&[g.0, g.1, min])?;
             }
             seen.upto(None)?;
             self.spill.bytes_spilled += seen.w.finish()?;
@@ -706,7 +679,7 @@ mod tests {
     fn external_engine_matches_in_ram_counts_exactly() {
         let dir = tmp_dir("match");
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-        for (max_ops, max_states, dominance) in [
+        for (max_ops, max_states, fold_private) in [
             (4, 200_000, false),
             (4, 200_000, true),
             (4, 37, false),
@@ -716,7 +689,7 @@ mod tests {
             let cfg = BfsConfig {
                 max_ops,
                 max_states,
-                dominance,
+                fold_private,
                 disk_dir: Some(dir.clone()),
                 // Tiny: forces multi-segment arena spill and multi-run sorts.
                 ram_budget: Some(4096),
@@ -779,25 +752,10 @@ mod tests {
     fn repeat_filter_rejects_an_exact_repeat() {
         let slots = Slots::new(usize::MAX);
         let f = SeenFile::new(4);
-        assert!(f.admit(&slots, (8, 1), 2));
-        assert!(!f.admit(&slots, (8, 1), 2));
-        assert!(!f.admit(&slots, (8, 1), 2));
+        assert!(f.admit(&slots, (8, 1)));
+        assert!(!f.admit(&slots, (8, 1)));
+        assert!(!f.admit(&slots, (8, 1)));
         assert_eq!(f.dropped.get(), 2);
-    }
-
-    #[test]
-    fn repeat_filter_passes_only_a_lower_budget() {
-        let slots = Slots::new(usize::MAX);
-        let f = SeenFile::new(4);
-        assert!(f.admit(&slots, (8, 1), 3));
-        assert!(!f.admit(&slots, (8, 1), 3), "equal budget");
-        assert!(!f.admit(&slots, (8, 1), 4), "higher budget");
-        assert!(f.admit(&slots, (8, 1), 1), "lower budget");
-        // The slot now holds budget 1.
-        assert!(!f.admit(&slots, (8, 1), 2));
-        assert!(!f.admit(&slots, (8, 1), 1));
-        assert!(f.admit(&slots, (8, 1), 0));
-        assert_eq!(f.dropped.get(), 4);
     }
 
     #[test]
@@ -805,15 +763,15 @@ mod tests {
         let slots = Slots::new(usize::MAX);
         let f = SeenFile::new(4);
         // An empty slot rejects nothing, the all-zero fingerprint included.
-        assert!(f.admit(&slots, (0, 0), 0));
-        assert!(f.admit(&slots, (8, 1), 0));
+        assert!(f.admit(&slots, (0, 0)));
+        assert!(f.admit(&slots, (8, 1)));
         // Same slot (8 % 4 == 12 % 4 == 0), different fingerprints: each
-        // takes the slot over, whatever its budget.
-        assert!(f.admit(&slots, (12, 1), 5));
-        assert!(f.admit(&slots, (12, 2), 5));
-        // The evicted fingerprint passes again, even at a higher budget.
-        assert!(f.admit(&slots, (8, 1), 5));
-        assert!(!f.admit(&slots, (8, 1), 5));
+        // takes the slot over.
+        assert!(f.admit(&slots, (12, 1)));
+        assert!(f.admit(&slots, (12, 2)));
+        // The evicted fingerprint passes again.
+        assert!(f.admit(&slots, (8, 1)));
+        assert!(!f.admit(&slots, (8, 1)));
         assert_eq!(f.dropped.get(), 1);
     }
 
@@ -837,16 +795,16 @@ mod tests {
 
     #[test]
     fn torn_fingerprint_entry_is_an_error_not_an_end() {
-        let words = [1, 2, 3, 4, 5, 6, 7, 8];
+        let words = [1, 2, 3, 4, 5, 6];
         // The file ends after one whole entry: a clean end.
-        let mut r = torn_file("fp-clean", &words, 32);
-        assert_eq!(next_entry::<4>(&mut r).unwrap(), Some([1, 2, 3, 4]));
-        assert_eq!(next_entry::<4>(&mut r).unwrap(), None);
+        let mut r = torn_file("fp-clean", &words, 24);
+        assert_eq!(next_entry::<3>(&mut r).unwrap(), Some([1, 2, 3]));
+        assert_eq!(next_entry::<3>(&mut r).unwrap(), None);
         // The file ends inside the second entry, on and off a word boundary.
-        for keep in [40, 52, 63] {
+        for keep in [32, 44, 47] {
             let mut r = torn_file("fp-torn", &words, keep);
-            assert_eq!(next_entry::<4>(&mut r).unwrap(), Some([1, 2, 3, 4]));
-            let err = next_entry::<4>(&mut r).unwrap_err();
+            assert_eq!(next_entry::<3>(&mut r).unwrap(), Some([1, 2, 3]));
+            let err = next_entry::<3>(&mut r).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {keep}");
         }
     }

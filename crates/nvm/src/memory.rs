@@ -172,9 +172,9 @@ impl SimMemory {
     }
 
     /// Whether any primitive has touched a **shared** cell since the last
-    /// [`reset_shared_touch`](Self::reset_shared_touch). The exhaustive
-    /// explorer uses this for partial-order reduction: steps that only touch
-    /// a process's private cells commute with every other process's actions.
+    /// [`reset_shared_touch`](Self::reset_shared_touch). Both searches use
+    /// this for partial-order reduction: steps that only touch a process's
+    /// private cells commute with every other process's actions.
     pub fn shared_touched(&self) -> bool {
         self.touched_shared.get()
     }

@@ -141,7 +141,7 @@ fn census_counts(kind: ObjectKind, n: u32, max_ops: usize) -> [usize; 4] {
         max_ops,
         max_states: 1_000_000,
         parallelism: 1,
-        dominance: false,
+        fold_private: false,
         disk_dir: disk.then(|| dir.clone()),
         ram_budget: disk.then_some(8 * 1024),
     };

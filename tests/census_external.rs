@@ -5,8 +5,9 @@
 //! replaces the resident visited set, frontier and image arena with sorted
 //! spill files and a segment-spilling arena; its admission semantics are
 //! argued equivalent to the one-worker in-RAM tier in the module docs. These
-//! tests *pin* that equivalence empirically on all eight object kinds, in
-//! exact and dominance mode, complete and truncated, with the RAM budget
+//! tests *pin* that equivalence empirically on all eight object kinds,
+//! unfolded and with the private-step fold, complete and truncated, with
+//! the RAM budget
 //! forced tiny enough that every run actually spills (multi-segment
 //! arena, multi-run external sorts) — a disk tier that silently kept
 //! everything resident would prove nothing.
@@ -63,12 +64,13 @@ fn external_engine_matches_in_ram_on_every_kind() {
     for (kind, obj, mem) in worlds(n) {
         assert!(obj.decodable(), "{kind:?} must support machine decoding");
         let alphabet = default_alphabet(kind);
-        for (dominance, max_states) in [(false, 300_000), (true, 300_000), (false, 61), (true, 61)]
+        for (fold_private, max_states) in
+            [(false, 300_000), (true, 300_000), (false, 61), (true, 61)]
         {
             let cfg = BfsConfig {
                 max_ops: 3,
                 max_states,
-                dominance,
+                fold_private,
                 disk_dir: Some(dir.clone()),
                 // Tiny on purpose: forces multi-segment arena spill and
                 // multi-run sorts on every kind (asserted below).
@@ -85,7 +87,7 @@ fn external_engine_matches_in_ram_on_every_kind() {
                     ..cfg.clone()
                 },
             );
-            let tag = format!("{kind:?} dominance={dominance} cap={max_states}");
+            let tag = format!("{kind:?} fold={fold_private} cap={max_states}");
             assert_eq!(ext.distinct_shared, ram.distinct_shared, "{tag}");
             assert_eq!(ext.work, ram.work, "{tag}");
             assert_eq!(ext.steps, ram.steps, "{tag}");

@@ -1,11 +1,10 @@
 //! Integration: census limit/truncation semantics, the parallel
-//! arena/work-stealing engine, and dominance pruning — the cap expands
+//! arena/work-stealing engine, and the private-step fold — the cap expands
 //! exactly `max_states` nodes, truncation is visible end to end (report,
-//! `Verdict`, JSON), exact-engine runs count identically at every thread
-//! level, the arena engine agrees with the reference census defined here,
-//! and the dominance-pruned mode reproduces the exact verdict (while
-//! legitimately shrinking the raw work counts — the non-count-preserving
-//! contract, pinned below).
+//! `Verdict`, JSON), runs count identically at every thread level, the
+//! arena engine agrees with the reference census defined here, and the
+//! fold's work counts (non-count-preserving, but canonical) are pinned
+//! below; `tests/census_fold.rs` pins its verdict on every kind.
 
 use std::collections::{HashSet, VecDeque};
 
@@ -170,8 +169,8 @@ impl From<&RunStats> for Counts {
 /// sum over the forks. The cap means what it means for
 /// `census_bfs_engine`: `max_states` bounds admissions, every admitted
 /// node is expanded, and a refused admission marks the run truncated.
-/// `parallelism` and `dominance` are ignored: the reference is sequential
-/// and exact.
+/// `parallelism` and `fold_private` are ignored: the reference is
+/// sequential and unfolded.
 fn reference_census(
     obj: &dyn RecoverableObject,
     mem: &SimMemory,
@@ -323,90 +322,35 @@ fn fork_engine_matches_snapshot_reference_in_shared_cache_mode() {
     assert_eq!(Counts::from(&fork.stats), reference);
 }
 
-// ───────────────── dominance pruning (non-count-preserving) ─────────────────
-
-/// Satellite: the dominance-pruned engine reproduces the exact engine's
-/// *verdict* — distinct configurations, bound satisfaction, truncation —
-/// across every object kind at N ≤ 3, over each kind's standard search
-/// alphabet. Work counts are deliberately not compared (see the pinned
-/// divergence test below).
-#[test]
-fn dominance_verdict_matches_exact_across_all_kinds() {
-    let kinds = [
-        ObjectKind::Register,
-        ObjectKind::Cas,
-        ObjectKind::MaxRegister,
-        ObjectKind::Counter,
-        ObjectKind::Faa,
-        ObjectKind::Swap,
-        ObjectKind::Tas,
-        ObjectKind::Queue,
-    ];
-    for kind in kinds {
-        for n in 1..=3u32 {
-            let scenario = || {
-                Scenario::object(kind)
-                    .processes(n)
-                    .workload(Workload::mixed(3))
-            };
-            let exact_cfg = BfsConfig {
-                max_ops: 3,
-                max_states: 2_000_000,
-                ..Default::default()
-            };
-            let exact = scenario().census(&exact_cfg);
-            let dom = scenario().census(&BfsConfig {
-                dominance: true,
-                ..exact_cfg
-            });
-            assert!(!exact.stats.truncated, "{kind:?} n={n} must complete");
-            assert_eq!(
-                dom.stats.distinct_configs, exact.stats.distinct_configs,
-                "{kind:?} n={n}: dominance changed the configuration count"
-            );
-            assert_eq!(dom.stats.truncated, exact.stats.truncated, "{kind:?} n={n}");
-            assert_eq!(dom.bound_met, exact.bound_met, "{kind:?} n={n}");
-            assert_eq!(dom.passed, exact.passed, "{kind:?} n={n}");
-            assert!(
-                dom.stats.executions <= exact.stats.executions,
-                "{kind:?} n={n}: pruning can only shrink the expansion count"
-            );
-        }
-    }
-}
+// ───────────────── the private-step fold (non-count-preserving) ─────────────────
 
 /// The non-count-preserving contract, pinned: on the 2-process CAS world
-/// with a 4-op budget the exact engine expands 1486 configurations and the
-/// dominance engine 894 — the budget dimension is quotiented away — while
-/// both observe the same 4 distinct shared configurations. These numbers
-/// are stable (sequential admission is canonical BFS order in both modes);
-/// if an engine change moves them, this test is the prompt to re-derive
-/// why.
+/// with a 4-op budget the unfolded engine expands 1486 configurations and
+/// the folded engine 364 — private-only steps join the step before
+/// them — while both observe the same 4 distinct shared configurations.
+/// Both counts are canonical (the same at every thread level); if an
+/// engine change moves them, this test is the prompt to re-derive why.
 #[test]
-fn dominance_work_divergence_is_pinned() {
+fn fold_work_divergence_is_pinned() {
     let cfg = BfsConfig {
         max_ops: 4,
         max_states: 2_000_000,
-        // Pinned sequentially: dominance-mode `work` is scheduling-
-        // dependent, and the Scenario layer resolves the 0 default to the
-        // host's parallelism.
-        parallelism: 1,
         ..Default::default()
     };
     let exact = cas_census(2, &cfg);
-    let dom = cas_census(
+    let folded = cas_census(
         2,
         &BfsConfig {
-            dominance: true,
+            fold_private: true,
             ..cfg
         },
     );
-    assert_eq!(exact.stats.executions, 1486, "exact expansion count");
-    assert_eq!(dom.stats.executions, 894, "dominance expansion count");
+    assert_eq!(exact.stats.executions, 1486, "unfolded expansion count");
+    assert_eq!(folded.stats.executions, 364, "folded expansion count");
     assert_eq!(exact.stats.distinct_configs, 4);
-    assert_eq!(dom.stats.distinct_configs, 4);
+    assert_eq!(folded.stats.distinct_configs, 4);
     assert_eq!(exact.bound_met, Some(true));
-    assert_eq!(dom.bound_met, Some(true));
+    assert_eq!(folded.bound_met, Some(true));
 }
 
 // ───────────────── census work stats (RunStats population) ─────────────────
@@ -442,12 +386,12 @@ fn census_verdicts_populate_work_stats() {
     assert!(drive.stats.persists > 0, "Algorithm 2 persists its RD bits");
 }
 
-// ───────────────── release-only scale pins (exact N = 4, dominance N = 4) ─────────────────
+// ───────────────── release-only scale pins (N = 4, unfolded and folded) ─────────────────
 
 /// The E12 scale pin, release builds only (the debug tier-1 run skips it):
-/// the exact engine reproduces the canonical N = 4 numbers — 647 456
-/// expansions, 16 distinct configurations — at every thread level, and the
-/// dominance engine reproduces the verdict with fewer expansions. This is
+/// the unfolded engine reproduces the canonical N = 4 numbers — 647 456
+/// expansions, 16 distinct configurations — and the folded engine the
+/// same verdict in 29 668 expansions, each at every thread level. This is
 /// the acceptance gate for engine rewrites: counts may never move.
 #[cfg(not(debug_assertions))]
 #[test]
@@ -457,32 +401,23 @@ fn n4_census_counts_are_pinned_at_every_thread_level() {
         max_states: 20_000_000,
         ..Default::default()
     };
-    for parallelism in [1usize, 2, 4] {
-        let v = cas_census(
-            4,
-            &BfsConfig {
-                parallelism,
-                ..base.clone()
-            },
-        );
-        assert_eq!(v.stats.executions, 647_456, "threads={parallelism}");
-        assert_eq!(v.stats.distinct_configs, 16, "threads={parallelism}");
-        assert!(!v.stats.truncated);
-        assert_eq!(v.bound_met, Some(true));
+    for (fold_private, work) in [(false, 647_456), (true, 29_668)] {
+        for parallelism in [1usize, 2, 4] {
+            let v = cas_census(
+                4,
+                &BfsConfig {
+                    parallelism,
+                    fold_private,
+                    ..base.clone()
+                },
+            );
+            let tag = format!("fold={fold_private} threads={parallelism}");
+            assert_eq!(v.stats.executions, work, "{tag}");
+            assert_eq!(v.stats.distinct_configs, 16, "{tag}");
+            assert!(!v.stats.truncated, "{tag}");
+            assert_eq!(v.bound_met, Some(true), "{tag}");
+        }
     }
-    let dom = cas_census(
-        4,
-        &BfsConfig {
-            dominance: true,
-            // Sequential: the pinned dominance expansion count is only
-            // canonical under FIFO admission order.
-            parallelism: 1,
-            ..base
-        },
-    );
-    assert_eq!(dom.stats.executions, 554_244, "dominance N=4 expansions");
-    assert_eq!(dom.stats.distinct_configs, 16);
-    assert_eq!(dom.bound_met, Some(true));
 }
 
 // ───────────────── worker panic propagation ─────────────────

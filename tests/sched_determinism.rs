@@ -47,7 +47,7 @@ fn arb_world() -> impl Strategy<Value = World> {
     })
 }
 
-fn census_at(w: &World, parallelism: usize, dominance: bool) -> Verdict {
+fn census_at(w: &World, parallelism: usize, fold_private: bool) -> Verdict {
     Scenario::object(w.kind)
         .processes(w.processes)
         .workload(Workload::mixed(w.max_ops))
@@ -55,7 +55,7 @@ fn census_at(w: &World, parallelism: usize, dominance: bool) -> Verdict {
             max_ops: w.max_ops,
             max_states: 2_000_000,
             parallelism,
-            dominance,
+            fold_private,
             ..Default::default()
         })
 }
@@ -111,13 +111,14 @@ proptest! {
         }
     }
 
-    /// Dominance-mode censuses keep the *verdict* thread-level-invariant
-    /// (work counts are legitimately scheduling-dependent there — the
-    /// non-count-preserving contract).
+    /// Folded censuses count the folded space, which is as canonical as
+    /// the unfolded one: work, steps and distinct configurations are
+    /// bit-identical at every thread level there too.
     #[test]
-    fn dominance_verdict_is_thread_level_invariant(w in arb_world()) {
+    fn fold_counts_are_thread_level_invariant(w in arb_world()) {
         let seq = census_at(&w, 1, true);
-        for threads in THREAD_LEVELS {
+        prop_assert!(!seq.stats.truncated, "{w:?}: the pin needs a complete run");
+        for threads in [2, 8] {
             let par = census_at(&w, threads, true);
             let tag = format!("{w:?} threads={threads}");
             prop_assert!(
@@ -126,6 +127,13 @@ proptest! {
                 par.stats.distinct_configs,
                 seq.stats.distinct_configs
             );
+            prop_assert!(
+                par.stats.executions == seq.stats.executions,
+                "{tag}: work {} vs {}",
+                par.stats.executions,
+                seq.stats.executions
+            );
+            prop_assert!(par.stats.steps == seq.stats.steps, "{tag}: steps");
             prop_assert!(par.stats.truncated == seq.stats.truncated, "{tag}: truncated");
             prop_assert!(par.bound_met == seq.bound_met, "{tag}: bound_met");
         }
