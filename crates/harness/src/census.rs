@@ -1016,38 +1016,49 @@ mod tests {
         assert!(full.meets_bound() && !full.bound_failed());
     }
 
+    /// Runs a complete 3-process CAS census at 1, 2 and 8 workers and
+    /// asserts every count matches the sequential run's.
+    fn assert_counts_are_thread_invariant(fold_private: bool) {
+        let (cas, mem) = build_world(|b| DetectableCas::new(b, 3, 0));
+        let base = BfsConfig {
+            max_ops: 4,
+            max_states: 2_000_000,
+            parallelism: 1,
+            fold_private,
+            ..Default::default()
+        };
+        let seq = census_bfs_engine(&cas, &mem, &cas_alphabet(), &base);
+        assert!(!seq.truncated);
+        for parallelism in [2, 8] {
+            let par = census_bfs_engine(
+                &cas,
+                &mem,
+                &cas_alphabet(),
+                &BfsConfig {
+                    parallelism,
+                    ..base.clone()
+                },
+            );
+            let tag = format!("fold={fold_private} p={parallelism}");
+            assert_eq!(par.distinct_shared, seq.distinct_shared, "{tag}");
+            assert_eq!(par.work, seq.work, "{tag}");
+            assert_eq!(par.truncated, seq.truncated, "{tag}");
+            assert_eq!(par.steps, seq.steps, "{tag}");
+            assert_eq!(par.resolved_ops, seq.resolved_ops, "{tag}");
+            assert_eq!(par.persists, seq.persists, "{tag}");
+        }
+    }
+
     #[test]
     fn parallel_census_counts_are_deterministic() {
-        let (cas, mem) = build_world(|b| DetectableCas::new(b, 3, 0));
-        for fold_private in [false, true] {
-            let base = BfsConfig {
-                max_ops: 4,
-                max_states: 2_000_000,
-                parallelism: 1,
-                fold_private,
-                ..Default::default()
-            };
-            let seq = census_bfs_engine(&cas, &mem, &cas_alphabet(), &base);
-            assert!(!seq.truncated);
-            for parallelism in [2, 8] {
-                let par = census_bfs_engine(
-                    &cas,
-                    &mem,
-                    &cas_alphabet(),
-                    &BfsConfig {
-                        parallelism,
-                        ..base.clone()
-                    },
-                );
-                let tag = format!("fold={fold_private} p={parallelism}");
-                assert_eq!(par.distinct_shared, seq.distinct_shared, "{tag}");
-                assert_eq!(par.work, seq.work, "{tag}");
-                assert_eq!(par.truncated, seq.truncated, "{tag}");
-                assert_eq!(par.steps, seq.steps, "{tag}");
-                assert_eq!(par.resolved_ops, seq.resolved_ops, "{tag}");
-                assert_eq!(par.persists, seq.persists, "{tag}");
-            }
-        }
+        assert_counts_are_thread_invariant(false);
+    }
+
+    #[test]
+    fn fold_counts_are_thread_invariant() {
+        // Folding is count-preserving across worker counts: work and
+        // steps match too, not only the verdict.
+        assert_counts_are_thread_invariant(true);
     }
 
     #[test]

@@ -691,7 +691,12 @@ impl<'a> Engine<'a> {
                 self.node_key(mem, &node)
             }
         });
-        if let Some(k) = key {
+        // Worker 0 always expands the root (the one node entered without a
+        // checkpoint): a helper that finishes a small tree before worker 0
+        // starts would otherwise leave worker 0 with a root memo hit and
+        // no expansion at all. Its children still hit the helper's memo.
+        let root_of_worker_0 = self.id == 0 && cp.is_none();
+        if let Some(k) = key.filter(|_| !root_of_worker_0) {
             if let Some(count) = self.progress.memo.get(k) {
                 self.memo_hits += 1;
                 self.count_leaves(count as usize);
