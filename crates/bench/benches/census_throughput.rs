@@ -55,10 +55,11 @@ fn host_cpus() -> usize {
 /// states/sec, peak resident bytes, spilled bytes, scheduler counters and
 /// the host CPU count it ran under, plus a `table` document (the
 /// `census_table --json` schema) that CI diffs live output against.
-/// Disk-tier rows (`ext-n5-seq`, `ext-n6-fold`) run the external-memory
-/// engine under a 512 MiB budget next to their in-RAM twins and assert the
-/// E15 acceptance contract: identical counts, measured peak under the
-/// budget. The `fork-par{2,4,8}` rows (experiment E17) are measured on
+/// Disk-tier rows (`ext-n5-seq`, `ext-n5-par`, `ext-n6-fold`) run the
+/// external-memory engine under a 512 MiB budget next to their in-RAM twins
+/// and assert the E15 acceptance contract: identical counts, measured peak
+/// under the budget; `ext-n5-par` runs on the host's parallelism and must
+/// match `ext-n5-seq`'s counts and spill volume. The `fork-par{2,4,8}` rows (experiment E17) are measured on
 /// every host — `host_cpus` tells a reader whether to read them as a
 /// scaling curve or as a determinism pin.
 fn main() {
@@ -176,6 +177,8 @@ fn main() {
         disk_dir: disk.then(|| spill.clone()),
         ram_budget: disk.then_some(EXT_BUDGET),
     };
+    // `ext-n5-par` runs the disk tier on the host's parallelism beside the
+    // one-worker `ext-n5-seq`: same world, same budget, same counts.
     for (n, fold) in [(5u32, false), (6, true)] {
         let (obj, world_mem) = build_world(|b| DetectableCas::new(b, n, 0));
         let tag = if fold { "fold" } else { "seq" };
@@ -185,6 +188,25 @@ fn main() {
         let ext = sample(&format!("ext-n{n}-{tag}"), false, &|| {
             census_bfs_engine(&obj, &world_mem, &alphabet(), &ext_cfg(fold, true))
         });
+        if !fold {
+            let par = sample(&format!("ext-n{n}-par"), false, &|| {
+                let cfg = BfsConfig {
+                    parallelism: 0,
+                    ..ext_cfg(fold, true)
+                };
+                census_bfs_engine(&obj, &world_mem, &alphabet(), &cfg)
+            });
+            assert_eq!(
+                (par.work, par.steps, par.distinct_shared),
+                (ext.work, ext.steps, ext.distinct_shared),
+                "N={n}: the disk tier's counts moved with its workers"
+            );
+            assert_eq!(
+                par.spill.map(|s| s.bytes_spilled),
+                ext.spill.map(|s| s.bytes_spilled),
+                "N={n}: the disk tier's spill volume moved with its workers"
+            );
+        }
         // The acceptance contract for the disk tier: identical verdict and
         // counts under the budget, with the measured peak actually under it.
         assert_eq!(ext.distinct_shared, ram.distinct_shared, "N={n}");
@@ -206,10 +228,12 @@ fn main() {
     // `census_table --json` schema for CI to diff against.
     let table_verdicts: Vec<_> = (1..=2u32)
         .map(|n| {
-            Scenario::object(ObjectKind::Cas)
+            let start = Instant::now();
+            let v = Scenario::object(ObjectKind::Cas)
                 .processes(n)
                 .workload(Workload::round_robin(alphabet().to_vec(), 2 * n as usize))
-                .census(&config(1))
+                .census(&config(1));
+            (v, start.elapsed())
         })
         .collect();
 

@@ -30,15 +30,25 @@
 //!   the ablation isolating detectability as the cause of the blow-up.
 //!
 //! Run: `cargo run --release -p bench --bin census_table [-- --threads N]
-//! [--max-n K] [--disk-dir DIR] [--ram-budget BYTES] [--json]`
+//! [--max-n K] [--disk-dir DIR] [--ram-budget BYTES] [--json]`; with
+//! `--json` every row also carries its census's wall time (`wall_ms`).
 
 use baselines::NonDetectableCas;
 use bench::{flag_value, json_mode, markdown_table, threads_flag};
 use detectable::{ObjectKind, OpSpec};
+use std::time::{Duration, Instant};
+
 use harness::{
     census_table_json, gray_code_cas_ops, resolve_parallelism, BfsConfig, Scenario, Verdict,
     Workload,
 };
+
+/// Runs one census and times it.
+fn timed_census(scenario: Scenario, cfg: &BfsConfig) -> (Verdict, Duration) {
+    let start = Instant::now();
+    let v = scenario.census(cfg);
+    (v, start.elapsed())
+}
 
 /// The Gray-code witness walk as a scenario for `n` processes.
 fn witness_scenario(n: u32, detectable: bool) -> Scenario {
@@ -106,18 +116,18 @@ fn main() {
     let ram_budget: Option<usize> =
         flag_value("ram-budget").map(|v| v.parse().expect("--ram-budget takes a byte count"));
     let mut rows: Vec<Vec<String>> = Vec::new();
-    let mut verdicts: Vec<Verdict> = Vec::new();
+    let mut verdicts: Vec<(Verdict, Duration)> = Vec::new();
 
     // Constructive witness: Algorithm 2, N = 1..=12, then the ablation.
     for n in 1..=12u32 {
-        let v = witness_scenario(n, true).census(&BfsConfig::default());
+        let (v, wall) = timed_census(witness_scenario(n, true), &BfsConfig::default());
         rows.push(row("witness", n, &v));
-        verdicts.push(v);
+        verdicts.push((v, wall));
     }
     for n in [2u32, 4, 8, 12] {
-        let v = witness_scenario(n, false).census(&BfsConfig::default());
+        let (v, wall) = timed_census(witness_scenario(n, false), &BfsConfig::default());
         rows.push(row("witness", n, &v));
-        verdicts.push(v);
+        verdicts.push((v, wall));
     }
 
     // Exhaustive BFS, both implementations. The N ≤ 5 rows step one
@@ -134,7 +144,7 @@ fn main() {
             disk_dir: disk_dir.clone(),
             ram_budget,
         };
-        let v = bfs_scenario(n, detectable).census(&cfg);
+        let (v, wall) = timed_census(bfs_scenario(n, detectable), &cfg);
         let mode_tag = if fold { "bfs-fold" } else { "bfs" };
         rows.push(row(
             &format!(
@@ -144,7 +154,7 @@ fn main() {
             n,
             &v,
         ));
-        verdicts.push(v);
+        verdicts.push((v, wall));
     };
     for n in 1..=max_n {
         bfs_row(n, true);

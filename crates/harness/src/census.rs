@@ -38,13 +38,14 @@
 //!
 //! | role | in RAM | on disk ([`crate::external`]) |
 //! |---|---|---|
-//! | frontier | a FIFO for one worker; work-stealing deques ([`crate::sched`]) for more | generation files |
-//! | admission | sharded fingerprint set, per successor | repeat filter per successor, seen-file sort-merge replay at generation end |
+//! | frontier | a FIFO for one worker; work-stealing deques ([`crate::sched`]) for more | generation files cut into blocks that workers claim |
+//! | admission | sharded fingerprint set, per successor | repeat filter per block, seen-file sort-merge replay at generation end |
 //! | image store | [`StateArena`] | [`nvm::SpillableArena`] |
 //!
 //! [`census_bfs_engine`] takes the disk tier when [`BfsConfig::disk_dir`]
-//! is set and the object is [`decodable`](RecoverableObject::decodable);
-//! the disk tier runs one worker. Both tiers share the admission cap
+//! is set and the object is [`decodable`](RecoverableObject::decodable).
+//! Both tiers run [`resolve_parallelism`]`(`[`BfsConfig::parallelism`]`)`
+//! workers, worker 0 on the calling thread. Both share the admission cap
 //! ([`BfsConfig::max_states`]: exactly that many nodes are admitted and
 //! expanded, and hitting it sets [`CensusReport::truncated`]), the exact
 //! shared-configuration count (logical shared-memory keys — the quantity
@@ -74,8 +75,10 @@
 //! the reachable state space alone, so **every parallelism level and both
 //! tiers report identical counts**, folded or not. When the cap truncates
 //! a parallel run, *which* configurations won admission slots is
-//! scheduling-dependent (one-worker runs stay deterministic: admission
-//! order is canonical BFS order).
+//! scheduling-dependent on the in-RAM tier (one-worker runs stay
+//! deterministic: admission order is canonical BFS order). The disk tier
+//! admits in canonical order at every worker count, so its truncated runs
+//! match the one-worker in-RAM tier's too.
 //!
 //! # Private-step fold
 //!
@@ -258,12 +261,12 @@ pub struct BfsConfig {
     /// the cap binds, and the report is flagged
     /// [`truncated`](CensusReport::truncated).
     pub max_states: usize,
-    /// Worker threads for in-RAM frontier expansion: `1` is a sequential
-    /// FIFO search, `0` (the default) means the host's available
-    /// parallelism ([`resolve_parallelism`]). The disk tier always runs one
-    /// worker. Runs that complete within `max_states` report identical
-    /// counts at every setting (see the [module docs](self) for the
-    /// truncation caveat).
+    /// Worker threads for frontier expansion on either tier: `1` is a
+    /// sequential search, `0` (the default) means the host's available
+    /// parallelism ([`resolve_parallelism`]). Runs that complete within
+    /// `max_states` report identical counts at every setting; the disk
+    /// tier's truncated runs do too (see the [module docs](self) for the
+    /// in-RAM tier's truncation caveat).
     pub parallelism: usize,
     /// Fold each machine step's private-only continuation into it, as the
     /// explorer does ([`Driver::step_merged`]). **Non-count-preserving** —
@@ -379,10 +382,9 @@ impl VisitedSet {
 /// Admission role: decides which generated successors reach the frontier.
 pub(crate) trait Admission {
     /// Whether the successor with fingerprint `fp` goes to the frontier.
-    /// A tier that admits later, in its frontier, returns `false` only for
-    /// a successor it can already prove the frontier would reject (the
-    /// disk tier's repeat filter), so a rejected successor is never staged,
-    /// interned or encoded.
+    /// A tier that admits later, in its frontier, lets every successor
+    /// through (the frontier's [`repeats`](Frontier::repeats) has already
+    /// dropped those it can prove it would reject).
     fn admit(&self, slots: &Slots, fp: (u64, u64)) -> bool;
 
     /// Admits the root configuration, a generation by itself.
@@ -434,6 +436,13 @@ pub(crate) trait Frontier<H> {
     /// `i`'s slot replaced by `p`, whose driver key
     /// ([`Driver::encode_key`]) is `key`.
     fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Self::Staged;
+    /// Whether the successor with fingerprint `fp` repeats one this
+    /// frontier already holds, so that admission would reject it: it is
+    /// dropped before it is admitted, staged, interned or encoded. Only the
+    /// disk tier's repeat filter ever says yes.
+    fn repeats(&mut self, _fp: (u64, u64)) -> bool {
+        false
+    }
     /// The next node to expand; `None` once the search has drained.
     fn next(&mut self) -> Option<BfsNode<H>>;
     /// Takes one expansion's successors (drained from `nodes`) and their
@@ -675,9 +684,11 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// The fingerprint key is spliced from the node's segments in
     /// `scratch` with process `i`'s new segment in place of its old one,
     /// so only the machine that moved is encoded.
+    #[allow(clippy::too_many_arguments)]
     fn successor<F: Frontier<I::Handle>>(
         &self,
         mem: &SimMemory,
+        frontier: &mut F,
         batch: &mut Batch<I, F::Staged>,
         scratch: &mut Scratch,
         node: &BfsNode<I::Handle>,
@@ -700,7 +711,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         p.encode_key(key);
         key.extend_from_slice(&scratch.segs[scratch.seg_bounds[i + 1]..]);
         let fp = hash2(hashes, key);
-        if self.admission.admit(&self.slots, fp) {
+        if !frontier.repeats(fp) && self.admission.admit(&self.slots, fp) {
             let driver = F::stage(&node.driver, i, p, &key[driver_key..]);
             batch.images.extend_from_slice(&scratch.image);
             batch.hashes.push(hashes);
@@ -719,6 +730,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         &self,
         mem: &SimMemory,
         node: &BfsNode<I::Handle>,
+        frontier: &mut F,
         batch: &mut Batch<I, F::Staged>,
         scratch: &mut Scratch,
         tally: &mut Tally,
@@ -743,14 +755,14 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
                         .step_successor(self.obj, mem, i, self.cfg.fold_private);
                 tally.steps += 1;
                 tally.resolved += u64::from(outcome.resolved());
-                self.successor::<F>(mem, batch, scratch, node, i, p);
+                self.successor(mem, frontier, batch, scratch, node, i, p);
                 mem.rollback(cp);
             } else if node.ops_used < self.cfg.max_ops {
                 for op in self.alphabet {
                     let cp = mem.checkpoint();
                     let p = node.driver.invoke_successor(self.obj, mem, i, *op);
                     tally.steps += 1;
-                    self.successor::<F>(mem, batch, scratch, node, i, p);
+                    self.successor(mem, frontier, batch, scratch, node, i, p);
                     mem.rollback(cp);
                 }
             }
@@ -766,7 +778,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         let mut batch = Batch::new();
         let mut tally = Tally::default();
         while let Some(node) = frontier.next() {
-            self.expand::<F>(&fork, &node, &mut batch, &mut scratch, &mut tally);
+            self.expand(&fork, &node, frontier, &mut batch, &mut scratch, &mut tally);
             tally.expanded += 1;
             tally.flushes += u64::from(batch.flush(self.images, frontier));
             frontier.complete();
@@ -776,8 +788,43 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         tally
     }
 
-    /// Assembles the report. `sched` is `None` when one worker ran without
-    /// a scheduler; `resident` is the tier's own peak estimate, to which
+    /// Runs `workers` [`work`](Self::work) loops — worker 0 on the calling
+    /// thread, the others on scoped threads — each on its own fork of `mem`
+    /// with the frontier `frontier` makes for its worker id, and returns
+    /// the summed tally and each worker's expansions. A worker's panic is
+    /// re-raised once all are joined, so each frontier's drop must release
+    /// siblings that wait on it.
+    pub(crate) fn work_on_threads<F: Frontier<I::Handle>>(
+        &self,
+        mem: &SimMemory,
+        workers: usize,
+        frontier: impl Fn(usize) -> F + Sync,
+    ) -> (Tally, Vec<u64>)
+    where
+        Self: Sync,
+    {
+        std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..workers)
+                .map(|id| {
+                    let (frontier, fork) = (&frontier, mem.fork());
+                    s.spawn(move || self.work(fork, &mut frontier(id)))
+                })
+                .collect();
+            let first = self.work(mem.fork(), &mut frontier(0));
+            let mut expansions = vec![first.expanded];
+            let tally = helpers
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .fold(first, |sum, t| {
+                    expansions.push(t.expanded);
+                    sum.add(t)
+                });
+            (tally, expansions)
+        })
+    }
+
+    /// Assembles the report. `sched` is `None` when one in-RAM worker ran
+    /// without a scheduler; `resident` is the tier's own peak estimate, to which
     /// the shared-configuration set is added here. The set is the union of
     /// the workers' sets plus the root's key, which `mem` (never mutated)
     /// still holds.
@@ -849,22 +896,10 @@ pub fn census_bfs_engine(
     } else {
         let sched = Scheduler::new(workers);
         sched.seed(root);
-        let tally = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|id| {
-                    let (census, sched, fork) = (&census, &sched, mem.fork());
-                    // The worker handle doubles as the panic guard: its
-                    // drop (normal or unwinding) aborts the scheduler, so
-                    // a panicking sibling can never leave the others
-                    // parked while the scope waits to join.
-                    s.spawn(move || census.work(fork, &mut sched.worker(id)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .fold(Tally::default(), Tally::add)
-        });
+        // The worker handle doubles as the panic guard: its drop (normal
+        // or unwinding) aborts the scheduler, so a panicking sibling can
+        // never leave the others parked while the scope waits to join.
+        let (tally, _) = census.work_on_threads(mem, workers, |id| sched.worker(id));
         (tally, Some(sched.stats()))
     };
     // Peak estimate from final sizes: the arena and the visited set only

@@ -208,6 +208,9 @@ pub(crate) struct Proc {
     pub(crate) state: ProcState,
     /// Fail-retries consumed.
     pub(crate) retries: usize,
+    /// Machine steps the current operation or recovery has taken
+    /// (saturating); not part of the key.
+    pub(crate) steps: u32,
 }
 
 impl Proc {
@@ -266,14 +269,19 @@ fn transition(
     pid: Pid,
     p: &mut Proc,
     retry: &RetryPolicy,
-    poll: impl FnOnce(&mut Box<dyn Machine>, &dyn Memory) -> Poll,
+    poll: impl FnOnce(&mut Box<dyn Machine>, &dyn Memory) -> (Poll, u32),
 ) -> StepOutcome {
     let cur = std::mem::replace(&mut p.state, ProcState::Idle);
+    let poll = |m: &mut Box<dyn Machine>| {
+        let (r, steps) = poll(m, mem);
+        p.steps = p.steps.saturating_add(steps);
+        r
+    };
     let (next, outcome) = match cur {
         ProcState::Idle | ProcState::Done => {
             panic!("{pid} stepped while idle/done; schedulers invoke first")
         }
-        ProcState::Running { op, mut m } => match poll(&mut m, mem) {
+        ProcState::Running { op, mut m } => match poll(&mut m) {
             Poll::Ready(resp) => (ProcState::Idle, StepOutcome::Returned(resp)),
             Poll::Pending => (ProcState::Running { op, m }, StepOutcome::Progress),
         },
@@ -284,7 +292,7 @@ fn transition(
             },
             StepOutcome::RecoveryEntered,
         ),
-        ProcState::Recovering { op, mut m } => match poll(&mut m, mem) {
+        ProcState::Recovering { op, mut m } => match poll(&mut m) {
             Poll::Ready(verdict) => {
                 // The caller may re-attempt: a fresh invocation of the
                 // same abstract operation.
@@ -301,6 +309,10 @@ fn transition(
             Poll::Pending => (ProcState::Recovering { op, m }, StepOutcome::Progress),
         },
     };
+    if !matches!(outcome, StepOutcome::Progress) {
+        // A new machine, or none: its operation starts counting afresh.
+        p.steps = 0;
+    }
     p.state = next;
     outcome
 }
@@ -317,9 +329,11 @@ const FOLD_LIMIT: usize = 1 << 12;
 /// ([`SimMemory::shared_touched`]). A speculative step that touches shared
 /// memory is rewound through the memory's undo log and the machine's
 /// clone. Stopping early is always sound: it only leaves a private step
-/// for a later action.
-fn step_folded(m: &mut Box<dyn Machine>, mem: &SimMemory) -> Poll {
+/// for a later action. Returns the last step's poll and the number of
+/// steps taken.
+fn step_folded(m: &mut Box<dyn Machine>, mem: &SimMemory) -> (Poll, u32) {
     let mut r = m.step(mem);
+    let mut steps = 1;
     for _ in 0..FOLD_LIMIT {
         if !matches!(r, Poll::Pending) {
             break;
@@ -335,8 +349,9 @@ fn step_folded(m: &mut Box<dyn Machine>, mem: &SimMemory) -> Poll {
         }
         mem.discard(cp);
         r = speculative;
+        steps += 1;
     }
-    r
+    (r, steps)
 }
 
 /// Drives N processes' operation life cycles over a shared memory,
@@ -363,6 +378,7 @@ impl Driver {
                 .map(|_| Proc {
                     state: ProcState::Idle,
                     retries: 0,
+                    steps: 0,
                 })
                 .collect(),
             history: History::new(),
@@ -421,6 +437,13 @@ impl Driver {
     /// window — see [`RetryPolicy::reset_per_op`]).
     pub fn retries(&self, i: usize) -> usize {
         self.procs[i].retries
+    }
+
+    /// Machine steps process `i`'s current operation (or recovery) has
+    /// taken, folded steps included; 0 while it is idle, done or waiting to
+    /// recover.
+    pub(crate) fn op_steps(&self, i: usize) -> u32 {
+        self.procs[i].steps
     }
 
     /// Whether every process is [`ProcState::Done`].
@@ -484,6 +507,7 @@ impl Driver {
         }
         let pid = Pid::new(i as u32);
         self.procs[i].state = start(obj, mem, pid, op);
+        self.procs[i].steps = 0;
         self.push_event(Event::Invoke { pid, op });
     }
 
@@ -509,7 +533,7 @@ impl Driver {
         i: usize,
         retry: &RetryPolicy,
     ) -> StepOutcome {
-        self.advance(obj, mem, i, retry, |m, mem| m.step(mem))
+        self.advance(obj, mem, i, retry, |m, mem| (m.step(mem), 1))
     }
 
     /// Like [`step`](Self::step), but with the partial-order reduction both
@@ -537,7 +561,7 @@ impl Driver {
         mem: &dyn Memory,
         i: usize,
         retry: &RetryPolicy,
-        poll: impl FnOnce(&mut Box<dyn Machine>, &dyn Memory) -> Poll,
+        poll: impl FnOnce(&mut Box<dyn Machine>, &dyn Memory) -> (Poll, u32),
     ) -> StepOutcome {
         let pid = Pid::new(i as u32);
         let outcome = transition(obj, mem, pid, &mut self.procs[i], retry, poll);
@@ -581,7 +605,7 @@ impl Driver {
             if fold {
                 step_folded(m, mem)
             } else {
-                m.step(mem)
+                (m.step(mem), 1)
             }
         });
         (p, outcome)
@@ -606,6 +630,7 @@ impl Driver {
         Proc {
             state: start(obj, mem, Pid::new(i as u32), op),
             retries: self.procs[i].retries,
+            steps: 0,
         }
     }
 
@@ -637,6 +662,7 @@ impl Driver {
                 }
                 other => other,
             };
+            p.steps = 0;
         }
     }
 

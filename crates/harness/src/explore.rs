@@ -207,7 +207,8 @@ pub struct ExploreOutcome {
     pub leaves: usize,
     /// First violation found, in canonical depth-first order.
     pub violation: Option<Violation>,
-    /// Whether the leaf budget was exhausted (coverage incomplete).
+    /// Whether coverage is incomplete: the leaf budget was exhausted, or
+    /// an operation reached the per-operation step bound (a livelock).
     pub truncated: bool,
     /// Distinct system configurations actually expanded, summed over
     /// workers (a configuration that two workers both expand counts twice).
@@ -281,6 +282,15 @@ enum Action {
     Crash,
     Proc(usize),
 }
+
+/// Machine steps one operation (or one recovery) may take on an explored
+/// path. The paper's operations finish in at most a few hundred steps
+/// (773 for a contended N = 4 max-register `Read`); an operation still
+/// pending after this many is a livelock, on which the depth-first walk —
+/// one frame per action, one undo entry per write — would otherwise
+/// descend until memory runs out. A walk that reaches the bound stops and
+/// reports the exploration [`truncated`](ExploreOutcome::truncated).
+const OP_STEP_LIMIT: u32 = 1 << 16;
 
 /// The scheduler actions available from `node`, in canonical order.
 fn actions(cfg: &ExploreConfig, source: OpSource<'_>, node: &Node) -> Vec<Action> {
@@ -946,10 +956,17 @@ impl<'a> Engine<'a> {
                         }
                     };
                     node.driver.invoke(self.obj, mem, i, op, &self.retry);
-                } else if merge {
-                    node.driver.step_merged(self.obj, mem, i, &self.retry);
                 } else {
-                    node.driver.step(self.obj, mem, i, &self.retry);
+                    if merge {
+                        node.driver.step_merged(self.obj, mem, i, &self.retry);
+                    } else {
+                        node.driver.step(self.obj, mem, i, &self.retry);
+                    }
+                    if node.driver.op_steps(i) >= OP_STEP_LIMIT {
+                        // A livelock: stop the walk, as the leaf budget
+                        // does, before its depth exhausts memory.
+                        self.truncated = true;
+                    }
                 }
             }
         }

@@ -11,7 +11,8 @@
 //! * **images** live in a [`SpillableArena`] — sealed segments spill to
 //!   files, only the active segment, a small hot-segment cache and the
 //!   (hash → handle) index stay resident;
-//! * **the frontier** is a sequence of *generation files* of node records
+//! * **the frontier** is a sequence of *generations*, each a set of node
+//!   files (one per worker) of node records
 //!   `[ops_used, arena handle, len, driver key…]`, the key being the one
 //!   the expansion spliced for the fingerprint ([`Driver::encode_key`]).
 //!   [`Driver::decode_frontier`] resumes a record through
@@ -20,42 +21,72 @@
 //! * **the visited set** is a sorted *seen file* of admitted configuration
 //!   fingerprints, consulted by streamed sort-merge instead of hash lookup.
 //!
+//! # Blocks and extents
+//!
+//! Expansion runs on [`resolve_parallelism`]`(`[`BfsConfig::parallelism`]`)`
+//! workers, each the shared worker loop on its own memory fork. A
+//! generation's *node stream* — its records in sequence order — is cut
+//! into *blocks* of at most `BLOCK_RECORDS` (1,024) records, which the workers
+//! claim through an atomic counter. Everything a block writes goes to one
+//! contiguous *extent* of the claiming worker's candidate and node files,
+//! numbered from 0 within the block. The generation's *block table* holds,
+//! in block order, each extent's worker, its candidate count and the byte
+//! offset of every `BLOCK_RECORDS`-th record it wrote, so the next
+//! generation is cut from the table without reading a file. A block's
+//! *base* — the candidates of all earlier blocks — turns its local numbers
+//! into the generation's sequence numbers. Those are the canonical
+//! one-worker numbering: the blocks, in block order, are the node stream
+//! in sequence order, and each block is expanded in order by one worker.
+//! One worker runs the same blocked code.
+//!
 //! # One generation
 //!
-//! 1. **Expand**: the worker loop streams generation `g`'s node file and
-//!    expands each admitted record exactly like the in-RAM tier. A *repeat
-//!    filter* (`SeenFile`) drops each successor that repeats a recent
-//!    candidate. Every other successor is a candidate: its fingerprint is
-//!    appended — tagged with a generation sequence number — to a candidate
-//!    file, and its record (budget, interned image handle, driver key) to
-//!    generation `g + 1`'s node file.
-//! 2. **Sort-merge**: sort the candidate fingerprints in RAM-budget-sized
-//!    chunks into run files, k-way merge the runs, and walk the merge
-//!    against the sorted seen file. A fingerprint group that is not in the
-//!    seen file admits its first candidate in sequence order, as the
-//!    in-RAM visited set admits a fingerprint's first occurrence; it sets
-//!    that candidate's bit in an in-RAM bitmap indexed by sequence number.
-//!    The same walk writes the next seen file: the old entries below each
-//!    group, then the group's fingerprint.
-//! 3. **Cap**: scan the bitmap in sequence order, reserving one admission
+//! 1. **Expand**: each worker expands the admitted records of the blocks
+//!    it claims exactly like the in-RAM tier. A *repeat filter*, cleared
+//!    at each block's start, drops each successor that repeats a recent
+//!    candidate of the same block. Every other successor is a candidate:
+//!    its fingerprint is appended — tagged with its block-local sequence
+//!    number — to the worker's candidate file, and its record (budget,
+//!    interned image handle, driver key) to the worker's node file of
+//!    generation `g + 1`.
+//! 2. **Meet**: a worker that finds no block left waits at a blocking
+//!    barrier. Once all have arrived, worker 0 runs steps 3–5 alone, then
+//!    releases the others.
+//! 3. **Sort-merge**: read the candidate extents in block order, adding
+//!    each block's base to its numbers, and sort the fingerprints in
+//!    RAM-budget-sized chunks into run files; k-way merge the runs, and
+//!    walk the merge against the sorted seen file. A fingerprint group
+//!    that is not in the seen file admits its first candidate in sequence
+//!    order, as the in-RAM visited set admits a fingerprint's first
+//!    occurrence; it sets that candidate's bit in an in-RAM bitmap indexed
+//!    by sequence number. The same walk writes the next seen file: the old
+//!    entries below each group, then the group's fingerprint.
+//! 4. **Cap**: scan the bitmap in sequence order, reserving one admission
 //!    slot per would-be admission and clearing those past
 //!    [`BfsConfig::max_states`]. Because sequence order *is* the canonical
 //!    sequential BFS admission order, the tier admits exactly the nodes the
-//!    one-worker in-RAM tier admits — folded or not, truncated or not — so
-//!    every count in the report matches. The
+//!    one-worker in-RAM tier admits — folded or not, truncated or not, at
+//!    every worker count — so every count in the report matches. The
 //!    differential tests pin this. Unlike the in-RAM visited set, the seen
 //!    file may keep a fingerprint whose admission the cap refused; that
 //!    changes nothing, since once `Slots::reserve` fails every later call
 //!    fails too.
-//! 4. **Next**: generation `g + 1` is the node file step 1 wrote, read
-//!    through the bitmap — `try_next` seeks past the records whose bit is
-//!    clear, so no record is copied. Generation `g`'s files are deleted.
+//! 5. **Next**: cut generation `g + 1` from the block table. Each extent
+//!    splits at its noted offsets into pieces of at most `BLOCK_RECORDS`
+//!    records, and consecutive pieces are packed, in order, into blocks of
+//!    at most `BLOCK_RECORDS` records. Workers read a block's records
+//!    through the bitmap, seeking past those whose bit is clear, so no
+//!    record is copied. Generation `g`'s files are deleted.
 //!
 //! The filter never changes an admission. Its slots hold only fingerprints
 //! written as candidates, and a repeat of a candidate is not a first
 //! occurrence (the fingerprint already carries the budget). Most repeats
 //! follow their twin closely, so a small table catches most of them; it
-//! has one slot per 4 KiB of RAM budget, 96 KiB at a 16 MiB budget.
+//! has one slot per 4 KiB of RAM budget, 96 KiB per worker at a 16 MiB
+//! budget. Because it is cleared at each block's start, what it drops — and
+//! with that every spill counter but the arena's hot-cache misses — is a
+//! function of the generation and the block size, never of the worker
+//! count or of timing.
 //!
 //! Images are interned at expansion time, before admission is known, so
 //! the arena may store images only capacity-rejected nodes reference —
@@ -65,16 +96,13 @@
 //! in-RAM tier uses; the arena dedups by a 128-bit image hash of the same
 //! class). The Theorem 1 census count itself stays exact: shared keys are
 //! compared verbatim, never hashed.
-//!
-//! The tier runs one worker whatever [`BfsConfig::parallelism`] says: the
-//! canonical admission order that makes it bit-for-bit comparable against
-//! the reference engines is a sequential notion.
 
-use std::cell::{Cell, RefCell};
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use detectable::{OpSpec, RecoverableObject};
 use nvm::{Memory, SimMemory, SpillConfig, SpillableArena, Word};
@@ -83,13 +111,16 @@ use crate::census::{
     Admission, BfsConfig, BfsNode, Census, CensusReport, Frontier, Images, Seeded, Slots,
 };
 use crate::driver::{Driver, Proc};
+use crate::sched::{resolve_parallelism, SchedStats};
 
 /// Disk-tier counters for one census run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpillStats {
     /// Arena segments written to files.
     pub arena_segments_spilled: u64,
-    /// Whole-segment loads that missed the arena's hot cache.
+    /// Whole-segment loads that missed the arena's hot cache. The one
+    /// counter that depends on the worker count: it follows which worker
+    /// reads which image when.
     pub arena_segment_reads: u64,
     /// Sorted run files written across all generations.
     pub sort_runs: u64,
@@ -121,19 +152,41 @@ fn knobs(stride: usize, ram_budget: Option<usize>) -> Knobs {
     let budget = ram_budget.unwrap_or(512 << 20);
     Knobs {
         // A quarter of the budget for the active segment (the hot cache
-        // holds two more of the same size), a quarter for sort chunks, one
-        // repeat-filter slot of 24 bytes per 4 KiB; the rest is headroom
-        // for the resident index and bitmaps.
+        // holds two more of the same size), a 32nd for the sort chunk,
+        // one repeat-filter slot of 24 bytes per 4 KiB per worker; the rest
+        // is headroom for the resident index and bitmaps. The chunk is
+        // allocated once and kept for the run, so it stays resident at its
+        // high-water mark while the arena grows: a small chunk keeps that
+        // share small, and a large generation sorts in a few runs instead.
         seg_slots: (budget / 4 / (stride * 8)).clamp(8, 1 << 20),
         hot_segments: 2,
-        chunk_entries: (budget / 4 / (FP_ENTRY_WORDS * 8)).clamp(64, 1 << 24),
+        chunk_entries: (budget / 32 / (FP_ENTRY_WORDS * 8)).clamp(64, 1 << 24),
         filter_slots: budget / 4096,
     }
 }
 
+/// Node records per block, at most: the unit a worker claims and the
+/// span of one repeat filter. A constant rather than a knob, since the
+/// filter's drops — and so the spill volume — depend on it.
+pub(crate) const BLOCK_RECORDS: usize = 1024;
+
 /// Words converted per `write_all` / `read_exact` through a stack buffer;
 /// every fixed-size entry and most node records fit in one.
 const IO_CHUNK_WORDS: usize = 64;
+
+/// Writes of at most this many words — every fixed-size entry and record
+/// header — take a buffer of this size.
+const SMALL_WORDS: usize = 4;
+
+/// Encodes `words` little-endian into the front of `buf` and returns that
+/// part.
+fn le_bytes<'b>(words: &[Word], buf: &'b mut [u8]) -> &'b [u8] {
+    let bytes = &mut buf[..words.len() * 8];
+    for (b, w) in bytes.chunks_exact_mut(8).zip(words) {
+        b.copy_from_slice(&w.to_le_bytes());
+    }
+    bytes
+}
 
 /// Buffered little-endian word writer that counts what it wrote.
 struct WordWriter {
@@ -150,22 +203,36 @@ impl WordWriter {
     }
 
     fn put_all(&mut self, words: &[Word]) -> io::Result<()> {
+        self.words += words.len() as u64;
+        if words.len() <= SMALL_WORDS {
+            // Entries and record headers, through a buffer their size
+            // rather than the large one zeroed per call.
+            let mut buf = [0u8; SMALL_WORDS * 8];
+            return self.w.write_all(le_bytes(words, &mut buf));
+        }
         let mut buf = [0u8; IO_CHUNK_WORDS * 8];
         for chunk in words.chunks(IO_CHUNK_WORDS) {
-            let bytes = &mut buf[..chunk.len() * 8];
-            for (b, w) in bytes.chunks_exact_mut(8).zip(chunk) {
-                b.copy_from_slice(&w.to_le_bytes());
-            }
-            self.w.write_all(bytes)?;
+            self.w.write_all(le_bytes(chunk, &mut buf))?;
         }
-        self.words += words.len() as u64;
         Ok(())
+    }
+
+    /// Writes `bytes`, whole little-endian words, as they are.
+    fn put_bytes(&mut self, bytes: &[u8]) -> io::Result<()> {
+        debug_assert_eq!(bytes.len() % 8, 0, "not whole words");
+        self.words += bytes.len() as u64 / 8;
+        self.w.write_all(bytes)
+    }
+
+    /// Bytes written so far: the file offset the next word lands at.
+    fn bytes(&self) -> u64 {
+        self.words * 8
     }
 
     /// Flushes and returns the bytes written.
     fn finish(mut self) -> io::Result<u64> {
         self.w.flush()?;
-        Ok(self.words * 8)
+        Ok(self.bytes())
     }
 }
 
@@ -182,10 +249,21 @@ impl WordReader {
     }
 
     /// Reads the next `out.len()` words: `Ok(false)` at a clean end of
-    /// file, `UnexpectedEof` if the file ends inside `out`.
+    /// file, `UnexpectedEof` if the file ends inside `out`. Words that lie
+    /// whole in the read buffer — nearly every entry and record — are
+    /// decoded in place.
     fn get_into(&mut self, out: &mut [Word]) -> io::Result<bool> {
-        if self.r.fill_buf()?.is_empty() {
+        let buffered = self.r.fill_buf()?;
+        if buffered.is_empty() {
             return Ok(out.is_empty());
+        }
+        let bytes = out.len() * 8;
+        if let Some(words) = buffered.get(..bytes) {
+            for (w, b) in out.iter_mut().zip(words.chunks_exact(8)) {
+                *w = Word::from_le_bytes(b.try_into().expect("8-byte chunk"));
+            }
+            self.r.consume(bytes);
+            return Ok(true);
         }
         let mut buf = [0u8; IO_CHUNK_WORDS * 8];
         for chunk in out.chunks_mut(IO_CHUNK_WORDS) {
@@ -202,12 +280,23 @@ impl WordReader {
     fn skip(&mut self, words: usize) -> io::Result<()> {
         self.r.seek_relative(words as i64 * 8)
     }
+
+    /// Moves to byte `offset` of the file.
+    fn seek_to(&mut self, offset: u64) -> io::Result<()> {
+        self.r.seek(SeekFrom::Start(offset)).map(drop)
+    }
 }
 
 /// Reads the next fixed-size entry; `None` at a clean end of file.
 fn next_entry<const N: usize>(r: &mut WordReader) -> io::Result<Option<[Word; N]>> {
     let mut e = [0; N];
     Ok(r.get_into(&mut e)?.then_some(e))
+}
+
+/// Reads the next fixed-size entry, which the file must hold: a block
+/// table promises its extents' entries.
+fn promised_entry<const N: usize>(r: &mut WordReader) -> io::Result<[Word; N]> {
+    next_entry(r)?.ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
 }
 
 /// Reads a node record's `len`-word driver key into `key`, which the file
@@ -259,17 +348,38 @@ impl SeenMerge {
             if fp.is_some_and(|fp| s > fp) {
                 break;
             }
-            self.cur = next_entry(&mut self.r)?;
             if fp == Some(s) {
+                self.cur = next_entry(&mut self.r)?;
                 return Ok(true);
             }
             self.w.put_all(&s)?;
+            self.copy_buffered_below(fp)?;
+            self.cur = next_entry(&mut self.r)?;
         }
         Ok(false)
+    }
+
+    /// Copies the whole entries the reader has buffered that lie below
+    /// `fp` (all of them if `None`) byte for byte: most of an old seen
+    /// file is copied, so its entries are compared but never re-encoded.
+    fn copy_buffered_below(&mut self, fp: Option<[u64; 2]>) -> io::Result<()> {
+        let buffered = self.r.r.fill_buf()?;
+        let below = buffered
+            .chunks_exact(16)
+            .take_while(|e| {
+                let word = |i: usize| Word::from_le_bytes(e[i..i + 8].try_into().expect("8 bytes"));
+                fp.is_none_or(|fp| [word(0), word(8)] < fp)
+            })
+            .count()
+            * 16;
+        self.w.put_bytes(&buffered[..below])?;
+        self.r.r.consume(below);
+        Ok(())
     }
 }
 
 /// Admission bitmap over one generation's candidate sequence numbers.
+#[derive(Default)]
 struct Bitmap {
     bits: Vec<u64>,
 }
@@ -293,6 +403,19 @@ impl Bitmap {
         self.bits[i / 64] & (1 << (i % 64)) != 0
     }
 
+    fn any(&self) -> bool {
+        self.bits.iter().any(|&w| w != 0)
+    }
+
+    /// Bits `at..at + len`, renumbered from 0.
+    fn slice(&self, at: usize, len: usize) -> Bitmap {
+        let mut out = Bitmap::new(len);
+        for i in (0..len).filter(|&i| self.get(at + i)) {
+            out.set(i);
+        }
+        out
+    }
+
     fn bytes(&self) -> usize {
         self.bits.len() * 8
     }
@@ -302,41 +425,13 @@ impl Bitmap {
 /// `disk_dir` never collide.
 static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
 
-/// Admission on disk: the generation frontier decides at generation end by
-/// seen-file replay, and every successor is a candidate for it unless the
-/// repeat filter proves the replay would reject it (see the
+/// Admission on disk: every successor the repeat filter lets through is a
+/// candidate, and the seen-file replay at generation end decides (see the
 /// [module docs](self)).
-struct SeenFile {
-    /// Direct-mapped repeat filter, one fingerprint (or `None`) per slot.
-    filter: RefCell<Vec<Option<(u64, u64)>>>,
-    dropped: Cell<u64>,
-}
-
-impl SeenFile {
-    fn new(slots: usize) -> Self {
-        SeenFile {
-            filter: RefCell::new(vec![None; slots.max(1)]),
-            dropped: Cell::new(0),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        self.filter.borrow().len() * std::mem::size_of::<Option<(u64, u64)>>()
-    }
-}
+struct SeenFile;
 
 impl Admission for SeenFile {
-    /// Drops the successor if its slot holds the same fingerprint;
-    /// otherwise it takes the slot and becomes a candidate.
-    fn admit(&self, _: &Slots, fp: (u64, u64)) -> bool {
-        let mut filter = self.filter.borrow_mut();
-        let len = filter.len() as u64;
-        let slot = &mut filter[(fp.0 % len) as usize];
-        if *slot == Some(fp) {
-            self.dropped.set(self.dropped.get() + 1);
-            return false;
-        }
-        *slot = Some(fp);
+    fn admit(&self, _: &Slots, _: (u64, u64)) -> bool {
         true
     }
 
@@ -344,6 +439,50 @@ impl Admission for SeenFile {
     /// file admits it, so only the cap remains.
     fn admit_root(&self, slots: &Slots, _: (u64, u64)) -> bool {
         slots.reserve()
+    }
+}
+
+/// A worker's repeat filter: a direct-mapped table of the block's recent
+/// candidate fingerprints. Each slot is tagged with the block it was
+/// written in, so clearing the table for a new block is one increment.
+struct RepeatFilter {
+    /// `(fp0, fp1, block tag)`; tag 0 is never current, so a slot is empty
+    /// until the current block writes it.
+    slots: Vec<(u64, u64, u64)>,
+    tag: u64,
+    dropped: u64,
+}
+
+impl RepeatFilter {
+    fn new(slots: usize) -> Self {
+        RepeatFilter {
+            slots: vec![(0, 0, 0); slots.max(1)],
+            tag: 1,
+            dropped: 0,
+        }
+    }
+
+    /// Resident bytes of a filter of `slots` slots.
+    fn bytes(slots: usize) -> usize {
+        slots.max(1) * std::mem::size_of::<(u64, u64, u64)>()
+    }
+
+    /// Forgets every fingerprint: a new block starts.
+    fn clear(&mut self) {
+        self.tag += 1;
+    }
+
+    /// Whether `fp` repeats the fingerprint in its slot (and is dropped);
+    /// otherwise it takes the slot and becomes a candidate.
+    fn repeats(&mut self, fp: (u64, u64)) -> bool {
+        let len = self.slots.len() as u64;
+        let slot = &mut self.slots[(fp.0 % len) as usize];
+        if *slot == (fp.0, fp.1, self.tag) {
+            self.dropped += 1;
+            return true;
+        }
+        *slot = (fp.0, fp.1, self.tag);
+        false
     }
 }
 
@@ -359,8 +498,9 @@ impl Images for SpillableArena {
 
 /// The disk tier of [`census_bfs_engine`](crate::census::census_bfs_engine):
 /// the shared worker loop over a [`SpillableArena`], [`SeenFile`]
-/// admission and the [`Generations`] frontier, in a per-run subdirectory
-/// of `dir` that is removed on return.
+/// admission and the [`Generations`] frontier, on
+/// [`resolve_parallelism`]`(cfg.parallelism)` workers, in a per-run
+/// subdirectory of `dir` that is removed on return.
 pub(crate) fn census_on_disk(
     obj: &dyn RecoverableObject,
     mem: &SimMemory,
@@ -385,197 +525,320 @@ pub(crate) fn census_on_disk(
             disk_dir: run_dir.clone(),
         },
     );
-    let seen = SeenFile::new(k.filter_slots);
-    let census = Census::new(obj, alphabet, cfg, &arena, &seen);
-    let root = census.root(mem);
-    let mut gens = Generations {
-        obj,
-        slots: &census.slots,
-        dir: &run_dir,
-        chunk_entries: k.chunk_entries,
-        gen: 0,
-        cur: None,
-        rec: Vec::new(),
-        spill: SpillStats::default(),
-        transient_peak: 0,
-    };
-    gens.seed(root).expect(SPILL_IO);
-    let tally = census.work(mem.fork(), &mut gens);
+    let workers = resolve_parallelism(cfg.parallelism);
+    let census = Census::new(obj, alphabet, cfg, &arena, &SeenFile);
+    let gens = Generations::new(obj, &census.slots, &run_dir, k.chunk_entries, workers);
+    gens.seed(census.root(mem)).expect(SPILL_IO);
+    let (tally, per_worker_expansions) =
+        census.work_on_threads(mem, workers, |id| gens.worker(id, k.filter_slots));
+    let gen = gens
+        .state
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     let arena_stats = arena.spill_stats();
     let spill = SpillStats {
         arena_segments_spilled: arena_stats.segments_spilled as u64,
         arena_segment_reads: arena_stats.segment_reads as u64,
-        candidates_dropped: seen.dropped.get(),
-        ..gens.spill
+        ..gen.spill
     };
-    let resident = (arena.peak_resident_bytes() + seen.bytes()) as u64 + gens.transient_peak;
-    census.report(mem, tally, None, resident, Some(spill))
+    let filters = workers * RepeatFilter::bytes(k.filter_slots);
+    let resident = (arena.peak_resident_bytes() + filters) as u64 + gen.transient_peak;
+    let sched = SchedStats {
+        workers: workers as u64,
+        per_worker_expansions,
+        ..SchedStats::default()
+    };
+    census.report(mem, tally, Some(sched), resident, Some(spill))
 }
 
 const SPILL_IO: &str = "census spill I/O failed";
 
-/// The generation being expanded: its node stream, read through its
-/// admission bitmap, plus the next generation's candidate files.
-struct Gen {
-    nodes: WordReader,
-    /// Which of `nodes`' records were admitted.
-    admitted: Bitmap,
-    /// Index of the next record in `nodes`.
-    at: usize,
-    /// Candidate fingerprints.
-    fps: WordWriter,
-    /// Candidate records: the next generation's node file.
-    next: WordWriter,
-    /// Candidates written so far (the next sequence number).
-    seq: u64,
-    expanded: bool,
+/// The generation barrier. Waiting workers block on a condvar, never
+/// spin. Worker 0 — the calling thread — runs the end-of-generation pass
+/// once all have arrived, then releases the others, so the pass's buffers
+/// always come from one thread's allocator. A worker that leaves its loop
+/// — unwinding included — aborts the barrier, so a panicking worker never
+/// leaves its siblings waiting.
+struct Barrier {
+    parties: usize,
+    state: Mutex<BarrierState>,
+    cv: Condvar,
 }
 
-/// The disk frontier: generation files, whose end-of-generation step runs
-/// the sort-merge admission replay and the cap pass (see the
-/// [module docs](self)).
+#[derive(Default)]
+struct BarrierState {
+    arrived: usize,
+    round: u64,
+    aborted: bool,
+}
+
+impl Barrier {
+    fn new(parties: usize) -> Self {
+        Barrier {
+            parties,
+            state: Mutex::default(),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, BarrierState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until every party has arrived; the `runner` then runs `pass`
+    /// before the others are released. `false` if the barrier was aborted
+    /// instead.
+    fn wait(&self, runner: bool, pass: impl FnOnce()) -> bool {
+        let mut s = self.lock();
+        s.arrived += 1;
+        if runner {
+            while s.arrived < self.parties && !s.aborted {
+                s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+            }
+            if s.aborted {
+                return false;
+            }
+            // Every other party is waiting, so none can abort meanwhile;
+            // a panic in `pass` aborts through the runner's drop.
+            drop(s);
+            pass();
+            s = self.lock();
+            s.arrived = 0;
+            s.round += 1;
+            self.cv.notify_all();
+            return true;
+        }
+        let round = s.round;
+        self.cv.notify_all();
+        while s.round == round && !s.aborted {
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.round != round
+    }
+
+    fn abort(&self) {
+        self.lock().aborted = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Consecutive node records of one worker's node file.
+#[derive(Clone, Copy, Debug)]
+struct Piece {
+    /// The worker whose node file holds the records.
+    file: usize,
+    /// Byte offset of the first record.
+    offset: u64,
+    /// Sequence number of the first record.
+    base: usize,
+    len: usize,
+}
+
+/// What one block wrote: a contiguous extent of its worker's candidate
+/// and node files.
+#[derive(Default)]
+struct Extent {
+    worker: usize,
+    /// Candidates written; their block-local sequence numbers are `0..len`.
+    len: usize,
+    /// Node-file byte offsets of the extent's records `0`,
+    /// [`BLOCK_RECORDS`], `2 ×` [`BLOCK_RECORDS`], …: where the next
+    /// generation's pieces start.
+    cuts: Vec<u64>,
+}
+
+/// The generation being expanded. Workers read it when they claim a block
+/// and write it when they finish one; the end-of-generation pass replaces
+/// it while they wait.
+#[derive(Default)]
+struct GenState {
+    gen: u64,
+    /// The node stream, in sequence order.
+    pieces: Vec<Piece>,
+    /// Block `b` is `pieces[blocks[b].clone()]`.
+    blocks: Vec<Range<usize>>,
+    /// Which records were admitted, by sequence number.
+    admitted: Bitmap,
+    /// The block table: the extent each block wrote, by block.
+    extents: Vec<Extent>,
+    /// Set once the search has drained.
+    done: bool,
+    spill: SpillStats,
+    /// Peak of the per-generation transient buffers (sort chunk, bitmap,
+    /// merge cursors, block table).
+    transient_peak: u64,
+    /// The sort chunk, allocated once by the calling thread and kept for
+    /// the run: a buffer that several threads allocate and free in turn
+    /// leaves freed copies resident in each thread's allocator.
+    chunk: Vec<FpEntry>,
+}
+
+impl GenState {
+    /// Makes `pieces` the node stream, packed in order into blocks of at
+    /// most [`BLOCK_RECORDS`] records, with an empty block table.
+    fn cut(&mut self, pieces: Vec<Piece>) {
+        self.blocks.clear();
+        let (mut start, mut len) = (0, 0);
+        for (i, p) in pieces.iter().enumerate() {
+            if len + p.len > BLOCK_RECORDS {
+                self.blocks.push(start..i);
+                (start, len) = (i, 0);
+            }
+            len += p.len;
+        }
+        if start < pieces.len() {
+            self.blocks.push(start..pieces.len());
+        }
+        self.pieces = pieces;
+        self.extents = self.blocks.iter().map(|_| Extent::default()).collect();
+    }
+}
+
+/// The disk frontier's shared side: generation files, the block counter,
+/// and the end-of-generation pass that runs the sort-merge admission
+/// replay and the cap (see the [module docs](self)).
 struct Generations<'a> {
     obj: &'a dyn RecoverableObject,
     slots: &'a Slots,
     dir: &'a Path,
     chunk_entries: usize,
-    gen: u64,
-    /// `None` once the search has drained.
-    cur: Option<Gen>,
-    /// The driver key of the record being read.
-    rec: Vec<Word>,
-    spill: SpillStats,
-    /// Peak of the per-generation transient buffers (sort chunk, bitmap,
-    /// merge cursors).
-    transient_peak: u64,
+    workers: usize,
+    /// The next block of the current generation to claim.
+    claims: AtomicUsize,
+    barrier: Barrier,
+    state: Mutex<GenState>,
 }
 
-impl Generations<'_> {
-    fn gen_path(&self, g: u64) -> PathBuf {
-        self.dir.join(format!("gen-{g}.nodes"))
+impl<'a> Generations<'a> {
+    fn new(
+        obj: &'a dyn RecoverableObject,
+        slots: &'a Slots,
+        dir: &'a Path,
+        chunk_entries: usize,
+        workers: usize,
+    ) -> Self {
+        Generations {
+            obj,
+            slots,
+            dir,
+            chunk_entries,
+            workers,
+            claims: AtomicUsize::new(0),
+            barrier: Barrier::new(workers),
+            state: Mutex::new(GenState {
+                chunk: Vec::with_capacity(chunk_entries),
+                ..GenState::default()
+            }),
+        }
     }
 
-    /// Writes generation 0 (the admitted root, if any) and the seen file
-    /// holding its fingerprint, and opens generation 0 for expansion.
-    fn seed(&mut self, root: Option<Seeded<u64>>) -> io::Result<()> {
+    fn lock(&self) -> MutexGuard<'_, GenState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Worker `w`'s node file of generation `g`.
+    fn gen_path(&self, g: u64, w: usize) -> PathBuf {
+        self.dir.join(format!("gen-{g}-{w}.nodes"))
+    }
+
+    /// Worker `w`'s candidate file of the current generation.
+    fn cand_path(&self, w: usize) -> PathBuf {
+        self.dir.join(format!("cand-{w}.fps"))
+    }
+
+    /// Writes generation 0 (the admitted root, if any, in worker 0's node
+    /// file) and the seen file holding its fingerprint.
+    fn seed(&self, root: Option<Seeded<u64>>) -> io::Result<()> {
+        let mut st = self.lock();
         let mut seen_w = WordWriter::create(&self.dir.join("seen.fps"))?;
-        let mut gen_w = WordWriter::create(&self.gen_path(0))?;
-        let mut admitted = Bitmap::new(usize::from(root.is_some()));
-        if let Some((node, fp)) = root {
-            put_node(&mut gen_w, 0, node.state, &node.driver.key())?;
-            seen_w.put_all(&[fp.0, fp.1])?;
-            admitted.set(0);
-        }
-        self.spill.bytes_spilled += seen_w.finish()? + gen_w.finish()?;
-        self.cur = Some(self.open(0, admitted)?);
-        Ok(())
-    }
-
-    fn open(&self, g: u64, admitted: Bitmap) -> io::Result<Gen> {
-        Ok(Gen {
-            nodes: WordReader::open(&self.gen_path(g))?,
-            admitted,
-            at: 0,
-            fps: WordWriter::create(&self.dir.join("cand.fps"))?,
-            next: WordWriter::create(&self.gen_path(g + 1))?,
-            seq: 0,
-            expanded: false,
-        })
-    }
-
-    fn try_next(&mut self) -> io::Result<Option<BfsNode<u64>>> {
-        while let Some(cur) = self.cur.as_mut() {
-            while let Some([ops_used, handle, len]) = next_entry(&mut cur.nodes)? {
-                cur.at += 1;
-                if !cur.admitted.get(cur.at - 1) {
-                    cur.nodes.skip(len as usize)?;
-                    continue;
-                }
-                read_body(&mut cur.nodes, len as usize, &mut self.rec)?;
-                if !cur.expanded {
-                    cur.expanded = true;
-                    self.spill.generations += 1;
-                }
-                let driver = Driver::decode_frontier(self.obj, self.obj.processes(), &self.rec)
-                    .expect("decodable object failed to decode its own node key");
-                debug_assert_eq!(self.rec, driver.key(), "key decode does not round-trip");
-                return Ok(Some(BfsNode {
-                    state: handle,
-                    driver,
-                    ops_used: ops_used as usize,
-                }));
+        for w in 0..self.workers {
+            let mut gen_w = WordWriter::create(&self.gen_path(0, w))?;
+            if let (0, Some((node, fp))) = (w, &root) {
+                put_node(&mut gen_w, 0, node.state, &node.driver.key())?;
+                seen_w.put_all(&[fp.0, fp.1])?;
             }
-            let done = self.cur.take().expect("checked above");
-            self.cur = self.end_generation(done)?;
+            st.spill.bytes_spilled += gen_w.finish()?;
         }
-        Ok(None)
-    }
-
-    fn try_push(
-        &mut self,
-        nodes: &mut Vec<BfsNode<u64, Box<[Word]>>>,
-        fps: &[(u64, u64)],
-    ) -> io::Result<()> {
-        let cur = self.cur.as_mut().expect("push during an expansion");
-        for (node, fp) in nodes.drain(..).zip(fps) {
-            cur.fps.put_all(&[fp.0, fp.1, cur.seq])?;
-            put_node(&mut cur.next, node.ops_used, node.state, &node.driver)?;
-            cur.seq += 1;
+        st.spill.bytes_spilled += seen_w.finish()?;
+        if root.is_some() {
+            st.admitted = Bitmap::new(1);
+            st.admitted.set(0);
+            st.spill.generations += 1;
+            st.cut(vec![Piece {
+                file: 0,
+                offset: 0,
+                base: 0,
+                len: 1,
+            }]);
         }
         Ok(())
     }
 
-    /// Sort-merges generation `done`'s candidates against the seen file
-    /// while writing the next seen file, applies the cap, and opens the
-    /// next generation through the resulting bitmap — `None` when there
-    /// were no candidates.
-    fn end_generation(&mut self, done: Gen) -> io::Result<Option<Gen>> {
-        let dir = self.dir;
-        let fps_path = dir.join("cand.fps");
-        let seen_path = dir.join("seen.fps");
-        let Gen { fps, next, seq, .. } = done;
-        drop((done.nodes, done.admitted));
-        self.spill.bytes_spilled += fps.finish()? + next.finish()?;
-        fs::remove_file(self.gen_path(self.gen))?;
-        let candidates = seq as usize;
+    /// Worker `id`'s side of the frontier. It opens no file yet, so the
+    /// drop guard that aborts the barrier exists before any I/O can fail.
+    fn worker(&self, id: usize, filter_slots: usize) -> BlockWorker<'_, 'a> {
+        BlockWorker {
+            gens: self,
+            id,
+            gen: 0,
+            filter: RepeatFilter::new(filter_slots),
+            readers: (0..self.workers).map(|_| None).collect(),
+            block: None,
+            extent: Extent::default(),
+            out: None,
+            rec: Vec::new(),
+        }
+    }
+
+    /// The end-of-generation pass, run by worker 0 once every worker has
+    /// arrived at the barrier: sort-merges the generation's candidates against the seen
+    /// file while writing the next seen file, applies the cap, and cuts
+    /// the next generation's blocks — or marks the search drained.
+    fn end_generation(&self) -> io::Result<()> {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        self.remove_files(|w| self.gen_path(st.gen, w))?;
+        let extents = std::mem::take(&mut st.extents);
+        let candidates: usize = extents.iter().map(|e| e.len).sum();
         if candidates == 0 {
-            fs::remove_file(&fps_path)?;
-            fs::remove_file(self.gen_path(self.gen + 1))?;
-            return Ok(None);
+            self.remove_files(|w| self.cand_path(w))?;
+            return self.drain(st);
         }
 
         // ---- Pass 2a: sort candidate fingerprints into run files. ----
+        // A worker's extents lie in its candidate file in block order, so
+        // each file is read front to back.
         let mut runs: Vec<PathBuf> = Vec::new();
         {
-            let mut fps_r = WordReader::open(&fps_path)?;
-            let mut chunk: Vec<FpEntry> = Vec::new();
-            loop {
-                chunk.clear();
-                while chunk.len() < self.chunk_entries {
-                    match next_entry(&mut fps_r)? {
-                        Some(e) => chunk.push(e),
-                        None => break,
+            let mut cands = (0..self.workers)
+                .map(|w| WordReader::open(&self.cand_path(w)))
+                .collect::<io::Result<Vec<_>>>()?;
+            let mut chunk = std::mem::take(&mut st.chunk);
+            let mut base = 0;
+            for e in &extents {
+                for _ in 0..e.len {
+                    let [fp0, fp1, seq] = promised_entry(&mut cands[e.worker])?;
+                    chunk.push([fp0, fp1, base + seq]);
+                    if chunk.len() == self.chunk_entries {
+                        runs.push(self.write_run(&mut chunk, runs.len(), &mut st.spill)?);
                     }
                 }
-                if chunk.is_empty() {
-                    break;
-                }
-                chunk.sort_unstable();
-                let path = dir.join(format!("run-{}.fps", runs.len()));
-                let mut w = WordWriter::create(&path)?;
-                w.put_all(chunk.as_flattened())?;
-                self.spill.bytes_spilled += w.finish()?;
-                runs.push(path);
+                base += e.len as u64;
             }
+            if !chunk.is_empty() {
+                runs.push(self.write_run(&mut chunk, runs.len(), &mut st.spill)?);
+            }
+            st.chunk = chunk;
         }
-        self.spill.sort_runs += runs.len() as u64;
-        fs::remove_file(&fps_path)?;
+        st.spill.sort_runs += runs.len() as u64;
+        self.remove_files(|w| self.cand_path(w))?;
 
         // ---- Pass 2b: merge runs against the seen file, writing the ----
         // ---- next seen file as the walk passes each group.          ----
-        self.spill.merge_passes += 1;
+        st.spill.merge_passes += 1;
         let mut bitmap = Bitmap::new(candidates);
-        let next_seen_path = dir.join("seen.fps.next");
+        let seen_path = self.dir.join("seen.fps");
+        let next_seen_path = self.dir.join("seen.fps.next");
         {
             let mut cursors: Vec<(WordReader, Option<FpEntry>)> = Vec::new();
             for p in &runs {
@@ -612,7 +875,7 @@ impl Generations<'_> {
                 }
             }
             seen.upto(None)?;
-            self.spill.bytes_spilled += seen.w.finish()?;
+            st.spill.bytes_spilled += seen.w.finish()?;
         }
         for p in &runs {
             fs::remove_file(p)?;
@@ -627,27 +890,266 @@ impl Generations<'_> {
             }
         }
 
-        self.transient_peak = self.transient_peak.max(
-            (bitmap.bytes()
+        // ---- Next: cut the next generation from the block table. ----
+        if !bitmap.any() {
+            return self.drain(st);
+        }
+        st.gen += 1;
+        let mut pieces = Vec::new();
+        let mut base = 0;
+        for e in &extents {
+            for (k, &offset) in e.cuts.iter().enumerate() {
+                let from = k * BLOCK_RECORDS;
+                pieces.push(Piece {
+                    file: e.worker,
+                    offset,
+                    base: base + from,
+                    len: (e.len - from).min(BLOCK_RECORDS),
+                });
+            }
+            base += e.len;
+        }
+        st.cut(pieces);
+        st.spill.generations += 1;
+        st.admitted = bitmap;
+        st.transient_peak = st.transient_peak.max(
+            (st.admitted.bytes()
                 + self.chunk_entries * FP_ENTRY_WORDS * 8
-                + runs.len() * FP_ENTRY_WORDS * 8) as u64,
+                + runs.len() * FP_ENTRY_WORDS * 8
+                + st.pieces.len() * std::mem::size_of::<Piece>()
+                + st.blocks.len() * std::mem::size_of::<(Range<usize>, Extent)>())
+                as u64,
         );
-        self.gen += 1;
-        Ok(Some(self.open(self.gen, bitmap)?))
+        self.claims.store(0, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Sorts `chunk` into run file `index`, empties it, and returns the
+    /// run's path.
+    fn write_run(
+        &self,
+        chunk: &mut Vec<FpEntry>,
+        index: usize,
+        spill: &mut SpillStats,
+    ) -> io::Result<PathBuf> {
+        chunk.sort_unstable();
+        let path = self.dir.join(format!("run-{index}.fps"));
+        let mut w = WordWriter::create(&path)?;
+        w.put_all(chunk.as_flattened())?;
+        spill.bytes_spilled += w.finish()?;
+        chunk.clear();
+        Ok(path)
+    }
+
+    /// Ends the search: nothing was admitted into the next generation, so
+    /// its node files go.
+    fn drain(&self, st: &mut GenState) -> io::Result<()> {
+        self.remove_files(|w| self.gen_path(st.gen + 1, w))?;
+        st.done = true;
+        Ok(())
+    }
+
+    /// Removes one file per worker.
+    fn remove_files(&self, path: impl Fn(usize) -> PathBuf) -> io::Result<()> {
+        (0..self.workers).try_for_each(|w| fs::remove_file(path(w)))
     }
 }
 
-impl Frontier<u64> for Generations<'_> {
+/// The block a worker is expanding.
+struct Claimed {
+    /// Its index in the block table.
+    index: usize,
+    pieces: Vec<Piece>,
+    /// The next piece to read.
+    next: usize,
+    /// The node file of the piece being read, and its records left.
+    file: usize,
+    left: usize,
+    /// The block's admission bits and the next record's index among them.
+    admitted: Bitmap,
+    at: usize,
+}
+
+/// A worker's output files for one generation.
+struct Outputs {
+    /// Candidate fingerprints.
+    fps: WordWriter,
+    /// Candidate records: the worker's node file of the next generation.
+    next: WordWriter,
+}
+
+/// One worker's side of the disk frontier: the block it is expanding, its
+/// repeat filter and its output files (see the [module docs](self)).
+struct BlockWorker<'g, 'a> {
+    gens: &'g Generations<'a>,
+    id: usize,
+    gen: u64,
+    filter: RepeatFilter,
+    /// The generation's node files, by writing worker, opened on first
+    /// read.
+    readers: Vec<Option<WordReader>>,
+    block: Option<Claimed>,
+    /// What the claimed block has written so far.
+    extent: Extent,
+    /// `None` between generations.
+    out: Option<Outputs>,
+    /// The driver key of the record being read.
+    rec: Vec<Word>,
+}
+
+impl BlockWorker<'_, '_> {
+    fn try_next(&mut self) -> io::Result<Option<BfsNode<u64>>> {
+        loop {
+            if self.out.is_none() {
+                let gens = self.gens;
+                self.out = Some(Outputs {
+                    fps: WordWriter::create(&gens.cand_path(self.id))?,
+                    next: WordWriter::create(&gens.gen_path(self.gen + 1, self.id))?,
+                });
+            }
+            if let Some([ops_used, handle]) = self.next_record()? {
+                let obj = self.gens.obj;
+                let driver = Driver::decode_frontier(obj, obj.processes(), &self.rec)
+                    .expect("decodable object failed to decode its own node key");
+                debug_assert_eq!(self.rec, driver.key(), "key decode does not round-trip");
+                return Ok(Some(BfsNode {
+                    state: handle,
+                    driver,
+                    ops_used: ops_used as usize,
+                }));
+            }
+            if let Some(block) = self.block.take() {
+                self.gens.lock().extents[block.index] = std::mem::take(&mut self.extent);
+            }
+            if !self.claim() && !self.next_generation()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// Reads the claimed block's next admitted record — its driver key into
+    /// `rec` — and returns `[ops_used, handle]`; `None` once the block is
+    /// exhausted or none is claimed.
+    fn next_record(&mut self) -> io::Result<Option<[Word; 2]>> {
+        let Some(b) = self.block.as_mut() else {
+            return Ok(None);
+        };
+        loop {
+            while b.left == 0 {
+                let Some(&p) = b.pieces.get(b.next) else {
+                    return Ok(None);
+                };
+                b.next += 1;
+                let r = match &mut self.readers[p.file] {
+                    Some(r) => r,
+                    slot => slot.insert(WordReader::open(&self.gens.gen_path(self.gen, p.file))?),
+                };
+                r.seek_to(p.offset)?;
+                (b.file, b.left) = (p.file, p.len);
+            }
+            let r = self.readers[b.file]
+                .as_mut()
+                .expect("opened with its piece");
+            let [ops_used, handle, len] = promised_entry(r)?;
+            b.left -= 1;
+            b.at += 1;
+            if b.admitted.get(b.at - 1) {
+                read_body(r, len as usize, &mut self.rec)?;
+                return Ok(Some([ops_used, handle]));
+            }
+            r.skip(len as usize)?;
+        }
+    }
+
+    /// Claims the generation's next block, if one is left.
+    fn claim(&mut self) -> bool {
+        let index = self.gens.claims.fetch_add(1, Ordering::Relaxed);
+        let st = self.gens.lock();
+        let Some(range) = st.blocks.get(index).cloned() else {
+            return false;
+        };
+        let pieces = st.pieces[range].to_vec();
+        let len = pieces.iter().map(|p| p.len).sum();
+        let admitted = st.admitted.slice(pieces[0].base, len);
+        drop(st);
+        self.filter.clear();
+        self.extent = Extent {
+            worker: self.id,
+            ..Extent::default()
+        };
+        self.block = Some(Claimed {
+            index,
+            pieces,
+            next: 0,
+            file: 0,
+            left: 0,
+            admitted,
+            at: 0,
+        });
+        true
+    }
+
+    /// Closes the generation's files and meets the other workers at the
+    /// barrier, the last of them running the end-of-generation pass.
+    /// Returns whether a next generation was cut.
+    fn next_generation(&mut self) -> io::Result<bool> {
+        let out = self.out.take().expect("outputs open during a generation");
+        let bytes = out.fps.finish()? + out.next.finish()?;
+        self.readers.iter_mut().for_each(|r| *r = None);
+        let gens = self.gens;
+        gens.lock().spill.bytes_spilled += bytes;
+        let pass = || gens.end_generation().expect(SPILL_IO);
+        if !gens.barrier.wait(self.id == 0, pass) {
+            return Ok(false);
+        }
+        let st = gens.lock();
+        self.gen = st.gen;
+        Ok(!st.done)
+    }
+
+    fn try_push(
+        &mut self,
+        nodes: &mut Vec<BfsNode<u64, Box<[Word]>>>,
+        fps: &[(u64, u64)],
+    ) -> io::Result<()> {
+        let out = self.out.as_mut().expect("push during an expansion");
+        for (node, fp) in nodes.drain(..).zip(fps) {
+            let seq = self.extent.len;
+            if seq.is_multiple_of(BLOCK_RECORDS) {
+                self.extent.cuts.push(out.next.bytes());
+            }
+            out.fps.put_all(&[fp.0, fp.1, seq as u64])?;
+            put_node(&mut out.next, node.ops_used, node.state, &node.driver)?;
+            self.extent.len += 1;
+        }
+        Ok(())
+    }
+}
+
+impl Frontier<u64> for BlockWorker<'_, '_> {
     /// A successor's driver key alone: the words its node record stores.
     type Staged = Box<[Word]>;
     fn stage(_: &Driver, _: usize, _: Proc, key: &[Word]) -> Box<[Word]> {
         key.into()
+    }
+    fn repeats(&mut self, fp: (u64, u64)) -> bool {
+        self.filter.repeats(fp)
     }
     fn next(&mut self) -> Option<BfsNode<u64>> {
         self.try_next().expect(SPILL_IO)
     }
     fn push(&mut self, nodes: &mut Vec<BfsNode<u64, Box<[Word]>>>, fps: &[(u64, u64)]) {
         self.try_push(nodes, fps).expect(SPILL_IO);
+    }
+}
+
+impl Drop for BlockWorker<'_, '_> {
+    /// Books the filter's drops and aborts the barrier: after the last
+    /// generation that changes nothing, and after a panic it releases the
+    /// waiting workers.
+    fn drop(&mut self) {
+        self.gens.lock().spill.candidates_dropped += self.filter.dropped;
+        self.gens.barrier.abort();
     }
 }
 
@@ -749,30 +1251,57 @@ mod tests {
     }
 
     #[test]
+    fn blocks_pack_consecutive_pieces_up_to_the_block_size() {
+        let piece = |base, len| Piece {
+            file: base % 2,
+            offset: 0,
+            base,
+            len,
+        };
+        let b = BLOCK_RECORDS;
+        let mut st = GenState::default();
+        st.cut(vec![
+            piece(0, b),
+            piece(b, 3),
+            piece(b + 3, b - 3),
+            piece(2 * b, 1),
+        ]);
+        // A full piece is a block; two that fill one exactly share it; the
+        // next starts a new one.
+        assert_eq!(st.blocks, vec![0..1, 1..3, 3..4]);
+        assert_eq!(st.extents.len(), 3);
+        st.cut(Vec::new());
+        assert!(st.blocks.is_empty() && st.extents.is_empty());
+    }
+
+    #[test]
     fn repeat_filter_rejects_an_exact_repeat() {
-        let slots = Slots::new(usize::MAX);
-        let f = SeenFile::new(4);
-        assert!(f.admit(&slots, (8, 1)));
-        assert!(!f.admit(&slots, (8, 1)));
-        assert!(!f.admit(&slots, (8, 1)));
-        assert_eq!(f.dropped.get(), 2);
+        let mut f = RepeatFilter::new(4);
+        assert!(!f.repeats((8, 1)));
+        assert!(f.repeats((8, 1)));
+        assert!(f.repeats((8, 1)));
+        assert_eq!(f.dropped, 2);
+        // A new block starts with an empty filter.
+        f.clear();
+        assert!(!f.repeats((8, 1)));
+        assert!(f.repeats((8, 1)));
+        assert_eq!(f.dropped, 3);
     }
 
     #[test]
     fn repeat_filter_never_rejects_a_slot_collision() {
-        let slots = Slots::new(usize::MAX);
-        let f = SeenFile::new(4);
+        let mut f = RepeatFilter::new(4);
         // An empty slot rejects nothing, the all-zero fingerprint included.
-        assert!(f.admit(&slots, (0, 0)));
-        assert!(f.admit(&slots, (8, 1)));
+        assert!(!f.repeats((0, 0)));
+        assert!(!f.repeats((8, 1)));
         // Same slot (8 % 4 == 12 % 4 == 0), different fingerprints: each
         // takes the slot over.
-        assert!(f.admit(&slots, (12, 1)));
-        assert!(f.admit(&slots, (12, 2)));
+        assert!(!f.repeats((12, 1)));
+        assert!(!f.repeats((12, 2)));
         // The evicted fingerprint passes again.
-        assert!(f.admit(&slots, (8, 1)));
-        assert!(!f.admit(&slots, (8, 1)));
-        assert_eq!(f.dropped.get(), 1);
+        assert!(!f.repeats((8, 1)));
+        assert!(f.repeats((8, 1)));
+        assert_eq!(f.dropped, 1);
     }
 
     /// Writes `words` to a fresh spill file, cuts it to `keep_bytes` bytes

@@ -3,6 +3,8 @@
 //! every experiment binary's `--json` mode so CI and bench tracking can
 //! diff runs.
 
+use std::time::Duration;
+
 use crate::scenario::{RunStats, SweepReport, Verdict};
 
 /// Renders an aligned Markdown table (used by every experiment binary so
@@ -113,10 +115,16 @@ fn stats_json(s: &RunStats) -> String {
 impl Verdict {
     /// Serializes the verdict as one JSON object.
     pub fn to_json(&self) -> String {
+        self.to_json_with("")
+    }
+
+    /// The verdict's JSON object with `extra` (`,"key":value` pairs)
+    /// appended after its own fields.
+    fn to_json_with(&self, extra: &str) -> String {
         format!(
             "{{\"object\":\"{}\",\"kind\":\"{:?}\",\"mode\":\"{}\",\
              \"detectable\":{},\"passed\":{},\"linearizable\":{},\
-             \"bound_met\":{},\"violation\":{},\"witness\":{},\"stats\":{}}}",
+             \"bound_met\":{},\"violation\":{},\"witness\":{},\"stats\":{}{}}}",
             esc(&self.object),
             self.kind,
             self.mode.tag(),
@@ -132,6 +140,7 @@ impl Verdict {
                     .as_deref()
             ),
             stats_json(&self.stats),
+            extra,
         )
     }
 }
@@ -144,14 +153,20 @@ pub fn verdicts_to_json(verdicts: &[Verdict]) -> String {
 }
 
 /// Serializes the census table's `--json` document: the worker-thread count
-/// the BFS rows ran under plus the verdict stream. `census_table` emits it
-/// and the `census_throughput` baseline embeds it, so CI can diff the live
-/// schema against the committed `BENCH_census.json`.
-pub fn census_table_json(threads: usize, verdicts: &[Verdict]) -> String {
+/// the BFS rows ran under plus the verdict stream, each row carrying the
+/// wall time of its census in milliseconds (`wall_ms`, beside `stats`).
+/// `census_table` emits it and the `census_throughput` baseline embeds it,
+/// so CI can diff the live schema against the committed
+/// `BENCH_census.json`.
+pub fn census_table_json(threads: usize, rows: &[(Verdict, Duration)]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|(v, wall)| v.to_json_with(&format!(",\"wall_ms\":{:.3}", wall.as_secs_f64() * 1e3)))
+        .collect();
     format!(
-        "{{\"threads\":{},\"verdicts\":{}}}",
+        "{{\"threads\":{},\"verdicts\":[{}]}}",
         threads,
-        verdicts_to_json(verdicts)
+        rows.join(",")
     )
 }
 

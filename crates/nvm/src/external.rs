@@ -93,12 +93,17 @@ impl SpillableArena {
     pub fn new(stride: usize, cfg: SpillConfig) -> Self {
         assert!(stride > 0, "arena stride must be positive");
         assert!(cfg.seg_slots > 0, "segments must hold at least one image");
+        // The first segment is reserved whole, like every later one: a
+        // census interns from several threads, and a segment grown by
+        // reallocation would leave freed copies resident in each thread's
+        // allocator. Its pages are touched only as images arrive.
+        let active = Vec::with_capacity(cfg.seg_slots * stride);
         SpillableArena {
             stride,
             cfg,
             inner: Mutex::new(Inner {
                 index: HashMap::default(),
-                active: Vec::new(),
+                active,
                 sealed: Vec::new(),
                 cache: HashMap::new(),
                 cache_order: VecDeque::new(),

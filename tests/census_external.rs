@@ -4,20 +4,22 @@
 //! With `disk_dir` set and a decodable object, [`census_bfs_engine`]
 //! replaces the resident visited set, frontier and image arena with sorted
 //! spill files and a segment-spilling arena; its admission semantics are
-//! argued equivalent to the one-worker in-RAM tier in the module docs. These
-//! tests *pin* that equivalence empirically on all eight object kinds,
-//! unfolded and with the private-step fold, complete and truncated, with
-//! the RAM budget
+//! argued equivalent to the one-worker in-RAM tier in the module docs, at
+//! every worker count. These tests *pin* that equivalence empirically on
+//! all eight object kinds, at 1, 2 and 4 workers, unfolded and with the
+//! private-step fold, complete and truncated, with the RAM budget
 //! forced tiny enough that every run actually spills (multi-segment
 //! arena, multi-run external sorts) — a disk tier that silently kept
 //! everything resident would prove nothing.
 
 use detectable::{
     DetectableCas, DetectableCounter, DetectableFaa, DetectableQueue, DetectableRegister,
-    DetectableSwap, DetectableTas, MaxRegister, ObjectKind, RecoverableObject,
+    DetectableSwap, DetectableTas, MaxRegister, ObjectKind, OpSpec, RecoverableObject,
 };
-use harness::{build_world, census_bfs_engine, default_alphabet, BfsConfig, Scenario, Workload};
-use nvm::SimMemory;
+use harness::{
+    build_world, census_bfs_engine, default_alphabet, BfsConfig, Scenario, SpillStats, Workload,
+};
+use nvm::{Machine, Memory, Pid, Poll, SimMemory, Word};
 
 /// Debug builds explore 3-process worlds, release 4 — same contract the
 /// other scale-sensitive integration tests use.
@@ -55,8 +57,9 @@ fn worlds(n: u32) -> Vec<(ObjectKind, Box<dyn RecoverableObject>, SimMemory)> {
     out
 }
 
-/// The pin: for each kind and each (mode, cap) cell, the disk tier
-/// reports byte-identical counts to the one-worker in-RAM tier.
+/// The pin: for each kind and each (mode, cap) cell, the disk tier at 1, 2
+/// and 4 workers reports the counts of the one-worker in-RAM tier, and its
+/// spill counters do not depend on the worker count.
 #[test]
 fn external_engine_matches_in_ram_on_every_kind() {
     let n = world_n();
@@ -77,7 +80,6 @@ fn external_engine_matches_in_ram_on_every_kind() {
                 ram_budget: Some(8 * 1024),
                 parallelism: 1,
             };
-            let ext = census_bfs_engine(&*obj, &mem, &alphabet, &cfg);
             let ram = census_bfs_engine(
                 &*obj,
                 &mem,
@@ -87,32 +89,58 @@ fn external_engine_matches_in_ram_on_every_kind() {
                     ..cfg.clone()
                 },
             );
-            let tag = format!("{kind:?} fold={fold_private} cap={max_states}");
-            assert_eq!(ext.distinct_shared, ram.distinct_shared, "{tag}");
-            assert_eq!(ext.work, ram.work, "{tag}");
-            assert_eq!(ext.steps, ram.steps, "{tag}");
-            assert_eq!(ext.resolved_ops, ram.resolved_ops, "{tag}");
-            assert_eq!(ext.persists, ram.persists, "{tag}");
-            assert_eq!(ext.truncated, ram.truncated, "{tag}");
-            assert_eq!(ext.theorem_bound, ram.theorem_bound, "{tag}");
-            let spill = ext.spill.expect("external runs report spill stats");
-            assert!(spill.bytes_spilled > 0, "{tag}: no bytes spilled");
-            if max_states > 1_000 {
-                // The uncapped cells are big enough that the tiny budget
-                // must force real external behavior, not a resident run
-                // that happens to have files open.
-                assert!(
-                    spill.arena_segments_spilled >= 2,
-                    "{tag}: single-segment run proves nothing: {spill:?}"
+            let mut one_worker: Option<SpillStats> = None;
+            for parallelism in [1, 2, 4] {
+                let ext = census_bfs_engine(
+                    &*obj,
+                    &mem,
+                    &alphabet,
+                    &BfsConfig {
+                        parallelism,
+                        ..cfg.clone()
+                    },
                 );
-                assert!(
-                    spill.sort_runs >= 2,
-                    "{tag}: single-run sort proves nothing: {spill:?}"
+                let tag = format!("{kind:?} fold={fold_private} cap={max_states} p={parallelism}");
+                assert_eq!(ext.distinct_shared, ram.distinct_shared, "{tag}");
+                assert_eq!(ext.work, ram.work, "{tag}");
+                assert_eq!(ext.steps, ram.steps, "{tag}");
+                assert_eq!(ext.resolved_ops, ram.resolved_ops, "{tag}");
+                assert_eq!(ext.persists, ram.persists, "{tag}");
+                assert_eq!(ext.truncated, ram.truncated, "{tag}");
+                assert_eq!(ext.theorem_bound, ram.theorem_bound, "{tag}");
+                assert_eq!(ext.sched.workers, parallelism as u64, "{tag}");
+                assert_eq!(
+                    ext.sched.per_worker_expansions.iter().sum::<u64>(),
+                    ext.work as u64,
+                    "{tag}"
                 );
-                assert!(
-                    spill.candidates_dropped > 0,
-                    "{tag}: the repeat filter dropped nothing: {spill:?}"
-                );
+                let spill = ext.spill.expect("external runs report spill stats");
+                assert!(spill.bytes_spilled > 0, "{tag}: no bytes spilled");
+                if max_states > 1_000 {
+                    // The uncapped cells are big enough that the tiny budget
+                    // must force real external behavior, not a resident run
+                    // that happens to have files open.
+                    assert!(
+                        spill.arena_segments_spilled >= 2,
+                        "{tag}: single-segment run proves nothing: {spill:?}"
+                    );
+                    assert!(
+                        spill.sort_runs >= 2,
+                        "{tag}: single-run sort proves nothing: {spill:?}"
+                    );
+                    assert!(
+                        spill.candidates_dropped > 0,
+                        "{tag}: the repeat filter dropped nothing: {spill:?}"
+                    );
+                }
+                // Which worker reads which image when decides the arena's
+                // hot-cache misses; nothing else may depend on the workers.
+                let spill = SpillStats {
+                    arena_segment_reads: 0,
+                    ..spill
+                };
+                let first = *one_worker.get_or_insert(spill);
+                assert_eq!(spill, first, "{tag}: spill counters moved with the workers");
             }
         }
     }
@@ -244,6 +272,91 @@ fn non_decodable_objects_stay_in_ram_with_a_disk_dir() {
         std::fs::read_dir(&dir).unwrap().count(),
         0,
         "spill directory must be left empty"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A machine that panics when stepped: the probe for the disk tier's
+/// barrier abort.
+struct PanicMachine(Pid);
+
+impl Machine for PanicMachine {
+    fn step(&mut self, _mem: &dyn Memory) -> Poll {
+        panic!("object invariant violated (test probe)");
+    }
+    fn pid(&self) -> Pid {
+        self.0
+    }
+    fn label(&self) -> &'static str {
+        "panic"
+    }
+    fn clone_box(&self) -> Box<dyn Machine> {
+        Box::new(PanicMachine(self.0))
+    }
+    fn encode(&self) -> Vec<Word> {
+        Vec::new()
+    }
+}
+
+/// A decodable object whose invoked operations panic on their first
+/// step, so the disk tier runs it and the panic strikes in generation 1.
+struct DecodablePanicObject;
+
+impl RecoverableObject for DecodablePanicObject {
+    fn prepare(&self, _mem: &dyn Memory, _pid: Pid, _op: &OpSpec) {}
+    fn invoke(&self, pid: Pid, _op: &OpSpec) -> Box<dyn Machine> {
+        Box::new(PanicMachine(pid))
+    }
+    fn recover(&self, pid: Pid, _op: &OpSpec) -> Box<dyn Machine> {
+        Box::new(PanicMachine(pid))
+    }
+    fn processes(&self) -> u32 {
+        2
+    }
+    fn kind(&self) -> ObjectKind {
+        ObjectKind::Register
+    }
+    fn decodable(&self) -> bool {
+        true
+    }
+    fn decode_op(&self, pid: Pid, _op: &OpSpec, _words: &[Word]) -> Option<Box<dyn Machine>> {
+        Some(Box::new(PanicMachine(pid)))
+    }
+    fn name(&self) -> &'static str {
+        "panicking-register"
+    }
+}
+
+/// A worker that panics mid-expansion must propagate the panic out of the
+/// disk tier, not leave the other workers blocked at the generation
+/// barrier (each worker's drop aborts it). The worker that panics may be
+/// the calling thread's worker 0 or a helper, so both counts run; the
+/// regression this guards against is a hang, which fails as a suite
+/// timeout.
+#[test]
+fn disk_census_propagates_a_worker_panic_instead_of_hanging() {
+    let dir = spill_dir("panic");
+    for parallelism in [2, 4] {
+        let (_, mem) = build_world(|b| {
+            b.shared("X", 1, 64);
+            DecodablePanicObject
+        });
+        let cfg = BfsConfig {
+            max_ops: 2,
+            parallelism,
+            disk_dir: Some(dir.clone()),
+            ram_budget: Some(8 * 1024),
+            ..Default::default()
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            census_bfs_engine(&DecodablePanicObject, &mem, &[OpSpec::Read], &cfg)
+        }));
+        assert!(run.is_err(), "p={parallelism}: the probe's panic was lost");
+    }
+    assert_eq!(
+        std::fs::read_dir(&dir).unwrap().count(),
+        0,
+        "a panicking run must still remove its spill files"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

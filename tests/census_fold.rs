@@ -202,7 +202,9 @@ fn spin_world() -> (SpinObject, SimMemory) {
 /// returns, and both searches hang. With it, each search takes one bounded
 /// action per node: the explorer's crash-first depth-first walk counts one
 /// leaf per level until its leaf budget stops it, and the census admits new
-/// configurations until its cap does.
+/// configurations until its cap does. Without crashes the walk has no
+/// leaves to count, so the leaf budget cannot stop it; the per-operation
+/// step bound does.
 #[test]
 fn a_private_only_livelock_hangs_neither_search() {
     let (obj, mem) = spin_world();
@@ -222,6 +224,20 @@ fn a_private_only_livelock_hangs_neither_search() {
     assert!(explored.truncated, "{explored:?}");
     assert_eq!(explored.leaves, 8);
     assert!(explored.violation.is_none(), "{explored:?}");
+
+    let crash_free = explore_engine(
+        &obj,
+        &mem,
+        OpSource::PerProcess(&workload),
+        &ExploreConfig {
+            max_crashes: 0,
+            parallelism: 1,
+            ..Default::default()
+        },
+    );
+    assert!(crash_free.truncated, "{crash_free:?}");
+    assert_eq!(crash_free.leaves, 0, "no execution completes");
+    assert!(crash_free.violation.is_none(), "{crash_free:?}");
 
     let census = census_bfs_engine(
         &obj,
