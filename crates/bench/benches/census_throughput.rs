@@ -1,21 +1,23 @@
 //! **Experiment E12/E15** — census-engine throughput: configurations
-//! expanded per second on the N = 4 detectable-CAS world by the
-//! arena/work-stealing engine, sequential vs parallel, unfolded vs with
-//! the private-step fold.
+//! expanded per second on the N = 4 detectable-CAS world by the in-RAM
+//! engine, sequential vs parallel, unfolded vs with the private-step
+//! fold.
 //!
 //! The engine expands each successor under an undo-log checkpoint
 //! (O(writes) instead of a full-memory copy), stores frontier states as
 //! 8-byte handles into a deduplicating arena, and schedules expansion on
-//! per-worker work-stealing deques (`harness::sched`), so its states/sec
+//! per-worker LIFO stacks that share through one pool (`harness::sched`),
+//! so its states/sec
 //! figure is the headline number future PRs track via the committed
 //! `BENCH_census.json` baseline (regenerate it with
 //! `cargo bench -p bench --bench census_throughput`).
 //!
 //! The `fork-par{2,4,8}` rows are the E17 scaling curve; each sample
-//! embeds the scheduler counters (steals, parks, per-worker expansions)
-//! and the host's CPU count. Parallel rows are measured wherever the
-//! bench runs — a 1-CPU host commits honest no-speedup rows (they still
-//! pin count determinism and exercise the steal/park paths); the ≥ 1.8×
+//! embeds the pool counters (batches taken, waits, per-worker
+//! expansions) and the host's CPU count. Parallel rows are measured
+//! wherever the bench runs — a 1-CPU host commits honest no-speedup rows
+//! (they still pin count determinism and exercise the pool's take and
+//! wait paths); the ≥ 1.8×
 //! fork-seq target at 4 threads applies on `host_cpus ≥ 4` runs.
 
 use std::time::Instant;

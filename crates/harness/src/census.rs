@@ -11,7 +11,7 @@
 //!   Gray-code order, visiting all `2^N` vectors), demonstrating that
 //!   Algorithm 2 indeed *realizes* the exponential configuration count that
 //!   the theorem proves necessary;
-//! * [`census_bfs_engine`] breadth-first-explores every reachable configuration of
+//! * [`census_bfs_engine`] explores every reachable configuration of
 //!   a small world (all interleavings of a bounded operation budget) and
 //!   counts distinct shared states — the exhaustive version, good to N = 5
 //!   step by step and N = 7 with the private-step fold on the standard
@@ -22,10 +22,11 @@
 //!
 //! # Engine
 //!
-//! The exhaustive census is a BFS over system configurations (memory
-//! contents + driver volatile state + consumed operation budget), run by
-//! one worker loop (`Census::work`): take a node, expand it, flush its
-//! admitted successors to the frontier, mark it complete. Expansion is
+//! The exhaustive census is a reachability search over system
+//! configurations (memory contents + driver volatile state + consumed
+//! operation budget) — breadth first on disk, depth first per worker in
+//! RAM — run by one worker loop (`Census::work`): take a node, expand it,
+//! flush its admitted successors to the frontier. Expansion is
 //! checkpoint-based: a worker installs a node's image once onto its own
 //! scratch [`fork`](SimMemory::fork), then enters every successor under a
 //! [`checkpoint`](SimMemory::checkpoint) and leaves via
@@ -38,7 +39,7 @@
 //!
 //! | role | in RAM | on disk ([`crate::external`]) |
 //! |---|---|---|
-//! | frontier | a FIFO for one worker; work-stealing deques ([`crate::sched`]) for more | generation files cut into blocks that workers claim |
+//! | frontier | a LIFO stack per worker and a shared pool ([`crate::sched`]) | generation files cut into blocks that workers claim |
 //! | admission | sharded fingerprint set, per successor | repeat filter per block, seen-file sort-merge replay at generation end |
 //! | image store | [`StateArena`] | [`nvm::SpillableArena`] |
 //!
@@ -74,11 +75,13 @@
 //! shared-configuration set and the expansion count are each determined by
 //! the reachable state space alone, so **every parallelism level and both
 //! tiers report identical counts**, folded or not. When the cap truncates
-//! a parallel run, *which* configurations won admission slots is
-//! scheduling-dependent on the in-RAM tier (one-worker runs stay
-//! deterministic: admission order is canonical BFS order). The disk tier
-//! admits in canonical order at every worker count, so its truncated runs
-//! match the one-worker in-RAM tier's too.
+//! a run, *which* configurations won admission slots is
+//! scheduling-dependent on the in-RAM tier at more than one worker; one
+//! worker admits in a fixed depth-first order, so its truncated runs
+//! repeat exactly, but that order is not breadth-first. The disk tier
+//! admits in canonical BFS order at every worker count, so it is the tier
+//! whose truncated runs match the reference census
+//! (`tests/common/mod.rs`).
 //!
 //! # Private-step fold
 //!
@@ -97,7 +100,7 @@
 //! world) — but they are still functions of the reachable folded space,
 //! identical at every parallelism level and on both tiers.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -134,13 +137,14 @@ pub struct CensusReport {
     pub truncated: bool,
     /// Estimated peak resident bytes of the engine's own data structures
     /// (visited/shared sets, arena, frontier — not process RSS). In-RAM
-    /// runs derive it from final set sizes (their sets only grow); the
-    /// disk tier tracks its bounded buffers generation by generation; the
-    /// solo drive reports its seen-set footprint.
+    /// runs derive the sets and the arena from their final sizes (they only
+    /// grow) and the frontier from the stacks' and the pool's high-water
+    /// marks; the disk tier tracks its bounded buffers generation by
+    /// generation; the solo drive reports its seen-set footprint.
     pub peak_resident_bytes: u64,
     /// Disk-tier counters when the BFS ran on disk; `None` otherwise.
     pub spill: Option<SpillStats>,
-    /// Scheduler-action counters (steals, parks, per-worker expansions,
+    /// Worker counters (pool batches taken, waits, per-worker expansions,
     /// intern-flush batches). All-zero for the solo drive, which neither
     /// schedules nor batch-interns.
     pub sched: SchedStats,
@@ -448,48 +452,23 @@ pub(crate) trait Frontier<H> {
     /// Takes one expansion's successors (drained from `nodes`) and their
     /// fingerprints, in generation order.
     fn push(&mut self, nodes: &mut Vec<BfsNode<H, Self::Staged>>, fps: &[(u64, u64)]);
-    /// Marks the node last returned by [`next`](Self::next) expanded.
-    fn complete(&mut self) {}
 }
 
-/// The in-RAM tier stages a successor as its driver, built here and only
-/// here; the spliced `key` must be that driver's key.
-fn successor_driver(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Driver {
-    let driver = parent.with_process(i, p);
-    debug_assert_eq!(key, driver.key(), "spliced key is not the driver's");
-    driver
-}
-
-/// One in-RAM worker: a plain FIFO keeps admission in canonical BFS order,
-/// so truncated sequential runs stay deterministic (and, unfolded, match
-/// the reference census's admissions exactly).
-impl<H> Frontier<H> for VecDeque<BfsNode<H>> {
-    type Staged = Driver;
-    fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Driver {
-        successor_driver(parent, i, p, key)
-    }
-    fn next(&mut self) -> Option<BfsNode<H>> {
-        self.pop_front()
-    }
-    fn push(&mut self, nodes: &mut Vec<BfsNode<H>>, _: &[(u64, u64)]) {
-        self.extend(nodes.drain(..));
-    }
-}
-
-/// Two or more in-RAM workers: the work-stealing deques.
+/// The in-RAM frontier, at every worker count: the worker's own stack
+/// and the shared pool. A successor is staged as its driver, built here
+/// and only here; the spliced `key` must be that driver's key.
 impl<H> Frontier<H> for Worker<'_, BfsNode<H>> {
     type Staged = Driver;
     fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Driver {
-        successor_driver(parent, i, p, key)
+        let driver = parent.with_process(i, p);
+        debug_assert_eq!(key, driver.key(), "spliced key is not the driver's");
+        driver
     }
     fn next(&mut self) -> Option<BfsNode<H>> {
         Worker::next(self)
     }
     fn push(&mut self, nodes: &mut Vec<BfsNode<H>>, _: &[(u64, u64)]) {
         Worker::push(self, nodes);
-    }
-    fn complete(&mut self) {
-        Worker::complete(self);
     }
 }
 
@@ -542,9 +521,9 @@ impl<I: Images, D> Batch<I, D> {
     }
 
     /// Interns the staged images and hands the finished nodes to
-    /// `frontier` in staging order, so the one-worker FIFO order is exactly
-    /// the per-successor admission order. Returns whether anything was
-    /// flushed (`flush_batches` counts non-empty flushes only).
+    /// `frontier` in staging order, the per-successor admission order.
+    /// Returns whether anything was flushed (`flush_batches` counts
+    /// non-empty flushes only).
     fn flush(&mut self, images: &I, frontier: &mut impl Frontier<I::Handle, Staged = D>) -> bool {
         if self.meta.is_empty() {
             return false;
@@ -770,9 +749,9 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     }
 
     /// The one census worker loop, on the worker's own memory `fork`: take
-    /// a node, expand it, flush its admitted successors to the frontier,
-    /// mark it complete. Successors are pushed before the node is released,
-    /// so the work-stealing quiescence sweep never misses created work.
+    /// a node, expand it, flush its admitted successors to the frontier.
+    /// Successors are pushed before the next node is asked for, so a
+    /// frontier that finds every worker asking holds the whole search.
     pub(crate) fn work<F: Frontier<I::Handle>>(&self, fork: SimMemory, frontier: &mut F) -> Tally {
         let mut scratch = Scratch::default();
         let mut batch = Batch::new();
@@ -781,7 +760,6 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
             self.expand(&fork, &node, frontier, &mut batch, &mut scratch, &mut tally);
             tally.expanded += 1;
             tally.flushes += u64::from(batch.flush(self.images, frontier));
-            frontier.complete();
         }
         tally.persists = fork.stats().persists;
         tally.shared = scratch.shared;
@@ -823,24 +801,18 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         })
     }
 
-    /// Assembles the report. `sched` is `None` when one in-RAM worker ran
-    /// without a scheduler; `resident` is the tier's own peak estimate, to which
-    /// the shared-configuration set is added here. The set is the union of
-    /// the workers' sets plus the root's key, which `mem` (never mutated)
-    /// still holds.
+    /// Assembles the report. `resident` is the tier's own peak estimate,
+    /// to which the shared-configuration set is added here. The set is the
+    /// union of the workers' sets plus the root's key, which `mem` (never
+    /// mutated) still holds.
     pub(crate) fn report(
         self,
         mem: &SimMemory,
         tally: Tally,
-        sched: Option<SchedStats>,
+        mut sched: SchedStats,
         resident: u64,
         spill: Option<SpillStats>,
     ) -> CensusReport {
-        let mut sched = sched.unwrap_or_else(|| SchedStats {
-            workers: 1,
-            per_worker_expansions: vec![tally.expanded],
-            ..SchedStats::default()
-        });
         sched.flush_batches = tally.flushes;
         let mut shared_keys = tally.shared;
         shared_keys.insert(mem.shared_key());
@@ -865,8 +837,8 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
 /// Exhaustive crash-free reachability engine: explores every interleaving of up to
 /// `cfg.max_ops` operations drawn from `alphabet` (any process, any time)
 /// and counts the distinct shared-memory configurations of all reachable
-/// states. See the [module docs](self) for the storage tiers, the
-/// work-stealing scheduler and the private-step fold; `mem` itself is only read and
+/// states. See the [module docs](self) for the storage tiers, their
+/// frontiers and the private-step fold; `mem` itself is only read and
 /// forked, never mutated.
 ///
 /// # Panics
@@ -886,28 +858,25 @@ pub fn census_bfs_engine(
     let arena = StateArena::new(mem.layout().total_words());
     let visited = VisitedSet::new();
     let census = Census::new(obj, alphabet, cfg, &arena, &visited);
-    let root = census.root(mem).map(|(node, _)| node);
     let workers = resolve_parallelism(cfg.parallelism);
-    let (tally, sched) = if workers == 1 {
-        (
-            census.work(mem.fork(), &mut VecDeque::from_iter(root)),
-            None,
-        )
-    } else {
-        let sched = Scheduler::new(workers);
-        sched.seed(root);
-        // The worker handle doubles as the panic guard: its drop (normal
-        // or unwinding) aborts the scheduler, so a panicking sibling can
-        // never leave the others parked while the scope waits to join.
-        let (tally, _) = census.work_on_threads(mem, workers, |id| sched.worker(id));
-        (tally, Some(sched.stats()))
-    };
-    // Peak estimate from final sizes: the arena and the visited set only
-    // grow, and the frontier never holds more than the admitted nodes.
+    let sched = Scheduler::new(workers);
+    sched.seed(census.root(mem).map(|(node, _)| node));
+    // The worker handle doubles as the panic guard: its drop (normal or
+    // unwinding) marks the pool done, so a panicking sibling can never
+    // leave the others waiting while the scope waits to join.
+    let (tally, per_worker_expansions) = census.work_on_threads(mem, workers, |_| sched.worker());
+    // Peak estimate: the arena and the visited set only grow, so their
+    // final sizes are their peaks; the frontier's is bounded by the
+    // stacks' and the pool's high-water marks.
     let admitted = census.slots.admitted.load(Ordering::Relaxed);
     let node_bytes = std::mem::size_of::<BfsNode<CompactState>>() + obj.processes() as usize * 48;
-    let resident =
-        arena.stored_words() as u64 * 8 + set_bytes(admitted, 24) + (admitted * node_bytes) as u64;
+    let resident = arena.stored_words() as u64 * 8
+        + set_bytes(admitted, 24)
+        + (sched.peak_items() * node_bytes) as u64;
+    let sched = SchedStats {
+        per_worker_expansions,
+        ..sched.stats()
+    };
     census.report(mem, tally, sched, resident, None)
 }
 

@@ -226,7 +226,7 @@ pub struct ExploreOutcome {
     /// Worker counters of a parallel run: `workers` and
     /// `per_worker_expansions` (nodes each worker expanded, worker 0
     /// first). The steal, park and flush counters stay 0, since the
-    /// explorer runs no work-stealing scheduler. All-zero for sequential
+    /// explorer shares no work queue. All-zero for sequential
     /// runs, which start no helper.
     pub sched: SchedStats,
 }

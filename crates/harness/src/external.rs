@@ -64,10 +64,11 @@
 //! 4. **Cap**: scan the bitmap in sequence order, reserving one admission
 //!    slot per would-be admission and clearing those past
 //!    [`BfsConfig::max_states`]. Because sequence order *is* the canonical
-//!    sequential BFS admission order, the tier admits exactly the nodes the
-//!    one-worker in-RAM tier admits — folded or not, truncated or not, at
-//!    every worker count — so every count in the report matches. The
-//!    differential tests pin this. Unlike the in-RAM visited set, the seen
+//!    sequential BFS admission order, the tier admits exactly the nodes a
+//!    sequential BFS admits — folded or not, truncated or not, at every
+//!    worker count — so every count in the report matches the reference
+//!    census's, and the in-RAM tier's on complete runs. The differential
+//!    tests pin this. Unlike the in-RAM visited set, the seen
 //!    file may keep a fingerprint whose admission the cap refused; that
 //!    changes nothing, since once `Slots::reserve` fails every later call
 //!    fails too.
@@ -548,7 +549,7 @@ pub(crate) fn census_on_disk(
         per_worker_expansions,
         ..SchedStats::default()
     };
-    census.report(mem, tally, Some(sched), resident, Some(spill))
+    census.report(mem, tally, sched, resident, Some(spill))
 }
 
 const SPILL_IO: &str = "census spill I/O failed";
@@ -1198,15 +1199,31 @@ mod tests {
                 parallelism: 1,
             };
             let ext = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
-            let ram = census_bfs_engine(
-                &cas,
-                &mem,
-                &cas_alphabet(),
-                &BfsConfig {
-                    disk_dir: None,
-                    ..cfg.clone()
-                },
-            );
+            let ram_cfg = BfsConfig {
+                disk_dir: None,
+                ..cfg.clone()
+            };
+            let ram = census_bfs_engine(&cas, &mem, &cas_alphabet(), &ram_cfg);
+            if ram.truncated {
+                // The in-RAM tier admits depth first, so it is held to the
+                // cap and to repeating itself; `tests/census_scale.rs`
+                // judges the disk tier's canonical admissions by the
+                // reference census.
+                let again = census_bfs_engine(&cas, &mem, &cas_alphabet(), &ram_cfg);
+                let counts = |r: &CensusReport| {
+                    (
+                        r.distinct_shared,
+                        r.work,
+                        r.steps,
+                        r.resolved_ops,
+                        r.persists,
+                    )
+                };
+                assert_eq!(counts(&again), counts(&ram), "{cfg:?}");
+                assert_eq!((ext.work, ram.work), (max_states, max_states), "{cfg:?}");
+                assert!(ext.truncated && again.truncated, "{cfg:?}");
+                continue;
+            }
             assert_eq!(ext.distinct_shared, ram.distinct_shared, "{cfg:?}");
             assert_eq!(ext.work, ram.work, "{cfg:?}");
             assert_eq!(ext.steps, ram.steps, "{cfg:?}");

@@ -737,9 +737,10 @@ pub struct RunStats {
     /// Bytes the external-memory census spilled to disk (frontier
     /// generations, sort runs, seen files; zero for in-RAM runs).
     pub spilled_bytes: u64,
-    /// Worker counters: the census BFS's work-stealing scheduler, or a
-    /// parallel exploration's `workers` and per-worker expansions; all-zero
-    /// — empty per-worker vector — elsewhere.
+    /// Worker counters: the census BFS's pool counters and per-worker
+    /// expansions (the disk tier's without pool counters), or a parallel
+    /// exploration's `workers` and per-worker expansions; all-zero —
+    /// empty per-worker vector — elsewhere.
     pub sched: SchedStats,
 }
 

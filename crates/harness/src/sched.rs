@@ -1,91 +1,63 @@
-//! Work-stealing scheduler of the parallel census BFS: per-worker deques
-//! in the Chase-Lev discipline, randomized stealing, exponential backoff,
-//! parking, and sharded pending-count termination detection. The census
-//! is its only user; the explorer parallelizes without it (its helpers
-//! share a memo, not a queue — see [`explore`](mod@crate::explore)). This
-//! module also holds [`SchedStats`], the worker counters every engine
-//! reports, and [`resolve_parallelism`].
+//! The in-RAM census frontier: one LIFO stack per worker and one shared
+//! pool. The census is its only user; the explorer parallelizes without
+//! it (its helpers share a memo, not a queue — see
+//! [`explore`](mod@crate::explore)), and the census's disk tier keeps its
+//! own generation files. This module also holds [`SchedStats`], the
+//! worker counters every engine reports, and [`resolve_parallelism`].
 //!
-//! # Deque discipline
+//! # Stacks and the pool
 //!
-//! Each worker owns one deque. The owner pushes and pops at the **back**
-//! (LIFO, so a worker chases its own most recent successors while they are
-//! cache-hot); idle workers steal a chunk from a victim's **front** — the
-//! oldest entries, the ones the owner is furthest from touching. That is
-//! the Chase-Lev owner-bottom/stealer-top split; the classic algorithm
-//! makes the owner's end lock-free with raw atomics, which `harness`
-//! forbids (`#![forbid(unsafe_code)]`), so each deque is a `Mutex<VecDeque>`
-//! instead. The discipline — not the memory-ordering trick — is what kills
-//! the old shared-frontier bottleneck: an owner's push/pop takes its own
-//! almost-always-uncontended lock, and cross-worker traffic (the only
-//! contended path) happens exactly at steals, which are rare once every
-//! worker has work.
+//! Each worker owns a plain `Vec` and pushes and pops at its back, with no
+//! lock: a worker chases its own most recent successors depth first, so
+//! its stack holds about one node's successors per level of the search,
+//! not a breadth-first generation. A worker whose stack is empty takes up
+//! to 16 nodes (`BATCH`) from the pool, a `Mutex`-guarded `Vec` with a
+//! `Condvar`, or else counts itself idle and waits there. While a worker
+//! waits, the `hungry` count is above zero; a busy worker that sees that
+//! after a push, and finds the pool empty, moves the oldest half of its
+//! stack (at most `BATCH` nodes, the ones it is furthest from touching)
+//! into the pool and wakes a waiter. So the pool never holds more than
+//! one batch beyond the seed. One worker never shares and touches the
+//! pool only to take the root and to finish.
 //!
-//! # Termination detection
+//! # Termination
 //!
-//! A global pending count would put every push and pop on one contended
-//! cache line, so completion is tracked **sharded**: worker `w` increments
-//! `created[w]` for every task it enqueues (seeds included) and
-//! `finished[w]` after fully processing one. Quiescence is detected by a
-//! two-pass sweep that reads **all `finished` counters first, then all
-//! `created`** (both `SeqCst`). If `Σfinished` (read earlier) equals
-//! `Σcreated` (read later), then at the moment the finished sweep completed
-//! every task ever created had finished: `created` is monotone, so
-//! `Σcreated(t₁) ≤ Σcreated(t₂) = Σfinished(t₁) ≤ Σcreated(t₁)` forces
-//! equality at `t₁`. New tasks are only created by a task still being
-//! processed (a worker pushes successors **before** calling
-//! `Worker::complete`) or by pre-spawn seeding, so a quiescent system
-//! stays quiescent — the sweep can never report termination while work is
-//! in flight.
-//!
-//! # Idling: backoff, then park
-//!
-//! A worker that finds its own deque empty and every victim empty spins a
-//! few exponentially growing rounds (cheap, keeps latency low when a
-//! sibling is about to publish successors) and then parks on a condvar.
-//! Parks are rare and pushes are not, so a push only touches the park lock
-//! when someone may be asleep. Every push bumps a `signal` epoch, then
-//! reads a `sleepers` count and notifies under the park lock only if it is
-//! nonzero. A parker snapshots the epoch before its last steal sweep; under
-//! the park lock it increments `sleepers`, then rechecks the epoch and
-//! refuses to sleep if it moved. Both sides write, then read the other's
-//! variable, all `SeqCst` (Dekker's pattern), so at least one sees the
-//! other: the parker sees the new epoch and stays up, or the pusher sees
-//! the sleeper and takes the lock, which the parker holds until it is
-//! waiting, so the notify cannot be lost. The wait also carries a short
-//! timeout as a liveness backstop, so the final "everyone go home"
-//! transition needs no dedicated broadcaster: a parked worker wakes within
-//! a millisecond of quiescence at worst and observes it in its own sweep.
+//! A worker counts itself idle only under the pool lock, with its stack
+//! and the pool both empty, and only between expansions (the census asks
+//! for its next node after it has pushed the last one's successors). So
+//! when the idle count reaches the worker count, no node is held
+//! anywhere and none is being expanded: the last worker to go idle marks
+//! the pool done and wakes everyone.
 //!
 //! # Panic propagation
 //!
 //! Every `Worker` is a drop guard: leaving the worker loop — normally or
-//! by unwinding — flips a shared `aborted` flag and wakes all sleepers.
-//! After a normal exit this is a no-op in effect (a worker only returns
-//! once the system is quiescent, when every sibling is exiting anyway);
-//! after a panic it unblocks the siblings so `thread::scope` can join
+//! by unwinding — marks the pool done and wakes every waiter. After a
+//! normal exit this changes nothing (a worker only returns once the pool
+//! is done); after a panic it releases the waiting siblings, which could
+//! otherwise never see every worker idle, so `thread::scope` can join
 //! everyone and propagate the original panic instead of hanging.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Worker counters for one parallel run, reported through
-/// [`RunStats`](crate::RunStats) into every `--json` stream. The census's
-/// scheduler fills every field; the explorer, which runs no scheduler,
-/// fills only `workers` and `per_worker_expansions`. All zeros (with an
-/// empty per-worker vector) for sequential explorations and for engines
-/// that report no workers.
+/// [`RunStats`](crate::RunStats) into every `--json` stream. The in-RAM
+/// census fills every field; its disk tier and the explorer, which run no
+/// pool, fill `workers` and `per_worker_expansions` (and the disk tier
+/// `flush_batches`). All zeros (with an empty per-worker vector) for
+/// sequential explorations and for engines that report no workers.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedStats {
-    /// Worker threads the scheduler ran.
+    /// Worker threads the run used.
     pub workers: u64,
-    /// Successful steals: an idle worker took a chunk from a victim.
+    /// Batches taken from the shared pool by a worker whose own stack was
+    /// empty (the root's included).
     pub steals: u64,
-    /// Full victim sweeps that found every deque empty.
+    /// Times a worker found its own stack and the pool both empty. Every
+    /// worker does at least once, on its way out.
     pub steal_failures: u64,
-    /// Times a worker parked on the idle condvar.
+    /// Times a worker waited on the pool's condvar.
     pub parks: u64,
     /// Staged intern batches flushed to the state arena (census engines;
     /// the explorer does not intern).
@@ -133,371 +105,290 @@ pub fn resolve_parallelism(requested: usize) -> usize {
     }
 }
 
-/// A worker-indexed `AtomicU64` padded to its own cache line so the
-/// created/finished counters (bumped on every task) never false-share.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedCounter(AtomicU64);
+/// Most nodes moved between a stack and the pool at once: enough to
+/// amortize the pool lock, few enough that sharing never empties a stack.
+const BATCH: usize = 16;
 
-/// Per-worker chunk cap on one steal: enough to amortize the victim lock,
-/// small enough that a thief never starves the owner it robbed.
-const STEAL_MAX: usize = 16;
+/// The shared pool, under the scheduler's one lock.
+struct Pool<T> {
+    items: Vec<T>,
+    /// Workers whose stack and the pool were empty at their last look.
+    idle: usize,
+    /// Set once every worker is idle, or a worker left its loop early.
+    done: bool,
+    /// The most items the pool ever held.
+    peak: usize,
+}
 
-/// Failed full-victim sweeps before a worker parks. Each sweep is followed
-/// by an exponentially growing spin, so this bounds the busy-wait window.
-const SPIN_SWEEPS: u32 = 6;
-
-/// Park timeout: the liveness backstop for the final quiescence wakeup.
-const PARK_TIMEOUT: Duration = Duration::from_millis(1);
-
-/// The shared work-stealing state: one deque per worker plus termination
-/// counters and the idle/abort machinery. See the [module docs](self).
+/// The pool, its condvar and the counters every worker shares. See the
+/// [module docs](self).
 pub(crate) struct Scheduler<T> {
-    deques: Vec<Mutex<VecDeque<T>>>,
-    created: Vec<PaddedCounter>,
-    finished: Vec<PaddedCounter>,
-    expansions: Vec<PaddedCounter>,
+    workers: usize,
+    pool: Mutex<Pool<T>>,
+    wake: Condvar,
+    /// Workers waiting on `wake`: a busy worker shares only while nonzero.
+    /// A hint that publishes nothing (the items move under the lock), so
+    /// `Relaxed`; a stale read only moves a share to a later push.
+    hungry: AtomicUsize,
+    /// Sum of the workers' stack high-water marks, added as each leaves.
+    stack_peaks: AtomicUsize,
     steals: AtomicU64,
     steal_failures: AtomicU64,
     parks: AtomicU64,
-    /// Epoch bumped on every push; parkers recheck it before sleeping.
-    signal: AtomicU64,
-    /// Workers inside [`Worker::park`]: a push notifies only when nonzero.
-    sleepers: AtomicU64,
-    park_lock: Mutex<()>,
-    park_cv: Condvar,
-    aborted: AtomicBool,
 }
 
 impl<T> Scheduler<T> {
     pub(crate) fn new(workers: usize) -> Self {
         assert!(workers >= 1, "a scheduler needs at least one worker");
         Scheduler {
-            deques: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            created: (0..workers).map(|_| PaddedCounter::default()).collect(),
-            finished: (0..workers).map(|_| PaddedCounter::default()).collect(),
-            expansions: (0..workers).map(|_| PaddedCounter::default()).collect(),
+            workers,
+            pool: Mutex::new(Pool {
+                items: Vec::new(),
+                idle: 0,
+                done: false,
+                peak: 0,
+            }),
+            wake: Condvar::new(),
+            hungry: AtomicUsize::new(0),
+            stack_peaks: AtomicUsize::new(0),
             steals: AtomicU64::new(0),
             steal_failures: AtomicU64::new(0),
             parks: AtomicU64::new(0),
-            signal: AtomicU64::new(0),
-            sleepers: AtomicU64::new(0),
-            park_lock: Mutex::new(()),
-            park_cv: Condvar::new(),
-            aborted: AtomicBool::new(false),
         }
     }
 
-    /// Distributes initial tasks round-robin before any worker starts (no
-    /// signal needed: workers have not begun sleeping yet).
+    /// Puts the initial tasks in the pool before any worker starts.
     pub(crate) fn seed(&self, items: impl IntoIterator<Item = T>) {
-        let workers = self.deques.len();
-        for (k, item) in items.into_iter().enumerate() {
-            let w = k % workers;
-            self.created[w].0.fetch_add(1, Ordering::SeqCst);
-            self.deques[w]
-                .lock()
-                .expect("scheduler deque poisoned")
-                .push_back(item);
-        }
+        let mut pool = self.lock();
+        pool.items.extend(items);
+        pool.peak = pool.peak.max(pool.items.len());
     }
 
-    /// The handle worker `id` drives its loop through. Each id must be
-    /// handed to exactly one thread.
-    pub(crate) fn worker(&self, id: usize) -> Worker<'_, T> {
-        assert!(id < self.deques.len(), "worker id out of range");
+    /// A handle for one worker thread; make exactly as many as `workers`.
+    pub(crate) fn worker(&self) -> Worker<'_, T> {
         Worker {
             sched: self,
-            id,
-            rng: 0x9E37_79B9_7F4A_7C15 ^ ((id as u64 + 1) << 32 | 0xDEAD_BEEF),
+            stack: Vec::new(),
+            peak: 0,
         }
     }
 
-    /// Whether every created task has finished. Reads all `finished`
-    /// counters strictly before all `created` counters — see the
-    /// [module docs](self) for why that order makes the sweep sound.
-    fn quiescent(&self) -> bool {
-        let finished: u64 = self
-            .finished
-            .iter()
-            .map(|c| c.0.load(Ordering::SeqCst))
-            .sum();
-        let created: u64 = self
-            .created
-            .iter()
-            .map(|c| c.0.load(Ordering::SeqCst))
-            .sum();
-        finished == created
+    /// The pool, even after a worker panicked: the pool's own code never
+    /// panics while holding the lock, so its contents stay consistent.
+    fn lock(&self) -> MutexGuard<'_, Pool<T>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Flags the run dead and wakes every sleeper. Idempotent; all
-    /// subsequent [`Worker::next`] calls return `None`.
-    fn abort(&self) {
-        self.aborted.store(true, Ordering::SeqCst);
-        let _guard = self.park_lock.lock().expect("park lock poisoned");
-        self.park_cv.notify_all();
+    /// The most tasks the run held at once, bounded above: the sum of each
+    /// worker's stack high-water mark and the pool's (call after the
+    /// worker scope has joined).
+    pub(crate) fn peak_items(&self) -> usize {
+        self.stack_peaks.load(Ordering::Relaxed) + self.lock().peak
     }
 
-    /// Snapshot of the run's scheduler counters (call after the worker
-    /// scope has joined). `flush_batches` is left to the census, which
-    /// counts its flushes per worker.
+    /// Snapshot of the run's pool counters (call after the worker scope
+    /// has joined). `flush_batches` and `per_worker_expansions` are left
+    /// to the census, which counts both per worker.
     pub(crate) fn stats(&self) -> SchedStats {
         SchedStats {
-            workers: self.deques.len() as u64,
+            workers: self.workers as u64,
             steals: self.steals.load(Ordering::Relaxed),
             steal_failures: self.steal_failures.load(Ordering::Relaxed),
             parks: self.parks.load(Ordering::Relaxed),
-            flush_batches: 0,
-            per_worker_expansions: self
-                .expansions
-                .iter()
-                .map(|c| c.0.load(Ordering::Relaxed))
-                .collect(),
+            ..SchedStats::default()
         }
     }
 }
 
-/// One worker's handle: its deque id, its victim-selection RNG, and — by
-/// owning a `Drop` that aborts the scheduler — the panic guard for the
-/// whole run (see the [module docs](self)).
+/// One worker's handle: its private stack and, by owning a `Drop` that
+/// marks the pool done, the panic guard for the whole run (see the
+/// [module docs](self)).
 pub(crate) struct Worker<'a, T> {
     sched: &'a Scheduler<T>,
-    id: usize,
-    rng: u64,
+    stack: Vec<T>,
+    /// The most items `stack` ever held.
+    peak: usize,
 }
 
 impl<T> Drop for Worker<'_, T> {
     fn drop(&mut self) {
-        self.sched.abort();
+        let sched = self.sched;
+        sched.stack_peaks.fetch_add(self.peak, Ordering::Relaxed);
+        sched.lock().done = true;
+        sched.wake.notify_all();
     }
 }
 
 impl<T> Worker<'_, T> {
-    /// Enqueues this worker's freshly created tasks (drained from `out`).
-    /// Must run **before** [`complete`](Self::complete) releases the task
-    /// that created them, or the quiescence sweep could terminate early.
-    pub(crate) fn push(&self, out: &mut Vec<T>) {
-        if out.is_empty() {
-            return;
-        }
-        self.sched.created[self.id]
-            .0
-            .fetch_add(out.len() as u64, Ordering::SeqCst);
-        {
-            let mut q = self.sched.deques[self.id]
-                .lock()
-                .expect("scheduler deque poisoned");
-            q.extend(out.drain(..));
-        }
-        // Publish after the work is visible; a parker that snapshotted the
-        // epoch before this bump rechecks it after announcing itself in
-        // `sleepers`, so either it stays up or this read sees it.
-        self.sched.signal.fetch_add(1, Ordering::SeqCst);
-        if self.sched.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.sched.park_lock.lock().expect("park lock poisoned");
-            self.sched.park_cv.notify_all();
+    /// Pushes one expansion's successors (drained from `out`), reversed so
+    /// that they pop in generation order, then shares with the pool if a
+    /// sibling waits there and the pool is empty.
+    pub(crate) fn push(&mut self, out: &mut Vec<T>) {
+        self.stack.extend(out.drain(..).rev());
+        self.peak = self.peak.max(self.stack.len());
+        if self.sched.hungry.load(Ordering::Relaxed) > 0 && self.stack.len() > 1 {
+            let mut pool = self.sched.lock();
+            // Items already in the pool are on their way to a waiter.
+            if pool.items.is_empty() {
+                let share = (self.stack.len() / 2).min(BATCH);
+                pool.items.extend(self.stack.drain(..share));
+                pool.peak = pool.peak.max(pool.items.len());
+                self.sched.wake.notify_one();
+            }
         }
     }
 
-    /// Marks one task fully processed (successors already pushed) and
-    /// tallies it for this worker's expansion count.
-    pub(crate) fn complete(&self) {
-        self.sched.expansions[self.id]
-            .0
-            .fetch_add(1, Ordering::Relaxed);
-        self.sched.finished[self.id]
-            .0
-            .fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// The worker loop's source of work: own deque first (back — LIFO),
-    /// then randomized stealing with backoff and parking. Returns `None`
-    /// only when the run is quiescent or aborted.
+    /// The next task: the top of the own stack, else a batch from the
+    /// pool, else a wait there. Returns `None` once the pool is done.
     pub(crate) fn next(&mut self) -> Option<T> {
-        if self.sched.aborted.load(Ordering::SeqCst) {
-            return None;
-        }
-        if let Some(task) = self.pop_local() {
+        if let Some(task) = self.stack.pop() {
             return Some(task);
         }
-        // Idle: sweep victims with exponential backoff, then park. The own
-        // deque needs no re-check here — only its owner pushes to it, so it
-        // cannot gain work while the owner idles (stolen work is handed
-        // back through `steal` re-homing, which returns a task directly).
-        let mut sweeps = 0u32;
+        let sched = self.sched;
+        let mut pool = sched.lock();
+        let mut idle = false;
         loop {
-            if self.sched.aborted.load(Ordering::SeqCst) {
+            if pool.done {
                 return None;
             }
-            // Snapshot the push epoch *before* the sweep: a push that
-            // lands mid-sweep moves it, and the park recheck sees that.
-            let epoch = self.sched.signal.load(Ordering::SeqCst);
-            if let Some(task) = self.steal() {
-                return Some(task);
+            if !pool.items.is_empty() {
+                let at = pool.items.len().saturating_sub(BATCH);
+                self.stack.extend(pool.items.drain(at..));
+                pool.idle -= usize::from(idle);
+                drop(pool);
+                sched.steals.fetch_add(1, Ordering::Relaxed);
+                self.peak = self.peak.max(self.stack.len());
+                return self.stack.pop();
             }
-            self.sched.steal_failures.fetch_add(1, Ordering::Relaxed);
-            if self.sched.quiescent() {
-                return None;
-            }
-            sweeps += 1;
-            if sweeps <= SPIN_SWEEPS {
-                for _ in 0..(1u32 << sweeps.min(10)) {
-                    std::hint::spin_loop();
+            if !idle {
+                idle = true;
+                pool.idle += 1;
+                sched.steal_failures.fetch_add(1, Ordering::Relaxed);
+                if pool.idle == sched.workers {
+                    pool.done = true;
+                    sched.wake.notify_all();
+                    return None;
                 }
-            } else {
-                self.park(epoch);
-                sweeps = 0;
             }
+            sched.parks.fetch_add(1, Ordering::Relaxed);
+            sched.hungry.fetch_add(1, Ordering::Relaxed);
+            pool = sched
+                .wake
+                .wait(pool)
+                .unwrap_or_else(PoisonError::into_inner);
+            sched.hungry.fetch_sub(1, Ordering::Relaxed);
         }
-    }
-
-    fn pop_local(&self) -> Option<T> {
-        self.sched.deques[self.id]
-            .lock()
-            .expect("scheduler deque poisoned")
-            .pop_back()
-    }
-
-    /// One randomized full sweep over the victims: takes up to half of the
-    /// first non-empty deque's **front** (capped at [`STEAL_MAX`]), keeps
-    /// the oldest entry to run now, and re-homes the rest to its own deque.
-    fn steal(&mut self) -> Option<T> {
-        let workers = self.sched.deques.len();
-        if workers <= 1 {
-            return None;
-        }
-        let start = (self.next_rand() as usize) % workers;
-        for k in 0..workers {
-            let victim = (start + k) % workers;
-            if victim == self.id {
-                continue;
-            }
-            let mut stolen: Vec<T> = {
-                let mut q = self.sched.deques[victim]
-                    .lock()
-                    .expect("scheduler deque poisoned");
-                let take = q.len().div_ceil(2).min(STEAL_MAX);
-                q.drain(..take).collect()
-            };
-            if stolen.is_empty() {
-                continue;
-            }
-            self.sched.steals.fetch_add(1, Ordering::Relaxed);
-            let task = stolen.remove(0);
-            if !stolen.is_empty() {
-                let mut q = self.sched.deques[self.id]
-                    .lock()
-                    .expect("scheduler deque poisoned");
-                q.extend(stolen);
-                // Re-homed tasks are existing work (created counters
-                // already account for them), but siblings parked on an
-                // empty system should hear that this deque has depth now.
-                drop(q);
-                self.sched.signal.fetch_add(1, Ordering::SeqCst);
-            }
-            return Some(task);
-        }
-        None
-    }
-
-    /// Parks until a push bumps the signal epoch past `epoch`, the run
-    /// aborts, or the timeout backstop fires. `sleepers` is raised before
-    /// the epoch recheck, under the park lock, so the wakeup cannot be lost
-    /// (see the [module docs](self)).
-    fn park(&self, epoch: u64) {
-        self.sched.parks.fetch_add(1, Ordering::Relaxed);
-        let guard = self.sched.park_lock.lock().expect("park lock poisoned");
-        self.sched.sleepers.fetch_add(1, Ordering::SeqCst);
-        if !(self.sched.aborted.load(Ordering::SeqCst)
-            || self.sched.signal.load(Ordering::SeqCst) != epoch
-            || self.sched.quiescent())
-        {
-            let _ = self
-                .sched
-                .park_cv
-                .wait_timeout(guard, PARK_TIMEOUT)
-                .expect("park lock poisoned");
-        }
-        self.sched.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// xorshift64*: cheap, per-worker-seeded victim randomization.
-    fn next_rand(&mut self) -> u64 {
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+
+    /// Runs `workers` threads over `seed`, each task expanded by `expand`
+    /// into its children (pushed in the order given), and returns every
+    /// task in the order it was taken, per worker, with the run's stats.
+    fn run<T: Send + Copy>(
+        workers: usize,
+        seed: impl IntoIterator<Item = T>,
+        expand: impl Fn(T, &mut Vec<T>) + Sync,
+    ) -> (Vec<Vec<T>>, SchedStats, usize) {
+        let sched: Scheduler<T> = Scheduler::new(workers);
+        sched.seed(seed);
+        let visits = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..workers)
+                .map(|_| {
+                    let (sched, expand) = (&sched, &expand);
+                    s.spawn(move || {
+                        let mut worker = sched.worker();
+                        let (mut out, mut seen) = (Vec::new(), Vec::new());
+                        while let Some(task) = worker.next() {
+                            seen.push(task);
+                            expand(task, &mut out);
+                            worker.push(&mut out);
+                        }
+                        seen
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        (visits, sched.stats(), sched.peak_items())
+    }
 
     /// A synthetic divide-and-conquer load: task `(depth, id)` spawns two
-    /// children until `depth` hits zero. Checks that every task is
-    /// processed exactly once at several worker counts.
-    fn run_tree(workers: usize, depth: u32) -> (usize, SchedStats) {
-        let sched: Scheduler<(u32, u64)> = Scheduler::new(workers);
-        sched.seed([(depth, 1u64)]);
-        let processed = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for id in 0..workers {
-                let sched = &sched;
-                let processed = &processed;
-                s.spawn(move || {
-                    let mut worker = sched.worker(id);
-                    let mut out = Vec::new();
-                    while let Some((d, node)) = worker.next() {
-                        processed.fetch_add(1, Ordering::Relaxed);
-                        if d > 0 {
-                            out.push((d - 1, node * 2));
-                            out.push((d - 1, node * 2 + 1));
-                        }
-                        worker.push(&mut out);
-                        worker.complete();
-                    }
-                });
+    /// children, `2·id` then `2·id + 1`, until `depth` hits zero.
+    fn run_tree(workers: usize, depth: u32) -> (Vec<Vec<(u32, u64)>>, SchedStats, usize) {
+        run(workers, [(depth, 1u64)], |(d, node), out| {
+            if d > 0 {
+                out.push((d - 1, node * 2));
+                out.push((d - 1, node * 2 + 1));
             }
-        });
-        (processed.load(Ordering::Relaxed), sched.stats())
+        })
     }
 
     #[test]
     fn every_task_processed_exactly_once_at_every_worker_count() {
         for workers in [1, 2, 4, 8] {
-            let (processed, stats) = run_tree(workers, 10);
-            assert_eq!(processed, (1 << 11) - 1, "workers={workers}");
+            let (visits, stats, _) = run_tree(workers, 10);
+            let mut ids: Vec<u64> = visits.iter().flatten().map(|&(_, id)| id).collect();
+            ids.sort_unstable();
+            assert_eq!(ids, (1..1 << 11).collect::<Vec<u64>>(), "workers={workers}");
             assert_eq!(stats.workers, workers as u64);
-            assert_eq!(
-                stats.per_worker_expansions.iter().sum::<u64>(),
-                (1 << 11) - 1,
-                "per-worker tallies must sum to the total"
+            assert!(
+                stats.steal_failures >= workers as u64,
+                "every worker finds both empty on its way out: {stats:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn one_worker_visits_in_depth_first_preorder() {
+        fn preorder(d: u32, id: u64, out: &mut Vec<(u32, u64)>) {
+            out.push((d, id));
+            if d > 0 {
+                preorder(d - 1, id * 2, out);
+                preorder(d - 1, id * 2 + 1, out);
+            }
+        }
+        let mut expected = Vec::new();
+        preorder(8, 1, &mut expected);
+        let (visits, stats, _) = run_tree(1, 8);
+        assert_eq!(visits, vec![expected]);
+        // The root is the one batch taken; the exit is the one failure.
+        assert_eq!((stats.steals, stats.steal_failures, stats.parks), (1, 1, 0));
+    }
+
+    #[test]
+    fn stacks_stay_far_below_the_task_count() {
+        // 2^15 − 1 tasks; a depth-first stack holds one pending sibling per
+        // level, where a FIFO would hold a whole level (2^14).
+        for workers in [1, 2, 4] {
+            let (_, _, peak) = run_tree(workers, 14);
+            assert!(
+                peak <= workers * (BATCH + 16) + BATCH,
+                "workers={workers}: {peak} tasks held at once"
             );
         }
     }
 
     #[test]
     fn multi_worker_runs_record_scheduling_activity() {
-        // A second worker starts with an empty deque: before it can ever
-        // terminate it must either steal successfully or complete at least
-        // one full failed sweep — deterministically nonzero activity.
-        let (_, stats) = run_tree(2, 12);
+        // The second worker finds its stack and the pool empty at least
+        // once, whether it ever takes a batch or not.
+        let (_, stats, _) = run_tree(2, 12);
+        assert!(stats.steal_failures >= 2, "{stats:?}");
         assert!(
-            stats.steals + stats.steal_failures > 0,
-            "an empty-deque worker must have swept at least once: {stats:?}"
+            stats.steals >= 1,
+            "the root is taken from the pool: {stats:?}"
         );
     }
 
     #[test]
     fn bursty_load_parks_and_runs_every_task_once() {
-        // Rounds of a narrow chain (one task at a time, each sleeping so the
-        // idle workers exhaust their spin sweeps and park) that fans out
-        // wide (waking the sleepers through the push gate) and narrows back
-        // to the next round's chain.
+        // Rounds of a narrow chain (one task at a time, each sleeping so
+        // the idle workers wait on the pool) that fans out wide (shared
+        // with the waiters) and narrows back to the next round's chain.
         const WORKERS: usize = 4;
         const ROUNDS: usize = 5;
         const CHAIN: usize = 8;
@@ -505,87 +396,37 @@ mod tests {
         const PER_ROUND: usize = CHAIN + WIDE;
         // A task is its index in 0..ROUNDS * PER_ROUND: chain links first
         // in each round, then the wide tasks.
-        let runs: Vec<AtomicUsize> = (0..ROUNDS * PER_ROUND)
-            .map(|_| AtomicUsize::new(0))
-            .collect();
-        let sched: Scheduler<usize> = Scheduler::new(WORKERS);
-        sched.seed([0]);
-        std::thread::scope(|s| {
-            for id in 0..WORKERS {
-                let (sched, runs) = (&sched, &runs);
-                s.spawn(move || {
-                    let mut worker = sched.worker(id);
-                    let mut out = Vec::new();
-                    while let Some(task) = worker.next() {
-                        runs[task].fetch_add(1, Ordering::Relaxed);
-                        let (round, at) = (task / PER_ROUND, task % PER_ROUND);
-                        if at < CHAIN - 1 {
-                            std::thread::sleep(Duration::from_micros(300));
-                            out.push(task + 1);
-                        } else if at == CHAIN - 1 {
-                            out.extend(task + 1..task + 1 + WIDE);
-                        } else if at == CHAIN && round + 1 < ROUNDS {
-                            out.push((round + 1) * PER_ROUND);
-                        }
-                        worker.push(&mut out);
-                        worker.complete();
-                    }
-                });
+        let (visits, stats, _) = run(WORKERS, [0usize], |task, out| {
+            let (round, at) = (task / PER_ROUND, task % PER_ROUND);
+            if at < CHAIN - 1 {
+                std::thread::sleep(std::time::Duration::from_micros(300));
+                out.push(task + 1);
+            } else if at == CHAIN - 1 {
+                out.extend(task + 1..task + 1 + WIDE);
+            } else if at == CHAIN && round + 1 < ROUNDS {
+                out.push((round + 1) * PER_ROUND);
             }
         });
-        for (task, n) in runs.iter().enumerate() {
-            assert_eq!(n.load(Ordering::Relaxed), 1, "task {task}");
-        }
-        let stats = sched.stats();
-        assert!(stats.parks > 0, "the chains must force parks: {stats:?}");
-        assert_eq!(
-            stats.per_worker_expansions.iter().sum::<u64>(),
-            (ROUNDS * PER_ROUND) as u64
-        );
+        let mut tasks: Vec<usize> = visits.into_iter().flatten().collect();
+        tasks.sort_unstable();
+        assert_eq!(tasks, (0..ROUNDS * PER_ROUND).collect::<Vec<_>>());
+        assert!(stats.parks > 0, "the chains must force waits: {stats:?}");
     }
 
     #[test]
     fn empty_seed_terminates_immediately() {
-        let (processed, _) = {
-            let sched: Scheduler<u32> = Scheduler::new(3);
-            sched.seed([]);
-            let processed = AtomicUsize::new(0);
-            std::thread::scope(|s| {
-                for id in 0..3 {
-                    let sched = &sched;
-                    let processed = &processed;
-                    s.spawn(move || {
-                        let mut worker = sched.worker(id);
-                        while worker.next().is_some() {
-                            processed.fetch_add(1, Ordering::Relaxed);
-                            worker.complete();
-                        }
-                    });
-                }
-            });
-            (processed.load(Ordering::Relaxed), ())
-        };
-        assert_eq!(processed, 0);
+        let (visits, stats, _) = run(3, [] as [u32; 0], |_, _| {});
+        assert!(visits.iter().all(Vec::is_empty));
+        assert_eq!(stats.steals, 0);
     }
 
     #[test]
     fn a_panicking_worker_aborts_the_siblings() {
-        let sched: Scheduler<u64> = Scheduler::new(2);
-        sched.seed(0..64u64);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            std::thread::scope(|s| {
-                for id in 0..2 {
-                    let sched = &sched;
-                    s.spawn(move || {
-                        let mut worker = sched.worker(id);
-                        while let Some(task) = worker.next() {
-                            assert!(task != 7, "injected worker panic");
-                            worker.complete();
-                        }
-                    });
-                }
-            });
-        }));
+        let result = std::panic::catch_unwind(|| {
+            run(2, 0..64u64, |task, _| {
+                assert!(task != 7, "injected worker panic")
+            })
+        });
         assert!(result.is_err(), "the scope must propagate the panic");
     }
 }

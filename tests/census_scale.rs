@@ -6,14 +6,12 @@
 //! fold's work counts (non-count-preserving, but canonical) are pinned
 //! below; `tests/census_fold.rs` pins its verdict on every kind.
 
-use std::collections::{HashSet, VecDeque};
+mod common;
 
+use common::{reference_census, spill_dir, Counts};
 use detectable::{ObjectKind, OpSpec, RecoverableObject};
-use harness::{
-    build_world, census_bfs_engine, BfsConfig, CensusReport, Driver, RetryPolicy, RunStats,
-    Scenario, Verdict, Workload,
-};
-use nvm::{Machine, Memory, Pid, Poll, SimMemory, Word};
+use harness::{build_world, census_bfs_engine, BfsConfig, Driver, Scenario, Verdict, Workload};
+use nvm::{Machine, Memory, Pid, Poll, Word};
 
 fn cas_alphabet() -> Vec<OpSpec> {
     vec![
@@ -122,129 +120,6 @@ fn parallel_census_reports_identical_counts() {
 
 // ───────────────── cross-engine agreement ─────────────────
 
-/// The counts both census implementations report, compared whole.
-#[derive(Debug, PartialEq, Eq)]
-struct Counts {
-    distinct_shared: u64,
-    work: u64,
-    truncated: bool,
-    steps: u64,
-    resolved_ops: u64,
-    persists: u64,
-}
-
-impl From<&CensusReport> for Counts {
-    fn from(r: &CensusReport) -> Self {
-        Counts {
-            distinct_shared: r.distinct_shared as u64,
-            work: r.work as u64,
-            truncated: r.truncated,
-            steps: r.steps,
-            resolved_ops: r.resolved_ops,
-            persists: r.persists,
-        }
-    }
-}
-
-impl From<&RunStats> for Counts {
-    fn from(s: &RunStats) -> Self {
-        Counts {
-            distinct_shared: s.distinct_configs,
-            work: s.executions,
-            truncated: s.truncated,
-            steps: s.steps,
-            resolved_ops: s.resolved_ops,
-            persists: s.persists,
-        }
-    }
-}
-
-/// The reference census, kept independent of the engine it checks: exact
-/// node keys (operation budget, driver key, full logical memory — no
-/// fingerprints), a plain FIFO (no arena, no batching), and a
-/// [`SimMemory::fork`] of its own for every frontier node: each successor
-/// is generated on a fresh fork of its parent. A fork is a full copy,
-/// dirty cache cells and crash ordinal included, so shared-cache worlds
-/// compare correctly, and its counters start at zero, so `persists` is the
-/// sum over the forks. The cap means what it means for
-/// `census_bfs_engine`: `max_states` bounds admissions, every admitted
-/// node is expanded, and a refused admission marks the run truncated.
-/// `parallelism` and `fold_private` are ignored: the reference is
-/// sequential and unfolded.
-fn reference_census(
-    obj: &dyn RecoverableObject,
-    mem: &SimMemory,
-    alphabet: &[OpSpec],
-    cfg: &BfsConfig,
-) -> Counts {
-    const RETRY: RetryPolicy = RetryPolicy {
-        retry_on_fail: false,
-        max_retries: 0,
-        reset_per_op: false,
-    };
-    let key = |mem: &SimMemory, driver: &Driver, ops_used: usize| {
-        let mut key = vec![ops_used as Word];
-        driver.encode_key(&mut key);
-        key.extend(mem.full_key());
-        key
-    };
-    let root = Driver::without_history(obj.processes());
-    let mut shared = HashSet::from([mem.shared_key()]);
-    let mut visited = HashSet::new();
-    let mut queue = VecDeque::new();
-    let mut counts = Counts {
-        distinct_shared: 0,
-        work: 0,
-        truncated: cfg.max_states == 0,
-        steps: 0,
-        resolved_ops: 0,
-        persists: 0,
-    };
-    if cfg.max_states > 0 {
-        visited.insert(key(mem, &root, 0));
-        queue.push_back((mem.fork(), root, 0));
-    }
-    while let Some((node_mem, node_driver, ops_used)) = queue.pop_front() {
-        counts.work += 1;
-        for i in 0..obj.processes() as usize {
-            let successors: Vec<(SimMemory, Driver, usize)> = if node_driver.state(i).in_flight() {
-                let (fork, mut driver) = (node_mem.fork(), node_driver.clone());
-                let outcome = driver.step(obj, &fork, i, &RETRY);
-                counts.resolved_ops += u64::from(outcome.resolved());
-                vec![(fork, driver, ops_used)]
-            } else if ops_used < cfg.max_ops {
-                alphabet
-                    .iter()
-                    .map(|op| {
-                        let (fork, mut driver) = (node_mem.fork(), node_driver.clone());
-                        driver.invoke(obj, &fork, i, *op, &RETRY);
-                        (fork, driver, ops_used + 1)
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for (fork, driver, ops_used) in successors {
-                counts.steps += 1;
-                counts.persists += fork.stats().persists;
-                shared.insert(fork.shared_key());
-                let k = key(&fork, &driver, ops_used);
-                if visited.contains(&k) {
-                    continue;
-                }
-                if visited.len() >= cfg.max_states {
-                    counts.truncated = true;
-                } else {
-                    visited.insert(k);
-                    queue.push_back((fork, driver, ops_used));
-                }
-            }
-        }
-    }
-    counts.distinct_shared = shared.len() as u64;
-    counts
-}
-
 #[test]
 fn reference_census_cap_of_one_expands_exactly_the_root() {
     use detectable::DetectableCas;
@@ -259,23 +134,50 @@ fn reference_census_cap_of_one_expands_exactly_the_root() {
     assert!(reference.truncated, "the cap must be reported");
 }
 
-/// The engine and the reference agree on every count, complete or
-/// truncated: sequentially both admit in canonical BFS order.
+/// The reference judges both tiers, unfolded and folded. Complete cells:
+/// the in-RAM engine at one worker and the disk tier at 1, 2 and 4
+/// workers all match it on every count. Truncated cells: the disk tier,
+/// which admits in canonical BFS order like the reference, still matches
+/// it at every worker count; the in-RAM tier admits depth first, so it is
+/// held to the cap and to repeating itself exactly.
 #[test]
 fn fork_engine_matches_reference_census_at_every_cap() {
     use detectable::DetectableCas;
     let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-    for (max_ops, max_states) in [(2, 200_000), (4, 200_000), (4, 37), (3, 1)] {
-        let cfg = BfsConfig {
-            max_ops,
-            max_states,
-            parallelism: 1,
-            ..Default::default()
-        };
-        let engine = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
-        let reference = reference_census(&cas, &mem, &cas_alphabet(), &cfg);
-        assert_eq!(Counts::from(&engine), reference, "{cfg:?}");
+    let dir = spill_dir("scale-ref");
+    for fold_private in [false, true] {
+        for (max_ops, max_states) in [(2, 200_000), (4, 200_000), (4, 37), (3, 1)] {
+            let cfg = BfsConfig {
+                max_ops,
+                max_states,
+                fold_private,
+                parallelism: 1,
+                ..Default::default()
+            };
+            let reference = reference_census(&cas, &mem, &cas_alphabet(), &cfg);
+            let engine = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
+            if reference.truncated {
+                assert_eq!(engine.work, max_states, "{cfg:?}");
+                assert!(engine.truncated, "{cfg:?}");
+                let again = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
+                assert_eq!(Counts::from(&again), Counts::from(&engine), "{cfg:?}");
+            } else {
+                assert_eq!(Counts::from(&engine), reference, "{cfg:?}");
+            }
+            for parallelism in [1, 2, 4] {
+                let disk_cfg = BfsConfig {
+                    parallelism,
+                    disk_dir: Some(dir.clone()),
+                    // Tiny: forces multi-segment arena spill and multi-run sorts.
+                    ram_budget: Some(4096),
+                    ..cfg.clone()
+                };
+                let disk = census_bfs_engine(&cas, &mem, &cas_alphabet(), &disk_cfg);
+                assert_eq!(Counts::from(&disk), reference, "{disk_cfg:?}");
+            }
+        }
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
