@@ -18,8 +18,11 @@
 //!   [`Driver::decode_frontier`] resumes a record through
 //!   [`RecoverableObject::decode_op`] — so this tier is only for objects
 //!   that are [`decodable`](RecoverableObject::decodable);
-//! * **the visited set** is a sorted *seen file* of admitted configuration
-//!   fingerprints, consulted by streamed sort-merge instead of hash lookup.
+//! * **the visited set** is `SHARDS` (8) sorted *seen files* of admitted
+//!   configuration fingerprints, one per fingerprint range: a fingerprint
+//!   belongs to the shard its top three bits name, so the shards, read in
+//!   shard order, are one sorted file. They are consulted by streamed
+//!   sort-merge instead of hash lookup.
 //!
 //! # Blocks and extents
 //!
@@ -27,9 +30,10 @@
 //! workers, each the shared worker loop on its own memory fork. A
 //! generation's *node stream* — its records in sequence order — is cut
 //! into *blocks* of at most `BLOCK_RECORDS` (1,024) records, which the workers
-//! claim through an atomic counter. Everything a block writes goes to one
-//! contiguous *extent* of the claiming worker's candidate and node files,
-//! numbered from 0 within the block. The generation's *block table* holds,
+//! claim through an atomic counter. The records a block writes form one
+//! contiguous *extent* of the claiming worker's node file; they and the
+//! block's candidates are numbered from 0 within the block. The
+//! generation's *block table* holds,
 //! in block order, each extent's worker, its candidate count and the byte
 //! offset of every `BLOCK_RECORDS`-th record it wrote, so the next
 //! generation is cut from the table without reading a file. A block's
@@ -45,39 +49,49 @@
 //!    it claims exactly like the in-RAM tier. A *repeat filter*, cleared
 //!    at each block's start, drops each successor that repeats a recent
 //!    candidate of the same block. Every other successor is a candidate:
-//!    its fingerprint is appended — tagged with its block-local sequence
-//!    number — to the worker's candidate file, and its record (budget,
-//!    interned image handle, driver key) to the worker's node file of
-//!    generation `g + 1`.
+//!    its fingerprint is appended — tagged `block << 32 | local`, its block
+//!    and block-local sequence number — to the worker's candidate file of
+//!    the fingerprint's shard, and its record (budget, interned image
+//!    handle, driver key) to the worker's node file of generation `g + 1`.
 //! 2. **Meet**: a worker that finds no block left waits at a blocking
-//!    barrier. Once all have arrived, worker 0 runs steps 3–5 alone, then
+//!    barrier. Once all have arrived, worker 0 computes each block's base
+//!    and sizes a shared admission bitmap indexed by sequence number, then
 //!    releases the others.
-//! 3. **Sort-merge**: read the candidate extents in block order, adding
-//!    each block's base to its numbers, and sort the fingerprints in
-//!    RAM-budget-sized chunks into run files; k-way merge the runs, and
-//!    walk the merge against the sorted seen file. A fingerprint group
-//!    that is not in the seen file admits its first candidate in sequence
-//!    order, as the in-RAM visited set admits a fingerprint's first
-//!    occurrence; it sets that candidate's bit in an in-RAM bitmap indexed
-//!    by sequence number. The same walk writes the next seen file: the old
-//!    entries below each group, then the group's fingerprint.
-//! 4. **Cap**: scan the bitmap in sequence order, reserving one admission
-//!    slot per would-be admission and clearing those past
-//!    [`BfsConfig::max_states`]. Because sequence order *is* the canonical
-//!    sequential BFS admission order, the tier admits exactly the nodes a
-//!    sequential BFS admits — folded or not, truncated or not, at every
-//!    worker count — so every count in the report matches the reference
-//!    census's, and the in-RAM tier's on complete runs. The differential
-//!    tests pin this. Unlike the in-RAM visited set, the seen
-//!    file may keep a fingerprint whose admission the cap refused; that
-//!    changes nothing, since once `Slots::reserve` fails every later call
-//!    fails too.
+//! 3. **Sort-merge**: every worker claims shards through an atomic counter.
+//!    For a shard it reads every worker's candidate file of the shard,
+//!    sorts the entries with its own RAM-budget-sized chunk into run
+//!    files, and k-way merges the runs against the shard's seen file. Tags
+//!    sort as sequence numbers do, since block bases rise with the block
+//!    index. A fingerprint group that is not in the seen file admits its
+//!    first candidate in sequence order, as the in-RAM visited set admits
+//!    a fingerprint's first occurrence: it sets the bit of that
+//!    candidate's sequence number, its block's base plus its local number.
+//!    The same walk writes the shard's next seen file: the old entries
+//!    below each group, then the group's fingerprint. A group lies in one
+//!    shard, so which worker judges it changes nothing.
+//! 4. **Cap**: at a second meet, worker 0 alone scans the bitmap in
+//!    sequence order, reserving one admission slot per would-be admission
+//!    and clearing those past [`BfsConfig::max_states`]. Because sequence
+//!    order *is* the canonical sequential BFS admission order, the tier
+//!    admits exactly the nodes a sequential BFS admits — folded or not,
+//!    truncated or not, at every worker count — so every count in the
+//!    report matches the reference census's, and the in-RAM tier's on
+//!    complete runs. The differential tests pin this. Unlike the in-RAM
+//!    visited set, the seen files may keep a fingerprint whose admission
+//!    the cap refused; that changes nothing, since once `Slots::reserve`
+//!    fails every later call fails too.
 //! 5. **Next**: cut generation `g + 1` from the block table. Each extent
 //!    splits at its noted offsets into pieces of at most `BLOCK_RECORDS`
 //!    records, and consecutive pieces are packed, in order, into blocks of
 //!    at most `BLOCK_RECORDS` records. Workers read a block's records
 //!    through the bitmap, seeking past those whose bit is clear, so no
-//!    record is copied. Generation `g`'s files are deleted.
+//!    record is copied.
+//!
+//! No spill file is deleted before the run ends. Generation `g + 1`'s
+//! node files overwrite generation `g - 1`'s, each merge writes a seen
+//! shard's other side, and candidate and run files are rewritten in
+//! place: overwriting a file's cached pages costs the kernel far less
+//! than freeing a deleted file's pages and allocating a new file's.
 //!
 //! The filter never changes an admission. Its slots hold only fingerprints
 //! written as candidates, and a repeat of a candidate is not a first
@@ -102,8 +116,8 @@ use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 use detectable::{OpSpec, RecoverableObject};
 use nvm::{Memory, SimMemory, SpillConfig, SpillableArena, Word};
@@ -123,22 +137,30 @@ pub struct SpillStats {
     /// counter that depends on the worker count: it follows which worker
     /// reads which image when.
     pub arena_segment_reads: u64,
-    /// Sorted run files written across all generations.
+    /// Sorted run files written across all generations and shards: at
+    /// least one per shard merge, and more where a shard's candidates
+    /// overflow a sort chunk.
     pub sort_runs: u64,
-    /// Sort-merge passes executed (one per generation with candidates).
+    /// Shard merges executed: one per shard that received candidates, per
+    /// generation. `sort_runs > merge_passes` means some shard merged two
+    /// or more runs.
     pub merge_passes: u64,
     /// Frontier generations processed.
     pub generations: u64,
     /// Successors the repeat filter dropped before they were written.
     pub candidates_dropped: u64,
     /// Total bytes written to spill files (frontier, candidates, runs,
-    /// seen files; arena segments are counted by the arena's own stats).
+    /// seen files — every shard of the seen set is rewritten in each
+    /// generation with candidates; arena segments are counted by the
+    /// arena's own stats).
     pub bytes_spilled: u64,
 }
 
 /// RAM-budget-derived buffer sizes. The floors keep tiny budgets *legal*
 /// rather than fast — the differential tests use them to force
 /// multi-segment arena spill and multi-run external sorts on small worlds.
+/// The sort chunk's floor is small since a shard holds an eighth of a
+/// generation's candidates.
 struct Knobs {
     seg_slots: usize,
     hot_segments: usize,
@@ -146,22 +168,23 @@ struct Knobs {
     filter_slots: usize,
 }
 
-/// Words per candidate-fingerprint entry: `fp0, fp1, seqno`.
+/// Words per candidate-fingerprint entry: `fp0, fp1` and the tag.
 const FP_ENTRY_WORDS: usize = 3;
 
 fn knobs(stride: usize, ram_budget: Option<usize>) -> Knobs {
     let budget = ram_budget.unwrap_or(512 << 20);
     Knobs {
         // A quarter of the budget for the active segment (the hot cache
-        // holds two more of the same size), a 32nd for the sort chunk,
-        // one repeat-filter slot of 24 bytes per 4 KiB per worker; the rest
-        // is headroom for the resident index and bitmaps. The chunk is
-        // allocated once and kept for the run, so it stays resident at its
-        // high-water mark while the arena grows: a small chunk keeps that
-        // share small, and a large generation sorts in a few runs instead.
+        // holds two more of the same size), a 64th for each worker's sort
+        // chunk, one repeat-filter slot of 24 bytes per 4 KiB per worker;
+        // the rest is headroom for the resident index and bitmaps. Each
+        // chunk is allocated once and kept for the run, so it stays
+        // resident at its high-water mark while the arena grows: a small
+        // chunk keeps that share small, and a large shard sorts in a few
+        // runs instead.
         seg_slots: (budget / 4 / (stride * 8)).clamp(8, 1 << 20),
         hot_segments: 2,
-        chunk_entries: (budget / 32 / (FP_ENTRY_WORDS * 8)).clamp(64, 1 << 24),
+        chunk_entries: (budget / 64 / (FP_ENTRY_WORDS * 8)).clamp(8, 1 << 24),
         filter_slots: budget / 4096,
     }
 }
@@ -170,6 +193,26 @@ fn knobs(stride: usize, ram_budget: Option<usize>) -> Knobs {
 /// span of one repeat filter. A constant rather than a knob, since the
 /// filter's drops — and so the spill volume — depend on it.
 pub(crate) const BLOCK_RECORDS: usize = 1024;
+
+/// Fingerprint-range shards of the visited set: the unit of work of the
+/// end-of-generation sort-merge. A constant like [`BLOCK_RECORDS`], so
+/// what a generation writes depends on neither the worker count nor the
+/// budget.
+const SHARDS: usize = 8;
+const _: () = assert!(SHARDS.is_power_of_two() && SHARDS > 1);
+
+/// The shard of a fingerprint whose first word is `fp0`: its top
+/// `log2 SHARDS` bits, so shards are contiguous fingerprint ranges.
+fn shard_of(fp0: u64) -> usize {
+    (fp0 >> (64 - SHARDS.trailing_zeros())) as usize
+}
+
+/// Bytes of a spill file's write buffer.
+const BUF_BYTES: usize = 8 * 1024;
+
+/// Bytes of a candidate file's write buffer: a worker writes one per
+/// shard at once, so each gets a quarter of [`BUF_BYTES`].
+const CAND_BUF_BYTES: usize = BUF_BYTES / 4;
 
 /// Words converted per `write_all` / `read_exact` through a stack buffer;
 /// every fixed-size entry and most node records fit in one.
@@ -196,9 +239,23 @@ struct WordWriter {
 }
 
 impl WordWriter {
+    /// Opens `path` to be written from its start, creating it if need be:
+    /// a run reuses its spill files (see the [module docs](self)), and
+    /// [`finish`](Self::finish) cuts off whatever an earlier, longer use
+    /// left past the end.
     fn create(path: &Path) -> io::Result<Self> {
+        Self::with_buffer(path, BUF_BYTES)
+    }
+
+    /// [`create`](Self::create) with a write buffer of `bytes` bytes.
+    fn with_buffer(path: &Path, bytes: usize) -> io::Result<Self> {
+        let file = File::options()
+            .write(true)
+            .create(true)
+            .truncate(false)
+            .open(path)?;
         Ok(WordWriter {
-            w: BufWriter::new(File::create(path)?),
+            w: BufWriter::with_capacity(bytes, file),
             words: 0,
         })
     }
@@ -230,10 +287,16 @@ impl WordWriter {
         self.words * 8
     }
 
-    /// Flushes and returns the bytes written.
+    /// Flushes, cuts the file to what this writer wrote, and returns the
+    /// bytes written.
     fn finish(mut self) -> io::Result<u64> {
         self.w.flush()?;
-        Ok(self.bytes())
+        let bytes = self.bytes();
+        let file = self.w.get_ref();
+        if file.metadata()?.len() > bytes {
+            file.set_len(bytes)?;
+        }
+        Ok(bytes)
     }
 }
 
@@ -329,9 +392,22 @@ impl Drop for DirGuard {
     }
 }
 
-/// A candidate fingerprint entry `[fp0, fp1, seqno]`, sorted as a tuple
-/// for the sort-merge. A seen-file entry is `[fp0, fp1]`, sorted likewise.
+/// A candidate fingerprint entry `[fp0, fp1, block << 32 | local]`,
+/// sorted as a tuple for the sort-merge. A seen-file entry is
+/// `[fp0, fp1]`, sorted likewise.
 type FpEntry = [u64; FP_ENTRY_WORDS];
+
+/// Appends a candidate of block `block`, numbered `local` within it, to
+/// its shard's file among a worker's candidate `files`.
+fn put_candidate(
+    files: &mut [WordWriter],
+    fp: (u64, u64),
+    block: usize,
+    local: usize,
+) -> io::Result<()> {
+    debug_assert!(local < 1 << 32, "block-local number overflows its tag");
+    files[shard_of(fp.0)].put_all(&[fp.0, fp.1, (block as u64) << 32 | local as u64])
+}
 
 /// The old seen file, streamed into the next one as the merge passes
 /// each fingerprint group.
@@ -554,12 +630,13 @@ pub(crate) fn census_on_disk(
 
 const SPILL_IO: &str = "census spill I/O failed";
 
-/// The generation barrier. Waiting workers block on a condvar, never
-/// spin. Worker 0 — the calling thread — runs the end-of-generation pass
-/// once all have arrived, then releases the others, so the pass's buffers
-/// always come from one thread's allocator. A worker that leaves its loop
-/// — unwinding included — aborts the barrier, so a panicking worker never
-/// leaves its siblings waiting.
+/// The generation barrier, met twice per generation. Waiting workers
+/// block on a condvar, never spin. Worker 0 — the calling thread — runs
+/// each meet's pass once all have arrived, then releases the others, so
+/// those passes' buffers always come from one thread's allocator. A worker
+/// that leaves its loop — unwinding included, between the two meets too —
+/// aborts the barrier, so a panicking worker never leaves its siblings
+/// waiting.
 struct Barrier {
     parties: usize,
     state: Mutex<BarrierState>,
@@ -635,8 +712,8 @@ struct Piece {
     len: usize,
 }
 
-/// What one block wrote: a contiguous extent of its worker's candidate
-/// and node files.
+/// What one block wrote: a contiguous extent of its worker's node file,
+/// and as many candidates.
 #[derive(Default)]
 struct Extent {
     worker: usize,
@@ -649,8 +726,8 @@ struct Extent {
 }
 
 /// The generation being expanded. Workers read it when they claim a block
-/// and write it when they finish one; the end-of-generation pass replaces
-/// it while they wait.
+/// and write it when they finish one; worker 0 replaces it at the
+/// generation's second meet while the others wait.
 #[derive(Default)]
 struct GenState {
     gen: u64,
@@ -665,13 +742,34 @@ struct GenState {
     /// Set once the search has drained.
     done: bool,
     spill: SpillStats,
-    /// Peak of the per-generation transient buffers (sort chunk, bitmap,
-    /// merge cursors, block table).
+    /// Run files the current generation's shard merges wrote.
+    pass_runs: usize,
+    /// Peak of the per-generation transient buffers (the workers' sort
+    /// chunks and candidate writers, bitmap, block bases, merge cursors,
+    /// block table).
     transient_peak: u64,
-    /// The sort chunk, allocated once by the calling thread and kept for
-    /// the run: a buffer that several threads allocate and free in turn
-    /// leaves freed copies resident in each thread's allocator.
-    chunk: Vec<FpEntry>,
+}
+
+/// The shared side of the sort-merge between a generation's two meets:
+/// worker 0 sets it up at the first, and every worker reads it while it
+/// merges shards.
+#[derive(Default)]
+struct Pass {
+    /// Each block's base: the candidates of all earlier blocks.
+    bases: Vec<u64>,
+    /// Admission bits by sequence number, set by the worker that merges
+    /// the admitted candidate's shard.
+    bits: Vec<AtomicU64>,
+    /// The side of the seen shards that holds the seen set.
+    seen: usize,
+}
+
+impl Pass {
+    /// Admits the candidate tagged `tag` (`block << 32 | local`).
+    fn admit(&self, tag: u64) {
+        let seq = (self.bases[(tag >> 32) as usize] + (tag & u64::from(u32::MAX))) as usize;
+        self.bits[seq / 64].fetch_or(1 << (seq % 64), Ordering::Relaxed);
+    }
 }
 
 impl GenState {
@@ -695,19 +793,21 @@ impl GenState {
     }
 }
 
-/// The disk frontier's shared side: generation files, the block counter,
-/// and the end-of-generation pass that runs the sort-merge admission
-/// replay and the cap (see the [module docs](self)).
+/// The disk frontier's shared side: generation files, the claim counter,
+/// and the end-of-generation pass that runs the sharded
+/// sort-merge admission replay and the cap (see the [module docs](self)).
 struct Generations<'a> {
     obj: &'a dyn RecoverableObject,
     slots: &'a Slots,
     dir: &'a Path,
     chunk_entries: usize,
     workers: usize,
-    /// The next block of the current generation to claim.
+    /// The next unit of work to claim: a block of the current generation
+    /// while the workers expand it, a shard while they merge.
     claims: AtomicUsize,
     barrier: Barrier,
     state: Mutex<GenState>,
+    pass: RwLock<Pass>,
 }
 
 impl<'a> Generations<'a> {
@@ -726,10 +826,8 @@ impl<'a> Generations<'a> {
             workers,
             claims: AtomicUsize::new(0),
             barrier: Barrier::new(workers),
-            state: Mutex::new(GenState {
-                chunk: Vec::with_capacity(chunk_entries),
-                ..GenState::default()
-            }),
+            state: Mutex::default(),
+            pass: RwLock::default(),
         }
     }
 
@@ -737,30 +835,42 @@ impl<'a> Generations<'a> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Worker `w`'s node file of generation `g`.
+    /// Worker `w`'s node file of generation `g`. Generations alternate
+    /// between two files per worker: writing generation `g + 1`
+    /// overwrites generation `g - 1`.
     fn gen_path(&self, g: u64, w: usize) -> PathBuf {
-        self.dir.join(format!("gen-{g}-{w}.nodes"))
+        self.dir.join(format!("gen-{}-{w}.nodes", g % 2))
     }
 
-    /// Worker `w`'s candidate file of the current generation.
-    fn cand_path(&self, w: usize) -> PathBuf {
-        self.dir.join(format!("cand-{w}.fps"))
+    /// Worker `w`'s candidate file of shard `s` in the current generation.
+    fn cand_path(&self, w: usize, s: usize) -> PathBuf {
+        self.dir.join(format!("cand-{w}-{s}.fps"))
+    }
+
+    /// Shard `s` of the seen set on `side`: each merge reads one side and
+    /// writes the other.
+    fn seen_path(&self, s: usize, side: usize) -> PathBuf {
+        self.dir.join(format!("seen-{s}-{side}.fps"))
     }
 
     /// Writes generation 0 (the admitted root, if any, in worker 0's node
-    /// file) and the seen file holding its fingerprint.
+    /// file) and the seen shards, the root's holding its fingerprint.
     fn seed(&self, root: Option<Seeded<u64>>) -> io::Result<()> {
         let mut st = self.lock();
-        let mut seen_w = WordWriter::create(&self.dir.join("seen.fps"))?;
+        for s in 0..SHARDS {
+            let mut seen_w = WordWriter::create(&self.seen_path(s, 0))?;
+            if let Some((_, fp)) = root.as_ref().filter(|(_, fp)| shard_of(fp.0) == s) {
+                seen_w.put_all(&[fp.0, fp.1])?;
+            }
+            st.spill.bytes_spilled += seen_w.finish()?;
+        }
         for w in 0..self.workers {
             let mut gen_w = WordWriter::create(&self.gen_path(0, w))?;
-            if let (0, Some((node, fp))) = (w, &root) {
+            if let (0, Some((node, _))) = (w, &root) {
                 put_node(&mut gen_w, 0, node.state, &node.driver.key())?;
-                seen_w.put_all(&[fp.0, fp.1])?;
             }
             st.spill.bytes_spilled += gen_w.finish()?;
         }
-        st.spill.bytes_spilled += seen_w.finish()?;
         if root.is_some() {
             st.admitted = Bitmap::new(1);
             st.admitted.set(0);
@@ -777,6 +887,10 @@ impl<'a> Generations<'a> {
 
     /// Worker `id`'s side of the frontier. It opens no file yet, so the
     /// drop guard that aborts the barrier exists before any I/O can fail.
+    /// Each worker calls this on its own thread, so its sort chunk —
+    /// allocated here once and kept for the run — comes from that thread's
+    /// allocator: a buffer that several threads allocate and free in turn
+    /// leaves freed copies resident in each thread's allocator.
     fn worker(&self, id: usize, filter_slots: usize) -> BlockWorker<'_, 'a> {
         BlockWorker {
             gens: self,
@@ -788,58 +902,73 @@ impl<'a> Generations<'a> {
             extent: Extent::default(),
             out: None,
             rec: Vec::new(),
+            chunk: Vec::with_capacity(self.chunk_entries),
         }
     }
 
-    /// The end-of-generation pass, run by worker 0 once every worker has
-    /// arrived at the barrier: sort-merges the generation's candidates against the seen
-    /// file while writing the next seen file, applies the cap, and cuts
-    /// the next generation's blocks — or marks the search drained.
-    fn end_generation(&self) -> io::Result<()> {
+    /// The first meet's pass, run by worker 0 once every worker has
+    /// arrived: computes each block's base and sizes the admission bitmap
+    /// for the shard merges — or, if the generation wrote no candidate,
+    /// marks the search drained.
+    fn begin_pass(&self) {
         let mut guard = self.lock();
         let st = &mut *guard;
-        self.remove_files(|w| self.gen_path(st.gen, w))?;
-        let extents = std::mem::take(&mut st.extents);
-        let candidates: usize = extents.iter().map(|e| e.len).sum();
+        let candidates: usize = st.extents.iter().map(|e| e.len).sum();
         if candidates == 0 {
-            self.remove_files(|w| self.cand_path(w))?;
-            return self.drain(st);
+            st.done = true;
+            return;
         }
+        let mut pass = self.pass.write().unwrap_or_else(PoisonError::into_inner);
+        pass.bases.clear();
+        let mut base = 0;
+        for e in &st.extents {
+            pass.bases.push(base);
+            base += e.len as u64;
+        }
+        pass.bits.clear();
+        pass.bits
+            .resize_with(candidates.div_ceil(64), AtomicU64::default);
+        st.pass_runs = 0;
+        self.claims.store(0, Ordering::Relaxed);
+    }
 
-        // ---- Pass 2a: sort candidate fingerprints into run files. ----
-        // A worker's extents lie in its candidate file in block order, so
-        // each file is read front to back.
+    /// Every worker's part of the pass between the two meets: claims
+    /// shards until none is left, sort-merging each with `chunk`.
+    fn merge_shards(&self, chunk: &mut Vec<FpEntry>) -> io::Result<()> {
+        let pass = self.pass.read().unwrap_or_else(PoisonError::into_inner);
+        loop {
+            let s = self.claims.fetch_add(1, Ordering::Relaxed);
+            if s >= SHARDS {
+                return Ok(());
+            }
+            self.merge_shard(s, chunk, &pass)?;
+        }
+    }
+
+    /// Sort-merges shard `s`: sorts every worker's candidates of the shard
+    /// into run files through `chunk`, then walks the runs' merge against
+    /// the shard's seen file, admitting each new group's first candidate
+    /// in `pass` and writing the shard's next seen file.
+    fn merge_shard(&self, s: usize, chunk: &mut Vec<FpEntry>, pass: &Pass) -> io::Result<()> {
+        let mut bytes = 0;
+
+        // ---- Sort the shard's candidates into run files. ----
         let mut runs: Vec<PathBuf> = Vec::new();
-        {
-            let mut cands = (0..self.workers)
-                .map(|w| WordReader::open(&self.cand_path(w)))
-                .collect::<io::Result<Vec<_>>>()?;
-            let mut chunk = std::mem::take(&mut st.chunk);
-            let mut base = 0;
-            for e in &extents {
-                for _ in 0..e.len {
-                    let [fp0, fp1, seq] = promised_entry(&mut cands[e.worker])?;
-                    chunk.push([fp0, fp1, base + seq]);
-                    if chunk.len() == self.chunk_entries {
-                        runs.push(self.write_run(&mut chunk, runs.len(), &mut st.spill)?);
-                    }
+        for w in 0..self.workers {
+            let mut cands = WordReader::open(&self.cand_path(w, s))?;
+            while let Some(e) = next_entry(&mut cands)? {
+                chunk.push(e);
+                if chunk.len() == self.chunk_entries {
+                    runs.push(self.write_run(chunk, s, runs.len(), &mut bytes)?);
                 }
-                base += e.len as u64;
             }
-            if !chunk.is_empty() {
-                runs.push(self.write_run(&mut chunk, runs.len(), &mut st.spill)?);
-            }
-            st.chunk = chunk;
         }
-        st.spill.sort_runs += runs.len() as u64;
-        self.remove_files(|w| self.cand_path(w))?;
+        if !chunk.is_empty() {
+            runs.push(self.write_run(chunk, s, runs.len(), &mut bytes)?);
+        }
 
-        // ---- Pass 2b: merge runs against the seen file, writing the ----
-        // ---- next seen file as the walk passes each group.          ----
-        st.spill.merge_passes += 1;
-        let mut bitmap = Bitmap::new(candidates);
-        let seen_path = self.dir.join("seen.fps");
-        let next_seen_path = self.dir.join("seen.fps.next");
+        // ---- Merge the runs against the seen shard, writing the ----
+        // ---- next one as the walk passes each group.             ----
         {
             let mut cursors: Vec<(WordReader, Option<FpEntry>)> = Vec::new();
             for p in &runs {
@@ -847,15 +976,15 @@ impl<'a> Generations<'a> {
                 let head = next_entry(&mut r)?;
                 cursors.push((r, head));
             }
-            let mut seen_r = WordReader::open(&seen_path)?;
+            let mut seen_r = WordReader::open(&self.seen_path(s, pass.seen))?;
             let mut seen = SeenMerge {
                 cur: next_entry(&mut seen_r)?,
                 r: seen_r,
-                w: WordWriter::create(&next_seen_path)?,
+                w: WordWriter::create(&self.seen_path(s, 1 - pass.seen))?,
             };
             // The fingerprint group being walked.
             let mut group = None;
-            // Pop the globally smallest (fp0, fp1, seqno) entry each round.
+            // Pop the smallest (fp0, fp1, tag) entry each round.
             while let Some(best) = cursors
                 .iter()
                 .enumerate()
@@ -863,28 +992,48 @@ impl<'a> Generations<'a> {
                 .min()
                 .map(|(_, i)| i)
             {
-                let [fp0, fp1, seq] = cursors[best].1.take().expect("cursor checked non-empty");
+                let [fp0, fp1, tag] = cursors[best].1.take().expect("cursor checked non-empty");
                 cursors[best].1 = next_entry(&mut cursors[best].0)?;
                 // Only a group's first, lowest-sequence candidate can
                 // admit, and only if no earlier generation saw it.
                 if group != Some([fp0, fp1]) {
                     group = Some([fp0, fp1]);
                     if !seen.upto(group)? {
-                        bitmap.set(seq as usize);
+                        pass.admit(tag);
                     }
                     seen.w.put_all(&[fp0, fp1])?;
                 }
             }
             seen.upto(None)?;
-            st.spill.bytes_spilled += seen.w.finish()?;
+            bytes += seen.w.finish()?;
         }
-        for p in &runs {
-            fs::remove_file(p)?;
-        }
-        fs::rename(&next_seen_path, &seen_path)?;
+        let mut st = self.lock();
+        st.spill.sort_runs += runs.len() as u64;
+        st.spill.merge_passes += u64::from(!runs.is_empty());
+        st.spill.bytes_spilled += bytes;
+        st.pass_runs += runs.len();
+        Ok(())
+    }
 
-        // ---- Pass 2c: apply the admission cap in sequence order. ----
+    /// The second meet's pass, run by worker 0 once every worker has
+    /// merged its shards: applies the cap in sequence order and cuts the
+    /// next generation's blocks — or marks the search drained.
+    fn end_pass(&self) {
+        let mut guard = self.lock();
+        let st = &mut *guard;
+        let extents = std::mem::take(&mut st.extents);
+        let mut pass = self.pass.write().unwrap_or_else(PoisonError::into_inner);
+        pass.seen = 1 - pass.seen;
+        let mut bitmap = Bitmap {
+            bits: std::mem::take(&mut pass.bits)
+                .into_iter()
+                .map(AtomicU64::into_inner)
+                .collect(),
+        };
+
+        // ---- Apply the admission cap in sequence order. ----
         // Sequence order is canonical sequential BFS admission order.
+        let candidates: usize = extents.iter().map(|e| e.len).sum();
         for i in 0..candidates {
             if bitmap.get(i) && !self.slots.reserve() {
                 bitmap.clear(i);
@@ -893,66 +1042,56 @@ impl<'a> Generations<'a> {
 
         // ---- Next: cut the next generation from the block table. ----
         if !bitmap.any() {
-            return self.drain(st);
+            st.done = true;
+            return;
         }
         st.gen += 1;
         let mut pieces = Vec::new();
-        let mut base = 0;
-        for e in &extents {
+        for (e, &base) in extents.iter().zip(&pass.bases) {
             for (k, &offset) in e.cuts.iter().enumerate() {
                 let from = k * BLOCK_RECORDS;
                 pieces.push(Piece {
                     file: e.worker,
                     offset,
-                    base: base + from,
+                    base: base as usize + from,
                     len: (e.len - from).min(BLOCK_RECORDS),
                 });
             }
-            base += e.len;
         }
         st.cut(pieces);
         st.spill.generations += 1;
         st.admitted = bitmap;
+        // Every worker holds its chunk and, while it expands, one
+        // candidate writer per shard.
+        let per_worker = self.chunk_entries * FP_ENTRY_WORDS * 8 + SHARDS * CAND_BUF_BYTES;
         st.transient_peak = st.transient_peak.max(
             (st.admitted.bytes()
-                + self.chunk_entries * FP_ENTRY_WORDS * 8
-                + runs.len() * FP_ENTRY_WORDS * 8
+                + pass.bases.len() * 8
+                + self.workers * per_worker
+                + st.pass_runs * FP_ENTRY_WORDS * 8
                 + st.pieces.len() * std::mem::size_of::<Piece>()
                 + st.blocks.len() * std::mem::size_of::<(Range<usize>, Extent)>())
                 as u64,
         );
         self.claims.store(0, Ordering::Relaxed);
-        Ok(())
     }
 
-    /// Sorts `chunk` into run file `index`, empties it, and returns the
-    /// run's path.
+    /// Sorts `chunk` into run file `index` of shard `shard`, empties it,
+    /// adds the run's size to `bytes` and returns its path.
     fn write_run(
         &self,
         chunk: &mut Vec<FpEntry>,
+        shard: usize,
         index: usize,
-        spill: &mut SpillStats,
+        bytes: &mut u64,
     ) -> io::Result<PathBuf> {
         chunk.sort_unstable();
-        let path = self.dir.join(format!("run-{index}.fps"));
+        let path = self.dir.join(format!("run-{shard}-{index}.fps"));
         let mut w = WordWriter::create(&path)?;
         w.put_all(chunk.as_flattened())?;
-        spill.bytes_spilled += w.finish()?;
+        *bytes += w.finish()?;
         chunk.clear();
         Ok(path)
-    }
-
-    /// Ends the search: nothing was admitted into the next generation, so
-    /// its node files go.
-    fn drain(&self, st: &mut GenState) -> io::Result<()> {
-        self.remove_files(|w| self.gen_path(st.gen + 1, w))?;
-        st.done = true;
-        Ok(())
-    }
-
-    /// Removes one file per worker.
-    fn remove_files(&self, path: impl Fn(usize) -> PathBuf) -> io::Result<()> {
-        (0..self.workers).try_for_each(|w| fs::remove_file(path(w)))
     }
 }
 
@@ -973,8 +1112,8 @@ struct Claimed {
 
 /// A worker's output files for one generation.
 struct Outputs {
-    /// Candidate fingerprints.
-    fps: WordWriter,
+    /// Candidate fingerprints, one file per shard.
+    fps: Vec<WordWriter>,
     /// Candidate records: the worker's node file of the next generation.
     next: WordWriter,
 }
@@ -996,6 +1135,8 @@ struct BlockWorker<'g, 'a> {
     out: Option<Outputs>,
     /// The driver key of the record being read.
     rec: Vec<Word>,
+    /// The sort chunk this worker's shard merges use.
+    chunk: Vec<FpEntry>,
 }
 
 impl BlockWorker<'_, '_> {
@@ -1004,7 +1145,11 @@ impl BlockWorker<'_, '_> {
             if self.out.is_none() {
                 let gens = self.gens;
                 self.out = Some(Outputs {
-                    fps: WordWriter::create(&gens.cand_path(self.id))?,
+                    fps: (0..SHARDS)
+                        .map(|s| {
+                            WordWriter::with_buffer(&gens.cand_path(self.id, s), CAND_BUF_BYTES)
+                        })
+                        .collect::<io::Result<_>>()?,
                     next: WordWriter::create(&gens.gen_path(self.gen + 1, self.id))?,
                 });
             }
@@ -1090,18 +1235,28 @@ impl BlockWorker<'_, '_> {
         true
     }
 
-    /// Closes the generation's files and meets the other workers at the
-    /// barrier, the last of them running the end-of-generation pass.
+    /// Closes the generation's files and runs the end-of-generation pass
+    /// with the other workers: worker 0 sets it up at a first meet, every
+    /// worker merges shards, and worker 0 finishes it at a second meet.
     /// Returns whether a next generation was cut.
     fn next_generation(&mut self) -> io::Result<bool> {
         let out = self.out.take().expect("outputs open during a generation");
-        let bytes = out.fps.finish()? + out.next.finish()?;
+        let mut bytes = out.next.finish()?;
+        for w in out.fps {
+            bytes += w.finish()?;
+        }
         self.readers.iter_mut().for_each(|r| *r = None);
         let gens = self.gens;
         gens.lock().spill.bytes_spilled += bytes;
-        let pass = || gens.end_generation().expect(SPILL_IO);
-        if !gens.barrier.wait(self.id == 0, pass) {
+        let runner = self.id == 0;
+        if !gens.barrier.wait(runner, || gens.begin_pass()) {
             return Ok(false);
+        }
+        if !gens.lock().done {
+            gens.merge_shards(&mut self.chunk)?;
+            if !gens.barrier.wait(runner, || gens.end_pass()) {
+                return Ok(false);
+            }
         }
         let st = gens.lock();
         self.gen = st.gen;
@@ -1114,12 +1269,13 @@ impl BlockWorker<'_, '_> {
         fps: &[(u64, u64)],
     ) -> io::Result<()> {
         let out = self.out.as_mut().expect("push during an expansion");
-        for (node, fp) in nodes.drain(..).zip(fps) {
+        let block = self.block.as_ref().expect("push during a block").index;
+        for (node, &fp) in nodes.drain(..).zip(fps) {
             let seq = self.extent.len;
             if seq.is_multiple_of(BLOCK_RECORDS) {
                 self.extent.cuts.push(out.next.bytes());
             }
-            out.fps.put_all(&[fp.0, fp.1, seq as u64])?;
+            put_candidate(&mut out.fps, fp, block, seq)?;
             put_node(&mut out.next, node.ops_used, node.state, &node.driver)?;
             self.extent.len += 1;
         }
@@ -1160,6 +1316,7 @@ mod tests {
     use crate::census::{census_bfs_engine, BfsConfig};
     use crate::sim::build_world;
     use detectable::DetectableCas;
+    use std::collections::{BTreeMap, BTreeSet};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!(
@@ -1251,8 +1408,10 @@ mod tests {
             spill.arena_segments_spilled >= 2,
             "tiny budget must force multi-segment spill: {spill:?}"
         );
+        // Every shard merge writes at least one run, so only more runs
+        // than merges shows a shard merging several.
         assert!(
-            spill.sort_runs >= 2,
+            spill.sort_runs > spill.merge_passes,
             "tiny budget must force a multi-run external sort: {spill:?}"
         );
         assert!(spill.merge_passes >= 2, "{spill:?}");
@@ -1264,6 +1423,161 @@ mod tests {
             0,
             "spill files must be cleaned up on success"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// splitmix64: the tests' deterministic fingerprint source.
+    fn splitmix(s: &mut u64) -> u64 {
+        *s = s.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every entry of a spill file of `N`-word entries.
+    fn entries<const N: usize>(path: &Path) -> Vec<[Word; N]> {
+        let mut r = WordReader::open(path).unwrap();
+        std::iter::from_fn(|| next_entry(&mut r).unwrap()).collect()
+    }
+
+    /// The sharded pass against a one-file reference: several workers'
+    /// candidates, repeating within and across blocks and lying on both
+    /// sides of every shard boundary, merged against an old seen set on
+    /// as many threads, admit exactly each new fingerprint's first
+    /// candidate in sequence order, and the seen shards, read in order,
+    /// are the sorted union of the old set and the candidates.
+    #[test]
+    fn sharded_pass_matches_a_one_file_merge() {
+        let dir = tmp_dir("shards");
+        let (cas, _) = build_world(|b| DetectableCas::new(b, 2, 0));
+        let slots = Slots::new(usize::MAX);
+        // A tiny chunk, so shards merge several runs.
+        let (workers, chunk_entries) = (3, 5);
+        let gens = Generations::new(&cas, &slots, &dir, chunk_entries, workers);
+        gens.seed(None).unwrap();
+        // A small pool, so candidates repeat: the last fingerprint below
+        // each shard boundary and the first two at it (sharing `fp0`),
+        // plus random ones.
+        let mut rng = 7;
+        let mut pool: Vec<(u64, u64)> = (0..SHARDS as u64)
+            .flat_map(|s| {
+                let edge = s << (64 - SHARDS.trailing_zeros());
+                [(edge.wrapping_sub(1), 1), (edge, 1), (edge, 2)]
+            })
+            .collect();
+        pool.extend((0..40).map(|_| (splitmix(&mut rng), splitmix(&mut rng) % 3)));
+        let old: BTreeSet<[u64; 2]> = pool.iter().step_by(3).map(|&(a, b)| [a, b]).collect();
+        for s in 0..SHARDS {
+            let mut w = WordWriter::create(&gens.seen_path(s, 0)).unwrap();
+            for e in old.iter().filter(|e| shard_of(e[0]) == s) {
+                w.put_all(e).unwrap();
+            }
+            w.finish().unwrap();
+        }
+        // Blocks in order, each written by a random worker; the reference
+        // numbers their candidates in sequence order.
+        let mut files: Vec<Vec<WordWriter>> = (0..workers)
+            .map(|w| {
+                (0..SHARDS)
+                    .map(|s| WordWriter::create(&gens.cand_path(w, s)).unwrap())
+                    .collect()
+            })
+            .collect();
+        let mut first: BTreeMap<[u64; 2], usize> = BTreeMap::new();
+        let mut extents = Vec::new();
+        let mut seq = 0;
+        for block in 0..50 {
+            let worker = (splitmix(&mut rng) % workers as u64) as usize;
+            let len = (splitmix(&mut rng) % 12) as usize;
+            for local in 0..len {
+                let fp = pool[(splitmix(&mut rng) % pool.len() as u64) as usize];
+                put_candidate(&mut files[worker], fp, block, local).unwrap();
+                first.entry([fp.0, fp.1]).or_insert(seq);
+                seq += 1;
+            }
+            extents.push(Extent {
+                worker,
+                len,
+                cuts: Vec::new(),
+            });
+        }
+        for f in files.into_iter().flatten() {
+            f.finish().unwrap();
+        }
+        gens.lock().extents = extents;
+
+        gens.begin_pass();
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| {
+                    let mut chunk = Vec::with_capacity(chunk_entries);
+                    gens.merge_shards(&mut chunk).unwrap();
+                });
+            }
+        });
+
+        let admitted: BTreeSet<usize> = first
+            .iter()
+            .filter(|(fp, _)| !old.contains(*fp))
+            .map(|(_, &i)| i)
+            .collect();
+        let bits: BTreeSet<usize> = {
+            let pass = gens.pass.read().unwrap();
+            (0..seq)
+                .filter(|&i| pass.bits[i / 64].load(Ordering::Relaxed) & 1 << (i % 64) != 0)
+                .collect()
+        };
+        assert_eq!(bits, admitted);
+        let union: BTreeSet<[u64; 2]> = old.iter().chain(first.keys()).copied().collect();
+        let merged: Vec<[u64; 2]> = (0..SHARDS)
+            .flat_map(|s| entries(&gens.seen_path(s, 1)))
+            .collect();
+        assert_eq!(merged, union.into_iter().collect::<Vec<_>>());
+        let spill = gens.lock().spill;
+        let fed = (0..SHARDS)
+            .filter(|&s| first.keys().any(|fp| shard_of(fp[0]) == s))
+            .count();
+        assert_eq!(spill.merge_passes, fed as u64, "one merge per fed shard");
+        assert!(spill.sort_runs > spill.merge_passes, "{spill:?}");
+
+        // No cap: the second meet keeps every admission, and the peak
+        // charges each worker's chunk and candidate writers.
+        gens.end_pass();
+        let st = gens.lock();
+        assert!((0..seq).all(|i| st.admitted.get(i) == admitted.contains(&i)));
+        let per_worker = chunk_entries * FP_ENTRY_WORDS * 8 + SHARDS * CAND_BUF_BYTES;
+        assert!(st.transient_peak >= (workers * per_worker) as u64);
+        drop(st);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A helper that fails between a generation's two meets — a spill I/O
+    /// error in its shard merge panics — drops its worker, which aborts
+    /// the barrier: worker 0 leaves the second meet without running its
+    /// pass instead of waiting forever.
+    #[test]
+    fn a_helper_dropped_between_the_meets_releases_worker_0() {
+        let dir = tmp_dir("meets");
+        let (cas, _) = build_world(|b| DetectableCas::new(b, 2, 0));
+        let slots = Slots::new(usize::MAX);
+        let gens = Generations::new(&cas, &slots, &dir, 64, 2);
+        let passes = AtomicUsize::new(0);
+        let pass = || {
+            passes.fetch_add(1, Ordering::Relaxed);
+        };
+        std::thread::scope(|s| {
+            let helper = s.spawn(|| {
+                let _worker = gens.worker(1, 1);
+                assert!(gens.barrier.wait(false, || unreachable!()));
+                panic!("census spill I/O failed (test probe)");
+            });
+            let _worker = gens.worker(0, 1);
+            assert!(gens.barrier.wait(true, pass), "first meet");
+            assert!(!gens.barrier.wait(true, pass), "second meet");
+            assert!(helper.join().is_err());
+        });
+        assert_eq!(passes.load(Ordering::Relaxed), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

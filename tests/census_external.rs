@@ -124,9 +124,11 @@ fn external_engine_matches_in_ram_on_every_kind() {
                         spill.arena_segments_spilled >= 2,
                         "{tag}: single-segment run proves nothing: {spill:?}"
                     );
+                    // Every shard merge writes at least one run: only more
+                    // runs than merges shows a shard merging several.
                     assert!(
-                        spill.sort_runs >= 2,
-                        "{tag}: single-run sort proves nothing: {spill:?}"
+                        spill.sort_runs > spill.merge_passes,
+                        "{tag}: no shard merged two runs: {spill:?}"
                     );
                     assert!(
                         spill.candidates_dropped > 0,
