@@ -4,8 +4,8 @@
 //! fold.
 //!
 //! The engine expands each successor under an undo-log checkpoint
-//! (O(writes) instead of a full-memory copy), stores frontier states as
-//! 8-byte handles into a deduplicating arena, and schedules expansion on
+//! (O(writes) instead of a full-memory copy), keeps each frontier node's
+//! logical memory image in the node, and schedules expansion on
 //! per-worker LIFO stacks that share through one pool (`harness::sched`),
 //! so its states/sec
 //! figure is the headline number future PRs track via the committed

@@ -10,8 +10,9 @@
 //!   bit) — Algorithm 2 realizes all `2^N` vectors, meeting the `2^N − 1`
 //!   lower bound;
 //! * *bfs* rows exhaustively explore every interleaving of a bounded CAS
-//!   alphabet workload. The in-RAM engine (an image arena, a LIFO stack
-//!   per worker and a shared pool) carries the exhaustive census to N = 4
+//!   alphabet workload. The in-RAM engine (nodes that own their memory
+//!   images, a LIFO stack per worker and a shared pool) carries the
+//!   exhaustive census to N = 4
 //!   and N = 5 (experiment E12); `--threads N` spreads frontier expansion
 //!   over worker threads with identical counts at every setting;
 //! * *bfs-fold* rows (detectable CAS, N ≥ 6) fold each machine step's

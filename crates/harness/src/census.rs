@@ -32,16 +32,15 @@
 //! [`checkpoint`](SimMemory::checkpoint) and leaves via
 //! [`rollback`](SimMemory::rollback) — O(writes of one step) per
 //! successor. The census is crash-free, so a configuration's memory half
-//! is fully determined by its *logical* word image; nodes carry an 8-byte
-//! handle into an image store that keeps each distinct image once, not a
-//! per-node copy of the memory. Only the storage varies, in three roles
-//! the loop is generic over:
+//! is fully determined by its *logical* word image: a node carries that
+//! image, not a copy of the memory with its cache and journal. Only the
+//! storage varies, in three roles the loop is generic over:
 //!
 //! | role | in RAM | on disk ([`crate::external`]) |
 //! |---|---|---|
 //! | frontier | a LIFO stack per worker and a shared pool ([`crate::sched`]) | generation files cut into blocks that workers claim |
 //! | admission | sharded fingerprint set, per successor | repeat filter per block, seen-file sort-merge replay at generation end |
-//! | image store | [`StateArena`] | [`nvm::SpillableArena`] |
+//! | image store | none: each node owns its boxed image | [`nvm::SpillableArena`] |
 //!
 //! [`census_bfs_engine`] takes the disk tier when [`BfsConfig::disk_dir`]
 //! is set and the object is [`decodable`](RecoverableObject::decodable).
@@ -50,9 +49,7 @@
 //! ([`BfsConfig::max_states`]: exactly that many nodes are admitted and
 //! expanded, and hitting it sets [`CensusReport::truncated`]), the exact
 //! shared-configuration count (logical shared-memory keys — the quantity
-//! Theorem 1 bounds is never approximated) and the report. A worker
-//! interns one expansion's admitted images in one batch: one lock
-//! acquisition per shard per flush instead of one per successor.
+//! Theorem 1 bounds is never approximated) and the report.
 //!
 //! A node's driver is only borrowed: a successor acts on a copy of the one
 //! process that moves (`Driver::step_successor`,
@@ -106,7 +103,7 @@ use std::sync::Mutex;
 
 use detectable::{OpSpec, RecoverableObject};
 use nvm::hash::{hash2, FoldBuildHasher, SEEDS};
-use nvm::{CompactState, Memory, Pid, SimMemory, StateArena, Word};
+use nvm::{Memory, Pid, SimMemory, Word};
 
 use crate::driver::{Driver, Proc};
 use crate::external::SpillStats;
@@ -136,17 +133,17 @@ pub struct CensusReport {
     /// artifact, not a refutation — see [`bound_failed`](Self::bound_failed).
     pub truncated: bool,
     /// Estimated peak resident bytes of the engine's own data structures
-    /// (visited/shared sets, arena, frontier — not process RSS). In-RAM
-    /// runs derive the sets and the arena from their final sizes (they only
-    /// grow) and the frontier from the stacks' and the pool's high-water
-    /// marks; the disk tier tracks its bounded buffers generation by
-    /// generation; the solo drive reports its seen-set footprint.
+    /// (sets, frontier, images — not process RSS). In-RAM runs charge the
+    /// sets at their final capacities (they only grow) and the frontier at
+    /// the stacks' and the pool's high-water marks; the disk tier tracks
+    /// its bounded buffers and arena generation by generation; the solo
+    /// drive reports its seen set.
     pub peak_resident_bytes: u64,
     /// Disk-tier counters when the BFS ran on disk; `None` otherwise.
     pub spill: Option<SpillStats>,
     /// Worker counters (pool batches taken, waits, per-worker expansions,
-    /// intern-flush batches). All-zero for the solo drive, which neither
-    /// schedules nor batch-interns.
+    /// flushed successor batches). All-zero for the solo drive, which
+    /// neither schedules nor batches.
     pub sched: SchedStats,
 }
 
@@ -220,19 +217,20 @@ pub fn census_drive_engine(
         resolved_ops: completed as u64,
         persists: mem.stats().persists - persists_before,
         truncated,
-        peak_resident_bytes: set_bytes(seen.len(), mem.shared_key().len() * 8),
+        peak_resident_bytes: set_bytes(&seen, mem.shared_key().len() * 8),
         spill: None,
         sched: SchedStats::default(),
     }
 }
 
-/// Estimated resident bytes of a hash set holding `len` entries of
-/// `entry_bytes` payload each: payload plus ~32 bytes of table overhead
-/// per entry (bucket word, hash, capacity headroom). All census peak
-/// estimates are built from this — they account the engine's own data
-/// structures, not allocator slack or process RSS.
-fn set_bytes(len: usize, entry_bytes: usize) -> u64 {
-    (len as u64) * (entry_bytes as u64 + 32)
+/// Estimated bytes `set` allocates, its entries owning `heap` bytes each
+/// outside the table: hashbrown keeps about 8 buckets per 7 slots of
+/// capacity, each an entry plus one control byte. The in-RAM census
+/// estimates are built from this: the engine's own data structures, not
+/// allocator slack or process RSS.
+fn set_bytes<T, S>(set: &HashSet<T, S>, heap: usize) -> u64 {
+    let bucket = size_of::<T>() + 1;
+    (set.capacity() * 8 / 7 * bucket + set.len() * heap) as u64
 }
 
 /// The constructive Theorem 1 witness: a Gray-code walk over all `2^N`
@@ -306,11 +304,11 @@ impl Default for BfsConfig {
     }
 }
 
-/// One frontier entry: a handle to the node's logical memory image in the
-/// tier's image store, the driver's volatile state, and the operation
-/// budget consumed so far. Everything a worker needs to resume the
-/// configuration, at 8 bytes plus the driver (`D` is how a frontier
-/// [stages](Frontier::stage) an admitted successor's driver).
+/// One frontier entry: the node's logical memory image as the tier's
+/// image store hands it out (`H`), the driver's volatile state, and the
+/// operation budget consumed so far — everything a worker needs to resume
+/// the configuration (`D` is how a frontier [stages](Frontier::stage) an
+/// admitted successor's driver).
 pub(crate) struct BfsNode<H, D = Driver> {
     pub(crate) state: H,
     pub(crate) driver: D,
@@ -321,10 +319,10 @@ pub(crate) struct BfsNode<H, D = Driver> {
 pub(crate) type Seeded<H> = (BfsNode<H>, (u64, u64));
 
 /// The memory component of the configuration fingerprint: both lanes of
-/// [`hash2`] over the logical image, in one pass. Lane 0 doubles as the
-/// in-RAM arena's routing/index hash and both lanes form the disk arena's
-/// 128-bit key (pure functions of the image, as the arenas require), so a
-/// generated successor reads its image for hashing exactly once.
+/// [`hash2`] over the logical image, in one pass. The two lanes double as
+/// the disk arena's 128-bit key (a pure function of the image, as the
+/// arena requires), so a generated successor reads its image for hashing
+/// exactly once.
 fn image_hashes(image: &[Word]) -> (u64, u64) {
     hash2(SEEDS, image)
 }
@@ -352,20 +350,13 @@ impl Slots {
     /// Reserves one admission slot: a reservation CAS loop, so the cap is
     /// exact even under concurrent admission from every shard.
     pub(crate) fn reserve(&self) -> bool {
-        loop {
-            let c = self.admitted.load(Ordering::Relaxed);
-            if c >= self.cap {
-                self.truncated.store(true, Ordering::Relaxed);
-                return false;
-            }
-            if self
-                .admitted
-                .compare_exchange(c, c + 1, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                return true;
-            }
+        let relaxed = Ordering::Relaxed;
+        let next = |c| (c < self.cap).then_some(c + 1);
+        let granted = self.admitted.fetch_update(relaxed, relaxed, next);
+        if granted.is_err() {
+            self.truncated.store(true, relaxed);
         }
+        granted.is_ok()
     }
 }
 
@@ -414,21 +405,27 @@ impl Admission for VisitedSet {
 
 /// Image-store role: where admitted successors' logical images live.
 pub(crate) trait Images {
-    /// What a frontier node carries instead of its image.
-    type Handle: Copy;
-    /// Interns `images` (stride-sized, back to back, with their two salted
-    /// hashes from [`image_hashes`]), one handle per image into `out`.
+    /// What a frontier node carries for its image.
+    type Handle;
+    /// Stores `images` (stride-sized, back to back, with their
+    /// [`image_hashes`]), one handle per image into `out`, cleared first.
     fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<Self::Handle>);
-    fn read_into(&self, handle: Self::Handle, out: &mut Vec<Word>);
+    fn read_into(&self, handle: &Self::Handle, out: &mut Vec<Word>);
 }
 
-impl Images for StateArena {
-    type Handle = CompactState;
-    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<CompactState>) {
-        self.intern_batch(images, hashes.iter().map(|h| h.0), out);
+/// The in-RAM image store, which stores nothing: a node owns its boxed
+/// image, which lives only while the node waits on a stack or in the pool.
+struct OwnedImages;
+
+impl Images for OwnedImages {
+    type Handle = Box<[Word]>;
+    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<Box<[Word]>>) {
+        let stride = images.len() / hashes.len();
+        out.clear();
+        out.extend(images.chunks_exact(stride).map(Box::from));
     }
-    fn read_into(&self, handle: CompactState, out: &mut Vec<Word>) {
-        StateArena::read_into(self, handle, out);
+    fn read_into(&self, image: &Box<[Word]>, out: &mut Vec<Word>) {
+        image[..].clone_into(out);
     }
 }
 
@@ -531,9 +528,9 @@ impl<I: Images, D> Batch<I, D> {
         images.intern(&self.images, &self.hashes, &mut self.handles);
         self.images.clear();
         self.hashes.clear();
-        let staged = self.handles.iter().zip(self.meta.drain(..));
+        let staged = self.handles.drain(..).zip(self.meta.drain(..));
         self.nodes
-            .extend(staged.map(|(&state, (driver, ops_used))| BfsNode {
+            .extend(staged.map(|(state, (driver, ops_used))| BfsNode {
                 state,
                 driver,
                 ops_used: ops_used as usize,
@@ -620,7 +617,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         let mut handles = Vec::new();
         self.images.intern(&image, &[hashes], &mut handles);
         let node = BfsNode {
-            state: handles[0],
+            state: handles.remove(0),
             driver,
             ops_used: 0,
         };
@@ -714,7 +711,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         scratch: &mut Scratch,
         tally: &mut Tally,
     ) {
-        self.images.read_into(node.state, &mut scratch.node_image);
+        self.images.read_into(&node.state, &mut scratch.node_image);
         mem.load_words(&scratch.node_image);
         let n = self.obj.processes() as usize;
         scratch.segs.clear();
@@ -827,7 +824,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
             resolved_ops: tally.resolved,
             persists: tally.persists,
             truncated: self.slots.truncated.into_inner(),
-            peak_resident_bytes: resident + set_bytes(shared, mem.shared_key().len() * 8),
+            peak_resident_bytes: resident + set_bytes(&shared_keys, mem.shared_key().len() * 8),
             spill,
             sched,
         }
@@ -855,9 +852,8 @@ pub fn census_bfs_engine(
     if let (Some(dir), true) = (&cfg.disk_dir, obj.decodable()) {
         return crate::external::census_on_disk(obj, mem, alphabet, cfg, dir);
     }
-    let arena = StateArena::new(mem.layout().total_words());
     let visited = VisitedSet::new();
-    let census = Census::new(obj, alphabet, cfg, &arena, &visited);
+    let census = Census::new(obj, alphabet, cfg, &OwnedImages, &visited);
     let workers = resolve_parallelism(cfg.parallelism);
     let sched = Scheduler::new(workers);
     sched.seed(census.root(mem).map(|(node, _)| node));
@@ -865,14 +861,15 @@ pub fn census_bfs_engine(
     // unwinding) marks the pool done, so a panicking sibling can never
     // leave the others waiting while the scope waits to join.
     let (tally, per_worker_expansions) = census.work_on_threads(mem, workers, |_| sched.worker());
-    // Peak estimate: the arena and the visited set only grow, so their
-    // final sizes are their peaks; the frontier's is bounded by the
-    // stacks' and the pool's high-water marks.
-    let admitted = census.slots.admitted.load(Ordering::Relaxed);
-    let node_bytes = std::mem::size_of::<BfsNode<CompactState>>() + obj.processes() as usize * 48;
-    let resident = arena.stored_words() as u64 * 8
-        + set_bytes(admitted, 24)
-        + (sched.peak_items() * node_bytes) as u64;
+    // Peak estimate: the visited set only grows, so its final capacity is
+    // its peak; the frontier's is bounded by the stacks' and the pool's
+    // high-water marks, each node with its image.
+    let node_bytes = size_of::<BfsNode<Box<[Word]>>>() + obj.processes() as usize * 48;
+    let image_bytes = mem.layout().total_words() * 8;
+    let mut resident = (sched.peak_items() * (node_bytes + image_bytes)) as u64;
+    for shard in &visited.shards {
+        resident += set_bytes(&shard.lock().expect("visited shard poisoned"), 0);
+    }
     let sched = SchedStats {
         per_worker_expansions,
         ..sched.stats()

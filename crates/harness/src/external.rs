@@ -1,11 +1,8 @@
 //! The census's disk storage tier: BFS with a disk-resident frontier.
 //!
 //! The in-RAM tier of [`census_bfs_engine`](crate::census::census_bfs_engine)
-//! holds three structures whose size tracks the reachable state space: the
-//! arena of logical images, the visited-fingerprint set, and the frontier
-//! of admitted-but-unexpanded nodes. At N = 7 on the standard CAS alphabet
-//! those outgrow any sensible `max_states` budget long before the search
-//! finishes. This tier moves all three to disk, behind the same worker
+//! holds a fingerprint per admitted node. This tier moves its visited set,
+//! its frontier and the frontier's images to disk, behind the same worker
 //! loop and the same expansion:
 //!
 //! * **images** live in a [`SpillableArena`] — sealed segments spill to
@@ -70,12 +67,12 @@
 //!    below each group, then the group's fingerprint. A group lies in one
 //!    shard, so which worker judges it changes nothing.
 //! 4. **Cap**: at a second meet, worker 0 alone scans the bitmap in
-//!    sequence order, reserving one admission slot per would-be admission
-//!    and clearing those past [`BfsConfig::max_states`]. Because sequence
-//!    order *is* the canonical sequential BFS admission order, the tier
-//!    admits exactly the nodes a sequential BFS admits — folded or not,
-//!    truncated or not, at every worker count — so every count in the
-//!    report matches the reference census's, and the in-RAM tier's on
+//!    sequence order, a word at a time, reserving one admission slot per
+//!    set bit and clearing those past [`BfsConfig::max_states`]. Because
+//!    sequence order *is* the canonical sequential BFS admission order,
+//!    the tier admits exactly the nodes a sequential BFS admits — folded
+//!    or not, truncated or not, at every worker count — so every count in
+//!    the report matches the reference census's, and the in-RAM tier's on
 //!    complete runs. The differential tests pin this. Unlike the in-RAM
 //!    visited set, the seen files may keep a fingerprint whose admission
 //!    the cap refused; that changes nothing, since once `Slots::reserve`
@@ -472,16 +469,27 @@ impl Bitmap {
         self.bits[i / 64] |= 1 << (i % 64);
     }
 
-    fn clear(&mut self, i: usize) {
-        self.bits[i / 64] &= !(1 << (i % 64));
-    }
-
     fn get(&self, i: usize) -> bool {
         self.bits[i / 64] & (1 << (i % 64)) != 0
     }
 
     fn any(&self) -> bool {
         self.bits.iter().any(|&w| w != 0)
+    }
+
+    /// Keeps each set bit, in index order, while `slots` grants it a slot:
+    /// once one reservation fails every later one would, so the rest are
+    /// cleared without asking.
+    fn cap(&mut self, slots: &Slots) {
+        let mut full = false;
+        for word in &mut self.bits {
+            let mut ungranted = *word;
+            while ungranted != 0 && !full && slots.reserve() {
+                ungranted &= ungranted - 1;
+            }
+            full |= ungranted != 0;
+            *word ^= ungranted;
+        }
     }
 
     /// Bits `at..at + len`, renumbered from 0.
@@ -568,8 +576,8 @@ impl Images for SpillableArena {
     fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<u64>) {
         self.intern128_batch(images, hashes, out);
     }
-    fn read_into(&self, handle: u64, out: &mut Vec<Word>) {
-        SpillableArena::read_into(self, handle, out);
+    fn read_into(&self, handle: &u64, out: &mut Vec<Word>) {
+        SpillableArena::read_into(self, *handle, out);
     }
 }
 
@@ -1033,12 +1041,7 @@ impl<'a> Generations<'a> {
 
         // ---- Apply the admission cap in sequence order. ----
         // Sequence order is canonical sequential BFS admission order.
-        let candidates: usize = extents.iter().map(|e| e.len).sum();
-        for i in 0..candidates {
-            if bitmap.get(i) && !self.slots.reserve() {
-                bitmap.clear(i);
-            }
-        }
+        bitmap.cap(self.slots);
 
         // ---- Next: cut the next generation from the block table. ----
         if !bitmap.any() {
@@ -1433,6 +1436,43 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         z ^ (z >> 31)
+    }
+
+    #[test]
+    fn word_wise_cap_matches_the_bit_by_bit_rule() {
+        let mut seed = 3;
+        // (bits, one set bit in `sparsity` on average): dense, sparse with
+        // zero words, every bit set, and a tail word cut short.
+        for (len, sparsity) in [(1000, 2), (1000, 90), (320, 1), (129, 3)] {
+            let mut bitmap = Bitmap::new(len);
+            for i in 0..len {
+                if splitmix(&mut seed).is_multiple_of(sparsity) {
+                    bitmap.set(i);
+                }
+            }
+            let set: Vec<usize> = (0..len).filter(|&i| bitmap.get(i)).collect();
+            // A cap that runs out between two set bits of one word.
+            let mid = set.windows(2).position(|w| w[0] / 64 == w[1] / 64).unwrap() + 1;
+            let n = set.len();
+            for cap in [0, 1, mid, n / 2, n - 1, n, n + 1, n + 64] {
+                let slots = Slots::new(cap);
+                let mut reference = Bitmap {
+                    bits: bitmap.bits.clone(),
+                };
+                for i in 0..len {
+                    if reference.get(i) && !slots.reserve() {
+                        reference.bits[i / 64] &= !(1 << (i % 64));
+                    }
+                }
+                let mut capped = Bitmap {
+                    bits: bitmap.bits.clone(),
+                };
+                capped.cap(&Slots::new(cap));
+                assert_eq!(capped.bits, reference.bits, "{len} bits, cap {cap}");
+                let kept: u32 = capped.bits.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(kept as usize, cap.min(n));
+            }
+        }
     }
 
     /// Every entry of a spill file of `N`-word entries.

@@ -59,8 +59,8 @@ pub struct SchedStats {
     pub steal_failures: u64,
     /// Times a worker waited on the pool's condvar.
     pub parks: u64,
-    /// Staged intern batches flushed to the state arena (census engines;
-    /// the explorer does not intern).
+    /// Non-empty batches of admitted successors flushed to the frontier
+    /// (census engines; the explorer stages no batches).
     pub flush_batches: u64,
     /// Nodes expanded by each worker, indexed by worker id. A census task
     /// is one node. The explorer counts every node each worker's

@@ -1,10 +1,10 @@
 //! Disk-spillable word-image arena for external-memory state-space searches.
 //!
-//! [`StateArena`](crate::StateArena) keeps every interned image resident,
-//! so the census's peak RAM grows with the number of *distinct* memory
-//! images — fine through N = 6, fatal at N = 7. [`SpillableArena`] keeps
-//! the same append-only, handle-stable contract but partitions storage
-//! into fixed-size **segments**: one active segment accepts appends in
+//! The census's disk tier keeps its frontier on disk, so its nodes carry
+//! handles into a store of their memory images rather than the images
+//! themselves. [`SpillableArena`] is that store: append-only, with
+//! deduplication and stable handles, its storage partitioned into
+//! fixed-size **segments**: one active segment accepts appends in
 //! RAM, and every filled segment is *sealed* — written to a file under a
 //! caller-supplied directory and dropped from RAM. Reads of
 //! sealed segments go through a small hot-segment cache; a miss reads the
@@ -14,10 +14,10 @@
 //!
 //! # Identity is probabilistic, not exact
 //!
-//! [`StateArena`](crate::StateArena) resolves hash collisions by exact image comparison;
-//! doing that here would mean a disk read per intern. Instead the dedup
-//! index keys on a caller-supplied **128-bit** hash and trusts it: two
-//! distinct images with equal 128-bit hashes would alias. This is the
+//! Resolving hash collisions by exact image comparison would mean a disk
+//! read per intern. Instead the dedup index keys on a caller-supplied
+//! **128-bit** hash and trusts it: two distinct images with equal
+//! 128-bit hashes would alias. This is the
 //! same trade the census already makes for its visited-set fingerprints
 //! (see `Census::key_prefix` in the harness), so the disk tier adds
 //! no *new* class of error by using it — and the differential tests pin

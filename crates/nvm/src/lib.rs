@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod ann;
-pub mod arena;
 pub mod external;
 pub mod hash;
 pub mod layout;
@@ -70,7 +69,6 @@ pub mod stats;
 pub mod word;
 
 pub use ann::AnnBank;
-pub use arena::{CompactState, StateArena};
 pub use external::{SpillArenaStats, SpillConfig, SpillableArena};
 pub use layout::{Layout, LayoutBuilder, Loc, Region, Space};
 pub use machine::{encode_to_vec, run_to_completion, Machine, Poll, StepLimitError};

@@ -417,11 +417,11 @@ impl SimMemory {
     /// image verbatim and the cache is cleared (every cell persisted). The
     /// crash ordinal is untouched.
     ///
-    /// This is the restore half of the census arena: for **crash-free**
+    /// This is how the census resumes a node: for **crash-free**
     /// continuations a state is fully determined by its logical words
     /// (equal [`full_key`](Self::full_key)s behave identically under every
-    /// future primitive), so a search node can be reconstituted from the
-    /// interned image alone. Searches that inject crashes must copy the
+    /// future primitive), so a search node can be reconstituted from its
+    /// logical image alone. Searches that inject crashes must copy the
     /// whole state ([`fork`](Self::fork), or a checkpoint) — dirtiness is
     /// behavior there, and this method erases it.
     ///

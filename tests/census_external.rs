@@ -2,8 +2,9 @@
 //! the reference census, across every object kind.
 //!
 //! With `disk_dir` set and a decodable object, [`census_bfs_engine`]
-//! replaces the resident visited set, frontier and image arena with sorted
-//! spill files and a segment-spilling arena. Complete runs count the same
+//! replaces the resident visited set and frontier (whose nodes own their
+//! images) with sorted spill files and a segment-spilling image arena.
+//! Complete runs count the same
 //! on both tiers; truncated disk runs admit in canonical BFS order at
 //! every worker count, as the reference census (`tests/common/mod.rs`)
 //! does. These tests *pin* both empirically on all eight object kinds, at
@@ -228,9 +229,9 @@ fn external_peak_resident_tracks_the_budget_not_the_space() {
     );
     assert_eq!(ext.distinct_shared, ram.distinct_shared);
     assert_eq!(ext.work, ram.work);
-    // The disk tier's resident structures exclude the arena images
-    // and the frontier (both on disk): its peak must undercut the in-RAM
-    // engine, which holds every image and node resident.
+    // The disk tier keeps its visited set, frontier and images on disk:
+    // its peak must undercut the in-RAM engine, whose visited set holds a
+    // fingerprint per admitted node.
     assert!(
         ext.peak_resident_bytes < ram.peak_resident_bytes,
         "external {} vs in-RAM {}",

@@ -1,8 +1,8 @@
-//! Integration: census limit/truncation semantics, the parallel
-//! arena/work-stealing engine, and the private-step fold — the cap expands
+//! Integration: census limit/truncation semantics, the parallel in-RAM
+//! engine, and the private-step fold — the cap expands
 //! exactly `max_states` nodes, truncation is visible end to end (report,
 //! `Verdict`, JSON), runs count identically at every thread level, the
-//! arena engine agrees with the reference census defined here, and the
+//! in-RAM engine agrees with the reference census defined here, and the
 //! fold's work counts (non-count-preserving, but canonical) are pinned
 //! below; `tests/census_fold.rs` pins its verdict on every kind.
 

@@ -194,7 +194,7 @@ fn multi_worker_census_records_scheduling_activity() {
         s.steals + s.steal_failures > 0,
         "a worker cannot terminate without looking in the pool: {s:?}"
     );
-    assert!(s.flush_batches > 0, "batched interning must be exercised");
+    assert!(s.flush_batches > 0, "batched flushes must be exercised");
 }
 
 // ───────────────── explorer worker panic propagation ─────────────────
