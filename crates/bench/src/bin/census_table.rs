@@ -23,10 +23,12 @@
 //! * `--max-n K` extends (or shrinks) the BFS sweep: the default 6 is
 //!   today's CI table; `--max-n 7` adds the N = 7 *bfs-fold* row
 //!   (experiment E15), which needs a 6-op budget (`Σ C(7,k), k ≤ 6` =
-//!   `127 = 2^7 − 1`) and completes in RAM (about 5M states). Pass
-//!   `--disk-dir DIR` (and optionally `--ram-budget BYTES`) to run every
-//!   BFS row on the census's disk tier instead, spilling the frontier,
-//!   arena segments and visited set to disk;
+//!   `127 = 2^7 − 1`) and completes in RAM (about 5M states); `--max-n 8`
+//!   adds the N = 8 row, 7 ops and about 99M states, which completes in
+//!   RAM in minutes and a few GB (E15). Pass `--disk-dir DIR` (and
+//!   optionally `--ram-budget BYTES`) to run every BFS row on the census's
+//!   disk tier instead, spilling the frontier, images included, and the
+//!   visited set to disk;
 //! * the non-detectable baseline stays at the value-domain size, flat in N —
 //!   the ablation isolating detectability as the cause of the blow-up.
 //!
@@ -78,15 +80,26 @@ fn bfs_scenario(n: u32, detectable: bool) -> Scenario {
 }
 
 /// Operation budget for the exhaustive BFS at `n` processes: `2N` keeps the
-/// small worlds comparable with the historical tables; N = 4..6 uses 5 ops —
-/// enough to reach every vector of toggle weight ≤ 5 (63 of 64 at N = 6,
-/// exactly the `2^N − 1` bound) while the state space stays a CI-sized few
-/// million. N = 7 needs 6 ops (`Σ C(7,k), k ≤ 6` = `127 = 2^7 − 1`).
+/// small worlds comparable with the historical tables; N = 4, 5 use 5 ops
+/// while the state space stays a CI-sized few million. From N = 6 on, N − 1
+/// ops reach every vector of toggle weight ≤ N − 1: `Σ C(N,k), k ≤ N − 1` =
+/// `2^N − 1`, exactly the bound (5 ops at N = 6, 6 at N = 7, 7 at N = 8).
 fn bfs_ops(n: u32) -> usize {
     match n {
         0..=3 => 2 * n as usize,
-        4..=6 => 5,
-        _ => 6,
+        4 | 5 => 5,
+        _ => n as usize - 1,
+    }
+}
+
+/// Admission cap for the exhaustive BFS at `n` processes: far above every
+/// row's state count up to N = 7 (about 5M), and above N = 8's 98,779,626
+/// folded states, so every row of the default sweeps completes.
+fn bfs_cap(n: u32) -> usize {
+    if n <= 7 {
+        20_000_000
+    } else {
+        120_000_000
     }
 }
 
@@ -139,7 +152,7 @@ fn main() {
         let fold = detectable && n >= 6;
         let cfg = BfsConfig {
             max_ops: bfs_ops(n),
-            max_states: 20_000_000,
+            max_states: bfs_cap(n),
             parallelism: threads,
             fold_private: fold,
             disk_dir: disk_dir.clone(),

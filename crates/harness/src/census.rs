@@ -14,7 +14,7 @@
 //! * [`census_bfs_engine`] explores every reachable configuration of
 //!   a small world (all interleavings of a bounded operation budget) and
 //!   counts distinct shared states — the exhaustive version, good to N = 5
-//!   step by step and N = 7 with the private-step fold on the standard
+//!   step by step and N = 8 with the private-step fold on the standard
 //!   2-op CAS alphabet;
 //! * running either against the **non-detectable** recoverable CAS baseline
 //!   shows its configuration count stays at the domain size, isolating
@@ -33,14 +33,14 @@
 //! [`rollback`](SimMemory::rollback) — O(writes of one step) per
 //! successor. The census is crash-free, so a configuration's memory half
 //! is fully determined by its *logical* word image: a node carries that
-//! image, not a copy of the memory with its cache and journal. Only the
-//! storage varies, in three roles the loop is generic over:
+//! image, not a copy of the memory with its cache and journal, and on both
+//! tiers the image travels with the node — on disk, inline in its node
+//! record. Only the storage varies, in two roles the loop is generic over:
 //!
 //! | role | in RAM | on disk ([`crate::external`]) |
 //! |---|---|---|
 //! | frontier | a LIFO stack per worker and a shared pool ([`crate::sched`]) | generation files cut into blocks that workers claim |
 //! | admission | sharded fingerprint set, per successor | repeat filter per block, seen-file sort-merge replay at generation end |
-//! | image store | none: each node owns its boxed image | [`nvm::SpillableArena`] |
 //!
 //! [`census_bfs_engine`] takes the disk tier when [`BfsConfig::disk_dir`]
 //! is set and the object is [`decodable`](RecoverableObject::decodable).
@@ -59,7 +59,8 @@
 //! the in-RAM tier builds its [`Driver`] (`Driver::with_process`), the disk
 //! tier keeps the spliced key words. Per generated successor, a worker
 //! reads the logical image once into a scratch buffer and hashes it in one
-//! pass that yields both lanes of [`hash2`]; a second
+//! pass that yields both lanes of [`hash2`] (an admitted successor's node
+//! copies the buffer); a second
 //! pass over the short driver key, seeded with those lanes, gives the
 //! 128-bit fingerprint. It then probes the visited set
 //! (the only lock on the path) and its **own** shared-configuration set
@@ -134,10 +135,11 @@ pub struct CensusReport {
     pub truncated: bool,
     /// Estimated peak resident bytes of the engine's own data structures
     /// (sets, frontier, images — not process RSS). In-RAM runs charge the
-    /// sets at their final capacities (they only grow) and the frontier at
-    /// the stacks' and the pool's high-water marks; the disk tier tracks
-    /// its bounded buffers and arena generation by generation; the solo
-    /// drive reports its seen set.
+    /// sets at their final capacities (they only grow) and the frontier,
+    /// each node with its image, at the stacks' and the pool's high-water
+    /// marks; the disk tier, whose frontier and visited set live in files,
+    /// tracks its bounded buffers generation by generation; the solo drive
+    /// reports its seen set.
     pub peak_resident_bytes: u64,
     /// Disk-tier counters when the BFS ran on disk; `None` otherwise.
     pub spill: Option<SpillStats>,
@@ -277,16 +279,16 @@ pub struct BfsConfig {
     /// unfolded census; see the [module docs](self). Off by default; the
     /// unfolded census remains the reference.
     pub fold_private: bool,
-    /// Directory for the disk tier's spill files (arena segments, frontier
-    /// generations, sort runs, the visited-fingerprint file). `Some` puts
+    /// Directory for the disk tier's spill files (frontier generations,
+    /// whose node records carry their images, candidate files, sort runs,
+    /// the visited-fingerprint shards). `Some` puts
     /// the census on disk when the object supports machine decoding
     /// ([`RecoverableObject::decodable`]) and keeps it in RAM otherwise;
     /// `None` (the default) keeps everything in RAM.
     pub disk_dir: Option<std::path::PathBuf>,
-    /// Soft RAM target in bytes for the disk tier's bounded buffers (arena
-    /// segment + hot cache, sort chunks, admission bitmaps). `None` picks a
-    /// default sized for the host; small values force multi-segment arena
-    /// spill and multi-run external sorts (the differential tests use
+    /// Soft RAM target in bytes for the disk tier: it sizes only the
+    /// workers' sort chunks and repeat filters. `None` picks 512 MiB; small
+    /// values force multi-run external sorts (the differential tests use
     /// this). The in-RAM tier ignores it.
     pub ram_budget: Option<usize>,
 }
@@ -304,28 +306,18 @@ impl Default for BfsConfig {
     }
 }
 
-/// One frontier entry: the node's logical memory image as the tier's
-/// image store hands it out (`H`), the driver's volatile state, and the
-/// operation budget consumed so far — everything a worker needs to resume
-/// the configuration (`D` is how a frontier [stages](Frontier::stage) an
-/// admitted successor's driver).
-pub(crate) struct BfsNode<H, D = Driver> {
-    pub(crate) state: H,
+/// One frontier entry: the node's logical memory image, the driver's
+/// volatile state, and the operation budget consumed so far — everything a
+/// worker needs to resume the configuration (`D` is how a frontier
+/// [stages](Frontier::stage) an admitted successor's driver).
+pub(crate) struct BfsNode<D = Driver> {
+    pub(crate) image: Box<[Word]>,
     pub(crate) driver: D,
     pub(crate) ops_used: usize,
 }
 
 /// An admitted root node and its configuration fingerprint.
-pub(crate) type Seeded<H> = (BfsNode<H>, (u64, u64));
-
-/// The memory component of the configuration fingerprint: both lanes of
-/// [`hash2`] over the logical image, in one pass. The two lanes double as
-/// the disk arena's 128-bit key (a pure function of the image, as the
-/// arena requires), so a generated successor reads its image for hashing
-/// exactly once.
-fn image_hashes(image: &[Word]) -> (u64, u64) {
-    hash2(SEEDS, image)
-}
+pub(crate) type Seeded = (BfsNode, (u64, u64));
 
 const SHARDS: usize = 64;
 
@@ -403,34 +395,8 @@ impl Admission for VisitedSet {
     }
 }
 
-/// Image-store role: where admitted successors' logical images live.
-pub(crate) trait Images {
-    /// What a frontier node carries for its image.
-    type Handle;
-    /// Stores `images` (stride-sized, back to back, with their
-    /// [`image_hashes`]), one handle per image into `out`, cleared first.
-    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<Self::Handle>);
-    fn read_into(&self, handle: &Self::Handle, out: &mut Vec<Word>);
-}
-
-/// The in-RAM image store, which stores nothing: a node owns its boxed
-/// image, which lives only while the node waits on a stack or in the pool.
-struct OwnedImages;
-
-impl Images for OwnedImages {
-    type Handle = Box<[Word]>;
-    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<Box<[Word]>>) {
-        let stride = images.len() / hashes.len();
-        out.clear();
-        out.extend(images.chunks_exact(stride).map(Box::from));
-    }
-    fn read_into(&self, image: &Box<[Word]>, out: &mut Vec<Word>) {
-        image[..].clone_into(out);
-    }
-}
-
 /// Frontier role: the admitted nodes not yet expanded.
-pub(crate) trait Frontier<H> {
+pub(crate) trait Frontier {
     /// What an admitted successor's driver is kept as until it is pushed.
     type Staged;
     /// Stages the driver of an admitted successor: `parent` with process
@@ -439,32 +405,32 @@ pub(crate) trait Frontier<H> {
     fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Self::Staged;
     /// Whether the successor with fingerprint `fp` repeats one this
     /// frontier already holds, so that admission would reject it: it is
-    /// dropped before it is admitted, staged, interned or encoded. Only the
-    /// disk tier's repeat filter ever says yes.
+    /// dropped before it is admitted, staged or encoded. Only the disk
+    /// tier's repeat filter ever says yes.
     fn repeats(&mut self, _fp: (u64, u64)) -> bool {
         false
     }
     /// The next node to expand; `None` once the search has drained.
-    fn next(&mut self) -> Option<BfsNode<H>>;
+    fn next(&mut self) -> Option<BfsNode>;
     /// Takes one expansion's successors (drained from `nodes`) and their
     /// fingerprints, in generation order.
-    fn push(&mut self, nodes: &mut Vec<BfsNode<H, Self::Staged>>, fps: &[(u64, u64)]);
+    fn push(&mut self, nodes: &mut Vec<BfsNode<Self::Staged>>, fps: &[(u64, u64)]);
 }
 
 /// The in-RAM frontier, at every worker count: the worker's own stack
 /// and the shared pool. A successor is staged as its driver, built here
 /// and only here; the spliced `key` must be that driver's key.
-impl<H> Frontier<H> for Worker<'_, BfsNode<H>> {
+impl Frontier for Worker<'_, BfsNode> {
     type Staged = Driver;
     fn stage(parent: &Driver, i: usize, p: Proc, key: &[Word]) -> Driver {
         let driver = parent.with_process(i, p);
         debug_assert_eq!(key, driver.key(), "spliced key is not the driver's");
         driver
     }
-    fn next(&mut self) -> Option<BfsNode<H>> {
+    fn next(&mut self) -> Option<BfsNode> {
         Worker::next(self)
     }
-    fn push(&mut self, nodes: &mut Vec<BfsNode<H>>, _: &[(u64, u64)]) {
+    fn push(&mut self, nodes: &mut Vec<BfsNode>, _: &[(u64, u64)]) {
         Worker::push(self, nodes);
     }
 }
@@ -472,8 +438,6 @@ impl<H> Frontier<H> for Worker<'_, BfsNode<H>> {
 /// Per-worker scratch buffers, reused across every successor.
 #[derive(Default)]
 struct Scratch {
-    /// Logical image of the node being expanded.
-    node_image: Vec<Word>,
     /// Logical image of the successor just generated.
     image: Vec<Word>,
     /// The node's driver key, one [`Proc::encode_key`] segment per
@@ -492,49 +456,28 @@ struct Scratch {
     shared: HashSet<Vec<Word>, FoldBuildHasher>,
 }
 
-/// A worker-local batch of one expansion's admitted successors: images
-/// staged for one [`Images::intern`] call, with their hashes, the
-/// non-image node halves and the fingerprints alongside in staging order.
-struct Batch<I: Images, D> {
-    images: Vec<Word>,
-    hashes: Vec<(u64, u64)>,
-    /// `(staged driver, ops_used)` per staged image, same order.
-    meta: Vec<(D, u32)>,
+/// A worker-local batch of one expansion's admitted successors: each
+/// staged node with its fingerprint, in staging order.
+struct Batch<D> {
+    nodes: Vec<BfsNode<D>>,
     fps: Vec<(u64, u64)>,
-    handles: Vec<I::Handle>,
-    nodes: Vec<BfsNode<I::Handle, D>>,
 }
 
-impl<I: Images, D> Batch<I, D> {
+impl<D> Batch<D> {
     fn new() -> Self {
         Batch {
-            images: Vec::new(),
-            hashes: Vec::new(),
-            meta: Vec::new(),
-            fps: Vec::new(),
-            handles: Vec::new(),
             nodes: Vec::new(),
+            fps: Vec::new(),
         }
     }
 
-    /// Interns the staged images and hands the finished nodes to
-    /// `frontier` in staging order, the per-successor admission order.
-    /// Returns whether anything was flushed (`flush_batches` counts
-    /// non-empty flushes only).
-    fn flush(&mut self, images: &I, frontier: &mut impl Frontier<I::Handle, Staged = D>) -> bool {
-        if self.meta.is_empty() {
+    /// Hands the staged nodes to `frontier` in staging order, the
+    /// per-successor admission order. Returns whether anything was
+    /// flushed (`flush_batches` counts non-empty flushes only).
+    fn flush(&mut self, frontier: &mut impl Frontier<Staged = D>) -> bool {
+        if self.nodes.is_empty() {
             return false;
         }
-        images.intern(&self.images, &self.hashes, &mut self.handles);
-        self.images.clear();
-        self.hashes.clear();
-        let staged = self.handles.drain(..).zip(self.meta.drain(..));
-        self.nodes
-            .extend(staged.map(|(state, (driver, ops_used))| BfsNode {
-                state,
-                driver,
-                ops_used: ops_used as usize,
-            }));
         frontier.push(&mut self.nodes, &self.fps);
         self.fps.clear();
         true
@@ -569,30 +512,26 @@ impl Tally {
 }
 
 /// Everything expansion needs, shared (immutably) across workers: the
-/// world, the storage tier's image store and admission rule, and the
-/// admission cap.
-pub(crate) struct Census<'a, I, A> {
+/// world, the storage tier's admission rule, and the admission cap.
+pub(crate) struct Census<'a, A> {
     obj: &'a dyn RecoverableObject,
     alphabet: &'a [OpSpec],
     cfg: &'a BfsConfig,
-    images: &'a I,
     admission: &'a A,
     pub(crate) slots: Slots,
 }
 
-impl<'a, I: Images, A: Admission> Census<'a, I, A> {
+impl<'a, A: Admission> Census<'a, A> {
     pub(crate) fn new(
         obj: &'a dyn RecoverableObject,
         alphabet: &'a [OpSpec],
         cfg: &'a BfsConfig,
-        images: &'a I,
         admission: &'a A,
     ) -> Self {
         Census {
             obj,
             alphabet,
             cfg,
-            images,
             admission,
             slots: Slots::new(cfg.max_states),
         }
@@ -602,22 +541,19 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// slot like any other (its shared key is counted unconditionally, by
     /// [`report`](Self::report)). Returns the admitted root node and its
     /// fingerprint.
-    pub(crate) fn root(&self, mem: &SimMemory) -> Option<Seeded<I::Handle>> {
+    pub(crate) fn root(&self, mem: &SimMemory) -> Option<Seeded> {
         let driver = Driver::without_history(self.obj.processes());
         let mut image = Vec::new();
         mem.logical_words_into(&mut image);
-        let hashes = image_hashes(&image);
         let mut key = Vec::new();
         Self::key_prefix(&mut key, 0);
         driver.encode_key(&mut key);
-        let fp = hash2(hashes, &key);
+        let fp = hash2(hash2(SEEDS, &image), &key);
         if !self.admission.admit_root(&self.slots, fp) {
             return None;
         }
-        let mut handles = Vec::new();
-        self.images.intern(&image, &[hashes], &mut handles);
         let node = BfsNode {
-            state: handles.remove(0),
+            image: image.into(),
             driver,
             ops_used: 0,
         };
@@ -627,8 +563,8 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// Starts a configuration's fingerprint key in `key`: the operation
     /// budget. The driver key
     /// ([`Driver::encode_key`]) follows, and [`hash2`] over the whole key,
-    /// seeded with the two [`image_hashes`] lanes, gives the 128-bit
-    /// fingerprint.
+    /// seeded with the two lanes of [`hash2`] over the logical image, gives
+    /// the 128-bit fingerprint.
     ///
     /// The fingerprint covers the *logical* memory image (equal
     /// [`full_key`](SimMemory::full_key)s — not
@@ -651,23 +587,23 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// Observes one generated successor (`node` with process `i`'s slot
     /// replaced by `p`, its memory in `mem`): its shared key always (into
     /// the worker's own set, cloned only when new to it), and — if the
-    /// admission role lets it through — stages its image, its driver (as
-    /// [`Frontier::stage`] makes it) and fingerprint in `batch` for the
-    /// end-of-expansion flush. Admission order (the thing sequential
-    /// determinism rests on) is decided here, per successor; only the
-    /// interning is deferred.
+    /// admission role lets it through — stages its node (its image, its
+    /// driver as [`Frontier::stage`] makes it, its budget) and fingerprint
+    /// in `batch` for the end-of-expansion flush. Admission order (the
+    /// thing sequential determinism rests on) is decided here, per
+    /// successor; only the push is deferred.
     ///
     /// The fingerprint key is spliced from the node's segments in
     /// `scratch` with process `i`'s new segment in place of its old one,
     /// so only the machine that moved is encoded.
     #[allow(clippy::too_many_arguments)]
-    fn successor<F: Frontier<I::Handle>>(
+    fn successor<F: Frontier>(
         &self,
         mem: &SimMemory,
         frontier: &mut F,
-        batch: &mut Batch<I, F::Staged>,
+        batch: &mut Batch<F::Staged>,
         scratch: &mut Scratch,
-        node: &BfsNode<I::Handle>,
+        node: &BfsNode,
         i: usize,
         p: Proc,
     ) {
@@ -677,7 +613,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         if !scratch.shared.contains(scratch.shared_key.as_slice()) {
             scratch.shared.insert(scratch.shared_key.clone());
         }
-        let hashes = image_hashes(&scratch.image);
+        let lanes = hash2(SEEDS, &scratch.image);
         // An invocation spends one operation of the budget; a step none.
         let ops_used = node.ops_used + usize::from(node.driver.state(i).is_idle());
         let key = &mut scratch.key;
@@ -686,12 +622,13 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
         key.extend_from_slice(&scratch.segs[..scratch.seg_bounds[i]]);
         p.encode_key(key);
         key.extend_from_slice(&scratch.segs[scratch.seg_bounds[i + 1]..]);
-        let fp = hash2(hashes, key);
+        let fp = hash2(lanes, key);
         if !frontier.repeats(fp) && self.admission.admit(&self.slots, fp) {
-            let driver = F::stage(&node.driver, i, p, &key[driver_key..]);
-            batch.images.extend_from_slice(&scratch.image);
-            batch.hashes.push(hashes);
-            batch.meta.push((driver, ops_used as u32));
+            batch.nodes.push(BfsNode {
+                image: scratch.image.as_slice().into(),
+                driver: F::stage(&node.driver, i, p, &key[driver_key..]),
+                ops_used,
+            });
             batch.fps.push(fp);
         }
     }
@@ -702,17 +639,16 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// process's slot; the node's driver is only borrowed. Admitted
     /// successors are staged in `batch`; the caller flushes it
     /// ([`Batch::flush`]) after the expansion.
-    fn expand<F: Frontier<I::Handle>>(
+    fn expand<F: Frontier>(
         &self,
         mem: &SimMemory,
-        node: &BfsNode<I::Handle>,
+        node: &BfsNode,
         frontier: &mut F,
-        batch: &mut Batch<I, F::Staged>,
+        batch: &mut Batch<F::Staged>,
         scratch: &mut Scratch,
         tally: &mut Tally,
     ) {
-        self.images.read_into(&node.state, &mut scratch.node_image);
-        mem.load_words(&scratch.node_image);
+        mem.load_words(&node.image);
         let n = self.obj.processes() as usize;
         scratch.segs.clear();
         scratch.seg_bounds.clear();
@@ -749,14 +685,14 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// a node, expand it, flush its admitted successors to the frontier.
     /// Successors are pushed before the next node is asked for, so a
     /// frontier that finds every worker asking holds the whole search.
-    pub(crate) fn work<F: Frontier<I::Handle>>(&self, fork: SimMemory, frontier: &mut F) -> Tally {
+    pub(crate) fn work<F: Frontier>(&self, fork: SimMemory, frontier: &mut F) -> Tally {
         let mut scratch = Scratch::default();
         let mut batch = Batch::new();
         let mut tally = Tally::default();
         while let Some(node) = frontier.next() {
             self.expand(&fork, &node, frontier, &mut batch, &mut scratch, &mut tally);
             tally.expanded += 1;
-            tally.flushes += u64::from(batch.flush(self.images, frontier));
+            tally.flushes += u64::from(batch.flush(frontier));
         }
         tally.persists = fork.stats().persists;
         tally.shared = scratch.shared;
@@ -769,7 +705,7 @@ impl<'a, I: Images, A: Admission> Census<'a, I, A> {
     /// the summed tally and each worker's expansions. A worker's panic is
     /// re-raised once all are joined, so each frontier's drop must release
     /// siblings that wait on it.
-    pub(crate) fn work_on_threads<F: Frontier<I::Handle>>(
+    pub(crate) fn work_on_threads<F: Frontier>(
         &self,
         mem: &SimMemory,
         workers: usize,
@@ -853,7 +789,7 @@ pub fn census_bfs_engine(
         return crate::external::census_on_disk(obj, mem, alphabet, cfg, dir);
     }
     let visited = VisitedSet::new();
-    let census = Census::new(obj, alphabet, cfg, &OwnedImages, &visited);
+    let census = Census::new(obj, alphabet, cfg, &visited);
     let workers = resolve_parallelism(cfg.parallelism);
     let sched = Scheduler::new(workers);
     sched.seed(census.root(mem).map(|(node, _)| node));
@@ -864,7 +800,7 @@ pub fn census_bfs_engine(
     // Peak estimate: the visited set only grows, so its final capacity is
     // its peak; the frontier's is bounded by the stacks' and the pool's
     // high-water marks, each node with its image.
-    let node_bytes = size_of::<BfsNode<Box<[Word]>>>() + obj.processes() as usize * 48;
+    let node_bytes = size_of::<BfsNode>() + obj.processes() as usize * 48;
     let image_bytes = mem.layout().total_words() * 8;
     let mut resident = (sched.peak_items() * (node_bytes + image_bytes)) as u64;
     for shard in &visited.shards {

@@ -1,18 +1,17 @@
 //! The census's disk storage tier: BFS with a disk-resident frontier.
 //!
 //! The in-RAM tier of [`census_bfs_engine`](crate::census::census_bfs_engine)
-//! holds a fingerprint per admitted node. This tier moves its visited set,
-//! its frontier and the frontier's images to disk, behind the same worker
-//! loop and the same expansion:
+//! holds a fingerprint per admitted node. This tier moves its visited set
+//! and its frontier, images included, to disk, behind the same worker loop
+//! and the same expansion:
 //!
-//! * **images** live in a [`SpillableArena`] — sealed segments spill to
-//!   files, only the active segment, a small hot-segment cache and the
-//!   (hash → handle) index stay resident;
 //! * **the frontier** is a sequence of *generations*, each a set of node
 //!   files (one per worker) of node records
-//!   `[ops_used, arena handle, len, driver key…]`, the key being the one
-//!   the expansion spliced for the fingerprint ([`Driver::encode_key`]).
-//!   [`Driver::decode_frontier`] resumes a record through
+//!   `[ops_used, len, image…, driver key…]`: the node's logical image
+//!   (`stride` words, the layout's width), then its `len`-word driver key,
+//!   the one the expansion spliced for the fingerprint
+//!   ([`Driver::encode_key`]). [`Driver::decode_frontier`] resumes a
+//!   record through
 //!   [`RecoverableObject::decode_op`] — so this tier is only for objects
 //!   that are [`decodable`](RecoverableObject::decodable);
 //! * **the visited set** is `SHARDS` (8) sorted *seen files* of admitted
@@ -48,8 +47,8 @@
 //!    candidate of the same block. Every other successor is a candidate:
 //!    its fingerprint is appended — tagged `block << 32 | local`, its block
 //!    and block-local sequence number — to the worker's candidate file of
-//!    the fingerprint's shard, and its record (budget, interned image
-//!    handle, driver key) to the worker's node file of generation `g + 1`.
+//!    the fingerprint's shard, and its record (budget, image, driver key)
+//!    to the worker's node file of generation `g + 1`.
 //! 2. **Meet**: a worker that finds no block left waits at a blocking
 //!    barrier. Once all have arrived, worker 0 computes each block's base
 //!    and sizes a shared admission bitmap indexed by sequence number, then
@@ -96,18 +95,12 @@
 //! follow their twin closely, so a small table catches most of them; it
 //! has one slot per 4 KiB of RAM budget, 96 KiB per worker at a 16 MiB
 //! budget. Because it is cleared at each block's start, what it drops — and
-//! with that every spill counter but the arena's hot-cache misses — is a
-//! function of the generation and the block size, never of the worker
-//! count or of timing.
-//!
-//! Images are interned at expansion time, before admission is known, so
-//! the arena may store images only capacity-rejected nodes reference —
-//! bounded over-storage on truncated runs, spilled to disk anyway.
+//! with that every spill counter — is a function of the generation and the
+//! block size, never of the worker count or of timing.
 //!
 //! Node identity is probabilistic (the same 128-bit fingerprints the
-//! in-RAM tier uses; the arena dedups by a 128-bit image hash of the same
-//! class). The Theorem 1 census count itself stays exact: shared keys are
-//! compared verbatim, never hashed.
+//! in-RAM tier uses). The Theorem 1 census count itself stays exact:
+//! shared keys are compared verbatim, never hashed.
 
 use std::fs::{self, File};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
@@ -117,23 +110,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError, RwLock};
 
 use detectable::{OpSpec, RecoverableObject};
-use nvm::{Memory, SimMemory, SpillConfig, SpillableArena, Word};
+use nvm::{Memory, SimMemory, Word};
 
-use crate::census::{
-    Admission, BfsConfig, BfsNode, Census, CensusReport, Frontier, Images, Seeded, Slots,
-};
+use crate::census::{Admission, BfsConfig, BfsNode, Census, CensusReport, Frontier, Seeded, Slots};
 use crate::driver::{Driver, Proc};
 use crate::sched::{resolve_parallelism, SchedStats};
 
 /// Disk-tier counters for one census run.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct SpillStats {
-    /// Arena segments written to files.
-    pub arena_segments_spilled: u64,
-    /// Whole-segment loads that missed the arena's hot cache. The one
-    /// counter that depends on the worker count: it follows which worker
-    /// reads which image when.
-    pub arena_segment_reads: u64,
     /// Sorted run files written across all generations and shards: at
     /// least one per shard merge, and more where a shard's candidates
     /// overflow a sort chunk.
@@ -146,21 +131,17 @@ pub struct SpillStats {
     pub generations: u64,
     /// Successors the repeat filter dropped before they were written.
     pub candidates_dropped: u64,
-    /// Total bytes written to spill files (frontier, candidates, runs,
-    /// seen files — every shard of the seen set is rewritten in each
-    /// generation with candidates; arena segments are counted by the
-    /// arena's own stats).
+    /// Total bytes written to spill files (frontier records with their
+    /// images, candidates, runs, seen files — every shard of the seen set
+    /// is rewritten in each generation with candidates).
     pub bytes_spilled: u64,
 }
 
-/// RAM-budget-derived buffer sizes. The floors keep tiny budgets *legal*
-/// rather than fast — the differential tests use them to force
-/// multi-segment arena spill and multi-run external sorts on small worlds.
-/// The sort chunk's floor is small since a shard holds an eighth of a
-/// generation's candidates.
+/// RAM-budget-derived buffer sizes. The floor keeps tiny budgets *legal*
+/// rather than fast — the differential tests use them to force multi-run
+/// external sorts on small worlds. The sort chunk's floor is small since a
+/// shard holds an eighth of a generation's candidates.
 struct Knobs {
-    seg_slots: usize,
-    hot_segments: usize,
     chunk_entries: usize,
     filter_slots: usize,
 }
@@ -168,19 +149,15 @@ struct Knobs {
 /// Words per candidate-fingerprint entry: `fp0, fp1` and the tag.
 const FP_ENTRY_WORDS: usize = 3;
 
-fn knobs(stride: usize, ram_budget: Option<usize>) -> Knobs {
+fn knobs(ram_budget: Option<usize>) -> Knobs {
     let budget = ram_budget.unwrap_or(512 << 20);
     Knobs {
-        // A quarter of the budget for the active segment (the hot cache
-        // holds two more of the same size), a 64th for each worker's sort
-        // chunk, one repeat-filter slot of 24 bytes per 4 KiB per worker;
-        // the rest is headroom for the resident index and bitmaps. Each
-        // chunk is allocated once and kept for the run, so it stays
-        // resident at its high-water mark while the arena grows: a small
-        // chunk keeps that share small, and a large shard sorts in a few
-        // runs instead.
-        seg_slots: (budget / 4 / (stride * 8)).clamp(8, 1 << 20),
-        hot_segments: 2,
+        // A 64th of the budget for each worker's sort chunk and one
+        // repeat-filter slot of 24 bytes per 4 KiB per worker; the rest is
+        // headroom for the bitmaps and the block table. Each chunk is
+        // allocated once and kept for the run, so it stays resident at its
+        // high-water mark: a small chunk keeps that share small, and a
+        // large shard sorts in a few runs instead.
         chunk_entries: (budget / 64 / (FP_ENTRY_WORDS * 8)).clamp(8, 1 << 24),
         filter_slots: budget / 4096,
     }
@@ -360,22 +337,30 @@ fn promised_entry<const N: usize>(r: &mut WordReader) -> io::Result<[Word; N]> {
     next_entry(r)?.ok_or_else(|| io::ErrorKind::UnexpectedEof.into())
 }
 
-/// Reads a node record's `len`-word driver key into `key`, which the file
-/// must hold in full: a record's header promises its body.
-fn read_body(r: &mut WordReader, len: usize, key: &mut Vec<Word>) -> io::Result<()> {
+/// Reads a node record's body — its `stride`-word image, returned, and its
+/// `len`-word driver key, into `key` — which the file must hold in full: a
+/// record's header promises its body.
+fn read_body(
+    r: &mut WordReader,
+    stride: usize,
+    len: usize,
+    key: &mut Vec<Word>,
+) -> io::Result<Box<[Word]>> {
+    let mut image: Box<[Word]> = vec![0; stride].into();
     key.resize(len, 0);
-    if r.get_into(key)? {
-        Ok(())
+    if r.get_into(&mut image)? && r.get_into(key)? {
+        Ok(image)
     } else {
         Err(io::ErrorKind::UnexpectedEof.into())
     }
 }
 
-/// Writes one node record `[ops_used, handle, len, key...]`, `key` being
-/// the node's driver key ([`Driver::encode_key`]); a node file is these
-/// records back to back.
-fn put_node(w: &mut WordWriter, ops_used: usize, handle: u64, key: &[Word]) -> io::Result<()> {
-    w.put_all(&[ops_used as Word, handle, key.len() as Word])?;
+/// Writes one node record `[ops_used, len, image..., key...]`, `key` being
+/// the node's driver key ([`Driver::encode_key`]) and `len` its length; a
+/// node file is these records back to back.
+fn put_node(w: &mut WordWriter, ops_used: usize, image: &[Word], key: &[Word]) -> io::Result<()> {
+    w.put_all(&[ops_used as Word, key.len() as Word])?;
+    w.put_all(image)?;
     w.put_all(key)
 }
 
@@ -571,19 +556,9 @@ impl RepeatFilter {
     }
 }
 
-impl Images for SpillableArena {
-    type Handle = u64;
-    fn intern(&self, images: &[Word], hashes: &[(u64, u64)], out: &mut Vec<u64>) {
-        self.intern128_batch(images, hashes, out);
-    }
-    fn read_into(&self, handle: &u64, out: &mut Vec<Word>) {
-        SpillableArena::read_into(self, *handle, out);
-    }
-}
-
 /// The disk tier of [`census_bfs_engine`](crate::census::census_bfs_engine):
-/// the shared worker loop over a [`SpillableArena`], [`SeenFile`]
-/// admission and the [`Generations`] frontier, on
+/// the shared worker loop over [`SeenFile`] admission and the
+/// [`Generations`] frontier, on
 /// [`resolve_parallelism`]`(cfg.parallelism)` workers, in a per-run
 /// subdirectory of `dir` that is removed on return.
 pub(crate) fn census_on_disk(
@@ -600,19 +575,18 @@ pub(crate) fn census_on_disk(
     ));
     fs::create_dir_all(&run_dir).expect("create census spill dir");
     let _cleanup = DirGuard(run_dir.clone());
-    let stride = mem.layout().total_words();
-    let k = knobs(stride, cfg.ram_budget);
-    let arena = SpillableArena::new(
-        stride,
-        SpillConfig {
-            seg_slots: k.seg_slots,
-            hot_segments: k.hot_segments,
-            disk_dir: run_dir.clone(),
-        },
-    );
+    let k = knobs(cfg.ram_budget);
     let workers = resolve_parallelism(cfg.parallelism);
-    let census = Census::new(obj, alphabet, cfg, &arena, &SeenFile);
-    let gens = Generations::new(obj, &census.slots, &run_dir, k.chunk_entries, workers);
+    let census = Census::new(obj, alphabet, cfg, &SeenFile);
+    let stride = mem.layout().total_words();
+    let gens = Generations::new(
+        obj,
+        stride,
+        &census.slots,
+        &run_dir,
+        k.chunk_entries,
+        workers,
+    );
     gens.seed(census.root(mem)).expect(SPILL_IO);
     let (tally, per_worker_expansions) =
         census.work_on_threads(mem, workers, |id| gens.worker(id, k.filter_slots));
@@ -620,20 +594,14 @@ pub(crate) fn census_on_disk(
         .state
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    let arena_stats = arena.spill_stats();
-    let spill = SpillStats {
-        arena_segments_spilled: arena_stats.segments_spilled as u64,
-        arena_segment_reads: arena_stats.segment_reads as u64,
-        ..gen.spill
-    };
     let filters = workers * RepeatFilter::bytes(k.filter_slots);
-    let resident = (arena.peak_resident_bytes() + filters) as u64 + gen.transient_peak;
+    let resident = filters as u64 + gen.transient_peak;
     let sched = SchedStats {
         workers: workers as u64,
         per_worker_expansions,
         ..SchedStats::default()
     };
-    census.report(mem, tally, sched, resident, Some(spill))
+    census.report(mem, tally, sched, resident, Some(gen.spill))
 }
 
 const SPILL_IO: &str = "census spill I/O failed";
@@ -806,6 +774,8 @@ impl GenState {
 /// sort-merge admission replay and the cap (see the [module docs](self)).
 struct Generations<'a> {
     obj: &'a dyn RecoverableObject,
+    /// Words of a node record's image: the layout's width.
+    stride: usize,
     slots: &'a Slots,
     dir: &'a Path,
     chunk_entries: usize,
@@ -821,6 +791,7 @@ struct Generations<'a> {
 impl<'a> Generations<'a> {
     fn new(
         obj: &'a dyn RecoverableObject,
+        stride: usize,
         slots: &'a Slots,
         dir: &'a Path,
         chunk_entries: usize,
@@ -828,6 +799,7 @@ impl<'a> Generations<'a> {
     ) -> Self {
         Generations {
             obj,
+            stride,
             slots,
             dir,
             chunk_entries,
@@ -863,7 +835,7 @@ impl<'a> Generations<'a> {
 
     /// Writes generation 0 (the admitted root, if any, in worker 0's node
     /// file) and the seen shards, the root's holding its fingerprint.
-    fn seed(&self, root: Option<Seeded<u64>>) -> io::Result<()> {
+    fn seed(&self, root: Option<Seeded>) -> io::Result<()> {
         let mut st = self.lock();
         for s in 0..SHARDS {
             let mut seen_w = WordWriter::create(&self.seen_path(s, 0))?;
@@ -875,7 +847,7 @@ impl<'a> Generations<'a> {
         for w in 0..self.workers {
             let mut gen_w = WordWriter::create(&self.gen_path(0, w))?;
             if let (0, Some((node, _))) = (w, &root) {
-                put_node(&mut gen_w, 0, node.state, &node.driver.key())?;
+                put_node(&mut gen_w, 0, &node.image, &node.driver.key())?;
             }
             st.spill.bytes_spilled += gen_w.finish()?;
         }
@@ -1143,7 +1115,7 @@ struct BlockWorker<'g, 'a> {
 }
 
 impl BlockWorker<'_, '_> {
-    fn try_next(&mut self) -> io::Result<Option<BfsNode<u64>>> {
+    fn try_next(&mut self) -> io::Result<Option<BfsNode>> {
         loop {
             if self.out.is_none() {
                 let gens = self.gens;
@@ -1156,13 +1128,13 @@ impl BlockWorker<'_, '_> {
                     next: WordWriter::create(&gens.gen_path(self.gen + 1, self.id))?,
                 });
             }
-            if let Some([ops_used, handle]) = self.next_record()? {
+            if let Some((ops_used, image)) = self.next_record()? {
                 let obj = self.gens.obj;
                 let driver = Driver::decode_frontier(obj, obj.processes(), &self.rec)
                     .expect("decodable object failed to decode its own node key");
                 debug_assert_eq!(self.rec, driver.key(), "key decode does not round-trip");
                 return Ok(Some(BfsNode {
-                    state: handle,
+                    image,
                     driver,
                     ops_used: ops_used as usize,
                 }));
@@ -1177,9 +1149,9 @@ impl BlockWorker<'_, '_> {
     }
 
     /// Reads the claimed block's next admitted record — its driver key into
-    /// `rec` — and returns `[ops_used, handle]`; `None` once the block is
+    /// `rec` — and returns its budget and image; `None` once the block is
     /// exhausted or none is claimed.
-    fn next_record(&mut self) -> io::Result<Option<[Word; 2]>> {
+    fn next_record(&mut self) -> io::Result<Option<(Word, Box<[Word]>)>> {
         let Some(b) = self.block.as_mut() else {
             return Ok(None);
         };
@@ -1199,14 +1171,15 @@ impl BlockWorker<'_, '_> {
             let r = self.readers[b.file]
                 .as_mut()
                 .expect("opened with its piece");
-            let [ops_used, handle, len] = promised_entry(r)?;
+            let [ops_used, len] = promised_entry(r)?;
+            let stride = self.gens.stride;
             b.left -= 1;
             b.at += 1;
             if b.admitted.get(b.at - 1) {
-                read_body(r, len as usize, &mut self.rec)?;
-                return Ok(Some([ops_used, handle]));
+                let image = read_body(r, stride, len as usize, &mut self.rec)?;
+                return Ok(Some((ops_used, image)));
             }
-            r.skip(len as usize)?;
+            r.skip(stride + len as usize)?;
         }
     }
 
@@ -1268,7 +1241,7 @@ impl BlockWorker<'_, '_> {
 
     fn try_push(
         &mut self,
-        nodes: &mut Vec<BfsNode<u64, Box<[Word]>>>,
+        nodes: &mut Vec<BfsNode<Box<[Word]>>>,
         fps: &[(u64, u64)],
     ) -> io::Result<()> {
         let out = self.out.as_mut().expect("push during an expansion");
@@ -1279,14 +1252,14 @@ impl BlockWorker<'_, '_> {
                 self.extent.cuts.push(out.next.bytes());
             }
             put_candidate(&mut out.fps, fp, block, seq)?;
-            put_node(&mut out.next, node.ops_used, node.state, &node.driver)?;
+            put_node(&mut out.next, node.ops_used, &node.image, &node.driver)?;
             self.extent.len += 1;
         }
         Ok(())
     }
 }
 
-impl Frontier<u64> for BlockWorker<'_, '_> {
+impl Frontier for BlockWorker<'_, '_> {
     /// A successor's driver key alone: the words its node record stores.
     type Staged = Box<[Word]>;
     fn stage(_: &Driver, _: usize, _: Proc, key: &[Word]) -> Box<[Word]> {
@@ -1295,10 +1268,10 @@ impl Frontier<u64> for BlockWorker<'_, '_> {
     fn repeats(&mut self, fp: (u64, u64)) -> bool {
         self.filter.repeats(fp)
     }
-    fn next(&mut self) -> Option<BfsNode<u64>> {
+    fn next(&mut self) -> Option<BfsNode> {
         self.try_next().expect(SPILL_IO)
     }
-    fn push(&mut self, nodes: &mut Vec<BfsNode<u64, Box<[Word]>>>, fps: &[(u64, u64)]) {
+    fn push(&mut self, nodes: &mut Vec<BfsNode<Box<[Word]>>>, fps: &[(u64, u64)]) {
         self.try_push(nodes, fps).expect(SPILL_IO);
     }
 }
@@ -1354,7 +1327,7 @@ mod tests {
                 max_states,
                 fold_private,
                 disk_dir: Some(dir.clone()),
-                // Tiny: forces multi-segment arena spill and multi-run sorts.
+                // Tiny: forces multi-run sorts.
                 ram_budget: Some(4096),
                 parallelism: 1,
             };
@@ -1407,10 +1380,6 @@ mod tests {
         let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
         let report = census_bfs_engine(&cas, &mem, &cas_alphabet(), &cfg);
         let spill = report.spill.expect("external run reports spill stats");
-        assert!(
-            spill.arena_segments_spilled >= 2,
-            "tiny budget must force multi-segment spill: {spill:?}"
-        );
         // Every shard merge writes at least one run, so only more runs
         // than merges shows a shard merging several.
         assert!(
@@ -1494,7 +1463,7 @@ mod tests {
         let slots = Slots::new(usize::MAX);
         // A tiny chunk, so shards merge several runs.
         let (workers, chunk_entries) = (3, 5);
-        let gens = Generations::new(&cas, &slots, &dir, chunk_entries, workers);
+        let gens = Generations::new(&cas, 1, &slots, &dir, chunk_entries, workers);
         gens.seed(None).unwrap();
         // A small pool, so candidates repeat: the last fingerprint below
         // each shard boundary and the first two at it (sharing `fp0`),
@@ -1601,7 +1570,7 @@ mod tests {
         let dir = tmp_dir("meets");
         let (cas, _) = build_world(|b| DetectableCas::new(b, 2, 0));
         let slots = Slots::new(usize::MAX);
-        let gens = Generations::new(&cas, &slots, &dir, 64, 2);
+        let gens = Generations::new(&cas, 1, &slots, &dir, 64, 2);
         let passes = AtomicUsize::new(0);
         let pass = || {
             passes.fetch_add(1, Ordering::Relaxed);
@@ -1711,23 +1680,36 @@ mod tests {
 
     #[test]
     fn torn_node_body_is_an_error_not_an_end() {
-        // One record `[ops_used, handle, len, key...]` with a body longer
-        // than one I/O chunk.
-        let len = IO_CHUNK_WORDS + 36;
-        let mut rec = vec![2, 7, len as Word];
+        // One record `[ops_used, len, image..., key...]` with a 13-word
+        // image and a key longer than one I/O chunk.
+        let (stride, len) = (13, IO_CHUNK_WORDS + 36);
+        let mut rec = vec![2, len as Word];
+        rec.extend((0..stride as Word).map(|w| w + 100));
         rec.extend((0..len as Word).map(|w| w * 3));
+        let key_at = 2 + stride;
         let full = rec.len() as u64 * 8;
         let mut r = torn_file("node-whole", &rec, full);
-        assert_eq!(next_entry(&mut r).unwrap(), Some([2, 7, len as Word]));
+        assert_eq!(next_entry(&mut r).unwrap(), Some([2, len as Word]));
         let mut drv = Vec::new();
-        read_body(&mut r, len, &mut drv).unwrap();
-        assert_eq!(drv, rec[3..]);
-        assert_eq!(next_entry::<3>(&mut r).unwrap(), None);
-        // Cut right after the header, inside a word, and in the second chunk.
-        for keep in [24, 24 + 8 * 5 + 3, full - 8] {
+        let image = read_body(&mut r, stride, len, &mut drv).unwrap();
+        assert_eq!(*image, rec[2..key_at]);
+        assert_eq!(drv, rec[key_at..]);
+        assert_eq!(next_entry::<2>(&mut r).unwrap(), None);
+        // Cut right after the header, inside the image (on and off a word
+        // boundary), right after the image, inside a key word, and in the
+        // key's second chunk.
+        let key = key_at as u64 * 8;
+        for keep in [
+            16,
+            16 + 8 * 4,
+            16 + 8 * 7 + 5,
+            key,
+            key + 8 * 5 + 3,
+            full - 8,
+        ] {
             let mut r = torn_file("node-torn", &rec, keep);
-            assert_eq!(next_entry(&mut r).unwrap(), Some([2, 7, len as Word]));
-            let err = read_body(&mut r, len, &mut drv).unwrap_err();
+            assert_eq!(next_entry(&mut r).unwrap(), Some([2, len as Word]));
+            let err = read_body(&mut r, stride, len, &mut drv).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {keep}");
         }
     }

@@ -59,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod ann;
-pub mod external;
 pub mod hash;
 pub mod layout;
 pub mod machine;
@@ -69,7 +68,6 @@ pub mod stats;
 pub mod word;
 
 pub use ann::AnnBank;
-pub use external::{SpillArenaStats, SpillConfig, SpillableArena};
 pub use layout::{Layout, LayoutBuilder, Loc, Region, Space};
 pub use machine::{encode_to_vec, run_to_completion, Machine, Poll, StepLimitError};
 pub use mapped::{write_through, MappedFile, MappedMemory};

@@ -3,15 +3,15 @@
 //!
 //! With `disk_dir` set and a decodable object, [`census_bfs_engine`]
 //! replaces the resident visited set and frontier (whose nodes own their
-//! images) with sorted spill files and a segment-spilling image arena.
-//! Complete runs count the same
+//! images) with sorted spill files and generation files whose node records
+//! carry their images. Complete runs count the same
 //! on both tiers; truncated disk runs admit in canonical BFS order at
 //! every worker count, as the reference census (`tests/common/mod.rs`)
 //! does. These tests *pin* both empirically on all eight object kinds, at
 //! 1, 2 and 4 workers, unfolded and with the private-step fold, complete
 //! and truncated, with the RAM budget forced tiny enough that every run
-//! actually spills (multi-segment arena, multi-run external sorts) — a
-//! disk tier that silently kept everything resident would prove nothing.
+//! actually spills (multi-run external sorts) — a disk tier that silently
+//! kept everything resident would prove nothing.
 
 mod common;
 
@@ -76,8 +76,8 @@ fn external_engine_matches_in_ram_on_every_kind() {
                 max_states,
                 fold_private,
                 disk_dir: Some(dir.clone()),
-                // Tiny on purpose: forces multi-segment arena spill and
-                // multi-run sorts on every kind (asserted below).
+                // Tiny on purpose: forces multi-run sorts on every kind
+                // (asserted below).
                 ram_budget: Some(8 * 1024),
                 parallelism: 1,
             };
@@ -120,13 +120,9 @@ fn external_engine_matches_in_ram_on_every_kind() {
                 if max_states > 1_000 {
                     // The uncapped cells are big enough that the tiny budget
                     // must force real external behavior, not a resident run
-                    // that happens to have files open.
-                    assert!(
-                        spill.arena_segments_spilled >= 2,
-                        "{tag}: single-segment run proves nothing: {spill:?}"
-                    );
-                    // Every shard merge writes at least one run: only more
-                    // runs than merges shows a shard merging several.
+                    // that happens to have files open. Every shard merge
+                    // writes at least one run: only more runs than merges
+                    // shows a shard merging several.
                     assert!(
                         spill.sort_runs > spill.merge_passes,
                         "{tag}: no shard merged two runs: {spill:?}"
@@ -136,12 +132,7 @@ fn external_engine_matches_in_ram_on_every_kind() {
                         "{tag}: the repeat filter dropped nothing: {spill:?}"
                     );
                 }
-                // Which worker reads which image when decides the arena's
-                // hot-cache misses; nothing else may depend on the workers.
-                let spill = SpillStats {
-                    arena_segment_reads: 0,
-                    ..spill
-                };
+                // No spill counter may depend on the workers.
                 let first = *one_worker.get_or_insert(spill);
                 assert_eq!(spill, first, "{tag}: spill counters moved with the workers");
             }

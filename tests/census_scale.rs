@@ -168,7 +168,7 @@ fn fork_engine_matches_reference_census_at_every_cap() {
                 let disk_cfg = BfsConfig {
                     parallelism,
                     disk_dir: Some(dir.clone()),
-                    // Tiny: forces multi-segment arena spill and multi-run sorts.
+                    // Tiny: forces multi-run sorts.
                     ram_budget: Some(4096),
                     ..cfg.clone()
                 };
