@@ -19,7 +19,7 @@
 //! # Engine
 //!
 //! The explorer is an explicit work-stack depth-first search over
-//! [`Driver`] system configurations, with five cost reducers layered on
+//! [`Driver`] system configurations, with four cost reducers layered on
 //! the naive exponential tree:
 //!
 //! 1. **Undo-log branching** — child states are entered under a memory
@@ -55,11 +55,6 @@
 //!    Requires [`RecoverableObject::permute_memory`] support (the CAS
 //!    family; see that hook's equivariance contract for why the max
 //!    register and register stay opaque).
-//! 5. **Budgeted memo** ([`ExploreConfig::memo_budget`]) — the pruning
-//!    memo evicts in generations once its resident-entry budget fills;
-//!    evicted configurations re-explore on re-encounter, so unique-state
-//!    blow-ups degrade to extra work instead of OOM and totals never
-//!    depend on the budget.
 //!
 //! More than one worker ([`ExploreConfig::parallelism`]) runs the same
 //! search several times over one shared memo (the "lazy SMP" scheme of
@@ -157,12 +152,6 @@ pub struct ExploreConfig {
     /// Symmetry reduction of the pruning fingerprints (see
     /// [`SymmetryMode`]). Totals are identical at every setting.
     pub symmetry: SymmetryMode,
-    /// Resident-entry budget for the pruning memo, `None` for unbounded.
-    /// The memo evicts in generations (see the `Memo` internals): exceeding
-    /// the budget drops the oldest generation, so a run whose unique-state
-    /// count outgrows RAM degrades to re-exploring evicted states instead
-    /// of aborting — totals stay exact, only `unique_nodes`/work grows.
-    pub memo_budget: Option<usize>,
     /// Worker threads: `1` is the sequential search alone, `p > 1` adds
     /// `p - 1` helpers that warm the shared memo (see the [module
     /// docs](self)), and `0` (the default) means the host's available
@@ -189,10 +178,6 @@ impl Default for ExploreConfig {
             crash_policy: CrashPolicy::DropAll,
             prune: true,
             symmetry: SymmetryMode::Auto,
-            // ~256 MB of memo at worst; large enough that every in-repo
-            // exhaustive run fits, small enough that a state-space blow-up
-            // degrades to re-exploration instead of OOM.
-            memo_budget: Some(4_000_000),
             parallelism: 0,
         }
     }
@@ -219,9 +204,8 @@ pub struct ExploreOutcome {
     /// Whether symmetry reduction was actually active (requested *and*
     /// supported by the object, layout, and workload shape).
     pub symmetry: bool,
-    /// Memo entries dropped from RAM by generation eviction under
-    /// [`ExploreConfig::memo_budget`] (informational; eviction never
-    /// changes totals, it only forces re-exploration).
+    /// Always 0: the memo keeps every entry. Kept because published
+    /// benchmark rows carry it as `harness.explore.memo_evictions`.
     pub memo_evictions: usize,
     /// Worker counters of a parallel run: `workers` and
     /// `per_worker_expansions` (nodes each worker expanded, worker 0
@@ -329,87 +313,40 @@ fn actions(cfg: &ExploreConfig, source: OpSource<'_>, node: &Node) -> Vec<Action
     out
 }
 
-/// One shard of the budgeted memo: two hash-map generations plus an
-/// eviction count. Inserts land in `cur`; when `cur` fills its per-shard
-/// budget it becomes `prev` and the old `prev` generation is dropped
-/// wholesale — O(1) amortized eviction with no per-entry bookkeeping, at
-/// the cost of evicting in coarse batches (the classic two-generation
-/// cache). Lookups consult both generations. The keys are already-mixed
-/// fingerprints, so the maps hash them with one fold, not SipHash.
-#[derive(Default)]
-struct MemoShard {
-    cur: HashMap<(u64, u64), u64, FoldBuildHasher>,
-    prev: HashMap<(u64, u64), u64, FoldBuildHasher>,
-    evicted: usize,
-}
+/// One memo shard. The keys are already-mixed fingerprints, so the map
+/// hashes them with one fold, not SipHash.
+type MemoShard = Mutex<HashMap<(u64, u64), u64, FoldBuildHasher>>;
 
 /// The visited-node memo: configuration fingerprint → exact subtree leaf
 /// count, sharded so parallel workers share pruning knowledge with low
 /// contention. Only violation-free, fully-counted subtrees are entered, so
 /// concurrent duplicate computation is benign (both writers insert the same
-/// value). A [`memo_budget`](ExploreConfig::memo_budget) caps resident
-/// entries by generation eviction: evicted configurations are simply
-/// re-explored on re-encounter, so totals never depend on the budget.
+/// value). The memo keeps every entry it is given.
 struct Memo {
-    shards: Vec<Mutex<MemoShard>>,
-    /// Per-generation entry cap per shard (`usize::MAX` when unbounded).
-    /// Resident entries are bounded by `2 × cap × SHARDS ≈ budget`.
-    shard_cap: usize,
+    shards: Vec<MemoShard>,
 }
 
 impl Memo {
     const SHARDS: usize = 64;
 
-    fn new(budget: Option<usize>) -> Self {
+    fn new() -> Self {
         Memo {
-            shards: (0..Self::SHARDS)
-                .map(|_| Mutex::new(MemoShard::default()))
-                .collect(),
-            shard_cap: budget.map_or(usize::MAX, |b| b.div_ceil(Self::SHARDS * 2).max(1)),
+            shards: (0..Self::SHARDS).map(|_| MemoShard::default()).collect(),
         }
     }
 
-    fn shard(&self, key: (u64, u64)) -> &Mutex<MemoShard> {
+    fn shard(&self, key: (u64, u64)) -> &MemoShard {
         &self.shards[(key.0 as usize) % Self::SHARDS]
     }
 
     fn get(&self, key: (u64, u64)) -> Option<u64> {
-        let mut shard = self.shard(key).lock().expect("memo shard poisoned");
-        if let Some(&count) = shard.cur.get(&key) {
-            return Some(count);
-        }
-        // Promote by *moving*: a hit from the old generation re-enters the
-        // young one, so hot entries survive the next rotation (the standard
-        // two-generation refinement). Removing it from `prev` keeps the
-        // eviction count honest — a promoted entry is resident, not
-        // dropped, when its old generation retires. Promotion may itself
-        // rotate, which is fine: the value is already copied out.
-        if let Some(count) = shard.prev.remove(&key) {
-            self.insert_locked(&mut shard, key, count);
-            return Some(count);
-        }
-        None
+        let shard = self.shard(key).lock().expect("memo shard poisoned");
+        shard.get(&key).copied()
     }
 
     fn insert(&self, key: (u64, u64), count: u64) {
         let mut shard = self.shard(key).lock().expect("memo shard poisoned");
-        self.insert_locked(&mut shard, key, count);
-    }
-
-    fn insert_locked(&self, shard: &mut MemoShard, key: (u64, u64), count: u64) {
-        if shard.cur.len() >= self.shard_cap && !shard.cur.contains_key(&key) {
-            let full = std::mem::take(&mut shard.cur);
-            let dropped = std::mem::replace(&mut shard.prev, full);
-            shard.evicted += dropped.len();
-        }
-        shard.cur.insert(key, count);
-    }
-
-    fn evictions(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("memo shard poisoned").evicted)
-            .sum()
+        shard.insert(key, count);
     }
 }
 
@@ -987,7 +924,7 @@ pub fn explore_engine(
     let root = Node::root(obj.processes());
     let progress = Progress {
         abort: AtomicBool::new(false),
-        memo: Memo::new(cfg.memo_budget),
+        memo: Memo::new(),
     };
     let sym = symmetry_supported(obj, mem, source, cfg);
     let workers = resolve_parallelism(cfg.parallelism);
@@ -1035,7 +972,7 @@ pub fn explore_engine(
         unique_nodes: per_worker.iter().map(|&(nodes, _)| nodes).sum(),
         memo_hits: per_worker.iter().map(|&(_, hits)| hits).sum(),
         symmetry: sym,
-        memo_evictions: progress.memo.evictions(),
+        memo_evictions: 0,
         sched,
     }
 }
@@ -1451,53 +1388,6 @@ mod tests {
         assert!(
             !out.symmetry,
             "unsupported objects fall back to plain search"
-        );
-    }
-
-    #[test]
-    fn memo_budget_eviction_preserves_exact_totals() {
-        let (cas, mem) = build_world(|b| DetectableCas::new(b, 2, 0));
-        let w = vec![
-            vec![
-                OpSpec::Cas { old: 0, new: 1 },
-                OpSpec::Cas { old: 1, new: 2 },
-            ],
-            vec![OpSpec::Cas { old: 0, new: 2 }, OpSpec::Read],
-        ];
-        let unbounded = explore_engine(
-            &cas,
-            &mem,
-            OpSource::PerProcess(&w),
-            &ExploreConfig {
-                memo_budget: None,
-                parallelism: 1,
-                ..Default::default()
-            },
-        );
-        assert_eq!(unbounded.memo_evictions, 0);
-        // A budget far below the unique-node count forces eviction cycles;
-        // evicted states are re-explored, totals must not move.
-        let tiny = explore_engine(
-            &cas,
-            &mem,
-            OpSource::PerProcess(&w),
-            &ExploreConfig {
-                memo_budget: Some(128),
-                parallelism: 1,
-                ..Default::default()
-            },
-        );
-        unbounded.assert_clean();
-        tiny.assert_clean();
-        assert!(
-            tiny.memo_evictions > 0,
-            "budget of 128 over {} unique nodes must evict",
-            unbounded.unique_nodes
-        );
-        assert_eq!(tiny.leaves, unbounded.leaves);
-        assert!(
-            tiny.unique_nodes >= unbounded.unique_nodes,
-            "eviction can only add re-exploration"
         );
     }
 

@@ -1447,7 +1447,11 @@ mod tests {
     /// Every entry of a spill file of `N`-word entries.
     fn entries<const N: usize>(path: &Path) -> Vec<[Word; N]> {
         let mut r = WordReader::open(path).unwrap();
-        std::iter::from_fn(|| next_entry(&mut r).unwrap()).collect()
+        let mut out = Vec::new();
+        while let Some(entry) = next_entry(&mut r).unwrap() {
+            out.push(entry);
+        }
+        out
     }
 
     /// The sharded pass against a one-file reference: several workers'

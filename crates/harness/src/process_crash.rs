@@ -18,8 +18,7 @@
 //! Every kill — worker or recoverer — is a crash the parent declares: it
 //! wipes the shared-cache overlay file (in the shared-cache model the
 //! cache is one volatile store all processes share, so its crash is
-//! system-wide and every worker dies with it) and then bumps the data
-//! file's crash ordinal ([`MappedFile::bump_crash_count`]).
+//! system-wide and every worker dies with it).
 //!
 //! Finally the parent resolves every operation the durable log proves was
 //! in flight and checks the stitched pre-crash + partial-recovery +
@@ -48,9 +47,8 @@
 //! # Quiescent cuts and the cross-process barrier
 //!
 //! The exact checker is exponential in the number of overlapping
-//! operations, so workers rendezvous every
-//! [`CrashCycleConfig::barrier_every`] operations. Each rendezvous is a
-//! quiescent cut in the sequence order: every pre-barrier operation's
+//! operations, so workers rendezvous every 16 operations. Each rendezvous
+//! is a quiescent cut in the sequence order: every pre-barrier operation's
 //! return record precedes every post-barrier invocation record, which is
 //! exactly the split [`check_records_windowed`] needs. Workers share no
 //! address space, so the barrier runs over the log file's header: worker
@@ -71,8 +69,8 @@ use std::time::{Duration, Instant};
 
 use detectable::{ObjectKind, OpSpec, RecoverableObject};
 use nvm::{
-    run_to_completion, CacheMode, CrashPolicy, Layout, LayoutBuilder, MappedFile, MappedMemory,
-    Pid, Word, RESP_FAIL,
+    run_to_completion, CacheMode, Layout, LayoutBuilder, MappedFile, MappedMemory, Pid, Word,
+    RESP_FAIL,
 };
 
 use crate::driver::{op_from_key, op_key, Driver, RetryPolicy, StepOutcome};
@@ -116,6 +114,16 @@ const SLOT_ARMED: usize = 2;
 const SLOT_STALL: usize = 3;
 const SLOT_ARRIVAL0: usize = 4;
 
+/// Workers rendezvous every this many operations (the quiescent cut).
+const BARRIER_EVERY: usize = 16;
+/// Most worker processes a cycle runs: one barrier window of every
+/// worker's operations must fit the checker's [`MAX_CHECKED_OPS`].
+const MAX_PROCS: usize = MAX_CHECKED_OPS / BARRIER_EVERY;
+const _: () = assert!(
+    MAX_PROCS <= MappedFile::USER_SLOTS - SLOT_ARRIVAL0,
+    "every worker needs a barrier arrival word in the log header"
+);
+
 /// How long a stalled worker waits for its SIGKILL before giving up and
 /// continuing (the parent kills within microseconds; the bound only
 /// matters if the kill never comes).
@@ -140,9 +148,7 @@ const ENV_KIND: &str = "PC_KIND";
 const ENV_PROCS: &str = "PC_PROCS";
 const ENV_OPS: &str = "PC_OPS";
 const ENV_QCAP: &str = "PC_QCAP";
-const ENV_BARRIER: &str = "PC_BARRIER";
 const ENV_CACHE: &str = "PC_CACHE";
-const ENV_POLICY: &str = "PC_POLICY";
 const ENV_BASE: &str = "PC_BASE";
 /// Worker index: the paper process this traffic child runs.
 const ENV_PID: &str = "PC_PID";
@@ -241,18 +247,13 @@ fn world(
 /// Maps the cycle's NVM under `dir` as `mode` memory: the data file alone
 /// in the private-cache model, plus the shared overlay file in the
 /// shared-cache model.
-fn open_memory(
-    dir: &Path,
-    layout: Layout,
-    mode: CacheMode,
-    policy: CrashPolicy,
-) -> io::Result<MappedMemory> {
+fn open_memory(dir: &Path, layout: Layout, mode: CacheMode) -> io::Result<MappedMemory> {
     let data = MappedFile::open(&dir.join(DATA_FILE))?;
     Ok(match mode {
         CacheMode::PrivateCache => MappedMemory::private(layout, data),
         CacheMode::SharedCache => {
             let overlay = MappedFile::open(&dir.join(CACHE_FILE))?;
-            MappedMemory::shared(layout, data, overlay, policy)
+            MappedMemory::shared(layout, data, overlay)
         }
     })
 }
@@ -272,25 +273,6 @@ fn cache_from_str(s: &str) -> Option<CacheMode> {
     }
 }
 
-fn policy_to_str(policy: CrashPolicy) -> String {
-    match policy {
-        CrashPolicy::DropAll => "drop".into(),
-        CrashPolicy::PersistAll => "persist".into(),
-        CrashPolicy::RandomSubset(seed) => format!("rand:{seed}"),
-    }
-}
-
-fn policy_from_str(s: &str) -> Option<CrashPolicy> {
-    match s {
-        "drop" => Some(CrashPolicy::DropAll),
-        "persist" => Some(CrashPolicy::PersistAll),
-        _ => {
-            let seed = s.strip_prefix("rand:")?.parse().ok()?;
-            Some(CrashPolicy::RandomSubset(seed))
-        }
-    }
-}
-
 /// One SIGKILL/recover cycle's configuration.
 #[derive(Clone, Debug)]
 pub struct CrashCycleConfig {
@@ -299,24 +281,18 @@ pub struct CrashCycleConfig {
     /// Abstract kind — drives the workload and the specification the
     /// stitched history is checked against.
     pub kind: ObjectKind,
-    /// Paper processes, one worker child each (at most 8: one barrier
-    /// arrival word each in the log header).
+    /// Paper processes, one worker child each (at most 4: a window of 16
+    /// operations from every worker, one barrier interval, must fit the
+    /// checker's [`MAX_CHECKED_OPS`]).
     pub procs: u32,
     /// Operations each process attempts per cycle.
     pub ops_per_proc: usize,
     /// Queue capacity for [`ObjectKind::Queue`] worlds.
     pub queue_capacity: u32,
-    /// Processes rendezvous every this many operations (the quiescent cut;
-    /// `procs * barrier_every` must stay within [`MAX_CHECKED_OPS`]).
-    pub barrier_every: usize,
     /// Persistence model the mapped memory follows. A shared-cache crash
     /// loses the one cache every process shares, so shared-cache cycles
     /// must kill every worker (`kill_subset == procs`).
     pub cache_mode: CacheMode,
-    /// Write-through policy for shared-cache words (pre-decided per cell —
-    /// SIGKILL runs no crash code, so the dirty-subset coin is flipped at
-    /// write time; see [`nvm::write_through`]).
-    pub policy: CrashPolicy,
     /// Seed for the kill-point randomization.
     pub seed: u64,
     /// The kill lands uniformly within this many microseconds of the first
@@ -352,9 +328,7 @@ impl CrashCycleConfig {
             procs: 3,
             ops_per_proc: 400,
             queue_capacity: 3 * 400 + 1,
-            barrier_every: 16,
             cache_mode: CacheMode::PrivateCache,
-            policy: CrashPolicy::DropAll,
             seed: 1,
             kill_window_us: 3_000,
             procs_as_processes: true,
@@ -369,11 +343,10 @@ impl CrashCycleConfig {
     /// # Errors
     ///
     /// `InvalidInput`, naming the offending fields, when
-    /// `procs_as_processes` is `false`; `procs`, `ops_per_proc` or
-    /// `barrier_every` is zero; there are more workers than the log header
-    /// has barrier words for; `procs * barrier_every` overflows the
-    /// checker's [`MAX_CHECKED_OPS`] window; `kill_subset` is outside
-    /// `1..=procs`; or a shared-cache cycle kills fewer than all workers.
+    /// `procs_as_processes` is `false`; `procs` is outside `1..=4` (see
+    /// [`procs`](Self::procs)); `ops_per_proc` is zero; `kill_subset` is
+    /// outside `1..=procs`; or a shared-cache cycle kills fewer than all
+    /// workers.
     pub fn validate(&self) -> io::Result<()> {
         let invalid = |msg: String| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
         if !self.procs_as_processes {
@@ -383,26 +356,15 @@ impl CrashCycleConfig {
                     .into(),
             );
         }
-        if self.procs == 0 || self.ops_per_proc == 0 || self.barrier_every == 0 {
+        if self.procs == 0 || self.procs as usize > MAX_PROCS {
             return invalid(format!(
-                "procs, ops_per_proc and barrier_every must be positive, got {}, {} and {}",
-                self.procs, self.ops_per_proc, self.barrier_every
-            ));
-        }
-        let max_workers = MappedFile::USER_SLOTS - SLOT_ARRIVAL0;
-        if self.procs as usize > max_workers {
-            return invalid(format!(
-                "at most {max_workers} worker processes (log-header barrier words), got {}",
+                "procs must be in 1..={MAX_PROCS} (a barrier every {BARRIER_EVERY} ops \
+                 within the {MAX_CHECKED_OPS}-op checker window), got {}",
                 self.procs
             ));
         }
-        let window = self.procs as usize * self.barrier_every;
-        if window > MAX_CHECKED_OPS {
-            return invalid(format!(
-                "procs * barrier_every = {} * {} = {window} overflows the \
-                 {MAX_CHECKED_OPS}-op checker window",
-                self.procs, self.barrier_every
-            ));
+        if self.ops_per_proc == 0 {
+            return invalid("ops_per_proc must be positive, got 0".into());
         }
         if self.kill_subset == 0 || self.kill_subset > self.procs {
             return invalid(format!(
@@ -518,9 +480,7 @@ struct WorkerEnv {
     procs: u32,
     ops: usize,
     qcap: u32,
-    barrier_every: usize,
     mode: CacheMode,
-    policy: CrashPolicy,
     base: usize,
 }
 
@@ -533,9 +493,7 @@ impl WorkerEnv {
             procs: env(ENV_PROCS).parse().expect("crash worker: bad procs"),
             ops: env(ENV_OPS).parse().expect("crash worker: bad ops"),
             qcap: env(ENV_QCAP).parse().expect("crash worker: bad qcap"),
-            barrier_every: env(ENV_BARRIER).parse().expect("crash worker: bad barrier"),
             mode: cache_from_str(&env(ENV_CACHE)).expect("crash worker: bad cache mode"),
-            policy: policy_from_str(&env(ENV_POLICY)).expect("crash worker: bad policy"),
             base: env(ENV_BASE).parse().expect("crash worker: bad base"),
         }
     }
@@ -547,8 +505,8 @@ impl WorkerEnv {
     ) -> (Box<dyn RecoverableObject>, MappedMemory, MappedFile) {
         let (obj, layout) = world(factory, &self.object, self.procs, self.qcap)
             .unwrap_or_else(|| panic!("crash worker: unknown object {}", self.object));
-        let mem = open_memory(&self.dir, layout, self.mode, self.policy)
-            .expect("crash worker: map the NVM files");
+        let mem =
+            open_memory(&self.dir, layout, self.mode).expect("crash worker: map the NVM files");
         let log = MappedFile::open(&self.dir.join(LOG_FILE)).expect("crash worker: open log file");
         assert_eq!(
             log.words(),
@@ -602,8 +560,8 @@ fn run_fabric_worker(factory: WorldFactory) -> ! {
     };
     for i in 0..e.ops {
         if i > 0
-            && i % e.barrier_every == 0
-            && !barrier_wait(&log, me, (i / e.barrier_every) as u64, abandon)
+            && i % BARRIER_EVERY == 0
+            && !barrier_wait(&log, me, (i / BARRIER_EVERY) as u64, abandon)
         {
             std::process::exit(EXIT_ABANDONED);
         }
@@ -908,7 +866,7 @@ fn pump_barrier(log: &MappedFile, killed: &[bool]) -> bool {
 fn probe_read(cfg: &CrashCycleConfig, factory: WorldFactory, pid: u32) -> io::Result<Option<Word>> {
     let (obj, layout) =
         world(factory, &cfg.object, cfg.procs, cfg.queue_capacity).expect("factory resolved");
-    let mem = open_memory(&cfg.dir, layout, cfg.cache_mode, cfg.policy)?;
+    let mem = open_memory(&cfg.dir, layout, cfg.cache_mode)?;
     let mut d = Driver::without_history(cfg.procs);
     Ok(d.try_run_solo(&*obj, &mem, pid as usize, OpSpec::Read, RECOVERY_STEP_LIMIT))
 }
@@ -946,7 +904,7 @@ pub fn run_cycle(
                 format!("unknown object {:?}", cfg.object),
             )
         })?;
-    let data = MappedFile::create(&cfg.dir.join(DATA_FILE), layout.total_words())?;
+    MappedFile::create(&cfg.dir.join(DATA_FILE), layout.total_words())?;
     let log = MappedFile::create(
         &cfg.dir.join(LOG_FILE),
         cfg.procs as usize * cfg.ops_per_proc * 2 * RECORD_WORDS,
@@ -959,14 +917,11 @@ pub fn run_cycle(
         )?),
     };
     // Declares one landed kill: the shared cache is lost (releasing its
-    // lock word too, should the victim have died holding it), then the
-    // crash ordinal moves on so later memories draw fresh write-through
-    // coins.
+    // lock word too, should the victim have died holding it).
     let declare_crash = || {
         if let Some(cache) = &cache {
             cache.wipe();
         }
-        data.bump_crash_count();
     };
 
     let exe = std::env::current_exe()?;
@@ -979,9 +934,7 @@ pub fn run_cycle(
             .env(ENV_PROCS, cfg.procs.to_string())
             .env(ENV_OPS, cfg.ops_per_proc.to_string())
             .env(ENV_QCAP, cfg.queue_capacity.to_string())
-            .env(ENV_BARRIER, cfg.barrier_every.to_string())
             .env(ENV_CACHE, cache_to_str(cfg.cache_mode))
-            .env(ENV_POLICY, policy_to_str(cfg.policy))
             .env(
                 ENV_BASE,
                 (cycle as usize).wrapping_mul(cfg.ops_per_proc).to_string(),
@@ -1375,15 +1328,7 @@ mod tests {
         for mode in [CacheMode::PrivateCache, CacheMode::SharedCache] {
             assert_eq!(cache_from_str(cache_to_str(mode)), Some(mode));
         }
-        for policy in [
-            CrashPolicy::DropAll,
-            CrashPolicy::PersistAll,
-            CrashPolicy::RandomSubset(0xABCD),
-        ] {
-            assert_eq!(policy_from_str(&policy_to_str(policy)), Some(policy));
-        }
         assert_eq!(cache_from_str("write-back"), None);
-        assert_eq!(policy_from_str("rand:x"), None);
     }
 
     fn scratch_log(procs: u32, ops: usize, tag: &str) -> (std::path::PathBuf, MappedFile) {

@@ -366,8 +366,8 @@ impl Scenario {
     ///
     /// Scenario precedence: [`faults`](Scenario::faults) overrides the
     /// crash/retry fields of `cfg`, [`memory`](Scenario::memory) overrides
-    /// `cfg.cache_mode`; `cfg.seed`, `cfg.max_steps` and (for the default
-    /// workload) `cfg.ops_per_process` always apply. A
+    /// `cfg.cache_mode`; `cfg.seed` and (for the default workload)
+    /// `cfg.ops_per_process` always apply. A
     /// [`Workload::Script`] runs as per-process subsequences here — only
     /// the randomized scheduler decides inter-process order.
     pub fn simulate(&self, cfg: &SimConfig) -> Verdict {

@@ -39,10 +39,11 @@ pub struct SimConfig {
     /// Retry budget per logical operation (bounds history growth under
     /// crash storms so the exhaustive checker stays applicable).
     pub max_retries: usize,
-    /// Abort the run after this many scheduler steps (guards against
-    /// livelock under pathological crash rates).
-    pub max_steps: usize,
 }
+
+/// A run aborts after this many scheduler steps (guards against livelock
+/// under pathological crash rates).
+const MAX_STEPS: usize = 1_000_000;
 
 impl Default for SimConfig {
     fn default() -> Self {
@@ -54,7 +55,6 @@ impl Default for SimConfig {
             crash_policy: CrashPolicy::DropAll,
             retry_on_fail: true,
             max_retries: 3,
-            max_steps: 1_000_000,
         }
     }
 }
@@ -136,11 +136,7 @@ pub fn sim_engine(
 
     while !driver.all_done() {
         steps += 1;
-        assert!(
-            steps <= cfg.max_steps,
-            "simulation exceeded {} steps",
-            cfg.max_steps
-        );
+        assert!(steps <= MAX_STEPS, "simulation exceeded {MAX_STEPS} steps");
 
         // A crash is a global scheduler event.
         if cfg.crash_prob > 0.0 && rng.gen_bool(cfg.crash_prob) {

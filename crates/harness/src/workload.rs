@@ -19,8 +19,8 @@ use rand::{Rng, SeedableRng};
 ///
 /// Construct with the associated functions ([`Workload::per_process`],
 /// [`Workload::script`], [`Workload::round_robin`], [`Workload::random`],
-/// [`Workload::from_fn`], [`Workload::mixed`]); the variants are public so
-/// runners and tests can match on them.
+/// [`Workload::mixed`]); the variants are public so runners and tests can
+/// match on them.
 #[derive(Clone, Debug)]
 pub enum Workload {
     /// `ops[p]` is the exact operation list of process `p`. Execution
@@ -48,16 +48,6 @@ pub enum Workload {
     Random {
         /// The operations drawn from.
         alphabet: Vec<OpSpec>,
-        /// Operations per process.
-        ops_per_process: usize,
-    },
-    /// `f(pid, i)` supplies the `i`-th operation of process `pid` — the
-    /// migration path for the closure-based workloads of the old free
-    /// functions. Restricted to `fn` pointers so workloads stay `Clone +
-    /// Send + Sync` for sweeps.
-    FromFn {
-        /// The generator function.
-        f: fn(Pid, usize) -> OpSpec,
         /// Operations per process.
         ops_per_process: usize,
     },
@@ -105,11 +95,6 @@ impl Workload {
             alphabet,
             ops_per_process,
         }
-    }
-
-    /// Function-generated operations (the closure-workload migration path).
-    pub fn from_fn(f: fn(Pid, usize) -> OpSpec, ops_per_process: usize) -> Workload {
-        Workload::FromFn { f, ops_per_process }
     }
 
     /// The canonical mixed workload for the scenario's object kind.
@@ -179,15 +164,6 @@ impl Workload {
                         .collect(),
                 )
             }
-            Workload::FromFn { f, ops_per_process } => ResolvedWorkload::PerProcess(
-                (0..n)
-                    .map(|p| {
-                        (0..*ops_per_process)
-                            .map(|i| f(Pid::new(p as u32), i))
-                            .collect()
-                    })
-                    .collect(),
-            ),
             Workload::Mixed { ops_per_process } => ResolvedWorkload::PerProcess(
                 (0..n)
                     .map(|p| {
@@ -247,9 +223,7 @@ impl Workload {
                 }
                 seen
             }
-            Workload::FromFn { .. } | Workload::Mixed { .. } => {
-                crate::perturb::default_alphabet(kind)
-            }
+            Workload::Mixed { .. } => crate::perturb::default_alphabet(kind),
         }
     }
 }

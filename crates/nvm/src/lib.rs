@@ -70,7 +70,7 @@ pub mod word;
 pub use ann::AnnBank;
 pub use layout::{Layout, LayoutBuilder, Loc, Region, Space};
 pub use machine::{encode_to_vec, run_to_completion, Machine, Poll, StepLimitError};
-pub use mapped::{write_through, MappedFile, MappedMemory};
+pub use mapped::{MappedFile, MappedMemory};
 pub use memory::{AtomicMemory, CacheMode, Checkpoint, CrashPolicy, Memory, SimMemory};
 pub use stats::Stats;
 pub use word::{Field, FieldBuilder, Pid, Word, ACK, FALSE, RESP_FAIL, RESP_NONE, TRUE};

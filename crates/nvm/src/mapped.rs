@@ -13,10 +13,9 @@
 //!   regardless of when the child dies; `msync` only adds power-failure
 //!   durability on top.
 //! * [`MappedMemory`] — a [`Memory`] implementation over a [`MappedFile`]
-//!   that honors the existing [`CacheMode`](crate::CacheMode) / [`CrashPolicy`] semantics
-//!   *prospectively*: a SIGKILL cannot run crash code, so the decision the
-//!   simulator makes **at** a crash (which dirty cells write back) is made
-//!   **ahead of time** as a per-cell write-through discipline. In the
+//!   that honors the existing [`CacheMode`](crate::CacheMode) semantics
+//!   under [`CrashPolicy::DropAll`](crate::CrashPolicy::DropAll): a SIGKILL
+//!   runs no crash code, so no dirty cell is written back. In the
 //!   shared-cache model, cached words live in a second mapped file, the
 //!   overlay, which every process of the system maps, so processes see each
 //!   other's unpersisted writes as they would through one shared cache.
@@ -35,7 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::layout::{Layout, Loc};
-use crate::memory::{CrashPolicy, Memory};
+use crate::memory::Memory;
 use crate::word::{Pid, Word};
 
 /// Magic word identifying a mapped NVM file (first header word).
@@ -45,8 +44,8 @@ pub const MAPPED_MAGIC: u64 = 0x4E56_4D4D_4150_0001; // "NVMMAP" + format 1
 /// protocol fits in the [`MappedFile::user`] area (one release word plus
 /// one arrival word per worker process) alongside the log sequence counter.
 pub const MAPPED_VERSION: u64 = 2;
-/// Header words preceding the data array: magic, version, word count,
-/// crash count, then [`MappedFile::USER_SLOTS`] free slots for harness use
+/// Header words preceding the data array: magic, version, word count, one
+/// reserved word, then [`MappedFile::USER_SLOTS`] free slots for harness use
 /// (the process-crash log keeps its global sequence counter and the
 /// multi-process barrier words there).
 pub const HEADER_WORDS: usize = 16;
@@ -225,7 +224,6 @@ impl MappedFile {
         mapped.header(0).store(MAPPED_MAGIC, Ordering::SeqCst);
         mapped.header(1).store(MAPPED_VERSION, Ordering::SeqCst);
         mapped.header(2).store(words as u64, Ordering::SeqCst);
-        mapped.header(3).store(0, Ordering::SeqCst);
         mapped.sync();
         Ok(mapped)
     }
@@ -310,24 +308,6 @@ impl MappedFile {
         self.header(4 + k)
     }
 
-    /// The crash ordinal recorded in the header: how many times the owning
-    /// harness has declared a crash over this file. The analogue of
-    /// [`SimMemory::crash_count`](crate::SimMemory::crash_count), and the
-    /// seed input for [`CrashPolicy::RandomSubset`] write-through coins.
-    pub fn crash_count(&self) -> u64 {
-        self.header(3).load(Ordering::SeqCst)
-    }
-
-    /// Records one more crash in the header and returns the new count. The
-    /// crash-fabric parent calls this once per SIGKILL it lands — worker
-    /// kills *and* recovery kills — so every subsequently constructed
-    /// [`MappedMemory`] draws its write-through coins for a fresh epoch.
-    pub fn bump_crash_count(&self) -> u64 {
-        let n = self.header(3).fetch_add(1, Ordering::SeqCst) + 1;
-        self.sync();
-        n
-    }
-
     /// Forces write-back of the whole mapping to the file (`MS_SYNC`).
     pub fn sync(&self) {
         sys::sync(self.base, self.bytes, sys::MS_SYNC);
@@ -340,8 +320,8 @@ impl MappedFile {
     }
 
     /// Zeroes every data word and every [`user`](Self::user) slot, keeping
-    /// the geometry and crash ordinal — how a crash clears a
-    /// [`MappedMemory`] shared-cache overlay, lock word included.
+    /// the geometry — how a crash clears a [`MappedMemory`] shared-cache
+    /// overlay, lock word included.
     pub fn wipe(&self) {
         for i in 0..self.words {
             self.word(i).store(0, Ordering::SeqCst);
@@ -370,44 +350,7 @@ impl fmt::Debug for MappedFile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MappedFile")
             .field("words", &self.words)
-            .field("crash_count", &self.crash_count())
             .finish()
-    }
-}
-
-/// Decides, ahead of time, whether writes to cell `idx` write through to
-/// the file under `policy` for crash ordinal `epoch`.
-///
-/// A SIGKILL cannot run the write-back loop
-/// [`SimMemory::crash`](crate::SimMemory::crash) runs, so the dirty-subset
-/// decision is made *per cell, before the crash*, and enforced as a
-/// write-through discipline: a `persist` coin means every store to the cell
-/// is committed as it happens (so the file holds the cell's latest value at
-/// the kill, exactly as write-back would leave it); a `drop` coin means
-/// stores stay in the volatile overlay (so the file keeps the last
-/// explicitly persisted value, exactly as dropping the dirty cell would).
-///
-/// The coin is deliberately **value-independent**: deciding per *write*
-/// rather than per *cell* could commit an intermediate value (write 1
-/// through, keep 2 cached, die — the file says 1), a state no
-/// [`CrashPolicy`] write-back can produce.
-pub fn write_through(policy: CrashPolicy, epoch: u64, idx: u32) -> bool {
-    match policy {
-        CrashPolicy::DropAll => false,
-        CrashPolicy::PersistAll => true,
-        CrashPolicy::RandomSubset(seed) => {
-            // One xorshift64* draw per (seed, crash ordinal, cell), mixing
-            // the cell index with an odd multiplier so adjacent cells get
-            // independent coins — the per-cell analogue of the sequential
-            // draws in `SimMemory::crash`.
-            let mut s = seed
-                ^ epoch.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (u64::from(idx) + 1).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s & 1 == 1
-        }
     }
 }
 
@@ -427,13 +370,11 @@ const OVERLAY_LOCK: usize = 0;
 /// * Shared cache ([`shared`](Self::shared)) — primitives land in a
 ///   volatile overlay: a second mapped file holding a dirty flag and a
 ///   value per cell, shared by every process that maps it, exactly as the
-///   model's one cache is shared by every process. Each cell additionally
-///   writes through to the data file iff its [`write_through`] coin says it
-///   would have been written back at the next crash. [`Memory::persist`]
-///   commits the cell unconditionally and clears its dirty flag, exactly
-///   like the simulator. The overlay outlives any one process, so whoever
-///   declares a crash must [`wipe`](MappedFile::wipe) it — that wipe is the
-///   crash's loss of the cache.
+///   model's one cache is shared by every process. A store stays in the
+///   overlay until [`Memory::persist`] commits the cell and clears its
+///   dirty flag, exactly like the simulator. The overlay outlives any one
+///   process, so whoever declares a crash must [`wipe`](MappedFile::wipe)
+///   it — that wipe is the crash's loss of the cache.
 ///
 /// All file stores are `SeqCst`, matching
 /// [`AtomicMemory`](crate::AtomicMemory). Overlay access is serialized by a
@@ -447,8 +388,6 @@ pub struct MappedMemory {
     file: MappedFile,
     /// The shared-cache overlay; `None` in the private-cache model.
     overlay: Option<MappedFile>,
-    policy: CrashPolicy,
-    epoch: u64,
 }
 
 /// Holds the overlay lock; releases it on drop. The `Release` store on
@@ -466,25 +405,18 @@ impl MappedMemory {
     /// Private-cache memory over `file` (created with exactly
     /// `layout.total_words()` data words).
     pub fn private(layout: Layout, file: MappedFile) -> Self {
-        Self::with_overlay(layout, file, None, CrashPolicy::DropAll)
+        Self::with_overlay(layout, file, None)
     }
 
     /// Shared-cache memory over `file`, caching in `overlay` (created with
-    /// [`overlay_words`](Self::overlay_words) data words). The write-through
-    /// epoch is the data file's next crash ordinal, so coins line up with
-    /// the crash the owning harness will declare.
-    pub fn shared(
-        layout: Layout,
-        file: MappedFile,
-        overlay: MappedFile,
-        policy: CrashPolicy,
-    ) -> Self {
+    /// [`overlay_words`](Self::overlay_words) data words).
+    pub fn shared(layout: Layout, file: MappedFile, overlay: MappedFile) -> Self {
         assert_eq!(
             overlay.words(),
             Self::overlay_words(&layout),
             "overlay file does not span the layout"
         );
-        Self::with_overlay(layout, file, Some(overlay), policy)
+        Self::with_overlay(layout, file, Some(overlay))
     }
 
     /// Data words a shared-cache overlay file for `layout` must hold.
@@ -492,24 +424,16 @@ impl MappedMemory {
         OVERLAY_CELL * layout.total_words()
     }
 
-    fn with_overlay(
-        layout: Layout,
-        file: MappedFile,
-        overlay: Option<MappedFile>,
-        policy: CrashPolicy,
-    ) -> Self {
+    fn with_overlay(layout: Layout, file: MappedFile, overlay: Option<MappedFile>) -> Self {
         assert_eq!(
             file.words(),
             layout.total_words(),
             "mapped file does not span the layout"
         );
-        let epoch = file.crash_count() + 1;
         MappedMemory {
             layout: Arc::new(layout),
             file,
             overlay,
-            policy,
-            epoch,
         }
     }
 
@@ -553,16 +477,12 @@ impl MappedMemory {
             .then(|| overlay.word(OVERLAY_CELL * idx + 1).load(Ordering::SeqCst))
     }
 
-    /// Caches `val` for the cell, writing it through if the cell's coin
-    /// says so (lock held).
-    fn cache(&self, overlay: &MappedFile, idx: usize, val: Word) {
+    /// Caches `val` for the cell (lock held).
+    fn cache(overlay: &MappedFile, idx: usize, val: Word) {
         overlay
             .word(OVERLAY_CELL * idx + 1)
             .store(val, Ordering::SeqCst);
         overlay.word(OVERLAY_CELL * idx).store(1, Ordering::SeqCst);
-        if write_through(self.policy, self.epoch, idx as u32) {
-            self.commit(idx, val);
-        }
     }
 }
 
@@ -586,7 +506,7 @@ impl Memory for MappedMemory {
             None => self.commit(loc.index(), val),
             Some(overlay) => {
                 let _guard = Self::lock(overlay);
-                self.cache(overlay, loc.index(), val);
+                Self::cache(overlay, loc.index(), val);
             }
         }
     }
@@ -613,7 +533,7 @@ impl Memory for MappedMemory {
                 if cur != old {
                     return false;
                 }
-                self.cache(overlay, idx, new);
+                Self::cache(overlay, idx, new);
                 true
             }
         }
@@ -640,8 +560,7 @@ impl Memory for MappedMemory {
 mod tests {
     use super::*;
     use crate::layout::LayoutBuilder;
-    use crate::memory::{CacheMode, SimMemory};
-    use std::collections::BTreeMap;
+    use crate::memory::{CacheMode, CrashPolicy, SimMemory};
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
 
@@ -670,14 +589,11 @@ mod tests {
             let f = MappedFile::create(&path, 4).unwrap();
             f.word(2).store(77, Ordering::SeqCst);
             f.user(0).store(5, Ordering::SeqCst);
-            assert_eq!(f.crash_count(), 0);
-            assert_eq!(f.bump_crash_count(), 1);
         }
         let f = MappedFile::open(&path).unwrap();
         assert_eq!(f.words(), 4);
         assert_eq!(f.word(2).load(Ordering::SeqCst), 77);
         assert_eq!(f.user(0).load(Ordering::SeqCst), 5);
-        assert_eq!(f.crash_count(), 1);
         drop(f);
         let _ = std::fs::remove_file(&path);
     }
@@ -709,44 +625,9 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A tiny shadow of the simulator's cache/NVM split, so the tests can
-    /// state "a state `SimMemory::crash(policy)` could have produced"
-    /// without reaching into private fields.
-    struct Shadow {
-        nvm: Vec<Word>,
-        cache: BTreeMap<u32, Word>,
-        mode: CacheMode,
-    }
-
-    impl Shadow {
-        fn new(words: usize, mode: CacheMode) -> Self {
-            Shadow {
-                nvm: vec![0; words],
-                cache: BTreeMap::new(),
-                mode,
-            }
-        }
-        fn logical(&self, i: usize) -> Word {
-            self.cache.get(&(i as u32)).copied().unwrap_or(self.nvm[i])
-        }
-        fn write(&mut self, i: usize, w: Word) {
-            match self.mode {
-                CacheMode::PrivateCache => self.nvm[i] = w,
-                CacheMode::SharedCache => {
-                    self.cache.insert(i as u32, w);
-                }
-            }
-        }
-        fn persist(&mut self, i: usize) {
-            if let Some(w) = self.cache.remove(&(i as u32)) {
-                self.nvm[i] = w;
-            }
-        }
-    }
-
     /// Runs the same mixed write/cas/persist script against a
-    /// [`MappedMemory`], a twin [`SimMemory`], and the shadow model.
-    fn run_script(mapped: &MappedMemory, twin: &SimMemory, shadow: &mut Shadow) {
+    /// [`MappedMemory`] and a twin [`SimMemory`].
+    fn run_script(mapped: &MappedMemory, twin: &SimMemory) {
         let p = Pid::new(0);
         let (_, x) = layout();
         let mut rng: u64 = 0x5EED_1234;
@@ -757,29 +638,23 @@ mod tests {
             rng
         };
         for step in 0..200 {
-            let i = (next() % 6) as usize;
-            let loc = x.at(i);
+            let loc = x.at((next() % 6) as usize);
             match next() % 4 {
                 0 | 1 => {
                     let v = next() % 1000;
                     mapped.write(p, loc, v);
                     twin.write(p, loc, v);
-                    shadow.write(i, v);
                 }
                 2 => {
-                    let old = shadow.logical(i);
+                    let old = twin.read(p, loc);
                     let v = next() % 1000;
                     let a = mapped.cas(p, loc, old, v);
                     let b = twin.cas(p, loc, old, v);
                     assert_eq!(a, b, "cas outcomes diverge at step {step}");
-                    if a {
-                        shadow.write(i, v);
-                    }
                 }
                 _ => {
                     mapped.persist(p, loc);
                     twin.persist(p, loc);
-                    shadow.persist(i);
                 }
             }
             assert_eq!(
@@ -811,14 +686,14 @@ mod tests {
         }
 
         /// A handle over the files, as one process of the system maps them.
-        fn open(&self, mode: CacheMode, policy: CrashPolicy) -> MappedMemory {
+        fn open(&self, mode: CacheMode) -> MappedMemory {
             let (lay, _) = layout();
             let data = MappedFile::open(&self.data).unwrap();
             match mode {
                 CacheMode::PrivateCache => MappedMemory::private(lay, data),
                 CacheMode::SharedCache => {
                     let overlay = MappedFile::open(&self.overlay).unwrap();
-                    MappedMemory::shared(lay, data, overlay, policy)
+                    MappedMemory::shared(lay, data, overlay)
                 }
             }
         }
@@ -847,70 +722,37 @@ mod tests {
         }
     }
 
-    /// Satellite contract: after a (simulated-SIGKILL) drop of the
-    /// `MappedMemory` and a wipe of the shared overlay, the data file holds
-    /// word-for-word a state `SimMemory::crash(policy)` could have
-    /// produced, for every `CacheMode` × `CrashPolicy` combination, and a
-    /// fresh handle reads exactly that state. For the deterministic
-    /// policies the state is unique, so the comparison is exact equality
-    /// against the twin; for `RandomSubset` the simulator's subset depends
-    /// on its own draw sequence, so the test checks membership in the
-    /// policy's reachable set: every clean cell equals the pre-crash NVM
-    /// word, and every dirty cell holds either its NVM word (dropped) or
-    /// its cached word (written back).
+    /// After a (simulated-SIGKILL) drop of the `MappedMemory` and a wipe of
+    /// the shared overlay, the data file holds word-for-word the state
+    /// `SimMemory::crash(CrashPolicy::DropAll)` produces, in both cache
+    /// modes, and a fresh handle reads exactly that state.
     #[test]
     fn sigkill_state_matches_simulated_crash() {
-        let policies = [
-            CrashPolicy::DropAll,
-            CrashPolicy::PersistAll,
-            CrashPolicy::RandomSubset(0xDEAD_BEEF),
-        ];
         let p = Pid::new(0);
         for mode in [CacheMode::PrivateCache, CacheMode::SharedCache] {
-            for policy in policies {
-                let files = Files::create("crashpair", mode);
-                let mapped = files.open(mode, policy);
-                let (lay, _) = layout();
-                let words = lay.total_words();
-                let twin = SimMemory::with_mode(lay, mode);
-                let mut shadow = Shadow::new(words, mode);
-                run_script(&mapped, &twin, &mut shadow);
+            let files = Files::create("crashpair", mode);
+            let mapped = files.open(mode);
+            let (lay, _) = layout();
+            let words = lay.total_words();
+            let twin = SimMemory::with_mode(lay, mode);
+            run_script(&mapped, &twin);
 
-                files.kill(mapped);
-                twin.crash(policy);
-                let restarted = files.open(mode, policy);
+            files.kill(mapped);
+            twin.crash(CrashPolicy::DropAll);
+            let restarted = files.open(mode);
 
-                for i in 0..words {
-                    let got = files.data_word(i);
-                    assert_eq!(
-                        restarted.read(p, Loc(i as u32)),
-                        got,
-                        "cell {i}: the wiped overlay still shadows the file ({mode:?}, {policy:?})"
-                    );
-                    match policy {
-                        CrashPolicy::DropAll | CrashPolicy::PersistAll => assert_eq!(
-                            got,
-                            twin.peek(Loc(i as u32)),
-                            "cell {i} diverges from the simulated crash ({mode:?}, {policy:?})"
-                        ),
-                        CrashPolicy::RandomSubset(_) => {
-                            if shadow.cache.contains_key(&(i as u32)) {
-                                assert!(
-                                    got == shadow.nvm[i] || got == shadow.logical(i),
-                                    "dirty cell {i} holds {got}, reachable values are \
-                                     {} (dropped) / {} (written back)",
-                                    shadow.nvm[i],
-                                    shadow.logical(i)
-                                );
-                            } else {
-                                assert_eq!(
-                                    got, shadow.nvm[i],
-                                    "clean cell {i} must ride through the crash"
-                                );
-                            }
-                        }
-                    }
-                }
+            for i in 0..words {
+                let got = files.data_word(i);
+                assert_eq!(
+                    restarted.read(p, Loc(i as u32)),
+                    got,
+                    "cell {i}: the wiped overlay still shadows the file ({mode:?})"
+                );
+                assert_eq!(
+                    got,
+                    twin.peek(Loc(i as u32)),
+                    "cell {i} diverges from the simulated crash ({mode:?})"
+                );
             }
         }
     }
@@ -918,7 +760,7 @@ mod tests {
     #[test]
     fn private_cache_commits_every_store() {
         let files = Files::create("private", CacheMode::PrivateCache);
-        let mapped = files.open(CacheMode::PrivateCache, CrashPolicy::DropAll);
+        let mapped = files.open(CacheMode::PrivateCache);
         let (_, x) = layout();
         let p = Pid::new(0);
         mapped.write(p, x, 9);
@@ -931,7 +773,7 @@ mod tests {
     #[test]
     fn shared_cache_drop_all_loses_unpersisted() {
         let files = Files::create("droppy", CacheMode::SharedCache);
-        let mapped = files.open(CacheMode::SharedCache, CrashPolicy::DropAll);
+        let mapped = files.open(CacheMode::SharedCache);
         let (_, x) = layout();
         let p = Pid::new(0);
         mapped.write(p, x, 7); // dirty: must die with the crash
@@ -951,8 +793,8 @@ mod tests {
     fn shared_overlay_is_one_cache_across_handles() {
         let mode = CacheMode::SharedCache;
         let files = Files::create("twohandles", mode);
-        let a = files.open(mode, CrashPolicy::DropAll);
-        let b = files.open(mode, CrashPolicy::DropAll);
+        let a = files.open(mode);
+        let b = files.open(mode);
         let (_, x) = layout();
         let (p, q) = (Pid::new(0), Pid::new(1));
         a.write(p, x, 5);
@@ -975,10 +817,7 @@ mod tests {
         const TARGET: Word = 400;
         let mode = CacheMode::SharedCache;
         let files = Files::create("casrace", mode);
-        let handles = [
-            files.open(mode, CrashPolicy::DropAll),
-            files.open(mode, CrashPolicy::DropAll),
-        ];
+        let handles = [files.open(mode), files.open(mode)];
         let (_, x) = layout();
         let start = std::sync::Barrier::new(4);
         let mut wins: Vec<Word> = std::thread::scope(|s| {
@@ -1006,25 +845,5 @@ mod tests {
         wins.sort_unstable();
         assert_eq!(wins, (0..TARGET).collect::<Vec<_>>());
         assert_eq!(handles[0].read(Pid::new(0), x), TARGET);
-    }
-
-    #[test]
-    fn write_through_coin_is_value_independent_and_deterministic() {
-        for idx in 0..64u32 {
-            assert!(!write_through(CrashPolicy::DropAll, 1, idx));
-            assert!(write_through(CrashPolicy::PersistAll, 1, idx));
-            let a = write_through(CrashPolicy::RandomSubset(42), 1, idx);
-            let b = write_through(CrashPolicy::RandomSubset(42), 1, idx);
-            assert_eq!(a, b);
-        }
-        // Different epochs draw different subsets (with overwhelming
-        // probability over 64 cells).
-        let e1: Vec<bool> = (0..64)
-            .map(|i| write_through(CrashPolicy::RandomSubset(42), 1, i))
-            .collect();
-        let e2: Vec<bool> = (0..64)
-            .map(|i| write_through(CrashPolicy::RandomSubset(42), 2, i))
-            .collect();
-        assert_ne!(e1, e2);
     }
 }

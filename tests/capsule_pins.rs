@@ -188,7 +188,6 @@ fn explore_counts(kind: ObjectKind, n: u32) -> [usize; 4] {
             max_retries: 1,
             max_leaves: usize::MAX,
             symmetry,
-            memo_budget: None,
             parallelism: 1,
             ..Default::default()
         };

@@ -45,19 +45,25 @@ fn storm_ops(kind: ObjectKind) -> fn(Pid, usize) -> OpSpec {
     }
 }
 
-/// Sweeps `scenario` (implementing `kind`) across a seed range under a
-/// crash storm and asserts every history checked clean.
+/// Sweeps `scenario` (implementing `kind` for `processes` processes)
+/// across a seed range under a crash storm, three storm operations per
+/// process, and asserts every history checked clean.
 fn storm_kind(
     seeds: std::ops::Range<u64>,
     mode: CacheMode,
     crash_prob: f64,
     scenario: Scenario,
     kind: ObjectKind,
+    processes: u32,
 ) {
+    let op = storm_ops(kind);
+    let lists = (0..processes)
+        .map(|p| (0..3).map(|i| op(Pid::new(p), i)).collect())
+        .collect();
     Sweep::new(
         scenario
             .memory(mode)
-            .workload(Workload::from_fn(storm_ops(kind), 3))
+            .workload(Workload::per_process(lists))
             .faults(CrashModel::storms(crash_prob)),
     )
     .seeds(seeds)
@@ -74,22 +80,22 @@ macro_rules! storm_tests {
 
                 #[test]
                 fn private_cache_no_crashes() {
-                    storm_kind(0..40, CacheMode::PrivateCache, 0.0, Scenario::object($kind).processes($n), $kind);
+                    storm_kind(0..40, CacheMode::PrivateCache, 0.0, Scenario::object($kind).processes($n), $kind, $n);
                 }
 
                 #[test]
                 fn private_cache_moderate_crashes() {
-                    storm_kind(0..40, CacheMode::PrivateCache, 0.04, Scenario::object($kind).processes($n), $kind);
+                    storm_kind(0..40, CacheMode::PrivateCache, 0.04, Scenario::object($kind).processes($n), $kind, $n);
                 }
 
                 #[test]
                 fn private_cache_heavy_crashes() {
-                    storm_kind(0..25, CacheMode::PrivateCache, 0.12, Scenario::object($kind).processes($n), $kind);
+                    storm_kind(0..25, CacheMode::PrivateCache, 0.12, Scenario::object($kind).processes($n), $kind, $n);
                 }
 
                 #[test]
                 fn shared_cache_adversarial_line_loss() {
-                    storm_kind(0..40, CacheMode::SharedCache, 0.05, Scenario::object($kind).processes($n), $kind);
+                    storm_kind(0..40, CacheMode::SharedCache, 0.05, Scenario::object($kind).processes($n), $kind, $n);
                 }
             }
         )+
@@ -119,6 +125,7 @@ mod baselines_storms {
             0.06,
             Scenario::custom(|b| Box::new(TaggedRegister::new(b, 3))),
             ObjectKind::Register,
+            3,
         );
         storm_kind(
             0..25,
@@ -126,6 +133,7 @@ mod baselines_storms {
             0.05,
             Scenario::custom(|b| Box::new(TaggedRegister::new(b, 3))),
             ObjectKind::Register,
+            3,
         );
     }
 
@@ -137,6 +145,7 @@ mod baselines_storms {
             0.06,
             Scenario::custom(|b| Box::new(TaggedCas::new(b, 3))),
             ObjectKind::Cas,
+            3,
         );
         storm_kind(
             0..25,
@@ -144,6 +153,7 @@ mod baselines_storms {
             0.05,
             Scenario::custom(|b| Box::new(TaggedCas::new(b, 3))),
             ObjectKind::Cas,
+            3,
         );
     }
 
@@ -178,6 +188,7 @@ mod scale {
             0.05,
             Scenario::object(ObjectKind::Register).processes(5),
             ObjectKind::Register,
+            5,
         );
     }
 
@@ -189,6 +200,7 @@ mod scale {
             0.05,
             Scenario::object(ObjectKind::Cas).processes(5),
             ObjectKind::Cas,
+            5,
         );
     }
 
@@ -200,6 +212,7 @@ mod scale {
             0.10,
             Scenario::object(ObjectKind::Queue).processes(2),
             ObjectKind::Queue,
+            2,
         );
     }
 

@@ -179,12 +179,13 @@ fn fabric_subset_kills_survive(k: u32) {
 fn fabric_rejects_invalid_configs() {
     let base = config("register", ObjectKind::Register, CacheMode::PrivateCache, 1);
     type Break = fn(&mut CrashCycleConfig);
-    let cases: [(&str, Break); 6] = [
+    let cases: [(&str, Break); 7] = [
         ("kill_subset > procs", |c| c.kill_subset = c.procs + 1),
         ("kill_subset == 0", |c| c.kill_subset = 0),
         ("zero ops", |c| c.ops_per_proc = 0),
         // 5 procs × 16-op barrier = 80 > the 64-op checker window.
         ("window overflow", |c| c.procs = 5),
+        ("zero procs", |c| c.procs = 0),
         ("shared cache with a subset kill", |c| {
             c.cache_mode = CacheMode::SharedCache;
             c.kill_subset = c.procs - 1;
@@ -205,6 +206,15 @@ fn fabric_rejects_invalid_configs() {
         assert!(cfg.validate().is_err(), "{what}: validate must agree");
     }
     assert!(base.validate().is_ok());
+    // 4 procs × 16-op barrier = 64 fills the checker window exactly.
+    let four = CrashCycleConfig {
+        procs: 4,
+        ..base.clone()
+    };
+    assert!(
+        four.validate().is_ok(),
+        "procs = 4 is the largest valid count"
+    );
     let _ = std::fs::remove_dir_all(&base.dir);
 }
 

@@ -89,13 +89,10 @@ proptest! {
         let verdict = Scenario::object(ObjectKind::Cas)
             .processes(2)
             .memory(CacheMode::SharedCache)
-            .workload(Workload::from_fn(
-                |pid, i| OpSpec::Cas {
-                    old: i as u32 % 3,
-                    new: (pid.get() + i as u32 + 1) % 3,
-                },
-                3,
-            ))
+            .workload(lists(2, 3, |pid, i| OpSpec::Cas {
+                old: i as u32 % 3,
+                new: (pid.get() + i as u32 + 1) % 3,
+            }))
             .faults(CrashModel::storms(0.06).policy(CrashPolicy::RandomSubset(policy_seed)))
             .simulate(&SimConfig {
                 seed,

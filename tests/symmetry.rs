@@ -1,7 +1,7 @@
-//! Property-based tests for the symmetry-reduced, memory-bounded explorer:
-//! on randomized symmetric configurations, orbit canonicalization and memo
-//! eviction must both be *invisible* in the reported totals — same leaf
-//! counts, same truncation, no violations either way.
+//! Property-based tests for the symmetry-reduced explorer: on randomized
+//! symmetric configurations, orbit canonicalization must be *invisible* in
+//! the reported totals — same leaf counts, same truncation, no violations
+//! either way.
 
 use detectable::{ObjectKind, OpSpec};
 use harness::{explore_engine, ExploreConfig, OpSource, Scenario, SymmetryMode, Workload};
@@ -74,11 +74,7 @@ fn explore(cfg: &SymConfig, explore_cfg: &ExploreConfig) -> harness::ExploreOutc
     explore_engine(&*obj, &mem, OpSource::PerProcess(&w), explore_cfg)
 }
 
-fn bounded(
-    symmetry: SymmetryMode,
-    memo_budget: Option<usize>,
-    max_crashes: usize,
-) -> ExploreConfig {
+fn bounded(symmetry: SymmetryMode, max_crashes: usize) -> ExploreConfig {
     ExploreConfig {
         max_crashes,
         max_retries: 1,
@@ -88,7 +84,6 @@ fn bounded(
         // comparable even when the cap bites.
         max_leaves: 200_000,
         symmetry,
-        memo_budget,
         // Pinned: `unique_nodes` and truncated totals vary with the
         // worker count.
         parallelism: 1,
@@ -101,8 +96,8 @@ proptest! {
 
     #[test]
     fn symmetry_reduced_totals_equal_unreduced(cfg in arb_sym_config()) {
-        let plain = explore(&cfg, &bounded(SymmetryMode::Off, None, cfg.max_crashes));
-        let reduced = explore(&cfg, &bounded(SymmetryMode::On, None, cfg.max_crashes));
+        let plain = explore(&cfg, &bounded(SymmetryMode::Off, cfg.max_crashes));
+        let reduced = explore(&cfg, &bounded(SymmetryMode::On, cfg.max_crashes));
         prop_assert!(reduced.symmetry, "the CAS family supports reduction: {cfg:?}");
         prop_assert!(plain.violation.is_none() && reduced.violation.is_none());
         prop_assert!(plain.leaves == reduced.leaves, "leaves diverged: {cfg:?}");
@@ -112,42 +107,6 @@ proptest! {
             "reduction never expands more: {cfg:?}"
         );
     }
-
-    #[test]
-    fn tiny_memo_budget_still_reports_exact_totals(cfg in arb_sym_config()) {
-        let unbounded = explore(&cfg, &bounded(SymmetryMode::On, None, cfg.max_crashes));
-        // A budget of 64 entries is far below these trees' unique-node
-        // counts: generations rotate constantly, evicted states re-explore.
-        let tiny = explore(&cfg, &bounded(SymmetryMode::On, Some(64), cfg.max_crashes));
-        prop_assert!(unbounded.violation.is_none() && tiny.violation.is_none());
-        prop_assert!(unbounded.leaves == tiny.leaves, "leaves diverged: {cfg:?}");
-        prop_assert!(unbounded.truncated == tiny.truncated, "truncation diverged: {cfg:?}");
-        prop_assert!(
-            tiny.unique_nodes >= unbounded.unique_nodes,
-            "eviction can only re-explore: {cfg:?}"
-        );
-    }
-}
-
-/// Deterministic companion: the eviction path demonstrably engages on a
-/// tree big enough to overflow a 64-entry budget (the property above only
-/// checks totals, which must hide eviction entirely).
-#[test]
-fn eviction_engages_and_stays_invisible_end_to_end() {
-    let cfg = SymConfig {
-        kind: ObjectKind::Cas,
-        processes: 2,
-        ops: vec![
-            OpSpec::Cas { old: 0, new: 1 },
-            OpSpec::Cas { old: 1, new: 0 },
-        ],
-        max_crashes: 1,
-    };
-    let unbounded = explore(&cfg, &bounded(SymmetryMode::On, None, 1));
-    let tiny = explore(&cfg, &bounded(SymmetryMode::On, Some(64), 1));
-    assert!(tiny.memo_evictions > 0, "64 entries must overflow");
-    assert_eq!(unbounded.leaves, tiny.leaves);
-    assert_eq!(unbounded.memo_evictions, 0);
 }
 
 /// `Scenario`-level auto gating: a seeded `Workload::random` over a
@@ -178,8 +137,7 @@ fn scenario_auto_symmetry_is_total_preserving_across_seeds() {
 /// `unique_nodes` and `memo_hits` depend on exactly which configurations
 /// the memo key merges, so any change to the fingerprint's pre-image (the
 /// memory words, driver key, positions, crash count, ranked records, or
-/// the orbit canonicalization) moves them. The unbounded memo keeps the
-/// counts independent of how keys spread over memo shards.
+/// the orbit canonicalization) moves them.
 #[test]
 fn sequential_explorer_counts_are_pinned() {
     use baselines::{NonDetectableCas, NonDetectableRegister};
@@ -191,7 +149,6 @@ fn sequential_explorer_counts_are_pinned() {
         max_retries: 1,
         max_leaves: usize::MAX,
         symmetry,
-        memo_budget: None,
         parallelism: 1,
         ..Default::default()
     };
